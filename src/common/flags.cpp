@@ -78,28 +78,56 @@ std::string Flags::get_string(const std::string& name) const {
   return it->second.value;
 }
 
-std::int64_t Flags::get_int(const std::string& name) const {
-  const std::string v = get_string(name);
+namespace {
+
+/// Parses all of `flag`'s value with `parse` (std::stoll / std::stod), turning
+/// the standard library's unnamed errors into ones that name the flag.
+template <typename Parse>
+auto parse_number(const std::string& flag, const std::string& value,
+                  const char* kind, Parse parse) {
+  const std::string bad = "flag --" + flag + " is not " + kind + ": " + value;
   std::size_t pos = 0;
-  const std::int64_t out = std::stoll(v, &pos);
-  DAS_CHECK_MSG(pos == v.size(), "flag --" + name + " is not an integer: " + v);
-  return out;
+  try {
+    const auto out = parse(value, &pos);
+    if (pos != value.size()) throw std::invalid_argument(bad);
+    return out;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("flag --" + flag + " is out of range: " + value);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(bad);
+  }
+}
+
+}  // namespace
+
+std::int64_t Flags::get_int(const std::string& name) const {
+  return parse_number(name, get_string(name), "an integer",
+                      [](const std::string& v, std::size_t* pos) {
+                        return std::stoll(v, pos);
+                      });
+}
+
+std::uint64_t Flags::get_count(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  if (v < 0) {
+    throw std::invalid_argument("flag --" + name +
+                                " must be non-negative: " + get_string(name));
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 double Flags::get_double(const std::string& name) const {
-  const std::string v = get_string(name);
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  DAS_CHECK_MSG(pos == v.size(), "flag --" + name + " is not a number: " + v);
-  return out;
+  return parse_number(name, get_string(name), "a number",
+                      [](const std::string& v, std::size_t* pos) {
+                        return std::stod(v, pos);
+                      });
 }
 
 bool Flags::get_bool(const std::string& name) const {
   const std::string v = get_string(name);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  DAS_CHECK_MSG(false, "flag --" + name + " is not a boolean: " + v);
-  return false;
+  throw std::invalid_argument("flag --" + name + " is not a boolean: " + v);
 }
 
 void Flags::print_help(std::ostream& os, const std::string& program) const {

@@ -34,9 +34,15 @@ class Flags {
   bool set_on_command_line(const std::string& name) const;
 
   std::string get_string(const std::string& name) const;
-  /// Typed accessors; throw std::logic_error on unparseable values so a bad
-  /// experiment spec never runs.
+  /// Typed accessors; throw std::invalid_argument naming the flag on a
+  /// malformed value (not a number, trailing junk, out of range) so a bad
+  /// experiment spec never runs: "flag --x is not an integer: 12x",
+  /// "flag --x is out of range: 1e999".
   std::int64_t get_int(const std::string& name) const;
+  /// get_int for counts and sizes: also rejects negative values, which a
+  /// cast to an unsigned type would wrap to a huge count
+  /// ("flag --x must be non-negative: -3").
+  std::uint64_t get_count(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 

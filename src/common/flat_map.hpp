@@ -34,13 +34,23 @@
 
 namespace das {
 
-/// Fixed 64-bit mixer (splitmix64 finalizer). Deterministic across platforms,
-/// unlike std::hash which is unspecified.
+/// Mixes a 64-bit key to a well-distributed hash (SplitMix64 finaliser).
+/// Deterministic across platforms, unlike std::hash which is unspecified.
+/// Key placement (store/partitioner.cpp) hashes through it, so changing it
+/// moves every key.
+inline std::uint64_t mix_key(std::uint64_t k) {
+  k ^= k >> 30;
+  k *= 0xBF58476D1CE4E5B9ull;
+  k ^= k >> 27;
+  k *= 0x94D049BB133111EBull;
+  k ^= k >> 31;
+  return k;
+}
+
+/// FlatMap's bucket hash: the finaliser applied after one SplitMix64
+/// increment, so key 0 does not hash to 0.
 inline std::uint64_t flat_hash_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+  return mix_key(x + 0x9e3779b97f4a7c15ull);
 }
 
 template <typename K, typename V>

@@ -20,6 +20,15 @@ std::vector<Client::TenantStream> single_stream(
   return tenants;
 }
 
+/// Every server answers reads from the shared size catalogue, so a selector
+/// answer outside the key's replica set would not miss: it would silently
+/// serve a size that the replicas' completed writes have replaced.
+ServerId checked_pick(const std::vector<ServerId>& replicas, ServerId picked) {
+  DAS_CHECK_MSG(std::find(replicas.begin(), replicas.end(), picked) != replicas.end(),
+                "replica selector picked a server outside the key's replica set");
+  return picked;
+}
+
 }  // namespace
 
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
@@ -161,8 +170,8 @@ ServerId Client::pick_server(KeyId key, double demand) {
   // The selector draws (if it draws at all) from the client's own workload
   // stream — exactly the pre-layer behaviour, so legacy modes stay
   // bit-identical (pinned by GoldenResults.PinnedSelectionGridIsBitExact).
-  return selector_->pick(replicas, learned_view(),
-                         {demand, key, sim_.now()}, rng_);
+  return checked_pick(replicas, selector_->pick(replicas, learned_view(),
+                                               {demand, key, sim_.now()}, rng_));
 }
 
 void Client::generate_request(std::size_t tenant) {
@@ -441,6 +450,7 @@ void Client::arm_hedge(RequestId rid, PendingOp& op) {
         replicas, learned_view(), {it->demand_us, it->key, sim_.now()},
         it->server);
     if (alternate == kInvalidServer) return;  // no distinct live replica
+    checked_pick(replicas, alternate);
     it->hedged = true;
     ++ops_hedged_;
     send_op_(alternate, it->sent_ctx);
@@ -510,7 +520,7 @@ void Client::maybe_fail_over(PendingRequest& req, PendingOp& op) {
   const ServerId best = selector_->pick_alternate(
       replicas, learned_view(), {op.demand_us, op.key, sim_.now()}, op.server);
   if (best == kInvalidServer) return;  // every replica suspected: keep trying
-  op.server = best;
+  op.server = checked_pick(replicas, best);
   ++ops_failed_over_;
   req.failed_over = true;
 }

@@ -70,8 +70,10 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                         config_.ring_vnodes)
                      : store::make_modulo_partitioner(config_.num_servers);
 
-  // Key catalogue: sizes drawn once, shared by clients (demand estimation)
-  // and servers (stored values). With tenants, each key draws from its
+  // Key catalogue: sizes drawn once. Clients share key_sizes_ for demand
+  // estimation and publish written sizes into it when they issue a PUT;
+  // servers serve the frozen copy catalogue_ under their own overlay of
+  // completed writes. With tenants, each key draws from its
   // owning tenant's value-size distribution (inheriting the cluster's when
   // the tenant sets none) — same single sequential stream either way, so the
   // legacy path is untouched.
@@ -106,6 +108,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
       }
     }
   }
+  catalogue_ = key_sizes_;
 
   // Servers.
   metrics_.set_window(window_.warmup_us, window_.horizon());
@@ -124,7 +127,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     }
     params.speed_alpha = config_.server_speed_alpha;
     params.preemptive = config_.preemptive_service;
-    params.log_structured_storage = config_.log_structured_storage;
+    params.catalogue = catalogue_;
     params.overload = config_.overload;
     if (config_.store_model == StoreModel::kLsm) {
       store::LsmOptions lsm_opt = config_.lsm;
@@ -153,15 +156,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   // decides whether audits run continuously during the event loop.
   for (const auto& server : servers_) sim_.add_auditable(server.get());
   sim_.set_audit_cadence(config_.audit_every_events);
-
-  // Populate every key on its replica set (primary-only when replication=1).
-  const std::size_t replication =
-      std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
-  for (std::uint64_t key = 0; key < universe; ++key) {
-    for (const ServerId s : partitioner_->replicas_for(key, replication)) {
-      servers_[s]->populate(key, key_sizes_[key]);
-    }
-  }
 
   // Response routing: server -> network -> client.
   for (auto& server : servers_) {
@@ -230,6 +224,8 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   const bool adaptive =
       config_.client_adaptive && config_.policy != sched::Policy::kDasNoAdapt;
 
+  const std::size_t replication =
+      std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
   clients_.reserve(config_.num_clients);
   for (std::size_t c = 0; c < config_.num_clients; ++c) {
     Client::Params params;

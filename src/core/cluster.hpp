@@ -85,7 +85,11 @@ class Cluster {
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
   store::PartitionerPtr partitioner_;
+  /// Client-side sizes: drawn at construction, updated as PUTs are issued.
   std::vector<Bytes> key_sizes_;
+  /// The drawn sizes, read-only after construction; every server reads
+  /// through it. Declared before servers_ so it outlives them.
+  std::vector<Bytes> catalogue_;
   std::unique_ptr<workload::MultigetGenerator> generator_;
   /// Multi-tenant mode: one generator per tenant over its keyspace slice
   /// (nullptr entries for replay tenants) plus the loaded traces and the

@@ -64,10 +64,6 @@ struct ClusterConfig {
   /// effects are not confounded by placement skew); > 0 = consistent-hash
   /// ring with this many vnodes per server.
   std::size_t ring_vnodes = 0;
-  /// Per-server storage backend: false = hash-table engine, true =
-  /// log-structured engine (functionally identical reads; exercises the
-  /// append/compact path under write workloads).
-  bool log_structured_storage = false;
   /// Copies of every key (1 = no replication). Reads go to one replica
   /// chosen by `replica_selection`; clamped to num_servers.
   std::size_t replication = 1;

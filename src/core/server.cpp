@@ -37,11 +37,6 @@ Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler
       metrics_(metrics),
       guard_(params_.overload) {
   service_model_ = std::move(params_.service_model);
-  if (params_.log_structured_storage) {
-    storage_ = std::make_unique<store::LogStructuredEngine>();
-  } else {
-    storage_ = std::make_unique<store::StorageEngine>();
-  }
   DAS_CHECK(scheduler_ != nullptr);
   DAS_CHECK(params_.speed_factor > 0);
   DAS_CHECK(params_.speed_alpha > 0 && params_.speed_alpha <= 1);
@@ -56,7 +51,11 @@ void Server::set_response_handler(std::function<void(const OpResponse&)> handler
   respond_ = std::move(handler);
 }
 
-void Server::populate(KeyId key, Bytes size) { storage_->put(key, size, 0); }
+std::optional<Bytes> Server::stored_size(KeyId key) const {
+  if (const auto it = written_.find(key); it != written_.end()) return it->second;
+  if (key < params_.catalogue.size()) return params_.catalogue[key];
+  return std::nullopt;
+}
 
 void Server::set_utilization_window(SimTime begin, SimTime end) {
   DAS_CHECK(begin <= end);
@@ -96,12 +95,7 @@ store::OpCostQuery Server::cost_query(const sched::OpContext& op) const {
   q.key = op.key;
   q.is_write = op.is_write;
   q.nominal_demand_us = op.demand_us;
-  if (op.is_write) {
-    q.size_bytes = op.write_size;
-  } else {
-    const store::ValueRecord* rec = storage_->peek(op.key);
-    q.size_bytes = rec != nullptr ? rec->size : 0;
-  }
+  q.size_bytes = op.is_write ? op.write_size : stored_size(op.key).value_or(0);
   return q;
 }
 
@@ -375,13 +369,8 @@ void Server::complete_current() {
   note_busy_interval(current_started_, now);
   completion_event_ = sim::EventHandle{};
 
-  std::optional<store::ValueRecord> record;
-  if (current_op_.is_write) {
-    storage_->put(current_op_.key, current_op_.write_size, now);
-    record = *storage_->peek(current_op_.key);
-  } else {
-    record = storage_->get(current_op_.key, now);
-  }
+  if (current_op_.is_write) written_[current_op_.key] = current_op_.write_size;
+  const std::optional<Bytes> size = stored_size(current_op_.key);
   if (service_model_ != nullptr) {
     // A completed write lands in the model's memtable and may trigger a
     // flush / compaction / stall transition.
@@ -407,9 +396,9 @@ void Server::complete_current() {
   resp.client = current_op_.client;
   resp.server = params_.id;
   resp.key = current_op_.key;
-  resp.hit = record.has_value();
+  resp.hit = size.has_value();
   resp.is_write = current_op_.is_write;
-  resp.value_size = record ? record->size : 0;
+  resp.value_size = size.value_or(0);
   resp.completed_at = now;
   resp.d_hat_us = d_hat_us();
   resp.mu_hat = mu_hat_;

@@ -1,19 +1,20 @@
-// Simulated store server: storage engine + operation scheduler + service
+// Simulated store server: stored value sizes + operation scheduler + service
 // loop with time-varying speed and an adaptive service-rate estimator.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 
+#include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "common/types.hpp"
 #include "core/metrics.hpp"
 #include "overload/overload.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "store/log_engine.hpp"
 #include "store/lsm_model.hpp"
-#include "store/storage_engine.hpp"
 #include "trace/rct_breakdown.hpp"
 #include "trace/tracer.hpp"
 #include "workload/rate_function.hpp"
@@ -77,8 +78,10 @@ class Server : public Auditable {
     /// remaining demand is requeued. An oracle-style upper bound; real
     /// stores (and the paper) serve operations to completion.
     bool preemptive = false;
-    /// Storage backend: hash-table engine (default) or log-structured.
-    bool log_structured_storage = false;
+    /// Value size of every key, indexed by key, as drawn at cluster
+    /// construction. Shared read-only by all servers; the owner must
+    /// outlive the server. Keys past its end are misses until written.
+    std::span<const Bytes> catalogue;
     /// Storage-aware service-time model. nullptr = synthetic mode: every op
     /// costs its client-tagged demand and storage never dents capacity.
     /// Owning a provider makes Params move-only.
@@ -97,9 +100,6 @@ class Server : public Auditable {
 
   /// Response delivery hook; the cluster routes it through the network.
   void set_response_handler(std::function<void(const OpResponse&)> handler);
-
-  /// Preloads a key (cluster initialisation, before time starts).
-  void populate(KeyId key, Bytes size);
 
   /// An operation message arrived from the network.
   void receive_op(const sched::OpContext& op);
@@ -131,7 +131,9 @@ class Server : public Auditable {
   std::size_t queue_length() const { return scheduler_->size(); }
 
   const sched::Scheduler& scheduler() const { return *scheduler_; }
-  const store::KvStore& storage() const { return *storage_; }
+  /// Size of `key` as this server serves it: the last size a completed PUT
+  /// wrote here, else the catalogue's; nullopt is a miss.
+  std::optional<Bytes> stored_size(KeyId key) const;
   /// The storage service-time model, or nullptr in synthetic mode.
   const store::ServiceTimeProvider* service_model() const {
     return service_model_.get();
@@ -185,7 +187,7 @@ class Server : public Auditable {
   /// store model's lazy clock.
   double effective_speed(SimTime now);
   /// Builds the store-model cost query for `op`; a read's size comes from
-  /// the server's own storage engine, not the client's estimate.
+  /// stored_size(), not the client's estimate.
   store::OpCostQuery cost_query(const sched::OpContext& op) const;
   /// Remaining scheduler-visible demand of the in-service op given its
   /// unserved base cost. Preserves the exact legacy subtraction in synthetic
@@ -209,7 +211,10 @@ class Server : public Auditable {
   Metrics& metrics_;
   /// Overload protection: accept/shed decisions and the shed counters.
   overload::QueueGuard guard_;
-  std::unique_ptr<store::KvStore> storage_;
+  /// Sizes written by PUTs completed here. A write-all PUT lands on each
+  /// replica at that replica's completion, so a lagging replica keeps
+  /// serving the old size. Survives crash(), like a durable store.
+  FlatMap<KeyId, Bytes> written_;
   /// Moved out of Params at construction; nullptr in synthetic mode.
   store::ServiceTimeProviderPtr service_model_;
   std::function<void(const OpResponse&)> respond_;

@@ -29,9 +29,8 @@
 #include "net/network.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
-#include "store/log_engine.hpp"
+#include "store/lsm_model.hpp"
 #include "store/partitioner.hpp"
-#include "store/storage_engine.hpp"
 #include "workload/arrival.hpp"
 #include "workload/multiget.hpp"
 #include "workload/rate_function.hpp"

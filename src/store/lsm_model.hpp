@@ -38,8 +38,8 @@
 namespace das::store {
 
 /// One operation's cost query, built by the server from the op message and
-/// its own storage engine (the value size of a read comes from the stored
-/// record, not from the client's estimate).
+/// its own stored sizes (the value size of a read is what the server holds,
+/// not the client's estimate).
 struct OpCostQuery {
   KeyId key = 0;
   bool is_write = false;

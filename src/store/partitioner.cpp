@@ -5,8 +5,8 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
-#include "store/hash_table.hpp"
 
 namespace das::store {
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace das {
@@ -118,6 +120,53 @@ TEST(Flags, BadNumberThrows) {
   flags.define("load", "abc", "");
   EXPECT_THROW(flags.get_double("load"), std::logic_error);
   EXPECT_THROW(flags.get_int("load"), std::logic_error);
+}
+
+/// The message get_int/get_count/get_double throw for `value` of --x.
+std::string number_error(const std::string& value,
+                         std::string (*get)(const Flags&)) {
+  Flags flags;
+  flags.define("x", "0", "");
+  std::string error;
+  const std::string arg = "--x=" + value;
+  EXPECT_TRUE(parse(flags, {arg.c_str()}, &error));
+  try {
+    return get(flags);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+}
+
+std::string as_int(const Flags& f) { return std::to_string(f.get_int("x")); }
+std::string as_count(const Flags& f) { return std::to_string(f.get_count("x")); }
+std::string as_double(const Flags& f) { return std::to_string(f.get_double("x")); }
+
+// Malformed numbers are usage errors that name the flag, never an unnamed
+// std::stoll failure or a negative count wrapped to a huge size_t.
+TEST(Flags, MalformedNumbersNameTheFlag) {
+  EXPECT_EQ(number_error("abc", as_int), "flag --x is not an integer: abc");
+  EXPECT_EQ(number_error("12x", as_int), "flag --x is not an integer: 12x");
+  EXPECT_EQ(number_error("", as_int), "flag --x is not an integer: ");
+  EXPECT_EQ(number_error("99999999999999999999", as_int),
+            "flag --x is out of range: 99999999999999999999");
+  EXPECT_EQ(number_error("-3", as_int), "-3");
+  EXPECT_EQ(number_error("-3", as_count), "flag --x must be non-negative: -3");
+  EXPECT_EQ(number_error("abc", as_count), "flag --x is not an integer: abc");
+  EXPECT_EQ(number_error("7", as_count), "7");
+  EXPECT_EQ(number_error("x", as_double), "flag --x is not a number: x");
+  EXPECT_EQ(number_error("0.5s", as_double), "flag --x is not a number: 0.5s");
+  EXPECT_EQ(number_error("1e999", as_double), "flag --x is out of range: 1e999");
+}
+
+TEST(Flags, MalformedBooleanNamesTheFlag) {
+  Flags flags;
+  flags.define("verbose", "maybe", "");
+  try {
+    flags.get_bool("verbose");
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --verbose is not a boolean: maybe");
+  }
 }
 
 TEST(Flags, BoolVariants) {

@@ -245,5 +245,19 @@ TEST(FlatSet, MatchesReferenceSetUnderChurn) {
   }
 }
 
+TEST(MixKey, IsDeterministicAndSpreads) {
+  EXPECT_EQ(mix_key(42), mix_key(42));
+  // Pinned values: key placement and FlatMap iteration order both follow
+  // from these, and the golden grid depends on both.
+  EXPECT_EQ(mix_key(42), 0xa759ea27d4727622ull);
+  EXPECT_EQ(flat_hash_mix(42), 0xbdd732262feb6e95ull);
+  // Sequential keys should land in different low-bit buckets mostly.
+  int same_bucket = 0;
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    if ((mix_key(k) & 0xFF) == (mix_key(k + 1) & 0xFF)) ++same_bucket;
+  }
+  EXPECT_LT(same_bucket, 20);
+}
+
 }  // namespace
 }  // namespace das

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -34,8 +35,10 @@ struct ServerFixture : ::testing::Test {
 };
 
 TEST_F(ServerFixture, ServesOpAfterServiceTime) {
-  auto server = make_server({});
-  server->populate(5, 100);
+  const std::vector<Bytes> catalogue(6, 100);
+  Server::Params params;
+  params.catalogue = catalogue;
+  auto server = make_server(std::move(params));
   server->receive_op(op(1, 5, 40.0));
   sim.run();
   ASSERT_EQ(responses.size(), 1u);
@@ -51,6 +54,51 @@ TEST_F(ServerFixture, MissOnUnknownKey) {
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_FALSE(responses[0].hit);
   EXPECT_EQ(responses[0].value_size, 0u);
+}
+
+// Two replicas of key 3 share one catalogue. A write-all PUT completes on
+// one replica first; until the other completes its copy, it keeps serving
+// the catalogue size, exactly as a per-replica store would.
+TEST_F(ServerFixture, LaggingReplicaServesOldSizeUntilItsWriteCompletes) {
+  const std::vector<Bytes> catalogue{10, 20, 30, 40};
+  Server::Params first_params;
+  first_params.id = 0;
+  first_params.catalogue = catalogue;
+  Server::Params lagging_params;
+  lagging_params.id = 1;
+  lagging_params.catalogue = catalogue;
+  auto first = make_server(std::move(first_params));
+  auto lagging = make_server(std::move(lagging_params));
+
+  sched::OpContext put = op(1, 3, 10.0);
+  put.is_write = true;
+  put.write_size = 900;
+  first->receive_op(put);                // PUT done at t=10
+  lagging->receive_op(op(2, 0, 100.0));  // busy until t=100
+  lagging->receive_op(op(3, 3, 10.0));   // GET of key 3 at t=100..110
+  put.op_id = 4;
+  lagging->receive_op(put);              // its PUT copy done at t=120
+
+  sim.run_until(50.0);
+  EXPECT_EQ(first->stored_size(3), std::optional<Bytes>{900});
+  EXPECT_EQ(lagging->stored_size(3), std::optional<Bytes>{40});
+  first->receive_op(op(5, 3, 10.0));  // GET of key 3 at t=50..60
+  sim.run();
+
+  ASSERT_EQ(responses.size(), 5u);
+  const auto response_for = [&](OperationId id) {
+    for (const OpResponse& r : responses)
+      if (r.op_id == id) return r;
+    ADD_FAILURE() << "no response for op " << id;
+    return OpResponse{};
+  };
+  EXPECT_EQ(response_for(5).value_size, 900u);
+  EXPECT_EQ(response_for(3).value_size, 40u);
+  EXPECT_TRUE(response_for(3).hit);
+  EXPECT_EQ(lagging->stored_size(3), std::optional<Bytes>{900});
+  // Keys no PUT touched still answer from the catalogue.
+  EXPECT_EQ(first->stored_size(1), std::optional<Bytes>{20});
+  EXPECT_EQ(first->stored_size(4), std::nullopt);
 }
 
 TEST_F(ServerFixture, HalfSpeedDoublesServiceTime) {

@@ -169,9 +169,7 @@ int run_sweep(const core::ClusterConfig& base, const core::RunWindow& window,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Flags flags;
   flags.define("policy", "fcfs,rein-sbf,das",
                "comma-separated policy list, or 'all'");
@@ -345,9 +343,9 @@ int main(int argc, char** argv) {
   }
 
   core::ClusterConfig cfg;
-  cfg.num_servers = static_cast<std::size_t>(flags.get_int("servers"));
-  cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients"));
-  cfg.keys_per_server = static_cast<std::uint64_t>(flags.get_int("keys-per-server"));
+  cfg.num_servers = static_cast<std::size_t>(flags.get_count("servers"));
+  cfg.num_clients = static_cast<std::size_t>(flags.get_count("clients"));
+  cfg.keys_per_server = flags.get_count("keys-per-server");
   cfg.target_load = flags.get_double("load");
   const std::string calibration = flags.get_string("calibration");
   if (calibration == "average") {
@@ -364,7 +362,7 @@ int main(int argc, char** argv) {
   cfg.per_op_overhead_us = flags.get_double("op-overhead-us");
   cfg.service_bytes_per_us = flags.get_double("bytes-per-us");
   cfg.net_latency_us = flags.get_double("net-latency-us");
-  cfg.replication = static_cast<std::size_t>(flags.get_int("replication"));
+  cfg.replication = static_cast<std::size_t>(flags.get_count("replication"));
   std::string selection = flags.get_string("selection");
   if (!flags.get_string("replica-selection").empty())
     selection = flags.get_string("replica-selection");
@@ -372,16 +370,16 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --selection: " << selection << "\n";
     return 2;
   }
-  cfg.ring_vnodes = static_cast<std::size_t>(flags.get_int("ring-vnodes"));
+  cfg.ring_vnodes = static_cast<std::size_t>(flags.get_count("ring-vnodes"));
   cfg.msg_loss_probability = flags.get_double("loss");
   cfg.retry_timeout_us = flags.get_double("retry-ms") * kMillisecond;
   cfg.retry_backoff_max_us = flags.get_double("backoff-cap-ms") * kMillisecond;
   cfg.retry_max_attempts =
-      static_cast<std::uint32_t>(flags.get_int("retry-max-attempts"));
+      static_cast<std::uint32_t>(flags.get_count("retry-max-attempts"));
   cfg.suspicion_rto_threshold =
-      static_cast<std::uint32_t>(flags.get_int("suspicion-rtos"));
+      static_cast<std::uint32_t>(flags.get_count("suspicion-rtos"));
   cfg.hedge_delay_us = flags.get_double("hedge-ms") * kMillisecond;
-  cfg.overload.queue_cap = static_cast<std::size_t>(flags.get_int("queue-cap"));
+  cfg.overload.queue_cap = static_cast<std::size_t>(flags.get_count("queue-cap"));
   if (!overload::policy_from_string(flags.get_string("overload-policy"),
                                     cfg.overload.reject_policy)) {
     std::cerr << "unknown --overload-policy: "
@@ -399,14 +397,14 @@ int main(int argc, char** argv) {
   }
   cfg.lsm.memtable_bytes = flags.get_double("lsm-memtable-kb") * 1024.0;
   cfg.lsm.l0_compaction_trigger =
-      static_cast<std::size_t>(flags.get_int("lsm-compact-trigger"));
+      static_cast<std::size_t>(flags.get_count("lsm-compact-trigger"));
   cfg.lsm.compaction_bytes_per_us = flags.get_double("lsm-drain-bpus");
   cfg.lsm.compaction_capacity_factor = flags.get_double("lsm-compact-slowdown");
   cfg.lsm.stall_debt_bytes = flags.get_double("lsm-stall-kb") * 1024.0;
   cfg.lsm.stall_write_multiplier = flags.get_double("lsm-stall-mult");
   cfg.lsm.interference = flags.get_bool("lsm-interference");
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  cfg.audit_every_events = static_cast<std::uint64_t>(flags.get_int("audit-every"));
+  cfg.audit_every_events = flags.get_count("audit-every");
   const double straggler_fraction = flags.get_double("stragglers");
   if (straggler_fraction > 0) {
     cfg.server_speed_factors.assign(cfg.num_servers, 1.0);
@@ -460,9 +458,9 @@ int main(int argc, char** argv) {
     chaos.horizon_us = window.horizon();
     chaos.num_servers = static_cast<std::uint32_t>(cfg.num_servers);
     chaos.num_clients = static_cast<std::uint32_t>(cfg.num_clients);
-    chaos.crashes = static_cast<std::uint32_t>(flags.get_int("chaos-crashes"));
-    chaos.slowdowns = static_cast<std::uint32_t>(flags.get_int("chaos-slowdowns"));
-    chaos.partitions = static_cast<std::uint32_t>(flags.get_int("chaos-partitions"));
+    chaos.crashes = static_cast<std::uint32_t>(flags.get_count("chaos-crashes"));
+    chaos.slowdowns = static_cast<std::uint32_t>(flags.get_count("chaos-slowdowns"));
+    chaos.partitions = static_cast<std::uint32_t>(flags.get_count("chaos-partitions"));
     if (chaos.crashes + chaos.slowdowns + chaos.partitions > 0) {
       const fault::FaultPlan generated = fault::make_chaos_plan(
           chaos, static_cast<std::uint64_t>(flags.get_int("chaos-seed")));
@@ -518,7 +516,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     trace::Tracer::Config trace_cfg;
-    trace_cfg.cap = static_cast<std::size_t>(flags.get_int("trace-cap"));
+    trace_cfg.cap = static_cast<std::size_t>(flags.get_count("trace-cap"));
     trace::Tracer tracer{trace_cfg};
     cfg.policy = policies.front();
     runs.push_back({policies.front(), core::run_experiment(cfg, window, &tracer)});
@@ -668,4 +666,16 @@ int main(int argc, char** argv) {
   if (!cfg.fault_plan.empty()) print_degradation();
   if (cfg.overload.enabled()) print_overload();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed flag value is a usage error, like an unknown flag.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 }
