@@ -12,14 +12,6 @@ namespace das::core {
 
 namespace {
 
-std::vector<Client::TenantStream> single_stream(
-    const workload::MultigetGenerator& generator, workload::ArrivalPtr arrivals) {
-  std::vector<Client::TenantStream> tenants(1);
-  tenants[0].generator = &generator;
-  tenants[0].arrivals = std::move(arrivals);
-  return tenants;
-}
-
 /// Every server answers reads from the shared size catalogue, so a selector
 /// answer outside the key's replica set would not miss: it would silently
 /// serve a size that the replicas' completed writes have replaced.
@@ -93,15 +85,6 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
   rto_strikes_.assign(params_.num_servers, 0);
   suspected_.assign(params_.num_servers, 0);
 }
-
-Client::Client(sim::Simulator& sim, Params params, Rng rng,
-               const workload::MultigetGenerator& generator,
-               workload::ArrivalPtr arrivals, const store::Partitioner& partitioner,
-               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
-               SendProgress send_progress)
-    : Client(sim, params, rng, single_stream(generator, std::move(arrivals)),
-             partitioner, key_sizes, metrics, std::move(send_op),
-             std::move(send_progress)) {}
 
 void Client::start(SimTime horizon) {
   for (std::size_t t = 0; t < tenants_.size(); ++t) {

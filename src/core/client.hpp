@@ -111,19 +111,12 @@ class Client {
   using SendProgress =
       std::function<void(ServerId, RequestId, const sched::ProgressUpdate&)>;
 
-  /// Multi-tenant form: one TenantStream per tenant. `key_sizes` is the
-  /// shared size catalogue; writes update it in place (the writer knows the
-  /// size it wrote; other clients' estimates converge on their next access).
+  /// One TenantStream per tenant (a legacy run is one synthetic tenant).
+  /// `key_sizes` is the shared size catalogue; writes update it in place (the
+  /// writer knows the size it wrote; other clients' estimates converge on
+  /// their next access).
   Client(sim::Simulator& sim, Params params, Rng rng,
          std::vector<TenantStream> tenants, const store::Partitioner& partitioner,
-         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
-         SendProgress send_progress);
-
-  /// Single-stream form (the legacy workload): wraps `generator` + `arrivals`
-  /// into one tenant. Bit-identical to pre-tenant builds.
-  Client(sim::Simulator& sim, Params params, Rng rng,
-         const workload::MultigetGenerator& generator,
-         workload::ArrivalPtr arrivals, const store::Partitioner& partitioner,
          std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
          SendProgress send_progress);
 
@@ -221,7 +214,7 @@ class Client {
   };
   struct PendingRequest {
     SimTime arrival = 0;
-    /// Index of the tenant that generated the request (0 in legacy mode).
+    /// Index of the tenant that generated the request.
     std::uint32_t tenant = 0;
     std::vector<PendingOp> ops;
     std::size_t remaining = 0;

@@ -70,42 +70,33 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                         config_.ring_vnodes)
                      : store::make_modulo_partitioner(config_.num_servers);
 
-  // Key catalogue: sizes drawn once. Clients share key_sizes_ for demand
+  // A legacy run is the one `legacy` tenant, which inherits every
+  // cluster-level workload setting.
+  tenants_ = config_.tenants.empty() ? workload::parse_tenants("legacy")
+                                     : config_.tenants;
+  const std::size_t tenant_count = tenants_.size();
+
+  // Key catalogue: sizes drawn once, each key from its owning tenant's
+  // value-size distribution (the cluster's when the tenant sets none), in key
+  // order from one sequential stream. Clients share key_sizes_ for demand
   // estimation and publish written sizes into it when they issue a PUT;
   // servers serve the frozen copy catalogue_ under their own overlay of
-  // completed writes. With tenants, each key draws from its
-  // owning tenant's value-size distribution (inheriting the cluster's when
-  // the tenant sets none) — same single sequential stream either way, so the
-  // legacy path is untouched.
+  // completed writes.
   const std::uint64_t universe =
       config_.num_servers * config_.keys_per_server;
-  const std::size_t tenant_count = config_.tenants.size();
   tenant_value_dists_.resize(tenant_count);
+  key_sizes_.resize(universe);
+  Rng size_rng = master.fork(0x512E);
   for (std::size_t t = 0; t < tenant_count; ++t) {
     tenant_value_dists_[t] =
-        config_.tenants[t].value_size_spec.empty()
+        tenants_[t].value_size_spec.empty()
             ? config_.value_size_bytes
-            : workload::parse_real_dist(config_.tenants[t].value_size_spec);
-  }
-  key_sizes_.resize(universe);
-  {
-    Rng size_rng = master.fork(0x512E);
-    if (tenant_count == 0) {
-      for (auto& size : key_sizes_) {
-        size = static_cast<Bytes>(
-            std::max(1.0, std::round(config_.value_size_bytes->sample(size_rng))));
-      }
-    } else {
-      const std::uint64_t slice = universe / tenant_count;
-      for (std::uint64_t key = 0; key < universe; ++key) {
-        const std::size_t owner = slice == 0
-                                      ? tenant_count - 1
-                                      : std::min<std::size_t>(
-                                            tenant_count - 1,
-                                            static_cast<std::size_t>(key / slice));
-        key_sizes_[key] = static_cast<Bytes>(std::max(
-            1.0, std::round(tenant_value_dists_[owner]->sample(size_rng))));
-      }
+            : workload::parse_real_dist(tenants_[t].value_size_spec);
+    const auto& dist = *tenant_value_dists_[t];
+    const TenantSlice slice = tenant_slice(universe, tenant_count, t);
+    for (std::uint64_t key = slice.base; key < slice.base + slice.size; ++key) {
+      key_sizes_[key] =
+          static_cast<Bytes>(std::max(1.0, std::round(dist.sample(size_rng))));
     }
   }
   catalogue_ = key_sizes_;
@@ -166,59 +157,46 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     });
   }
 
-  // Workload generators. Legacy: one generator over the full keyspace shared
-  // by all clients. Tenants: one per tenant over its contiguous slice
-  // (replay tenants load their trace instead).
-  if (tenant_count == 0) {
-    workload::MultigetGenerator::Config gen_cfg;
-    gen_cfg.key_universe = universe;
-    gen_cfg.zipf_theta = config_.zipf_theta;
-    gen_cfg.fanout = config_.fanout;
-    generator_ = std::make_unique<workload::MultigetGenerator>(gen_cfg);
-  } else {
-    tenant_generators_.resize(tenant_count);
-    replay_traces_.resize(tenant_count);
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      const workload::TenantSpec& tenant = config_.tenants[t];
-      if (!tenant.replay_path.empty()) {
-        replay_traces_[t] = workload::ReplayTrace::load(tenant.replay_path);
-        DAS_CHECK_MSG(replay_traces_[t].empty() ||
-                          replay_traces_[t].max_key() < universe,
-                      "replay trace '" + tenant.replay_path +
-                          "' references keys outside the keyspace");
-        continue;
-      }
-      const TenantSlice slice = tenant_slice(universe, tenant_count, t);
-      workload::MultigetGenerator::Config gen_cfg;
-      gen_cfg.key_universe = slice.size;
-      gen_cfg.key_base = slice.base;
-      gen_cfg.zipf_theta =
-          tenant.zipf_theta >= 0 ? tenant.zipf_theta : config_.zipf_theta;
-      gen_cfg.fanout = tenant.fanout_spec.empty()
-                           ? config_.fanout
-                           : workload::parse_int_dist(tenant.fanout_spec);
-      // Distinct permutation per tenant so tenants' hot keys land on
-      // different servers instead of colliding rank-for-rank.
-      gen_cfg.rank_permutation_seed =
-          0x9E3779B9ull + 0xD1B54A32D192ED03ull * static_cast<std::uint64_t>(t);
-      gen_cfg.drift = tenant.drift;
-      tenant_generators_[t] =
-          std::make_unique<workload::MultigetGenerator>(gen_cfg);
+  // Workload generators: one per tenant over its contiguous slice (replay
+  // tenants load their trace instead).
+  tenant_generators_.resize(tenant_count);
+  replay_traces_.resize(tenant_count);
+  for (std::size_t t = 0; t < tenant_count; ++t) {
+    const workload::TenantSpec& tenant = tenants_[t];
+    if (!tenant.replay_path.empty()) {
+      replay_traces_[t] = workload::ReplayTrace::load(tenant.replay_path);
+      DAS_CHECK_MSG(replay_traces_[t].empty() ||
+                        replay_traces_[t].max_key() < universe,
+                    "replay trace '" + tenant.replay_path +
+                        "' references keys outside the keyspace");
+      continue;
     }
-    metrics_.enable_tenants(tenant_count);
+    const TenantSlice slice = tenant_slice(universe, tenant_count, t);
+    workload::MultigetGenerator::Config gen_cfg;
+    gen_cfg.key_universe = slice.size;
+    gen_cfg.key_base = slice.base;
+    gen_cfg.zipf_theta =
+        tenant.zipf_theta >= 0 ? tenant.zipf_theta : config_.zipf_theta;
+    gen_cfg.fanout = tenant.fanout_spec.empty()
+                         ? config_.fanout
+                         : workload::parse_int_dist(tenant.fanout_spec);
+    // Distinct permutation per tenant so tenants' hot keys land on
+    // different servers instead of colliding rank-for-rank.
+    gen_cfg.rank_permutation_seed =
+        0x9E3779B9ull + 0xD1B54A32D192ED03ull * static_cast<std::uint64_t>(t);
+    gen_cfg.drift = tenant.drift;
+    tenant_generators_[t] = std::make_unique<workload::MultigetGenerator>(gen_cfg);
   }
+  metrics_.enable_tenants(tenant_count);
 
   // Clients.
-  bool any_synthetic = tenant_count == 0;
   double share_sum = 0;
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    if (config_.tenants[t].replay_path.empty()) {
-      any_synthetic = true;
-      share_sum += config_.tenants[t].share;
-    }
+  for (const workload::TenantSpec& tenant : tenants_) {
+    if (tenant.replay_path.empty()) share_sum += tenant.share;
   }
-  const double total_rate = any_synthetic ? derived_request_rate() : 0.0;
-  const double per_client_rate = total_rate / static_cast<double>(config_.num_clients);
+  request_rate_ = derived_request_rate();
+  const double per_client_rate =
+      request_rate_ / static_cast<double>(config_.num_clients);
   const bool progress =
       config_.progress_updates && policy_uses_progress(config_.policy);
   const bool adaptive =
@@ -231,6 +209,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     Client::Params params;
     params.id = static_cast<ClientId>(c);
     params.num_servers = config_.num_servers;
+    params.num_clients = config_.num_clients;
     params.per_op_overhead_us = config_.per_op_overhead_us;
     params.service_bytes_per_us = config_.service_bytes_per_us;
     params.adaptive = adaptive;
@@ -264,44 +243,33 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                  });
     };
 
-    const auto make_arrivals = [&](double rate) -> workload::ArrivalPtr {
-      return config_.load_profile
-                 ? workload::make_modulated_poisson(rate, config_.load_profile,
-                                                    window_.horizon())
-                 : workload::make_poisson_arrivals(rate);
-    };
-
-    if (tenant_count == 0) {
-      clients_.push_back(std::make_unique<Client>(
-          sim_, params, master.fork(0xC11E47 + c), *generator_,
-          make_arrivals(per_client_rate), *partitioner_, key_sizes_, metrics_,
-          std::move(send_op), std::move(send_progress)));
-    } else {
-      params.num_clients = config_.num_clients;
-      std::vector<Client::TenantStream> streams(tenant_count);
-      for (std::size_t t = 0; t < tenant_count; ++t) {
-        const workload::TenantSpec& tenant = config_.tenants[t];
-        Client::TenantStream& stream = streams[t];
-        if (!tenant.replay_path.empty()) {
-          stream.replay = &replay_traces_[t];
-          continue;
-        }
-        stream.generator = tenant_generators_[t].get();
-        // The cluster rate splits across synthetic tenants by share, then
-        // across clients evenly.
-        stream.arrivals =
-            make_arrivals(per_client_rate * tenant.share / share_sum);
-        stream.has_mix = tenant.has_mix;
-        stream.mix = tenant.mix;
-        if (!tenant.value_size_spec.empty()) {
-          stream.write_size_bytes = tenant_value_dists_[t];
-        }
+    std::vector<Client::TenantStream> streams(tenant_count);
+    for (std::size_t t = 0; t < tenant_count; ++t) {
+      const workload::TenantSpec& tenant = tenants_[t];
+      Client::TenantStream& stream = streams[t];
+      if (!tenant.replay_path.empty()) {
+        stream.replay = &replay_traces_[t];
+        continue;
       }
-      clients_.push_back(std::make_unique<Client>(
-          sim_, params, master.fork(0xC11E47 + c), std::move(streams),
-          *partitioner_, key_sizes_, metrics_, std::move(send_op),
-          std::move(send_progress)));
+      stream.generator = tenant_generators_[t].get();
+      // The cluster rate splits across synthetic tenants by share, then
+      // across clients evenly.
+      const double rate = per_client_rate * tenant.share / share_sum;
+      stream.arrivals =
+          config_.load_profile
+              ? workload::make_modulated_poisson(rate, config_.load_profile,
+                                                 window_.horizon())
+              : workload::make_poisson_arrivals(rate);
+      stream.has_mix = tenant.has_mix;
+      stream.mix = tenant.mix;
+      if (!tenant.value_size_spec.empty()) {
+        stream.write_size_bytes = tenant_value_dists_[t];
+      }
     }
+    clients_.push_back(std::make_unique<Client>(
+        sim_, params, master.fork(0xC11E47 + c), std::move(streams),
+        *partitioner_, key_sizes_, metrics_, std::move(send_op),
+        std::move(send_progress)));
     if (tracer_ != nullptr) clients_.back()->set_tracer(tracer_);
     clients_.back()->set_breakdown_collector(&breakdown_);
   }
@@ -312,110 +280,38 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
 }
 
 double Cluster::derived_request_rate() const {
-  if (!config_.tenants.empty()) return derived_tenant_request_rate();
-  if (config_.load_calibration == LoadCalibration::kAverageCapacity) {
-    return config_.derived_arrival_rate(window_.horizon());
-  }
-  // Hottest-server calibration: expected demand share of server s per drawn
-  // key is  share_s = sum over its keys of pmf(rank) * demand(key).
-  // Utilisation of s at op rate L is  L * share_s / speed_s, so the op rate
-  // that puts the hottest server at target_load is
-  //   L = target_load / max_s(share_s / speed_s).
-  std::vector<double> share(config_.num_servers, 0.0);
+  // The expected demand of one request is the share-weighted average across
+  // SYNTHETIC tenants of their mix-weighted read / update / read-modify-write
+  // work. Replay tenants contribute no derived load — their rate comes
+  // verbatim from the trace timestamps. A legacy run is the one-tenant case:
+  // weight 1 and the write_fraction mix.
+  const std::size_t tenant_count = tenants_.size();
   const std::uint64_t universe = key_sizes_.size();
   const std::size_t replication =
       std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
-  for (std::uint64_t rank = 0; rank < universe; ++rank) {
-    const KeyId key = generator_->key_for_rank(rank);
-    const double demand =
-        config_.per_op_overhead_us +
-        static_cast<double>(key_sizes_[key]) / config_.service_bytes_per_us;
-    // Selection-aware share model (src/select): modes that never leave the
-    // primary put a key's whole demand there; every other mode spreads it
-    // evenly across the replica set — exact for kRandom, a deliberate
-    // approximation for the view-driven modes (least-delay/tars/power-of-d),
-    // which chase the momentarily fastest replica but equalise in the
-    // homogeneous steady state this calibration assumes (see EXPERIMENTS.md,
-    // "Replica selection").
-    if (replication == 1 ||
-        select::load_share_model(config_.replica_selection) ==
-            select::LoadShareModel::kAllOnPrimary) {
-      share[partitioner_->server_for(key)] += generator_->rank_pmf(rank) * demand;
-    } else {
-      const auto replicas = partitioner_->replicas_for(key, replication);
-      const double slice = generator_->rank_pmf(rank) * demand /
-                           static_cast<double>(replicas.size());
-      for (const ServerId s : replicas) share[s] += slice;
-    }
-  }
-  const auto profile_mean = [&](std::size_t s) -> double {
-    if (config_.speed_profiles.empty()) return 1.0;
-    const auto& profile = config_.speed_profiles.size() == 1
-                              ? config_.speed_profiles[0]
-                              : config_.speed_profiles[s];
-    if (profile == nullptr) return 1.0;
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < window_.horizon(); t += step, ++n)
-      acc += profile->value_at(t);
-    return n ? acc / static_cast<double>(n) : profile->value_at(0);
-  };
-  double hottest = 0;
-  for (std::size_t s = 0; s < config_.num_servers; ++s) {
-    const double speed =
-        (config_.server_speed_factors.empty() ? 1.0 : config_.server_speed_factors[s]) *
-        profile_mean(s);
-    hottest = std::max(hottest, share[s] / speed);
-  }
-  DAS_CHECK(hottest > 0);
-  double load_profile_mean = 1.0;
-  if (config_.load_profile != nullptr) {
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < window_.horizon(); t += step, ++n)
-      acc += config_.load_profile->value_at(t);
-    load_profile_mean = acc / static_cast<double>(n);
-  }
-  const double op_rate = config_.target_load / (hottest * load_profile_mean);
-  return op_rate / config_.fanout->mean();
-}
-
-double Cluster::derived_tenant_request_rate() const {
-  // Multi-tenant calibration: the expected demand of one request is the
-  // share-weighted average across SYNTHETIC tenants of their mix-weighted
-  // read / update / read-modify-write work. Replay tenants contribute no
-  // derived load — their rate comes verbatim from the trace timestamps.
-  const std::size_t tenant_count = config_.tenants.size();
-  const std::uint64_t universe = key_sizes_.size();
-  const std::size_t replication =
-      std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
+  const auto replicas = static_cast<double>(replication);
   const double rate = config_.service_bytes_per_us;
   const double overhead = config_.per_op_overhead_us;
 
   double share_sum = 0;
-  for (const workload::TenantSpec& tenant : config_.tenants) {
+  for (const workload::TenantSpec& tenant : tenants_) {
     if (tenant.replay_path.empty()) share_sum += tenant.share;
   }
-  DAS_CHECK_MSG(share_sum > 0, "rate derivation needs a synthetic tenant");
+  if (share_sum == 0) return 0.0;
 
-  // Per-tenant mix (legacy write_fraction when the spec carries none) and
+  // Per-tenant mix (write_fraction when the spec carries none) and
   // written-value mean. A tenant without any write-size distribution keeps
   // the key's existing size on writes, so its write demand is per-key.
   const auto mix_of = [&](const workload::TenantSpec& tenant) {
+    if (tenant.has_mix) return tenant.mix;
     workload::OpMix mix;
-    if (tenant.has_mix) {
-      mix = tenant.mix;
-    } else {
-      mix.read = 1.0 - config_.write_fraction;
-      mix.update = config_.write_fraction;
-      mix.rmw = 0.0;
-    }
+    mix.read = 1.0 - config_.write_fraction;
+    mix.update = config_.write_fraction;
+    mix.rmw = 0.0;
     return mix;
   };
   const auto write_mean_of = [&](std::size_t t, bool& has_dist) -> double {
-    if (!config_.tenants[t].value_size_spec.empty()) {
+    if (!tenants_[t].value_size_spec.empty()) {
       has_dist = true;
       return tenant_value_dists_[t]->mean();
     }
@@ -427,22 +323,16 @@ double Cluster::derived_tenant_request_rate() const {
     return 0.0;
   };
 
-  double load_profile_mean = 1.0;
-  if (config_.load_profile != nullptr) {
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < window_.horizon(); t += step, ++n)
-      acc += config_.load_profile->value_at(t);
-    load_profile_mean = acc / static_cast<double>(n);
-    DAS_CHECK(load_profile_mean > 0);
-  }
+  const double load_profile_mean =
+      config_.load_profile != nullptr
+          ? workload::time_average(*config_.load_profile, window_.horizon())
+          : 1.0;
+  DAS_CHECK(load_profile_mean > 0);
 
   if (config_.load_calibration == LoadCalibration::kAverageCapacity) {
     double work_per_request = 0;
-    const auto replicas = static_cast<double>(replication);
     for (std::size_t t = 0; t < tenant_count; ++t) {
-      const workload::TenantSpec& tenant = config_.tenants[t];
+      const workload::TenantSpec& tenant = tenants_[t];
       if (!tenant.replay_path.empty()) continue;
       const double weight = tenant.share / share_sum;
       const workload::OpMix mix = mix_of(tenant);
@@ -463,32 +353,52 @@ double Cluster::derived_tenant_request_rate() const {
            (work_per_request * load_profile_mean);
   }
 
-  // Hottest-server calibration: expected demand share of server s PER
-  // REQUEST, summed over every synthetic tenant's popularity law over its
-  // slice. Reads follow the selection-aware share model (see the
-  // single-tenant branch); updates/RMWs land on the whole replica set.
+  // Hottest-server calibration: the expected demand share of server s PER
+  // OPERATION, summed over every synthetic tenant's popularity law over its
+  // slice. Utilisation of s at op rate L is L * share_s / speed_s, so the op
+  // rate that puts the hottest server at target_load is
+  //   L = target_load / max_s(share_s / speed_s),
+  // and the request rate is L over the mean ops per request (a read fans out
+  // to its keys, a write to every replica).
+  double ops_per_request = 0;
+  for (std::size_t t = 0; t < tenant_count; ++t) {
+    const workload::TenantSpec& tenant = tenants_[t];
+    if (!tenant.replay_path.empty()) continue;
+    const workload::OpMix mix = mix_of(tenant);
+    ops_per_request += tenant.share / share_sum *
+                       (mix.read * tenant_generators_[t]->mean_fanout() +
+                        (mix.update + mix.rmw) * replicas);
+  }
+  // Reads follow the selection-aware share model (src/select): modes that
+  // never leave the primary put a key's whole demand there; every other mode
+  // spreads it evenly across the replica set — exact for kRandom, a
+  // deliberate approximation for the view-driven modes, which chase the
+  // momentarily fastest replica but equalise in the homogeneous steady state
+  // this calibration assumes (see EXPERIMENTS.md, "Replica selection").
+  // Updates and RMWs land on the whole replica set.
+  const bool spread =
+      replication > 1 && select::load_share_model(config_.replica_selection) !=
+                             select::LoadShareModel::kAllOnPrimary;
   std::vector<double> share(config_.num_servers, 0.0);
   for (std::size_t t = 0; t < tenant_count; ++t) {
-    const workload::TenantSpec& tenant = config_.tenants[t];
+    const workload::TenantSpec& tenant = tenants_[t];
     if (!tenant.replay_path.empty()) continue;
     const workload::MultigetGenerator& gen = *tenant_generators_[t];
     const double weight = tenant.share / share_sum;
     const workload::OpMix mix = mix_of(tenant);
     bool has_wdist = false;
     const double write_mean = write_mean_of(t, has_wdist);
-    const double read_scale = weight * mix.read * gen.mean_fanout();
+    const double read_scale =
+        weight * mix.read * gen.mean_fanout() / ops_per_request;
+    const double write_scale = weight / ops_per_request;
     const double write_frac = mix.update + mix.rmw;
-    const bool spread =
-        replication > 1 && select::load_share_model(config_.replica_selection) !=
-                               select::LoadShareModel::kAllOnPrimary;
     const std::uint64_t slice = tenant_slice(universe, tenant_count, t).size;
     for (std::uint64_t rank = 0; rank < slice; ++rank) {
       const KeyId key = gen.key_for_rank(rank);
       const double pmf = gen.rank_pmf(rank);
       const double key_bytes = static_cast<double>(key_sizes_[key]);
-      const double read_demand = overhead + key_bytes / rate;
       if (read_scale > 0) {
-        const double read_slice = read_scale * pmf * read_demand;
+        const double read_slice = read_scale * pmf * (overhead + key_bytes / rate);
         if (!spread) {
           share[partitioner_->server_for(key)] += read_slice;
         } else {
@@ -503,7 +413,7 @@ double Cluster::derived_tenant_request_rate() const {
         const double rmw_demand =
             2.0 * overhead + (key_bytes + new_bytes) / rate;
         const double write_slice =
-            weight * pmf *
+            write_scale * pmf *
             (mix.update * update_demand + mix.rmw * rmw_demand);
         for (const ServerId s : partitioner_->replicas_for(key, replication)) {
           share[s] += write_slice;
@@ -511,30 +421,13 @@ double Cluster::derived_tenant_request_rate() const {
       }
     }
   }
-  const auto profile_mean = [&](std::size_t s) -> double {
-    if (config_.speed_profiles.empty()) return 1.0;
-    const auto& profile = config_.speed_profiles.size() == 1
-                              ? config_.speed_profiles[0]
-                              : config_.speed_profiles[s];
-    if (profile == nullptr) return 1.0;
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < window_.horizon(); t += step, ++n)
-      acc += profile->value_at(t);
-    return n ? acc / static_cast<double>(n) : profile->value_at(0);
-  };
   double hottest = 0;
   for (std::size_t s = 0; s < config_.num_servers; ++s) {
-    const double speed =
-        (config_.server_speed_factors.empty() ? 1.0 : config_.server_speed_factors[s]) *
-        profile_mean(s);
-    hottest = std::max(hottest, share[s] / speed);
+    hottest = std::max(hottest,
+                       share[s] / config_.mean_server_speed(s, window_.horizon()));
   }
   DAS_CHECK(hottest > 0);
-  // `share` is per-request already (fanout folded in above), so the result
-  // needs no division by a mean fanout.
-  return config_.target_load / (hottest * load_profile_mean);
+  return config_.target_load / (hottest * load_profile_mean) / ops_per_request;
 }
 
 void Cluster::set_workload_recorder(workload::ReplayTrace* sink) {
@@ -634,6 +527,8 @@ ExperimentResult Cluster::run() {
                     result.requests_completed + result.requests_failed +
                         result.requests_shed + result.requests_expired,
                 "request conservation violated");
+  // Only declared tenants are reported; the implicit legacy tenant is the
+  // cluster total itself.
   if (!config_.tenants.empty()) {
     const std::size_t tenant_count = config_.tenants.size();
     result.tenants.resize(tenant_count);

@@ -51,11 +51,9 @@ class Cluster {
   std::size_t client_count() const { return clients_.size(); }
   const store::Partitioner& partitioner() const { return *partitioner_; }
   const std::vector<Bytes>& key_sizes() const { return key_sizes_; }
-  /// Tenant t's generator (nullptr for replay tenants); valid only when the
-  /// config declares tenants.
-  const workload::MultigetGenerator* tenant_generator(std::size_t t) const {
-    return tenant_generators_.at(t).get();
-  }
+  /// Request arrival rate (requests/µs, all clients) that the load
+  /// calibration derived from target_load; 0 when every tenant replays.
+  double request_rate() const { return request_rate_; }
   /// Records every generated operation into `sink` for later replay
   /// (one record per read key, one per write); call before run(). nullptr
   /// detaches. Purely observational.
@@ -65,11 +63,10 @@ class Cluster {
   const trace::BreakdownCollector& breakdown() const { return breakdown_; }
 
  private:
-  /// Request arrival rate (requests/µs, all clients) per the calibration mode.
+  /// Request arrival rate per the calibration mode: a share-weighted,
+  /// mix-aware demand model over the synthetic tenants (replay tenants pace
+  /// themselves off their trace).
   double derived_request_rate() const;
-  /// Multi-tenant variant: share-weighted, mix-aware demand model across the
-  /// synthetic tenants (replay tenants pace themselves off their trace).
-  double derived_tenant_request_rate() const;
 
   /// Executes one scripted fault event (run() schedules one call per
   /// FaultPlan entry) and mirrors it into the trace as an instant event.
@@ -90,10 +87,12 @@ class Cluster {
   /// The drawn sizes, read-only after construction; every server reads
   /// through it. Declared before servers_ so it outlives them.
   std::vector<Bytes> catalogue_;
-  std::unique_ptr<workload::MultigetGenerator> generator_;
-  /// Multi-tenant mode: one generator per tenant over its keyspace slice
-  /// (nullptr entries for replay tenants) plus the loaded traces and the
-  /// parsed per-tenant value-size distributions. All empty in legacy mode.
+  /// The tenants the workload runs: config_.tenants, or the one `legacy`
+  /// tenant when the config declares none.
+  std::vector<workload::TenantSpec> tenants_;
+  /// One generator per tenant over its keyspace slice (nullptr entries for
+  /// replay tenants) plus the loaded traces and the parsed per-tenant
+  /// value-size distributions.
   std::vector<std::unique_ptr<workload::MultigetGenerator>> tenant_generators_;
   std::vector<workload::ReplayTrace> replay_traces_;
   std::vector<RealDistPtr> tenant_value_dists_;
@@ -102,6 +101,7 @@ class Cluster {
   trace::BreakdownCollector breakdown_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
+  double request_rate_ = 0;
   std::uint64_t progress_messages_ = 0;
   bool ran_ = false;
 };

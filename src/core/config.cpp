@@ -33,6 +33,14 @@ void ClusterConfig::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("ClusterConfig: " + what);
   };
+  // Loads >= 1 are deliberately representable (E22 drives the cluster past
+  // saturation); the upper bound only catches unit mistakes.
+  if (!(target_load > 0 && target_load < 10)) {
+    reject("target_load must be in (0, 10)");
+  }
+  if (!(write_fraction >= 0 && write_fraction <= 1)) {
+    reject("write_fraction must be in [0, 1]");
+  }
   if (msg_loss_probability < 0 || msg_loss_probability >= 1) {
     reject("msg_loss_probability must be in [0, 1)");
   }
@@ -90,67 +98,69 @@ void ClusterConfig::validate() const {
         "end-to-end deadline can never retry before expiring, so the retry "
         "machinery is dead weight that only delays the expiry accounting");
   }
-  if (!tenants.empty()) {
-    const std::uint64_t universe = num_servers * keys_per_server;
-    if (tenants.size() > universe) {
-      reject("tenants: more tenants than keys — every tenant needs a "
-             "non-empty keyspace slice");
+  if (tenants.size() > num_servers * keys_per_server) {
+    reject("tenants: more tenants than keys — every tenant needs a "
+           "non-empty keyspace slice");
+  }
+  // An empty list runs the one synthetic legacy tenant.
+  bool any_synthetic = tenants.empty();
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const workload::TenantSpec& tenant = tenants[t];
+    const std::string where = "tenants[" + std::to_string(t) + "] ('" +
+                              tenant.name + "')";
+    if (!(tenant.share > 0)) reject(where + ": share must be > 0");
+    if (tenant.replay_path.empty()) any_synthetic = true;
+    // Spec strings may come from code rather than the registry (which
+    // validates eagerly); parse them here so a typo fails before any
+    // simulation state exists. parse_* throw std::logic_error; translate.
+    try {
+      if (!tenant.fanout_spec.empty()) workload::parse_int_dist(tenant.fanout_spec);
+      if (!tenant.value_size_spec.empty())
+        workload::parse_real_dist(tenant.value_size_spec);
+    } catch (const std::logic_error& e) {
+      reject(where + ": " + e.what());
     }
-    bool any_synthetic = false;
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-      const workload::TenantSpec& tenant = tenants[t];
-      const std::string where = "tenants[" + std::to_string(t) + "] ('" +
-                                tenant.name + "')";
-      if (!(tenant.share > 0)) reject(where + ": share must be > 0");
-      if (tenant.replay_path.empty()) any_synthetic = true;
-      // Spec strings may come from code rather than the registry (which
-      // validates eagerly); parse them here so a typo fails before any
-      // simulation state exists. parse_* throw std::logic_error; translate.
-      try {
-        if (!tenant.fanout_spec.empty()) workload::parse_int_dist(tenant.fanout_spec);
-        if (!tenant.value_size_spec.empty())
-          workload::parse_real_dist(tenant.value_size_spec);
-      } catch (const std::logic_error& e) {
-        reject(where + ": " + e.what());
-      }
-      if (tenant.has_mix) {
-        const workload::OpMix& mix = tenant.mix;
-        const double sum = mix.read + mix.update + mix.rmw;
-        if (mix.read < 0 || mix.update < 0 || mix.rmw < 0 ||
-            sum < 1.0 - 1e-9 || sum > 1.0 + 1e-9) {
-          reject(where + ": mix fractions must be non-negative and sum to 1");
-        }
-      }
-      if (tenant.drift.rotate_period_us < 0) {
-        reject(where + ": drift rotate_period_us must be >= 0");
-      }
-      if (tenant.drift.rotate_period_us > 0 && tenant.drift.rotate_stride < 1) {
-        reject(where + ": drift rotate_stride must be >= 1");
-      }
-      for (const workload::StormWindow& storm : tenant.drift.storms) {
-        if (storm.end <= storm.start || storm.start < 0) {
-          reject(where + ": storm window must have 0 <= start < end");
-        }
-        if (storm.share < 0 || storm.share > 1) {
-          reject(where + ": storm share must be in [0, 1]");
-        }
-        if (storm.keys < 1) reject(where + ": storm keys must be >= 1");
-      }
-      if (!tenant.replay_path.empty() && tenant.drift.enabled()) {
-        reject(where + ": a replay tenant cannot also configure drift");
+    if (tenant.has_mix) {
+      const workload::OpMix& mix = tenant.mix;
+      const double sum = mix.read + mix.update + mix.rmw;
+      if (mix.read < 0 || mix.update < 0 || mix.rmw < 0 ||
+          sum < 1.0 - 1e-9 || sum > 1.0 + 1e-9) {
+        reject(where + ": mix fractions must be non-negative and sum to 1");
       }
     }
-    if (!any_synthetic && write_fraction > 0) {
-      reject("tenants: write_fraction is set but every tenant replays a "
-             "trace — replay operations come verbatim from the file");
+    if (tenant.drift.rotate_period_us < 0) {
+      reject(where + ": drift rotate_period_us must be >= 0");
     }
+    if (tenant.drift.rotate_period_us > 0 && tenant.drift.rotate_stride < 1) {
+      reject(where + ": drift rotate_stride must be >= 1");
+    }
+    for (const workload::StormWindow& storm : tenant.drift.storms) {
+      if (storm.end <= storm.start || storm.start < 0) {
+        reject(where + ": storm window must have 0 <= start < end");
+      }
+      if (storm.share < 0 || storm.share > 1) {
+        reject(where + ": storm share must be in [0, 1]");
+      }
+      if (storm.keys < 1) reject(where + ": storm keys must be >= 1");
+    }
+    if (!tenant.replay_path.empty() && tenant.drift.enabled()) {
+      reject(where + ": a replay tenant cannot also configure drift");
+    }
+  }
+  if (!any_synthetic && write_fraction > 0) {
+    reject("tenants: write_fraction is set but every tenant replays a "
+           "trace — replay operations come verbatim from the file");
   }
 }
 
-double ClusterConfig::mean_op_demand_us() const {
-  DAS_CHECK(value_size_bytes != nullptr);
-  DAS_CHECK(service_bytes_per_us > 0);
-  return per_op_overhead_us + value_size_bytes->mean() / service_bytes_per_us;
+double ClusterConfig::mean_server_speed(std::size_t s, SimTime horizon) const {
+  const double factor = server_speed_factors.empty() ? 1.0 : server_speed_factors[s];
+  DAS_CHECK(factor > 0);
+  if (speed_profiles.empty()) return factor;
+  const workload::RatePtr& profile =
+      speed_profiles.size() == 1 ? speed_profiles[0] : speed_profiles[s];
+  return profile == nullptr ? factor
+                            : factor * workload::time_average(*profile, horizon);
 }
 
 double ClusterConfig::nominal_capacity(SimTime horizon) const {
@@ -159,56 +169,11 @@ double ClusterConfig::nominal_capacity(SimTime horizon) const {
             server_speed_factors.size() == num_servers);
   DAS_CHECK(speed_profiles.empty() || speed_profiles.size() == 1 ||
             speed_profiles.size() == num_servers);
-
-  const auto profile_mean = [&](std::size_t server) -> double {
-    if (speed_profiles.empty()) return 1.0;
-    const auto& profile =
-        speed_profiles.size() == 1 ? speed_profiles[0] : speed_profiles[server];
-    if (profile == nullptr) return 1.0;
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < horizon; t += step, ++n) acc += profile->value_at(t);
-    return n ? acc / static_cast<double>(n) : profile->value_at(0);
-  };
-
   double capacity = 0;
   for (std::size_t s = 0; s < num_servers; ++s) {
-    const double factor =
-        server_speed_factors.empty() ? 1.0 : server_speed_factors[s];
-    DAS_CHECK(factor > 0);
-    capacity += factor * profile_mean(s);
+    capacity += mean_server_speed(s, horizon);
   }
   return capacity;
-}
-
-double ClusterConfig::derived_arrival_rate(SimTime horizon) const {
-  // Loads >= 1 are deliberately representable: the overload experiments
-  // (E22) drive the cluster past saturation to study shedding and
-  // metastability. The upper sanity bound only catches unit mistakes.
-  DAS_CHECK(target_load > 0 && target_load < 10);
-  DAS_CHECK(fanout != nullptr);
-  DAS_CHECK(write_fraction >= 0 && write_fraction <= 1);
-  const double read_work = fanout->mean() * mean_op_demand_us();
-  const auto replicas = static_cast<double>(
-      std::min(std::max<std::size_t>(replication, 1), num_servers));
-  const double write_size =
-      (write_size_bytes ? write_size_bytes : value_size_bytes)->mean();
-  const double write_work =
-      replicas * (per_op_overhead_us + write_size / service_bytes_per_us);
-  const double work_per_request =
-      (1.0 - write_fraction) * read_work + write_fraction * write_work;
-  double load_profile_mean = 1.0;
-  if (load_profile != nullptr) {
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < horizon; t += step, ++n) acc += load_profile->value_at(t);
-    load_profile_mean = n ? acc / static_cast<double>(n) : load_profile->value_at(0);
-    DAS_CHECK(load_profile_mean > 0);
-  }
-  return target_load * nominal_capacity(horizon) /
-         (work_per_request * load_profile_mean);
 }
 
 }  // namespace das::core

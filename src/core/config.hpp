@@ -76,11 +76,14 @@ struct ClusterConfig {
   IntDistPtr fanout = make_geometric(0.125, 128);
   /// Value sizes in bytes; default roughly Facebook-ETC shaped.
   RealDistPtr value_size_bytes = make_generalized_pareto(1.0, 250.0, 0.35, 64 * 1024.0);
-  /// Target utilisation in (0, 1); see `load_calibration`.
+  /// Target utilisation; see `load_calibration`. Loads >= 1 are accepted
+  /// (the overload experiments drive the cluster past saturation on
+  /// purpose); validate() rejects only targets outside (0, 10).
   double target_load = 0.7;
   LoadCalibration load_calibration = LoadCalibration::kHottestServer;
   /// Fraction of requests that are single-key write-all PUTs (rest are
-  /// multigets). Calibration accounts for the write fan-out.
+  /// multigets), for tenants without their own operation mix. Both
+  /// calibrations count a PUT once per replica it is written to.
   double write_fraction = 0.0;
   /// Sizes written by PUTs; nullptr reuses value_size_bytes.
   RealDistPtr write_size_bytes;
@@ -89,9 +92,9 @@ struct ClusterConfig {
   /// Multi-tenant workload (workload registry): each tenant generates its
   /// own stream (mix/popularity/drift/replay per its spec) against an equal
   /// contiguous slice of the keyspace, with the cluster arrival rate split
-  /// by tenant share. Empty = single legacy stream (bit-identical to
-  /// pre-registry builds). Unset tenant fields inherit the cluster-level
-  /// workload settings above.
+  /// by tenant share. Unset tenant fields inherit the cluster-level workload
+  /// settings above. Empty runs the one `legacy` tenant, which inherits all
+  /// of them; results then carry no per-tenant breakdown.
   std::vector<workload::TenantSpec> tenants;
 
   // --- service model ------------------------------------------------------
@@ -189,14 +192,12 @@ struct ClusterConfig {
   /// up front instead of tripping a mid-run invariant.
   void validate() const;
 
-  /// Expected demand of one operation at nominal speed (µs).
-  double mean_op_demand_us() const;
-  /// Aggregate nominal service capacity (work-µs per µs) accounting for
-  /// static speed factors and the long-run average of the speed profiles.
+  /// Long-run speed of server `s`: its static speed factor times the time
+  /// average of its speed profile over [0, horizon).
+  double mean_server_speed(std::size_t s, SimTime horizon) const;
+  /// Aggregate nominal service capacity (work-µs per µs): mean_server_speed
+  /// summed over the servers.
   double nominal_capacity(SimTime horizon) const;
-  /// Request arrival rate (requests/µs across all clients) that hits
-  /// target_load.
-  double derived_arrival_rate(SimTime horizon) const;
 };
 
 }  // namespace das::core

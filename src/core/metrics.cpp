@@ -30,10 +30,7 @@ void Metrics::record_request(SimTime arrival, SimTime completion, std::size_t fa
   if (!in_window(arrival)) return;
   rct_.add(completion - arrival);
   fanout_.add(static_cast<double>(fan));
-  if (!tenant_rct_.empty()) {
-    DAS_CHECK(tenant < tenant_rct_.size());
-    tenant_rct_[tenant].add(completion - arrival);
-  }
+  tenant_rct_.at(tenant).add(completion - arrival);
 }
 
 void Metrics::record_request_failure(SimTime arrival, SimTime failed_at,
@@ -46,10 +43,7 @@ void Metrics::record_request_failure(SimTime arrival, SimTime failed_at,
   }
   if (!in_window(arrival)) return;
   ++failures_measured_;
-  if (!tenant_failures_measured_.empty()) {
-    DAS_CHECK(tenant < tenant_failures_measured_.size());
-    ++tenant_failures_measured_[tenant];
-  }
+  ++tenant_failures_measured_.at(tenant);
 }
 
 void Metrics::record_request_shed(SimTime arrival, SimTime shed_at,
@@ -62,10 +56,7 @@ void Metrics::record_request_shed(SimTime arrival, SimTime shed_at,
   }
   if (!in_window(arrival)) return;
   ++shed_measured_;
-  if (!tenant_shed_measured_.empty()) {
-    DAS_CHECK(tenant < tenant_shed_measured_.size());
-    ++tenant_shed_measured_[tenant];
-  }
+  ++tenant_shed_measured_.at(tenant);
 }
 
 void Metrics::record_request_expired(SimTime arrival, SimTime expired_at,
@@ -79,10 +70,7 @@ void Metrics::record_request_expired(SimTime arrival, SimTime expired_at,
   }
   if (!in_window(arrival)) return;
   ++expired_measured_;
-  if (!tenant_expired_measured_.empty()) {
-    DAS_CHECK(tenant < tenant_expired_measured_.size());
-    ++tenant_expired_measured_[tenant];
-  }
+  ++tenant_expired_measured_.at(tenant);
 }
 
 std::vector<Metrics::TimelinePoint> Metrics::timeline() const {

@@ -29,9 +29,9 @@ class Metrics {
   /// plotting adaptation transients. 0 disables.
   void enable_timeline(Duration bucket_us);
 
-  /// Additionally keeps a per-tenant RCT recorder and failure counter for
-  /// `count` tenants; record calls then attribute to their tenant index.
-  /// Never called (count 0) in single-tenant runs — zero overhead there.
+  /// Keeps a per-tenant RCT recorder and failure counters for `count`
+  /// tenants; record calls attribute to their tenant index. Every owner that
+  /// records requests calls it first (a legacy run has one tenant).
   void enable_tenants(std::size_t count);
 
   void record_request(SimTime arrival, SimTime completion, std::size_t fanout,
@@ -104,8 +104,7 @@ class Metrics {
   std::uint64_t failures_measured_ = 0;
   std::uint64_t shed_measured_ = 0;
   std::uint64_t expired_measured_ = 0;
-  /// Per-tenant RCT recorders and in-window failure counts; empty unless
-  /// enable_tenants was called (multi-tenant runs only).
+  /// Per-tenant RCT recorders and in-window failure counts.
   std::vector<LatencyRecorder> tenant_rct_;
   std::vector<std::uint64_t> tenant_failures_measured_;
   std::vector<std::uint64_t> tenant_shed_measured_;
@@ -217,7 +216,7 @@ struct ExperimentResult {
   /// Mean RCT per completion-time bucket; empty unless the config enabled
   /// timeline collection.
   std::vector<Metrics::TimelinePoint> timeline;
-  /// Per-tenant outcomes; empty for single-tenant (legacy) runs.
+  /// Per-tenant outcomes; empty when the config declares no tenants.
   std::vector<TenantOutcome> tenants;
   /// Jain fairness index over the per-tenant mean RCTs, (0, 1]; 1.0 means
   /// every tenant sees the same mean RCT (and for runs with < 2 measured

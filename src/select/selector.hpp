@@ -62,7 +62,7 @@ bool mode_from_string(std::string_view token, Mode& out);
 const std::vector<Mode>& all_modes();
 
 /// How the load-calibration math should model a mode's steady-state replica
-/// choice (see Cluster::derived_request_rate).
+/// reads (see the hottest-server branch of Cluster::derived_request_rate).
 enum class LoadShareModel {
   /// Every read of a key lands on its primary.
   kAllOnPrimary,

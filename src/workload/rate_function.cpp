@@ -113,4 +113,11 @@ RatePtr make_markov_two_state(double high, double low, Duration mean_dwell_high,
   return make_step_rate(std::move(boundaries), std::move(levels));
 }
 
+double time_average(const RateFunction& rate, SimTime horizon) {
+  double acc = 0;
+  std::size_t n = 0;
+  for (SimTime t = 0; t < horizon; t += kMillisecond, ++n) acc += rate.value_at(t);
+  return n ? acc / static_cast<double>(n) : rate.value_at(0);
+}
+
 }  // namespace das::workload

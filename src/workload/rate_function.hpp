@@ -47,4 +47,9 @@ RatePtr make_markov_two_state(double high, double low, Duration mean_dwell_high,
                               Duration mean_dwell_low, SimTime horizon,
                               std::uint64_t seed);
 
+/// Mean of `rate` over [0, horizon), sampled every millisecond (the value at
+/// 0 for an empty horizon). Load calibration averages both the arrival-rate
+/// profile and the server-speed profiles through it.
+double time_average(const RateFunction& rate, SimTime horizon);
+
 }  // namespace das::workload

@@ -9,6 +9,15 @@
 namespace das::core {
 namespace {
 
+/// A single synthetic tenant: `generator` paced by `arrivals`.
+std::vector<Client::TenantStream> one_stream(
+    const workload::MultigetGenerator& generator, workload::ArrivalPtr arrivals) {
+  std::vector<Client::TenantStream> streams(1);
+  streams[0].generator = &generator;
+  streams[0].arrivals = std::move(arrivals);
+  return streams;
+}
+
 struct SentOp {
   ServerId server;
   sched::OpContext ctx;
@@ -45,9 +54,11 @@ struct ClientFixture : ::testing::Test {
     params.service_bytes_per_us = 50.0;
     params.est_rtt_us = 10.0;
 
+    metrics.enable_tenants(1);
     client = std::make_unique<Client>(
-        sim, params, Rng{42}, *generator,
-        workload::make_deterministic_arrivals(0.001),  // every 1000us
+        sim, params, Rng{42},
+        one_stream(*generator,
+                   workload::make_deterministic_arrivals(0.001)),  // every 1000us
         *partitioner, key_sizes, metrics,
         [this](ServerId s, const sched::OpContext& ctx) {
           sent_ops.push_back(SentOp{s, ctx});

@@ -164,6 +164,30 @@ TEST(Cluster, LegacyConfigHasNoTenantBreakdown) {
   EXPECT_DOUBLE_EQ(r.jain_fairness, 1.0);
 }
 
+TEST(ClusterTenants, LegacySpecMatchesEmptyTenantList) {
+  // An empty tenant list runs the one `legacy` tenant, so spelling that
+  // tenant out changes nothing but the per-tenant report.
+  for (const LoadCalibration calibration :
+       {LoadCalibration::kAverageCapacity, LoadCalibration::kHottestServer}) {
+    auto cfg = small_config(sched::Policy::kDas);
+    cfg.zipf_theta = 0.9;
+    cfg.load_calibration = calibration;
+    cfg.replication = 2;
+    cfg.write_fraction = 0.2;
+    const ExperimentResult legacy = run_experiment(cfg, small_window());
+    cfg.tenants = workload::parse_tenants("legacy");
+    const ExperimentResult spelled = run_experiment(cfg, small_window());
+    EXPECT_TRUE(legacy.tenants.empty());
+    ASSERT_EQ(spelled.tenants.size(), 1u);
+    EXPECT_EQ(spelled.tenants[0].requests_generated, legacy.requests_generated);
+    EXPECT_EQ(spelled.requests_generated, legacy.requests_generated);
+    EXPECT_EQ(spelled.ops_generated, legacy.ops_generated);
+    EXPECT_EQ(spelled.rct.mean, legacy.rct.mean);
+    EXPECT_EQ(spelled.rct.p50, legacy.rct.p50);
+    EXPECT_EQ(spelled.rct.p99, legacy.rct.p99);
+  }
+}
+
 TEST(ClusterTenants, AccountingClosesExactly) {
   auto cfg = small_config();
   cfg.tenants = workload::parse_tenants("ycsb-c;ycsb-b+share:2;ycsb-a+name:w");

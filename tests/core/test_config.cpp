@@ -5,8 +5,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/cluster.hpp"
+
 namespace das::core {
 namespace {
+
+/// The request rate the cluster's load calibration derives from `cfg` over a
+/// 1 s horizon.
+double request_rate(const ClusterConfig& cfg) {
+  return Cluster{cfg, RunWindow{0.0, 1e6}}.request_rate();
+}
 
 /// Runs validate() and returns the rejection message ("" = accepted).
 std::string validation_error(const ClusterConfig& cfg) {
@@ -19,11 +27,17 @@ std::string validation_error(const ClusterConfig& cfg) {
 }
 
 TEST(Config, MeanOpDemandCombinesOverheadAndTransfer) {
+  // One 500-byte read at 100 bytes/us costs 10 + 5 = 15 us, so load 0.5 on
+  // ten unit-speed servers admits 0.5 * 10 / 15 single-key requests per us.
   ClusterConfig cfg;
+  cfg.num_servers = 10;
+  cfg.load_calibration = LoadCalibration::kAverageCapacity;
   cfg.per_op_overhead_us = 10.0;
   cfg.service_bytes_per_us = 100.0;
   cfg.value_size_bytes = make_constant(500.0);
-  EXPECT_DOUBLE_EQ(cfg.mean_op_demand_us(), 15.0);
+  cfg.fanout = make_fixed_int(1);
+  cfg.target_load = 0.5;
+  EXPECT_DOUBLE_EQ(request_rate(cfg), 0.5 * 10.0 / 15.0);
 }
 
 TEST(Config, NominalCapacityIsServerCountWhenHomogeneous) {
@@ -50,23 +64,35 @@ TEST(Config, ArrivalRateHitsTargetLoad) {
   ClusterConfig cfg;
   cfg.num_servers = 10;
   cfg.num_clients = 1;
+  cfg.load_calibration = LoadCalibration::kAverageCapacity;
   cfg.per_op_overhead_us = 10.0;
   cfg.service_bytes_per_us = 1.0;
   cfg.value_size_bytes = make_constant(10.0);  // 20us per op
   cfg.fanout = make_fixed_int(5);              // 100us per request
   cfg.target_load = 0.5;
   // capacity 10 work-us/us * 0.5 = 5 work-us/us; / 100us per request.
-  EXPECT_NEAR(cfg.derived_arrival_rate(1e6), 0.05, 1e-9);
+  EXPECT_NEAR(request_rate(cfg), 0.05, 1e-9);
+  // With every key on every server and reads spread evenly over them, no
+  // server is hotter than the average and the hottest-server calibration
+  // agrees.
+  cfg.load_calibration = LoadCalibration::kHottestServer;
+  cfg.replication = cfg.num_servers;
+  cfg.replica_selection = ReplicaSelection::kRandom;
+  EXPECT_NEAR(request_rate(cfg), 0.05, 1e-9);
 }
 
 TEST(Config, ArrivalRateScalesInverselyWithLoadProfileMean) {
-  ClusterConfig cfg;
-  cfg.num_servers = 10;
-  cfg.fanout = make_fixed_int(4);
-  cfg.target_load = 0.6;
-  const double base = cfg.derived_arrival_rate(1e6);
-  cfg.load_profile = workload::make_constant_rate(2.0);
-  EXPECT_NEAR(cfg.derived_arrival_rate(1e6), base / 2.0, base * 1e-9);
+  for (const LoadCalibration calibration :
+       {LoadCalibration::kAverageCapacity, LoadCalibration::kHottestServer}) {
+    ClusterConfig cfg;
+    cfg.num_servers = 10;
+    cfg.fanout = make_fixed_int(4);
+    cfg.target_load = 0.6;
+    cfg.load_calibration = calibration;
+    const double base = request_rate(cfg);
+    cfg.load_profile = workload::make_constant_rate(2.0);
+    EXPECT_NEAR(request_rate(cfg), base / 2.0, base * 1e-9);
+  }
 }
 
 TEST(Config, MismatchedSpeedFactorLengthThrows) {
@@ -81,15 +107,17 @@ TEST(Config, InvalidTargetLoadThrows) {
   // purpose); only nonpositive or absurd targets are rejected.
   ClusterConfig cfg;
   cfg.target_load = 10.0;
-  EXPECT_THROW(cfg.derived_arrival_rate(1e6), std::logic_error);
+  EXPECT_NE(validation_error(cfg).find("target_load"), std::string::npos);
   cfg.target_load = 0.0;
-  EXPECT_THROW(cfg.derived_arrival_rate(1e6), std::logic_error);
+  EXPECT_NE(validation_error(cfg).find("target_load"), std::string::npos);
+  EXPECT_THROW(request_rate(cfg), std::logic_error);
 }
 
 TEST(Config, OverloadTargetLoadIsAccepted) {
   ClusterConfig cfg;
   cfg.target_load = 1.2;
-  EXPECT_GT(cfg.derived_arrival_rate(1e6), 0.0);
+  EXPECT_EQ(validation_error(cfg), "");
+  EXPECT_GT(request_rate(cfg), 0.0);
 }
 
 TEST(ConfigValidate, DefaultConfigIsAccepted) {

@@ -80,7 +80,8 @@ INSTANTIATE_TEST_SUITE_P(AllSelections, SelectionConservation,
                                            ReplicaSelection::kRandom,
                                            ReplicaSelection::kLeastDelay,
                                            ReplicaSelection::kTars,
-                                           ReplicaSelection::kPowerOfD),
+                                           ReplicaSelection::kPowerOfD,
+                                           ReplicaSelection::kC3),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case ReplicaSelection::kPrimary: return "primary";
@@ -88,6 +89,7 @@ INSTANTIATE_TEST_SUITE_P(AllSelections, SelectionConservation,
                              case ReplicaSelection::kLeastDelay: return "least_delay";
                              case ReplicaSelection::kTars: return "tars";
                              case ReplicaSelection::kPowerOfD: return "power_of_d";
+                             case ReplicaSelection::kC3: return "c3";
                            }
                            return "unknown";
                          });

@@ -12,6 +12,15 @@
 namespace das::core {
 namespace {
 
+/// A single synthetic tenant: `generator` paced by `arrivals`.
+std::vector<Client::TenantStream> one_stream(
+    const workload::MultigetGenerator& generator, workload::ArrivalPtr arrivals) {
+  std::vector<Client::TenantStream> streams(1);
+  streams[0].generator = &generator;
+  streams[0].arrivals = std::move(arrivals);
+  return streams;
+}
+
 struct TimedSend {
   SimTime at;
   ServerId server;
@@ -45,9 +54,11 @@ struct RetryFixture : ::testing::Test {
     params.est_rtt_us = 10.0;
 
     metrics.set_window(0, kTimeInfinity);
+    metrics.enable_tenants(1);
     client = std::make_unique<Client>(
-        sim, params, Rng{42}, *generator,
-        workload::make_deterministic_arrivals(0.001),  // one arrival at 1000us
+        sim, params, Rng{42},
+        // One arrival, at 1000us.
+        one_stream(*generator, workload::make_deterministic_arrivals(0.001)),
         *partitioner, key_sizes, metrics,
         [this](ServerId s, const sched::OpContext& ctx) {
           sends.push_back(TimedSend{sim.now(), s, ctx.op_id, ctx});
@@ -127,6 +138,7 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
   const auto record_sends = [] {
     sim::Simulator sim;
     Metrics metrics;
+    metrics.enable_tenants(1);
     const store::PartitionerPtr partitioner = store::make_modulo_partitioner(4);
     std::vector<Bytes> key_sizes(64, 100);
     workload::MultigetGenerator::Config gen_cfg;
@@ -144,8 +156,8 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
     Client client{sim,
                   params,
                   Rng{42},
-                  generator,
-                  workload::make_deterministic_arrivals(0.001),
+                  one_stream(generator,
+                             workload::make_deterministic_arrivals(0.001)),
                   *partitioner,
                   key_sizes,
                   metrics,

@@ -58,6 +58,7 @@ TEST(Timeline, BucketP99MatchesSingleSample) {
   Metrics metrics;
   metrics.set_window(0, kTimeInfinity);
   metrics.enable_timeline(1000.0);
+  metrics.enable_tenants(1);
   metrics.record_request(10.0, 250.0, 4);
   const auto points = metrics.timeline();
   ASSERT_EQ(points.size(), 1u);

@@ -78,6 +78,20 @@ TEST(Writes, UtilisationStaysCalibratedWithWrites) {
   }
 }
 
+TEST(Writes, HottestCalibrationCountsWriteFanout) {
+  // A PUT costs every replica a write, so the hottest server's utilisation
+  // must stay at the target with writes in the mix, not fall short of it as
+  // if every request were a read.
+  auto cfg = rw_config(0.3, 3);
+  cfg.load_calibration = LoadCalibration::kHottestServer;
+  cfg.target_load = 0.8;
+  RunWindow w;
+  w.warmup_us = 10.0 * kMillisecond;
+  w.measure_us = 200.0 * kMillisecond;
+  const ExperimentResult r = run_experiment(cfg, w);
+  EXPECT_NEAR(r.max_server_utilization, 0.8, 0.05);
+}
+
 TEST(Writes, CatalogueTracksWrittenSizes) {
   auto cfg = rw_config(1.0);
   cfg.write_size_bytes = make_constant(4096.0);

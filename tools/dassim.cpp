@@ -5,8 +5,8 @@
 //   ./build/tools/dassim --policy=das,fcfs --stragglers=0.25 --straggler-speed=0.5
 //   ./build/tools/dassim --sweep --jobs=4 --json=BENCH_sweep.json
 //   ./build/tools/dassim --policy=das --trace=trace.json --breakdown
-//   ./build/tools/dassim --policy=das --load=1.2 --queue-cap=64 \
-//       --deadline-ms=20 --admission
+//   ./build/tools/dassim --policy=das --load=1.2 --queue-cap=64 --deadline-ms=20
+//   ./build/tools/dassim --policy=das --load=1.2 --admission
 //   ./build/tools/dassim --perf --perf-json=BENCH_PERF.json
 //
 // Prints one row per policy; --format=csv emits machine-readable output for
