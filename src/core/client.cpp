@@ -67,11 +67,6 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
     extra_tenant_rngs_.push_back(
         Rng{rng_}.fork(0x7E4A0000ull + t * 0x10001ull + params_.id));
   }
-  tenant_generated_.assign(tenants_.size(), 0);
-  tenant_completed_.assign(tenants_.size(), 0);
-  tenant_failed_.assign(tenants_.size(), 0);
-  tenant_shed_.assign(tenants_.size(), 0);
-  tenant_expired_.assign(tenants_.size(), 0);
   if (params_.overload.admission) {
     admission_ = std::make_unique<overload::AdmissionController>(
         tenants_.size(),
@@ -167,17 +162,9 @@ void Client::generate_request(std::size_t tenant) {
   // replica), or a read-modify-write (write-all whose per-replica demand
   // covers reading the old value plus writing the new one).
   std::vector<PlannedOp> plan;
-  bool is_write = false;
-  bool is_rmw = false;
-  if (stream.has_mix) {
-    const workload::OpKind kind = stream.mix.sample(rng);
-    is_write = kind != workload::OpKind::kRead;
-    is_rmw = kind == workload::OpKind::kRmw;
-  } else {
-    // Legacy draw order: the Bernoulli is only consumed when write_fraction
-    // is set, keeping read-only runs bit-identical to pre-mix builds.
-    is_write = params_.write_fraction > 0 && rng.chance(params_.write_fraction);
-  }
+  const workload::OpKind kind = stream.mix.sample(rng);
+  const bool is_write = kind != workload::OpKind::kRead;
+  const bool is_rmw = kind == workload::OpKind::kRmw;
   if (is_write) {
     const KeyId key = stream.generator->sample_key(rng, now);
     const Bytes old_size = key_sizes_[key];
@@ -258,21 +245,19 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   const SimTime now = sim_.now();
   const RequestId rid =
       (static_cast<RequestId>(params_.id) << 48) | next_request_seq_++;
+  metrics_.record_generated(now, static_cast<std::uint32_t>(tenant));
 
   // Admission gate, AFTER the plan is built: the tenant's workload stream
   // draws identically whether or not the request is admitted, so throttling
   // never desynchronises the generated traffic across configs.
   if (admission_ != nullptr && !admission_->admit(tenant, admission_rng_)) {
-    metrics_.record_request_shed(now, now, static_cast<std::uint32_t>(tenant));
+    metrics_.record_unserved(Settled::kShed, now, now,
+                             static_cast<std::uint32_t>(tenant));
     if (tracer_ != nullptr) {
       tracer_->request_shed(now, rid, params_.id, /*age_us=*/0.0,
                             /*at_admission=*/true);
     }
-    ++requests_shed_;
     ++requests_shed_admission_;
-    ++tenant_shed_[tenant];
-    ++requests_generated_;
-    ++tenant_generated_[tenant];
     return;
   }
 
@@ -384,8 +369,6 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     it->second.deadline_timer =
         sim_.schedule_at(expiry, [this, rid] { expire_request(rid); });
   }
-  ++requests_generated_;
-  ++tenant_generated_[tenant];
 }
 
 void Client::expire_request(RequestId rid) {
@@ -406,12 +389,10 @@ void Client::expire_request(RequestId rid) {
     op_to_request_.erase(op.op_id);
   }
   if (admission_ != nullptr) admission_->on_overload(req.tenant);
-  metrics_.record_request_expired(req.arrival, now, req.tenant);
+  metrics_.record_unserved(Settled::kExpired, req.arrival, now, req.tenant);
   if (tracer_ != nullptr) {
     tracer_->request_expired(now, rid, params_.id, now - req.arrival);
   }
-  ++tenant_expired_[req.tenant];
-  ++requests_expired_;
   pending_.erase(req_it);
 }
 
@@ -557,20 +538,16 @@ void Client::finalize_degraded(RequestId rid) {
   if (req.shed_ops > 0) {
     // Shed outranks failed: an overload rejection is load the system chose
     // to turn away, not a fault — the distinction is what E22 measures.
-    metrics_.record_request_shed(req.arrival, now, req.tenant);
+    metrics_.record_unserved(Settled::kShed, req.arrival, now, req.tenant);
     if (tracer_ != nullptr) {
       tracer_->request_shed(now, rid, params_.id, now - req.arrival,
                             /*at_admission=*/false);
     }
-    ++tenant_shed_[req.tenant];
-    ++requests_shed_;
   } else {
-    metrics_.record_request_failure(req.arrival, now, req.tenant);
+    metrics_.record_unserved(Settled::kFailed, req.arrival, now, req.tenant);
     if (tracer_ != nullptr) {
       tracer_->request_complete(now, rid, params_.id, now - req.arrival);
     }
-    ++tenant_failed_[req.tenant];
-    ++requests_failed_;
   }
   pending_.erase(req_it);
 }
@@ -683,9 +660,7 @@ void Client::on_response(const OpResponse& resp) {
       breakdown_->record(trace::make_request_breakdown(
           req.arrival, now, pop->timing, slack_sum, req.ops.size()));
     }
-    ++tenant_completed_[req.tenant];
     pending_.erase(req_it);
-    ++requests_completed_;
     return;
   }
 

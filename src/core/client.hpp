@@ -81,10 +81,6 @@ class Client {
     /// to a different replica (first response wins, the loser is
     /// discarded). Requires replication >= 2; 0 disables. Fires once.
     Duration hedge_delay_us = 0;
-    /// Fraction of requests that are single-key PUTs fanned out to ALL
-    /// replicas (write-all); the rest are multigets. 0 = read-only.
-    /// Applies to tenants that do not carry their own operation mix.
-    double write_fraction = 0;
     /// Sizes of written values; nullptr falls back to existing key size.
     RealDistPtr write_size_bytes;
     /// Overload protection (deadlines, admission control, BUSY handling).
@@ -98,8 +94,7 @@ class Client {
   struct TenantStream {
     const workload::MultigetGenerator* generator = nullptr;
     workload::ArrivalPtr arrivals;
-    /// has_mix=false inherits the legacy Params::write_fraction behaviour.
-    bool has_mix = false;
+    /// Read / update / read-modify-write split of this tenant's requests.
     workload::OpMix mix{};
     /// Write sizes for this tenant; nullptr falls back to the cluster-wide
     /// Params::write_size_bytes (then to the key's existing size).
@@ -129,39 +124,16 @@ class Client {
   /// A server response arrived (cluster delivers through the network).
   void on_response(const OpResponse& resp);
 
-  std::uint64_t requests_generated() const { return requests_generated_; }
-  std::uint64_t requests_completed() const { return requests_completed_; }
-  std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Requests shed by the overload layer (admission refusal or BUSY).
-  std::uint64_t requests_shed() const { return requests_shed_; }
-  /// Subset of requests_shed() refused at admission (no op ever sent).
+  // Request outcomes are counted once, in the shared Metrics ledger; the two
+  // counters here are sub-counts of its outcomes.
+  /// Shed requests refused at admission (no op ever sent).
   std::uint64_t requests_shed_admission() const {
     return requests_shed_admission_;
   }
-  /// Requests whose end-to-end deadline passed before the last response.
-  std::uint64_t requests_expired() const { return requests_expired_; }
   /// Current AIMD admit probability for tenant `t` (1.0 with admission off).
   double admission_rate(std::size_t t) const {
     return admission_ != nullptr ? admission_->rate(t) : 1.0;
   }
-  /// Per-tenant slices of the outcome counters above; the sums over tenants
-  /// equal the totals exactly (checked by Cluster::run).
-  std::uint64_t tenant_requests_generated(std::size_t t) const {
-    return tenant_generated_.at(t);
-  }
-  std::uint64_t tenant_requests_completed(std::size_t t) const {
-    return tenant_completed_.at(t);
-  }
-  std::uint64_t tenant_requests_failed(std::size_t t) const {
-    return tenant_failed_.at(t);
-  }
-  std::uint64_t tenant_requests_shed(std::size_t t) const {
-    return tenant_shed_.at(t);
-  }
-  std::uint64_t tenant_requests_expired(std::size_t t) const {
-    return tenant_expired_.at(t);
-  }
-  std::size_t tenant_count() const { return tenants_.size(); }
   std::uint64_t requests_completed_after_failover() const {
     return requests_completed_failover_;
   }
@@ -313,18 +285,7 @@ class Client {
 
   std::uint64_t next_request_seq_ = 0;
   std::uint64_t next_op_seq_ = 0;
-  std::uint64_t requests_generated_ = 0;
-  std::uint64_t requests_completed_ = 0;
-  std::uint64_t requests_failed_ = 0;
-  std::uint64_t requests_shed_ = 0;
   std::uint64_t requests_shed_admission_ = 0;
-  std::uint64_t requests_expired_ = 0;
-  /// Per-tenant slices of the request counters (always sized tenant_count()).
-  std::vector<std::uint64_t> tenant_generated_;
-  std::vector<std::uint64_t> tenant_completed_;
-  std::vector<std::uint64_t> tenant_failed_;
-  std::vector<std::uint64_t> tenant_shed_;
-  std::vector<std::uint64_t> tenant_expired_;
   std::uint64_t requests_completed_failover_ = 0;
   std::uint64_t ops_generated_ = 0;
   std::uint64_t progress_sent_ = 0;

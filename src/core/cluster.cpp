@@ -26,6 +26,22 @@ TenantSlice tenant_slice(std::uint64_t universe, std::size_t count, std::size_t 
   return {base, t + 1 == count ? universe - base : slice};
 }
 
+/// Copies a ledger's run and window counts into a result (ExperimentResult
+/// and TenantOutcome name the fields alike).
+template <typename Result>
+void fill_request_counts(Result& out, const RequestCounts& run,
+                         const RequestCounts& window) {
+  out.requests_generated = run.generated;
+  out.requests_completed = run.completed;
+  out.requests_failed = run.failed;
+  out.requests_shed = run.shed;
+  out.requests_expired = run.expired;
+  out.requests_measured = window.completed;
+  out.requests_failed_measured = window.failed;
+  out.requests_shed_measured = window.shed;
+  out.requests_expired_measured = window.expired;
+}
+
 bool policy_uses_progress(sched::Policy policy) {
   switch (policy) {
     case sched::Policy::kDas:
@@ -71,9 +87,14 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                      : store::make_modulo_partitioner(config_.num_servers);
 
   // A legacy run is the one `legacy` tenant, which inherits every
-  // cluster-level workload setting.
+  // cluster-level workload setting, the write fraction included.
   tenants_ = config_.tenants.empty() ? workload::parse_tenants("legacy")
                                      : config_.tenants;
+  for (workload::TenantSpec& tenant : tenants_) {
+    if (!tenant.has_mix) {
+      tenant.mix = {1.0 - config_.write_fraction, config_.write_fraction, 0.0};
+    }
+  }
   const std::size_t tenant_count = tenants_.size();
 
   // Key catalogue: sizes drawn once, each key from its owning tenant's
@@ -116,7 +137,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                  ? config_.speed_profiles[0]
                                  : config_.speed_profiles[s];
     }
-    params.speed_alpha = config_.server_speed_alpha;
     params.preemptive = config_.preemptive_service;
     params.catalogue = catalogue_;
     params.overload = config_.overload;
@@ -143,9 +163,11 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     servers_.push_back(std::move(server));
   }
 
-  // Every server (and through it, its scheduler) is auditable; the cadence
-  // decides whether audits run continuously during the event loop.
+  // Every server (and through it, its scheduler) is auditable, and so is the
+  // cluster's request ledger; the cadence decides whether audits run
+  // continuously during the event loop.
   for (const auto& server : servers_) sim_.add_auditable(server.get());
+  sim_.add_auditable(this);
   sim_.set_audit_cadence(config_.audit_every_events);
 
   // Response routing: server -> network -> client.
@@ -197,10 +219,8 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   request_rate_ = derived_request_rate();
   const double per_client_rate =
       request_rate_ / static_cast<double>(config_.num_clients);
-  const bool progress =
-      config_.progress_updates && policy_uses_progress(config_.policy);
-  const bool adaptive =
-      config_.client_adaptive && config_.policy != sched::Policy::kDasNoAdapt;
+  const bool progress = policy_uses_progress(config_.policy);
+  const bool adaptive = config_.policy != sched::Policy::kDasNoAdapt;
 
   const std::size_t replication =
       std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
@@ -214,7 +234,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     params.service_bytes_per_us = config_.service_bytes_per_us;
     params.adaptive = adaptive;
     params.progress_updates = progress;
-    params.ewma_alpha = config_.client_ewma_alpha;
     params.est_rtt_us = 2.0 * config_.net_latency_us;
     params.edf_slo_us = config_.edf_slo_us;
     params.replication = replication;
@@ -224,7 +243,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     params.retry_max_attempts = config_.retry_max_attempts;
     params.suspicion_rto_threshold = config_.suspicion_rto_threshold;
     params.hedge_delay_us = config_.hedge_delay_us;
-    params.write_fraction = config_.write_fraction;
     params.write_size_bytes = config_.write_size_bytes ? config_.write_size_bytes
                                                        : config_.value_size_bytes;
     params.overload = config_.overload;
@@ -260,7 +278,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
               ? workload::make_modulated_poisson(rate, config_.load_profile,
                                                  window_.horizon())
               : workload::make_poisson_arrivals(rate);
-      stream.has_mix = tenant.has_mix;
       stream.mix = tenant.mix;
       if (!tenant.value_size_spec.empty()) {
         stream.write_size_bytes = tenant_value_dists_[t];
@@ -284,7 +301,7 @@ double Cluster::derived_request_rate() const {
   // SYNTHETIC tenants of their mix-weighted read / update / read-modify-write
   // work. Replay tenants contribute no derived load — their rate comes
   // verbatim from the trace timestamps. A legacy run is the one-tenant case:
-  // weight 1 and the write_fraction mix.
+  // weight 1 and the write_fraction mix (resolved at construction).
   const std::size_t tenant_count = tenants_.size();
   const std::uint64_t universe = key_sizes_.size();
   const std::size_t replication =
@@ -299,17 +316,9 @@ double Cluster::derived_request_rate() const {
   }
   if (share_sum == 0) return 0.0;
 
-  // Per-tenant mix (write_fraction when the spec carries none) and
-  // written-value mean. A tenant without any write-size distribution keeps
-  // the key's existing size on writes, so its write demand is per-key.
-  const auto mix_of = [&](const workload::TenantSpec& tenant) {
-    if (tenant.has_mix) return tenant.mix;
-    workload::OpMix mix;
-    mix.read = 1.0 - config_.write_fraction;
-    mix.update = config_.write_fraction;
-    mix.rmw = 0.0;
-    return mix;
-  };
+  // Per-tenant written-value mean. A tenant without any write-size
+  // distribution keeps the key's existing size on writes, so its write
+  // demand is per-key.
   const auto write_mean_of = [&](std::size_t t, bool& has_dist) -> double {
     if (!tenants_[t].value_size_spec.empty()) {
       has_dist = true;
@@ -335,7 +344,7 @@ double Cluster::derived_request_rate() const {
       const workload::TenantSpec& tenant = tenants_[t];
       if (!tenant.replay_path.empty()) continue;
       const double weight = tenant.share / share_sum;
-      const workload::OpMix mix = mix_of(tenant);
+      const workload::OpMix& mix = tenant.mix;
       const double value_mean = tenant_value_dists_[t]->mean();
       bool has_wdist = false;
       const double write_mean_or = write_mean_of(t, has_wdist);
@@ -364,7 +373,7 @@ double Cluster::derived_request_rate() const {
   for (std::size_t t = 0; t < tenant_count; ++t) {
     const workload::TenantSpec& tenant = tenants_[t];
     if (!tenant.replay_path.empty()) continue;
-    const workload::OpMix mix = mix_of(tenant);
+    const workload::OpMix& mix = tenant.mix;
     ops_per_request += tenant.share / share_sum *
                        (mix.read * tenant_generators_[t]->mean_fanout() +
                         (mix.update + mix.rmw) * replicas);
@@ -385,7 +394,7 @@ double Cluster::derived_request_rate() const {
     if (!tenant.replay_path.empty()) continue;
     const workload::MultigetGenerator& gen = *tenant_generators_[t];
     const double weight = tenant.share / share_sum;
-    const workload::OpMix mix = mix_of(tenant);
+    const workload::OpMix& mix = tenant.mix;
     bool has_wdist = false;
     const double write_mean = write_mean_of(t, has_wdist);
     const double read_scale =
@@ -428,6 +437,15 @@ double Cluster::derived_request_rate() const {
   }
   DAS_CHECK(hottest > 0);
   return config_.target_load / (hottest * load_profile_mean) / ops_per_request;
+}
+
+void Cluster::check_invariants() const {
+  std::uint64_t in_flight = 0;
+  for (const auto& client : clients_) in_flight += client->in_flight();
+  const RequestCounts counts = metrics_.counts();
+  DAS_AUDIT(counts.generated == counts.settled() + in_flight,
+            "request conservation violated: generated != completed + failed "
+            "+ shed + expired + in flight");
 }
 
 void Cluster::set_workload_recorder(workload::ReplayTrace* sink) {
@@ -503,12 +521,7 @@ ExperimentResult Cluster::run() {
   result.op_latency = metrics_.op_latency().summary();
   result.op_wait = metrics_.op_wait().summary();
   for (const auto& client : clients_) {
-    result.requests_generated += client->requests_generated();
-    result.requests_completed += client->requests_completed();
-    result.requests_failed += client->requests_failed();
-    result.requests_shed += client->requests_shed();
     result.requests_shed_admission += client->requests_shed_admission();
-    result.requests_expired += client->requests_expired();
     result.requests_completed_after_failover +=
         client->requests_completed_after_failover();
     result.ops_generated += client->ops_generated();
@@ -522,65 +535,35 @@ ExperimentResult Cluster::run() {
   }
   // Graceful degradation, not silent loss: every generated request is either
   // completed or explicitly accounted as failed, shed (overload rejection)
-  // or expired (end-to-end deadline).
-  DAS_CHECK_MSG(result.requests_generated ==
-                    result.requests_completed + result.requests_failed +
-                        result.requests_shed + result.requests_expired,
-                "request conservation violated");
+  // or expired (end-to-end deadline) — and as the tenant that generated it,
+  // never as a neighbour. The cluster totals are the sums over tenants.
+  for (std::size_t t = 0; t < metrics_.tenant_count(); ++t) {
+    const RequestCounts& counts = metrics_.tenant_counts(t);
+    DAS_CHECK_MSG(counts.generated == counts.settled(),
+                  "per-tenant request conservation violated");
+  }
+  const RequestCounts counts = metrics_.counts();
+  const RequestCounts measured = metrics_.measured();
+  fill_request_counts(result, counts, measured);
   // Only declared tenants are reported; the implicit legacy tenant is the
   // cluster total itself.
   if (!config_.tenants.empty()) {
-    const std::size_t tenant_count = config_.tenants.size();
-    result.tenants.resize(tenant_count);
-    std::uint64_t generated_sum = 0;
-    std::uint64_t completed_sum = 0;
-    std::uint64_t failed_sum = 0;
-    std::uint64_t shed_sum = 0;
-    std::uint64_t expired_sum = 0;
-    for (std::size_t t = 0; t < tenant_count; ++t) {
+    result.tenants.resize(config_.tenants.size());
+    for (std::size_t t = 0; t < result.tenants.size(); ++t) {
       TenantOutcome& outcome = result.tenants[t];
       outcome.name = config_.tenants[t].name;
       outcome.share = config_.tenants[t].share;
-      for (const auto& client : clients_) {
-        outcome.requests_generated += client->tenant_requests_generated(t);
-        outcome.requests_completed += client->tenant_requests_completed(t);
-        outcome.requests_failed += client->tenant_requests_failed(t);
-        outcome.requests_shed += client->tenant_requests_shed(t);
-        outcome.requests_expired += client->tenant_requests_expired(t);
-      }
-      // The same conservation law must close PER TENANT: a request generated
-      // by tenant t settles as tenant t, never as a neighbour.
-      DAS_CHECK_MSG(outcome.requests_generated ==
-                        outcome.requests_completed + outcome.requests_failed +
-                            outcome.requests_shed + outcome.requests_expired,
-                    "per-tenant request conservation violated");
+      fill_request_counts(outcome, metrics_.tenant_counts(t),
+                          metrics_.tenant_measured(t));
       outcome.rct = metrics_.tenant_rct(t).summary();
-      outcome.requests_measured = metrics_.tenant_rct(t).moments().count();
-      outcome.requests_failed_measured = metrics_.tenant_failed_measured(t);
-      outcome.requests_shed_measured = metrics_.tenant_shed_measured(t);
-      outcome.requests_expired_measured = metrics_.tenant_expired_measured(t);
-      generated_sum += outcome.requests_generated;
-      completed_sum += outcome.requests_completed;
-      failed_sum += outcome.requests_failed;
-      shed_sum += outcome.requests_shed;
-      expired_sum += outcome.requests_expired;
-    }
-    // And the tenant slices must partition the cluster totals exactly.
-    DAS_CHECK_MSG(generated_sum == result.requests_generated &&
-                      completed_sum == result.requests_completed &&
-                      failed_sum == result.requests_failed &&
-                      shed_sum == result.requests_shed &&
-                      expired_sum == result.requests_expired,
-                  "tenant counters do not sum to the cluster totals");
-    // Degradation share: each tenant's fraction of the cluster's measured
-    // goodput — the number E22 reads to see WHO keeps completing under
-    // overload (per-tenant admission floors are about exactly this).
-    const std::uint64_t measured_total = metrics_.requests_measured();
-    for (TenantOutcome& outcome : result.tenants) {
+      // Degradation share: the tenant's fraction of the cluster's measured
+      // goodput — the number E22 reads to see WHO keeps completing under
+      // overload (per-tenant admission floors are about exactly this).
       outcome.goodput_share =
-          measured_total == 0 ? 0.0
-                              : static_cast<double>(outcome.requests_measured) /
-                                    static_cast<double>(measured_total);
+          measured.completed == 0
+              ? 0.0
+              : static_cast<double>(outcome.requests_measured) /
+                    static_cast<double>(measured.completed);
     }
     // Jain fairness over per-tenant mean RCT: 1.0 = all tenants see the same
     // mean, 1/n = one tenant absorbs all the latency. Tenants with no
@@ -642,29 +625,18 @@ ExperimentResult Cluster::run() {
                   "operation conservation violated");
   }
   result.mean_server_utilization = util_sum / static_cast<double>(servers_.size());
-  result.requests_measured = metrics_.requests_measured();
-  result.requests_failed_measured = metrics_.requests_failed_measured();
-  result.requests_shed_measured = metrics_.requests_shed_measured();
-  result.requests_expired_measured = metrics_.requests_expired_measured();
-  const std::uint64_t settled = result.requests_completed +
-                                result.requests_failed + result.requests_shed +
-                                result.requests_expired;
   result.availability =
-      settled == 0 ? 1.0
-                   : static_cast<double>(result.requests_completed) /
-                         static_cast<double>(settled);
+      counts.settled() == 0 ? 1.0
+                            : static_cast<double>(counts.completed) /
+                                  static_cast<double>(counts.settled());
   // Goodput vs throughput over the measure window: goodput counts only
   // completed-in-time requests, throughput every settled one. A protected
   // cluster under overload shows throughput >> goodput on the unprotected
   // baseline flipping to goodput ~= capacity with the excess shed cheaply.
   const double measure_seconds = window_.measure_us / 1e6;
-  const std::uint64_t measured_settled =
-      result.requests_measured + result.requests_failed_measured +
-      result.requests_shed_measured + result.requests_expired_measured;
-  result.goodput_rps =
-      static_cast<double>(result.requests_measured) / measure_seconds;
+  result.goodput_rps = static_cast<double>(measured.completed) / measure_seconds;
   result.throughput_rps =
-      static_cast<double>(measured_settled) / measure_seconds;
+      static_cast<double>(measured.settled()) / measure_seconds;
   result.net_messages = net_->stats().messages_sent;
   result.net_messages_dropped = net_->stats().messages_dropped;
   result.net_messages_dropped_partition =

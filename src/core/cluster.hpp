@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/invariant.hpp"
 #include "common/types.hpp"
 #include "core/client.hpp"
 #include "core/config.hpp"
@@ -27,7 +28,9 @@ struct RunWindow {
   SimTime horizon() const { return warmup_us + measure_us; }
 };
 
-class Cluster {
+/// Auditable: between events every generated request is either settled in
+/// the Metrics ledger or in flight at its client (request conservation).
+class Cluster : public Auditable {
  public:
   /// `tracer` (optional, caller-owned, must outlive the cluster) records the
   /// full op lifecycle; null means zero tracing overhead.
@@ -62,7 +65,12 @@ class Cluster {
   /// config.breakdown_retain_requests > 0).
   const trace::BreakdownCollector& breakdown() const { return breakdown_; }
 
+  /// generated == settled + Σ client in-flight, over the whole run so far.
+  void check_invariants() const override;
+
  private:
+  friend struct TestCorruptor;
+
   /// Request arrival rate per the calibration mode: a share-weighted,
   /// mix-aware demand model over the synthetic tenants (replay tenants pace
   /// themselves off their trace).
@@ -88,7 +96,8 @@ class Cluster {
   /// through it. Declared before servers_ so it outlives them.
   std::vector<Bytes> catalogue_;
   /// The tenants the workload runs: config_.tenants, or the one `legacy`
-  /// tenant when the config declares none.
+  /// tenant when the config declares none; every tenant's mix is
+  /// resolved (a tenant without `mix:` runs the cluster write_fraction).
   std::vector<workload::TenantSpec> tenants_;
   /// One generator per tenant over its keyspace slice (nullptr entries for
   /// replay tenants) plus the loaded traces and the parsed per-tenant

@@ -124,15 +124,8 @@ struct ClusterConfig {
   bool preemptive_service = false;
 
   // --- DAS client side ----------------------------------------------------
-  /// Use piggybacked per-server delay/speed estimates when tagging (the
-  /// client half of adaptivity; forced off for the DAS-NA ablation).
-  bool client_adaptive = true;
-  /// Send sibling-progress messages so servers re-rank queued ops.
-  bool progress_updates = true;
-  /// EWMA smoothing of the client's per-server estimates.
-  double client_ewma_alpha = 0.3;
-  /// Server-side service-speed EWMA smoothing.
-  double server_speed_alpha = 0.1;
+  // Clients learn per-server delay/speed from piggybacks unless the policy is
+  // DAS-NA, and send sibling-progress updates when the policy reads them.
   /// Request deadline offset for EDF (arrival + this).
   Duration edf_slo_us = 10.0 * kMillisecond;
 

@@ -6,6 +6,32 @@
 
 namespace das::core {
 
+namespace {
+
+std::uint64_t& count_of(RequestCounts& counts, Settled how) {
+  switch (how) {
+    case Settled::kFailed:
+      return counts.failed;
+    case Settled::kShed:
+      return counts.shed;
+    case Settled::kExpired:
+      return counts.expired;
+  }
+  DAS_CHECK_MSG(false, "unknown Settled kind");
+  return counts.expired;
+}
+
+}  // namespace
+
+RequestCounts& RequestCounts::operator+=(const RequestCounts& other) {
+  generated += other.generated;
+  completed += other.completed;
+  failed += other.failed;
+  shed += other.shed;
+  expired += other.expired;
+  return *this;
+}
+
 void Metrics::enable_timeline(Duration bucket_us) {
   DAS_CHECK(bucket_us >= 0);
   timeline_bucket_us_ = bucket_us;
@@ -14,89 +40,84 @@ void Metrics::enable_timeline(Duration bucket_us) {
 void Metrics::enable_tenants(std::size_t count) {
   DAS_CHECK(count >= 1);
   tenant_rct_.assign(count, LatencyRecorder{1e9});
-  tenant_failures_measured_.assign(count, 0);
-  tenant_shed_measured_.assign(count, 0);
-  tenant_expired_measured_.assign(count, 0);
+  tenant_counts_.assign(count, RequestCounts{});
+  tenant_measured_.assign(count, RequestCounts{});
+}
+
+void Metrics::record_generated(SimTime arrival, std::uint32_t tenant) {
+  ++tenant_counts_.at(tenant).generated;
+  if (in_window(arrival)) ++tenant_measured_.at(tenant).generated;
 }
 
 void Metrics::record_request(SimTime arrival, SimTime completion, std::size_t fan,
                              std::uint32_t tenant) {
   DAS_CHECK(completion >= arrival);
+  ++tenant_counts_.at(tenant).completed;
   if (timeline_bucket_us_ > 0) {
     const auto bucket = static_cast<std::size_t>(completion / timeline_bucket_us_);
     if (bucket >= timeline_buckets_.size()) timeline_buckets_.resize(bucket + 1);
     timeline_buckets_[bucket].add(completion - arrival);
   }
   if (!in_window(arrival)) return;
+  ++tenant_measured_.at(tenant).completed;
   rct_.add(completion - arrival);
   fanout_.add(static_cast<double>(fan));
   tenant_rct_.at(tenant).add(completion - arrival);
 }
 
-void Metrics::record_request_failure(SimTime arrival, SimTime failed_at,
-                                     std::uint32_t tenant) {
-  DAS_CHECK(failed_at >= arrival);
+void Metrics::record_unserved(Settled how, SimTime arrival, SimTime at,
+                              std::uint32_t tenant) {
+  DAS_CHECK(at >= arrival);
+  ++count_of(tenant_counts_.at(tenant), how);
   if (timeline_bucket_us_ > 0) {
-    const auto bucket = static_cast<std::size_t>(failed_at / timeline_bucket_us_);
-    if (bucket >= timeline_failed_.size()) timeline_failed_.resize(bucket + 1);
-    ++timeline_failed_[bucket];
+    std::vector<std::size_t>& column =
+        timeline_unserved_.at(static_cast<std::size_t>(how));
+    const auto bucket = static_cast<std::size_t>(at / timeline_bucket_us_);
+    if (bucket >= column.size()) column.resize(bucket + 1);
+    ++column[bucket];
   }
-  if (!in_window(arrival)) return;
-  ++failures_measured_;
-  ++tenant_failures_measured_.at(tenant);
+  if (in_window(arrival)) ++count_of(tenant_measured_.at(tenant), how);
 }
 
-void Metrics::record_request_shed(SimTime arrival, SimTime shed_at,
-                                  std::uint32_t tenant) {
-  DAS_CHECK(shed_at >= arrival);
-  if (timeline_bucket_us_ > 0) {
-    const auto bucket = static_cast<std::size_t>(shed_at / timeline_bucket_us_);
-    if (bucket >= timeline_shed_.size()) timeline_shed_.resize(bucket + 1);
-    ++timeline_shed_[bucket];
-  }
-  if (!in_window(arrival)) return;
-  ++shed_measured_;
-  ++tenant_shed_measured_.at(tenant);
+RequestCounts Metrics::counts() const {
+  RequestCounts total;
+  for (const RequestCounts& c : tenant_counts_) total += c;
+  return total;
 }
 
-void Metrics::record_request_expired(SimTime arrival, SimTime expired_at,
-                                     std::uint32_t tenant) {
-  DAS_CHECK(expired_at >= arrival);
-  if (timeline_bucket_us_ > 0) {
-    const auto bucket =
-        static_cast<std::size_t>(expired_at / timeline_bucket_us_);
-    if (bucket >= timeline_expired_.size()) timeline_expired_.resize(bucket + 1);
-    ++timeline_expired_[bucket];
-  }
-  if (!in_window(arrival)) return;
-  ++expired_measured_;
-  ++tenant_expired_measured_.at(tenant);
+RequestCounts Metrics::measured() const {
+  RequestCounts total;
+  for (const RequestCounts& c : tenant_measured_) total += c;
+  return total;
 }
 
 std::vector<Metrics::TimelinePoint> Metrics::timeline() const {
+  const auto column_at = [this](Settled how, std::size_t b) -> std::size_t {
+    const auto& column = timeline_unserved_[static_cast<std::size_t>(how)];
+    return b < column.size() ? column[b] : 0;
+  };
+  std::size_t buckets = timeline_buckets_.size();
+  for (const auto& column : timeline_unserved_) {
+    buckets = std::max(buckets, column.size());
+  }
   std::vector<TimelinePoint> points;
-  const std::size_t buckets =
-      std::max({timeline_buckets_.size(), timeline_failed_.size(),
-                timeline_shed_.size(), timeline_expired_.size()});
   for (std::size_t b = 0; b < buckets; ++b) {
     const LatencyRecorder* rec =
         b < timeline_buckets_.size() ? &timeline_buckets_[b] : nullptr;
-    const std::size_t completed = rec != nullptr ? rec->moments().count() : 0;
-    const std::size_t failed = b < timeline_failed_.size() ? timeline_failed_[b] : 0;
-    const std::size_t shed = b < timeline_shed_.size() ? timeline_shed_[b] : 0;
-    const std::size_t expired =
-        b < timeline_expired_.size() ? timeline_expired_[b] : 0;
-    if (completed == 0 && failed == 0 && shed == 0 && expired == 0) continue;
     TimelinePoint point;
+    point.count = rec != nullptr ? rec->moments().count() : 0;
+    point.failed = column_at(Settled::kFailed, b);
+    point.shed = column_at(Settled::kShed, b);
+    point.expired = column_at(Settled::kExpired, b);
+    if (point.count == 0 && point.failed == 0 && point.shed == 0 &&
+        point.expired == 0) {
+      continue;
+    }
     point.bucket_start = static_cast<double>(b) * timeline_bucket_us_;
-    if (completed > 0) {
+    if (point.count > 0) {
       point.mean_rct = rec->moments().mean();
       point.p99_rct = rec->histogram().p99();
     }
-    point.count = completed;
-    point.failed = failed;
-    point.shed = shed;
-    point.expired = expired;
     points.push_back(point);
   }
   return points;

@@ -1,6 +1,7 @@
 // Measurement collection for one simulation run.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -12,8 +13,31 @@
 
 namespace das::core {
 
-/// Aggregated over the measurement window (requests that ARRIVE inside it;
-/// warmup and cooldown arrivals are excluded but still simulated).
+/// How a request that did not complete settled.
+enum class Settled : std::uint8_t {
+  kFailed,   ///< retry budget spent on at least one op
+  kShed,     ///< admission refusal or a BUSY rejection the client gave up on
+  kExpired,  ///< end-to-end deadline passed before the last response
+};
+
+/// Request outcome counts. Every generated request settles exactly once, so
+/// generated == settled() once nothing is in flight.
+struct RequestCounts {
+  std::uint64_t generated = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t expired = 0;
+
+  std::uint64_t settled() const { return completed + failed + shed + expired; }
+  RequestCounts& operator+=(const RequestCounts& other);
+};
+
+/// The run's request ledger, shared by every client: per tenant, the outcome
+/// counts of the whole run and of the measurement window (requests that
+/// ARRIVE inside it; warmup and cooldown arrivals are excluded but still
+/// simulated), plus the latency recorders of the window. Cluster totals are
+/// sums over tenants.
 class Metrics {
  public:
   void set_window(SimTime begin, SimTime end) {
@@ -29,28 +53,22 @@ class Metrics {
   /// plotting adaptation transients. 0 disables.
   void enable_timeline(Duration bucket_us);
 
-  /// Keeps a per-tenant RCT recorder and failure counters for `count`
-  /// tenants; record calls attribute to their tenant index. Every owner that
-  /// records requests calls it first (a legacy run has one tenant).
+  /// Keeps a ledger and an RCT recorder for `count` tenants; record calls
+  /// attribute to their tenant index. Every owner that records requests calls
+  /// it first (a legacy run has one tenant).
   void enable_tenants(std::size_t count);
 
+  /// A request arrived at its client (counted whether or not it is admitted).
+  void record_generated(SimTime arrival, std::uint32_t tenant = 0);
+  /// A request completed: every op answered.
   void record_request(SimTime arrival, SimTime completion, std::size_t fanout,
                       std::uint32_t tenant = 0);
-  /// A request gave up (all retry budget spent on at least one op). Failed
-  /// requests never enter the RCT population — mixing give-up times into a
-  /// latency distribution would reward abandoning early — but they are
-  /// counted, both in-window and on the degradation timeline.
-  void record_request_failure(SimTime arrival, SimTime failed_at,
-                              std::uint32_t tenant = 0);
-  /// A request was SHED by the overload layer (admission refusal or a BUSY
-  /// rejection the client did not ride out). Like failures, shed requests
-  /// never enter the RCT population but are counted in-window and on the
-  /// degradation timeline.
-  void record_request_shed(SimTime arrival, SimTime shed_at,
-                           std::uint32_t tenant = 0);
-  /// A request's end-to-end deadline passed before completion.
-  void record_request_expired(SimTime arrival, SimTime expired_at,
-                              std::uint32_t tenant = 0);
+  /// A request settled without completing. Unserved requests never enter the
+  /// RCT population — mixing give-up times into a latency distribution would
+  /// reward abandoning early — but they are counted, both in the ledger and
+  /// on the degradation timeline.
+  void record_unserved(Settled how, SimTime arrival, SimTime at,
+                       std::uint32_t tenant = 0);
   void record_operation(SimTime server_arrival, SimTime completion, Duration wait);
 
   const LatencyRecorder& rct() const { return rct_; }
@@ -58,24 +76,20 @@ class Metrics {
   const LatencyRecorder& op_wait() const { return op_wait_; }
   const StreamingStats& fanout() const { return fanout_; }
 
-  std::uint64_t requests_measured() const { return rct_.moments().count(); }
-  std::uint64_t requests_failed_measured() const { return failures_measured_; }
-  std::uint64_t requests_shed_measured() const { return shed_measured_; }
-  std::uint64_t requests_expired_measured() const { return expired_measured_; }
-
   std::size_t tenant_count() const { return tenant_rct_.size(); }
   const LatencyRecorder& tenant_rct(std::size_t t) const {
     return tenant_rct_.at(t);
   }
-  std::uint64_t tenant_failed_measured(std::size_t t) const {
-    return tenant_failures_measured_.at(t);
+  /// Tenant `t`'s outcomes over the whole run and over the window.
+  const RequestCounts& tenant_counts(std::size_t t) const {
+    return tenant_counts_.at(t);
   }
-  std::uint64_t tenant_shed_measured(std::size_t t) const {
-    return tenant_shed_measured_.at(t);
+  const RequestCounts& tenant_measured(std::size_t t) const {
+    return tenant_measured_.at(t);
   }
-  std::uint64_t tenant_expired_measured(std::size_t t) const {
-    return tenant_expired_measured_.at(t);
-  }
+  /// Cluster totals: the sums over tenants of the two above.
+  RequestCounts counts() const;
+  RequestCounts measured() const;
 
   /// One point per non-empty bucket: bucket start time, mean and p99 RCT
   /// (p99 from the log-bucketed histogram, so ±0.5% relative), completion
@@ -101,27 +115,20 @@ class Metrics {
   LatencyRecorder op_latency_{1e9};
   LatencyRecorder op_wait_{1e9};
   StreamingStats fanout_;
-  std::uint64_t failures_measured_ = 0;
-  std::uint64_t shed_measured_ = 0;
-  std::uint64_t expired_measured_ = 0;
-  /// Per-tenant RCT recorders and in-window failure counts.
   std::vector<LatencyRecorder> tenant_rct_;
-  std::vector<std::uint64_t> tenant_failures_measured_;
-  std::vector<std::uint64_t> tenant_shed_measured_;
-  std::vector<std::uint64_t> tenant_expired_measured_;
+  std::vector<RequestCounts> tenant_counts_;
+  std::vector<RequestCounts> tenant_measured_;
   Duration timeline_bucket_us_ = 0;
   std::vector<LatencyRecorder> timeline_buckets_;
-  /// Failed/shed/expired-request counts per timeline bucket (indexed like
-  /// the latency buckets; grown on demand).
-  std::vector<std::size_t> timeline_failed_;
-  std::vector<std::size_t> timeline_shed_;
-  std::vector<std::size_t> timeline_expired_;
+  /// Unserved-request counts per timeline bucket, one column per Settled
+  /// kind (indexed like the latency buckets; grown on demand).
+  std::array<std::vector<std::size_t>, 3> timeline_unserved_;
 };
 
-/// One tenant's slice of a multi-tenant run. Accounting closes exactly:
-/// generated == completed + failed + shed + expired per tenant, and the
-/// per-field sums over tenants equal the cluster totals (both checked by
-/// Cluster::run).
+/// One tenant's slice of a multi-tenant run, read from its Metrics ledger.
+/// Accounting closes exactly: generated == completed + failed + shed +
+/// expired per tenant (checked by Cluster::run), and the cluster totals are
+/// the sums over tenants by construction.
 struct TenantOutcome {
   std::string name;
   /// Arrival-rate weight from the TenantSpec (as configured, unnormalised).

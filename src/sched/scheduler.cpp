@@ -61,9 +61,6 @@ SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
       return std::make_unique<EdfScheduler>();
     case Policy::kReinSbf: {
       ReinSbfScheduler::Options opt;
-      opt.levels = config.rein_levels;
-      opt.threshold_alpha = config.rein_threshold_alpha;
-      opt.use_bytes = config.rein_use_bytes;
       opt.max_wait_us = config.max_wait_us;
       return std::make_unique<ReinSbfScheduler>(opt);
     }
@@ -77,7 +74,6 @@ SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
       opt.defer = policy != Policy::kDasNoDefer;
       opt.max_wait_us =
           policy == Policy::kDasNoAging ? kTimeInfinity : config.max_wait_us;
-      opt.defer_margin = config.das_defer_margin;
       opt.primary_key = policy == Policy::kDasCritical
                             ? DasScheduler::PrimaryKey::kCriticalPath
                             : DasScheduler::PrimaryKey::kTotalRemaining;

@@ -126,19 +126,12 @@ Policy policy_from_string(const std::string& name);
 const std::vector<Policy>& all_policies();
 
 /// Tuning shared by policy constructors; semantics per policy documented at
-/// each implementation. Defaults reproduce the paper configuration.
+/// each implementation. Defaults reproduce the paper configuration; the rest
+/// of a policy's tuning keeps its Options defaults.
 struct SchedulerConfig {
   /// DAS / Rein anti-starvation: an op waiting longer than this is served
   /// next regardless of priority. Infinity disables aging.
   Duration max_wait_us = 50.0 * kMillisecond;
-  /// Rein: number of priority levels (>= 2).
-  std::size_t rein_levels = 2;
-  /// Rein: EWMA smoothing for the adaptive bottleneck threshold.
-  double rein_threshold_alpha = 0.05;
-  /// Rein: rank on demand-µs bottleneck (true) or op-count bottleneck.
-  bool rein_use_bytes = true;
-  /// DAS: safety margin multiplier on the deferral test; > 1 defers less.
-  double das_defer_margin = 2.0;
   /// Seed for randomized policies.
   std::uint64_t seed = 1;
 };

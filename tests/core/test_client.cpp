@@ -89,7 +89,7 @@ TEST_F(ClientFixture, GeneratesRequestWithCorrectFanout) {
   build(8);
   client->start(1500.0);
   sim.run();
-  EXPECT_EQ(client->requests_generated(), 1u);
+  EXPECT_EQ(metrics.counts().generated, 1u);
   EXPECT_EQ(sent_ops.size(), 8u);
   EXPECT_EQ(client->ops_generated(), 8u);
 }
@@ -157,7 +157,7 @@ TEST_F(ClientFixture, RequestCompletesWhenAllOpsRespond) {
   ASSERT_EQ(sent_ops.size(), 4u);
   sim.run_until(2000.0);
   for (const SentOp& op : sent_ops) respond(op);
-  EXPECT_EQ(client->requests_completed(), 1u);
+  EXPECT_EQ(metrics.counts().completed, 1u);
   EXPECT_EQ(client->in_flight(), 0u);
   EXPECT_EQ(metrics.rct().moments().count(), 1u);
   EXPECT_DOUBLE_EQ(metrics.rct().moments().max(), 1000.0);  // 2000 - 1000
@@ -236,7 +236,7 @@ TEST_F(ClientFixture, OpenLoopKeepsGeneratingWithoutResponses) {
   build(2);
   client->start(5500.0);
   sim.run();
-  EXPECT_EQ(client->requests_generated(), 5u);  // arrivals at 1000..5000
+  EXPECT_EQ(metrics.counts().generated, 5u);  // arrivals at 1000..5000
   EXPECT_EQ(client->in_flight(), 5u);
 }
 
@@ -334,7 +334,7 @@ TEST_F(ClientFixture, LateDuplicateClearsSuspicionButNotTheView) {
   resp.value_size = 100;
   resp.completed_at = sim.now();
   client->on_response(resp);
-  EXPECT_EQ(client->requests_completed(), 1u);
+  EXPECT_EQ(metrics.counts().completed, 1u);
 
   // The original server's late answer to the first transmission.
   resp.server = original;

@@ -192,10 +192,10 @@ TEST_F(RetryFixture, GivesUpAfterMaxAttemptsAndAccountsTheFailure) {
     EXPECT_EQ(send_times(s.op_id).size(), 3u);
   }
   EXPECT_EQ(client->ops_abandoned(), 2u);
-  EXPECT_EQ(client->requests_failed(), 1u);
-  EXPECT_EQ(client->requests_completed(), 0u);
+  EXPECT_EQ(metrics.counts().failed, 1u);
+  EXPECT_EQ(metrics.counts().completed, 0u);
   EXPECT_EQ(client->in_flight(), 0u);
-  EXPECT_EQ(metrics.requests_failed_measured(), 1u);
+  EXPECT_EQ(metrics.measured().failed, 1u);
   EXPECT_EQ(metrics.rct().moments().count(), 0u);  // failures never enter RCT
 }
 

@@ -7,7 +7,6 @@
 //   ./build/tools/dassim --policy=das --trace=trace.json --breakdown
 //   ./build/tools/dassim --policy=das --load=1.2 --queue-cap=64 --deadline-ms=20
 //   ./build/tools/dassim --policy=das --load=1.2 --admission
-//   ./build/tools/dassim --perf --perf-json=BENCH_PERF.json
 //
 // Prints one row per policy; --format=csv emits machine-readable output for
 // plotting scripts. --sweep runs a (load grid x policy) sweep across a
@@ -27,7 +26,6 @@
 #include "core/bench_json.hpp"
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
-#include "core/perf.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault_plan.hpp"
 #include "overload/overload.hpp"
@@ -297,12 +295,6 @@ int run(int argc, char** argv) {
                "maximum retained trace events (overflow counted, not kept)");
   flags.define("breakdown", "false",
                "print the exact per-component RCT attribution per policy");
-  flags.define("perf", "false",
-               "run the engine throughput suite (events/sec) instead of an "
-               "experiment and write --perf-json");
-  flags.define("perf-scale", "1", "event-budget multiplier for --perf");
-  flags.define("perf-json", "BENCH_PERF.json",
-               "where --perf writes its schema_version-2 JSON ('' = skip)");
   flags.define("help", "false", "show this help");
 
   std::string error;
@@ -313,32 +305,6 @@ int run(int argc, char** argv) {
   }
   if (flags.get_bool("help")) {
     flags.print_help(std::cout, "dassim");
-    return 0;
-  }
-
-  if (flags.get_bool("perf")) {
-    core::PerfOptions options;
-    options.scale = flags.get_double("perf-scale");
-    if (options.scale <= 0) {
-      std::cerr << "--perf-scale must be positive\n";
-      return 2;
-    }
-    const std::vector<core::PerfPoint> points = core::run_perf_suite(options);
-    Table table{{"point", "events", "wall (s)", "events/sec", "sim time (ms)"}};
-    for (const core::PerfPoint& p : points) {
-      table.add_row({p.point, std::to_string(p.events),
-                     Table::fmt(p.wall_seconds, 3),
-                     Table::fmt(p.events_per_sec, 0),
-                     Table::fmt(p.sim_time_us / 1000.0, 1)});
-    }
-    std::cout << "== engine throughput (scale "
-              << flags.get_string("perf-scale") << ") ==\n";
-    table.print(std::cout);
-    const std::string perf_json = flags.get_string("perf-json");
-    if (!perf_json.empty()) {
-      core::write_perf_json(perf_json, "perf_throughput", points);
-      std::cerr << "wrote " << perf_json << "\n";
-    }
     return 0;
   }
 
