@@ -91,9 +91,9 @@ void register_benches() {
   }
 }
 
-// Wire-level message costs, measured from the actual protocol encoders
-// (core/wire.hpp), plus the per-policy scheduling fields each policy reads
-// out of the shared OpContext envelope.
+// Wire-level message costs from the protocol size model (core/wire.hpp),
+// plus the per-policy scheduling fields each policy reads out of the shared
+// OpContext envelope.
 void print_metadata_table() {
   Rng rng{4242};
   SimTime now = 0;
@@ -104,14 +104,14 @@ void print_metadata_table() {
 
   das::Table table{{"message", "wire bytes", "notes"}};
   table.add_row({"op request", std::to_string(core::wire::op_wire_size(op)),
-                 "full tag envelope incl. Fletcher-32 trailer"});
+                 "full tag envelope incl. 4-byte checksum trailer"});
   table.add_row({"op response (header)",
                  std::to_string(core::wire::response_wire_size(resp)),
                  "plus value payload for read hits"});
   table.add_row({"progress update",
                  std::to_string(core::wire::progress_wire_size()),
                  "per (request, still-pending server) on sibling completion"});
-  std::cout << "\n### E12 — Protocol message sizes (measured from encoders)\n\n";
+  std::cout << "\n### E12 — Protocol message sizes (from the wire size model)\n\n";
   table.print(std::cout);
 
   das::Table fields{{"policy", "scheduling fields read", "bytes of envelope used"}};

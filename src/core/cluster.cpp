@@ -254,7 +254,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     };
     auto send_progress = [this, c](ServerId server, RequestId rid,
                                    const sched::ProgressUpdate& update) {
-      ++progress_messages_;
       net_->send(client_node(static_cast<ClientId>(c)), server_node(server),
                  wire::progress_wire_size(), [this, server, rid, update] {
                    servers_[server]->receive_progress(rid, update);
@@ -531,6 +530,7 @@ ExperimentResult Cluster::run() {
     result.ops_failed_over += client->ops_failed_over();
     result.ops_abandoned += client->ops_abandoned();
     result.suspicions_raised += client->suspicions_raised();
+    result.progress_messages += client->progress_sent();
     DAS_CHECK_MSG(client->in_flight() == 0, "request leaked past drain");
   }
   // Graceful degradation, not silent loss: every generated request is either
@@ -642,7 +642,6 @@ ExperimentResult Cluster::run() {
   result.net_messages_dropped_partition =
       net_->stats().messages_dropped_partition;
   result.net_bytes = net_->stats().bytes_sent;
-  result.progress_messages = progress_messages_;
   result.sim_duration_us = sim_.now();
   result.timeline = metrics_.timeline();
   result.wall_seconds =

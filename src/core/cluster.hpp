@@ -111,7 +111,6 @@ class Cluster : public Auditable {
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
   double request_rate_ = 0;
-  std::uint64_t progress_messages_ = 0;
   bool ran_ = false;
 };
 

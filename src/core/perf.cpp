@@ -115,8 +115,7 @@ PerfPoint run_net_stream(std::uint64_t events) {
   constexpr net::NodeId kLinks = 16;
   net::Network::Config cfg;
   cfg.latency = net::make_uniform_latency(2.0, 8.0);
-  cfg.bandwidth_bytes_per_us = 50.0;
-  cfg.num_nodes = 2 * kLinks;  // dense FIFO table, as the cluster configures
+  cfg.num_nodes = 2 * kLinks;
   bench.net = std::make_unique<net::Network>(bench.sim, cfg, Rng{0x4E7});
   bench.remaining = events;
   for (net::NodeId link = 0; link < kLinks; ++link) {

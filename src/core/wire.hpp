@@ -1,16 +1,13 @@
-// Wire format for the client/server protocol.
+// Message sizes of the client/server protocol.
 //
-// Fixed-layout little-endian encoding with a Fletcher-32 trailer. The
-// simulator does not ship real bytes between entities — everything is
-// in-process — but the encoders make the protocol concrete: the cluster
-// charges the network with the EXACT encoded size of every message, the
-// overhead study (E12) reports real bytes, and the codecs are round-trip
-// fuzzed so the format is implementable outside the simulator as-is.
+// The simulator ships no bytes — a message is a callback scheduled after a
+// latency — so a message is its size: the byte budget of a fixed-layout
+// little-endian encoding (doubles as IEEE-754 bit patterns) with a 4-byte
+// checksum trailer. The cluster charges the network with these sizes
+// (net_bytes) and the overhead study (E12) reports them.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 #include "common/types.hpp"
 #include "core/server.hpp"
@@ -18,39 +15,45 @@
 
 namespace das::core::wire {
 
-using Buffer = std::vector<std::uint8_t>;
+namespace detail {
 
-/// Message kind tags (first byte of every message).
-enum class MessageKind : std::uint8_t {
-  kOpRequest = 1,
-  kOpResponse = 2,
-  kProgress = 3,
-};
+inline constexpr std::size_t kTrailer = 4;  // checksum
 
-/// Fletcher-32 over a byte range (the 4-byte trailer of every message).
-std::uint32_t fletcher32(const std::uint8_t* data, std::size_t size);
+/// Operation request: kind, op/request ids, client, key, demand, arrival,
+/// the DAS tags (remaining critical, est. other completion, bottleneck ops
+/// and demand, total demand), deadline, write flag and write size.
+inline constexpr std::size_t kOpFixed =
+    1 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 8;
+/// Response: kind, op/request ids, client, server, key, hit and write flags,
+/// value size, completion time and the d_hat/mu_hat feedback.
+inline constexpr std::size_t kResponseFixed =
+    1 + 8 + 8 + 4 + 4 + 8 + 1 + 1 + 8 + 8 + 8 + 8;
+/// Progress update: kind, request id, remaining critical, est. other
+/// completion, remaining total.
+inline constexpr std::size_t kProgressFixed = 1 + 8 + 8 + 8 + 8;
 
-/// --- operation request ----------------------------------------------------
-Buffer encode_op(const sched::OpContext& op);
-/// Decodes and verifies the checksum; nullopt on truncation, corruption or
-/// kind mismatch. Server-local fields (enqueued_at) are not transmitted.
-std::optional<sched::OpContext> decode_op(const Buffer& buffer);
-/// Exact encoded size without building the buffer.
-std::size_t op_wire_size(const sched::OpContext& op);
+// Overload-control extensions are optional trailing fields, present only when
+// the feature is active for the message, so feature-off sizes are unchanged.
+inline constexpr std::size_t kOpExpiryExt = 8;        // f64 absolute expiry
+inline constexpr std::size_t kResponseStatusExt = 1;  // u8 OpStatus
 
-/// --- operation response ---------------------------------------------------
-/// The value payload is accounted for in wire size but not materialised.
-Buffer encode_response(const OpResponse& resp);
-std::optional<OpResponse> decode_response(const Buffer& buffer);
-std::size_t response_wire_size(const OpResponse& resp);
+}  // namespace detail
 
-/// --- progress update --------------------------------------------------------
-Buffer encode_progress(RequestId request, const sched::ProgressUpdate& update);
-struct DecodedProgress {
-  RequestId request = 0;
-  sched::ProgressUpdate update;
-};
-std::optional<DecodedProgress> decode_progress(const Buffer& buffer);
-std::size_t progress_wire_size();
+inline std::size_t op_wire_size(const sched::OpContext& op) {
+  return detail::kOpFixed + detail::kTrailer +
+         (op.expiry != kTimeInfinity ? detail::kOpExpiryExt : 0);
+}
+
+/// Header plus the value payload for read hits (writes ack without data);
+/// shed responses carry a status byte and never a payload.
+inline std::size_t response_wire_size(const OpResponse& resp) {
+  constexpr std::size_t kHeader = detail::kResponseFixed + detail::kTrailer;
+  if (resp.status != OpStatus::kOk) return kHeader + detail::kResponseStatusExt;
+  return kHeader + (resp.hit && !resp.is_write ? resp.value_size : 0);
+}
+
+inline constexpr std::size_t progress_wire_size() {
+  return detail::kProgressFixed + detail::kTrailer;
+}
 
 }  // namespace das::core::wire

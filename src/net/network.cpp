@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 
@@ -14,12 +13,6 @@ class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(Duration d) : d_(d) { DAS_CHECK(d >= 0); }
   Duration sample(Rng&) const override { return d_; }
-  Duration mean() const override { return d_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "constant(" << d_ << "us)";
-    return os.str();
-  }
 
  private:
   Duration d_;
@@ -32,12 +25,6 @@ class UniformLatency final : public LatencyModel {
     DAS_CHECK(lo <= hi);
   }
   Duration sample(Rng& rng) const override { return rng.uniform(lo_, hi_); }
-  Duration mean() const override { return 0.5 * (lo_ + hi_); }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "uniform(" << lo_ << ", " << hi_ << "us)";
-    return os.str();
-  }
 
  private:
   Duration lo_, hi_;
@@ -45,26 +32,16 @@ class UniformLatency final : public LatencyModel {
 
 class LognormalLatency final : public LatencyModel {
  public:
-  LognormalLatency(Duration mean, double sigma) : mean_(mean), sigma_(sigma) {
+  LognormalLatency(Duration mean, double sigma) : sigma_(sigma) {
     DAS_CHECK(mean > 0);
     DAS_CHECK(sigma >= 0);
     mu_ = std::log(mean) - 0.5 * sigma * sigma;
   }
   Duration sample(Rng& rng) const override { return rng.lognormal(mu_, sigma_); }
-  Duration mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "lognormal(mean=" << mean_ << "us, sigma=" << sigma_ << ")";
-    return os.str();
-  }
 
  private:
-  Duration mean_, sigma_, mu_;
+  double sigma_, mu_;
 };
-
-std::uint64_t link_key(NodeId from, NodeId to) {
-  return (static_cast<std::uint64_t>(from) << 32) | to;
-}
 
 }  // namespace
 
@@ -81,41 +58,18 @@ LatencyPtr make_lognormal_latency(Duration mean, double sigma) {
 Network::Network(sim::Simulator& sim, Config config, Rng rng)
     : sim_(sim), config_(std::move(config)), rng_(rng) {
   DAS_CHECK(config_.latency != nullptr);
-  DAS_CHECK(config_.bandwidth_bytes_per_us >= 0);
   DAS_CHECK(config_.loss_probability >= 0 && config_.loss_probability < 1);
-  if (config_.num_nodes != 0) {
-    link_last_dense_.assign(
-        static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0.0);
-  }
-}
-
-SimTime* Network::link_last_slot(NodeId from, NodeId to) {
-  if (config_.num_nodes != 0) {
-    DAS_CHECK_MSG(from < config_.num_nodes && to < config_.num_nodes,
-                  "node id beyond Config::num_nodes");
-    return &link_last_dense_[static_cast<std::size_t>(from) * config_.num_nodes +
-                             to];
-  }
-  return &link_last_sparse_[link_key(from, to)];
-}
-
-char& Network::partition_slot(NodeId from, NodeId to) {
-  if (config_.num_nodes != 0) {
-    DAS_CHECK_MSG(from < config_.num_nodes && to < config_.num_nodes,
-                  "node id beyond Config::num_nodes");
-    if (partition_dense_.empty()) {
-      partition_dense_.assign(
-          static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0);
-    }
-    return partition_dense_[static_cast<std::size_t>(from) * config_.num_nodes +
-                            to];
-  }
-  return partition_sparse_[link_key(from, to)];
+  DAS_CHECK_MSG(config_.num_nodes > 0, "Config::num_nodes must be > 0");
+  link_last_.assign(
+      static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0.0);
 }
 
 void Network::set_partitioned(NodeId a, NodeId b, bool cut) {
+  DAS_CHECK_MSG(a < config_.num_nodes && b < config_.num_nodes,
+                "node id beyond Config::num_nodes");
+  if (partition_.empty()) partition_.assign(link_last_.size(), 0);
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
-    char& slot = partition_slot(from, to);
+    char& slot = partition_[link_index(from, to)];
     if (slot == (cut ? 1 : 0)) continue;
     slot = cut ? 1 : 0;
     if (cut) {
@@ -127,29 +81,21 @@ void Network::set_partitioned(NodeId a, NodeId b, bool cut) {
   }
 }
 
-bool Network::partitioned(NodeId from, NodeId to) const {
-  if (partitions_active_ == 0) return false;
-  if (config_.num_nodes != 0) {
-    if (partition_dense_.empty()) return false;
-    return partition_dense_[static_cast<std::size_t>(from) * config_.num_nodes +
-                            to] != 0;
-  }
-  const auto it = partition_sparse_.find(link_key(from, to));
-  return it != partition_sparse_.end() && it->second != 0;
-}
-
 void Network::set_burst_loss(double p) {
   DAS_CHECK(p >= 0 && p < 1);
   burst_loss_ = p;
 }
 
 void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
+  DAS_CHECK_MSG(from < config_.num_nodes && to < config_.num_nodes,
+                "node id beyond Config::num_nodes");
   DAS_CHECK(deliver != nullptr);
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
+  const std::size_t link = link_index(from, to);
   // Partition check first: it consumes no randomness, so cutting a link
   // never shifts the loss or latency draws of messages on other links.
-  if (partitions_active_ > 0 && partitioned(from, to)) {
+  if (partitions_active_ > 0 && partition_[link] != 0) {
     ++stats_.messages_dropped;
     ++stats_.messages_dropped_partition;
     return;
@@ -162,17 +108,9 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
     ++stats_.messages_dropped;
     return;
   }
-  Duration delay = config_.latency->sample(rng_);
-  if (config_.bandwidth_bytes_per_us > 0) {
-    delay += static_cast<double>(size) / config_.bandwidth_bytes_per_us;
-  }
-  SimTime arrival = sim_.now() + delay;
-  if (config_.fifo_per_link) {
-    SimTime* last = link_last_slot(from, to);
-    arrival = std::max(arrival, *last);
-    *last = arrival;
-  }
-  sim_.schedule_at(arrival, std::move(deliver));
+  SimTime& last = link_last_[link];
+  last = std::max(sim_.now() + config_.latency->sample(rng_), last);
+  sim_.schedule_at(last, std::move(deliver));
 }
 
 }  // namespace das::net

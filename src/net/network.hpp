@@ -1,19 +1,16 @@
 // Simulated message-passing network.
 //
 // Everything runs in one process, so a "message" is a callback scheduled
-// after a sampled propagation delay plus an optional serialisation delay
-// (size / bandwidth). Per-link FIFO ordering is enforced by default — jitter
-// never reorders messages on the same (src, dst) pair, matching a TCP
-// connection — because schedulers downstream rely on feedback arriving in
-// causal order.
+// after a sampled propagation delay; its size only feeds the byte counters.
+// Per-link FIFO ordering is unconditional — jitter never reorders messages
+// on the same (src, dst) pair, matching a TCP connection — because
+// schedulers downstream rely on feedback arriving in causal order.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
@@ -29,8 +26,6 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   virtual Duration sample(Rng& rng) const = 0;
-  virtual Duration mean() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 using LatencyPtr = std::shared_ptr<const LatencyModel>;
@@ -56,19 +51,12 @@ class Network {
  public:
   struct Config {
     LatencyPtr latency;
-    /// Serialisation rate in bytes per microsecond; 0 disables the
-    /// size-dependent component (infinitely fast NIC).
-    double bandwidth_bytes_per_us = 0.0;
-    /// Keep per-(src,dst) delivery order even under jitter.
-    bool fifo_per_link = true;
     /// Independent per-message drop probability in [0, 1); dropped messages
     /// are counted but never delivered (fault injection — end-to-end
     /// recovery is the clients' responsibility).
     double loss_probability = 0.0;
-    /// Number of node addresses in play (the cluster sets servers+clients).
-    /// Nonzero switches the FIFO clamp to a dense num_nodes^2 table — one
-    /// indexed load per message instead of a hash probe. 0 keeps the sparse
-    /// map for callers with an open-ended address space.
+    /// Number of node addresses in play (the cluster sets servers+clients);
+    /// required, > 0. Node ids are checked against it on every send.
     std::uint32_t num_nodes = 0;
   };
 
@@ -85,36 +73,31 @@ class Network {
   /// draw, so partitions never perturb the loss/latency streams of the
   /// surviving traffic. Idempotent per direction.
   void set_partitioned(NodeId a, NodeId b, bool cut);
-  bool partitioned(NodeId from, NodeId to) const;
 
   /// Fault layer: an additional cluster-wide drop probability layered on top
   /// of Config::loss_probability for the duration of a loss burst (0 = no
   /// burst). Burst drops consume one RNG draw per message, exactly like base
   /// loss.
   void set_burst_loss(double p);
-  double burst_loss() const { return burst_loss_; }
 
   const NetworkStats& stats() const { return stats_; }
-  Duration mean_latency() const { return config_.latency->mean(); }
 
  private:
-  SimTime* link_last_slot(NodeId from, NodeId to);
-  char& partition_slot(NodeId from, NodeId to);
+  std::size_t link_index(NodeId from, NodeId to) const {
+    return static_cast<std::size_t>(from) * config_.num_nodes + to;
+  }
 
   sim::Simulator& sim_;
   Config config_;
   Rng rng_;
   NetworkStats stats_;
-  /// Last scheduled delivery time per directed link, for FIFO clamping.
-  /// Dense table when num_nodes is known (indexed from*num_nodes+to; the
-  /// initial 0.0 is the clamp's identity), sparse fallback otherwise.
-  std::vector<SimTime> link_last_dense_;
-  FlatMap<std::uint64_t, SimTime> link_last_sparse_;
-  /// Directed partition state, same dense/sparse split as the FIFO clamp.
+  /// Last scheduled delivery time per directed link, for FIFO clamping,
+  /// indexed by link_index (the initial 0.0 is the clamp's identity).
+  std::vector<SimTime> link_last_;
+  /// Directed partition state, same indexing, allocated on the first cut.
   /// `partitions_active_` counts cut directed links so the fault-free send
-  /// path pays one integer compare and never touches the tables.
-  std::vector<char> partition_dense_;
-  FlatMap<std::uint64_t, char> partition_sparse_;
+  /// path pays one integer compare and never touches the table.
+  std::vector<char> partition_;
   std::uint32_t partitions_active_ = 0;
   double burst_loss_ = 0.0;
 };

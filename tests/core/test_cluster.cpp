@@ -116,6 +116,25 @@ TEST(Cluster, NetworkTrafficAccounted) {
   EXPECT_GT(r.net_bytes, 0u);
 }
 
+// Every byte on the network is a 102-byte op, a 71-byte response header
+// plus the 100-byte value of a read hit, or a 37-byte progress update.
+TEST(Cluster, NetBytesMatchTheSizeModel) {
+  auto cfg = small_config();
+  cfg.value_size_bytes = make_constant(100);
+  const ExperimentResult fcfs = run_experiment(cfg, small_window());
+  ASSERT_GT(fcfs.ops_generated, 0u);
+  EXPECT_EQ(fcfs.progress_messages, 0u);
+  EXPECT_EQ(fcfs.net_bytes, fcfs.ops_generated * 102 + fcfs.ops_completed * 171);
+
+  cfg.policy = sched::Policy::kDas;
+  const ExperimentResult das = run_experiment(cfg, small_window());
+  ASSERT_GT(das.progress_messages, 0u);
+  EXPECT_EQ(das.net_messages,
+            das.ops_generated + das.ops_completed + das.progress_messages);
+  EXPECT_EQ(das.net_bytes, das.ops_generated * 102 + das.ops_completed * 171 +
+                               das.progress_messages * 37);
+}
+
 TEST(Cluster, RingPartitionerWorksEndToEnd) {
   auto cfg = small_config();
   cfg.ring_vnodes = 64;
