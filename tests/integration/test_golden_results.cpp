@@ -246,6 +246,107 @@ TEST(GoldenResults, PinnedTenantRowIsBitExact) {
   EXPECT_EQ(r.jain_fairness, kTenantGoldenJain);
 }
 
+// --- scheduler-variant dimension --------------------------------------------
+//
+// The headline grid above leaves most policy variants and two mechanisms
+// unexercised: the ablations run only through the benches, aging never fires
+// inside the 20 ms window at the default 50 ms bound, and servers never
+// preempt. These rows pin each at load 0.8, with the scheduler's mechanism
+// counters next to the RCT figures, so a rewrite of a policy's queue must
+// reproduce both what it served and how often each mechanism acted.
+
+struct VariantCase {
+  const char* label;
+  sched::Policy policy;
+  Duration max_wait_us;  // sched_config.max_wait_us
+  bool preemptive;       // preemptive_service
+};
+
+struct VariantGoldenRow {
+  const char* label;
+  std::uint64_t requests_measured;
+  double mean_rct_us;
+  double p99_us;
+  std::uint64_t ops_deferred;
+  std::uint64_t ops_resumed;
+  std::uint64_t ops_aged;
+  std::uint64_t reranks_applied;
+};
+
+constexpr Duration kDefaultWait = 50.0 * kMillisecond;
+constexpr Duration kShortWait = 1.0 * kMillisecond;
+
+constexpr VariantCase kVariants[] = {
+    {"edf", sched::Policy::kEdf, kDefaultWait, false},
+    {"das-na", sched::Policy::kDasNoAdapt, kDefaultWait, false},
+    {"das-nd", sched::Policy::kDasNoDefer, kDefaultWait, false},
+    {"das-noaging", sched::Policy::kDasNoAging, kDefaultWait, false},
+    {"das-crit", sched::Policy::kDasCritical, kDefaultWait, false},
+    {"rein-sbf/wait-1ms", sched::Policy::kReinSbf, kShortWait, false},
+    {"das/wait-1ms", sched::Policy::kDas, kShortWait, false},
+    {"req-srpt/preemptive", sched::Policy::kReqSrpt, kDefaultWait, true},
+    {"das/preemptive", sched::Policy::kDas, kDefaultWait, true},
+};
+
+ClusterConfig variant_config(const VariantCase& c) {
+  ClusterConfig cfg = golden_config(c.policy, 0.8);
+  cfg.sched_config.max_wait_us = c.max_wait_us;
+  cfg.preemptive_service = c.preemptive;
+  return cfg;
+}
+
+// Pinned before the priority schedulers moved onto the indexed heap.
+const VariantGoldenRow kVariantGolden[] = {
+    // clang-format off
+    {"edf", 409u, 234.13564971657101, 771.03788468444714, 0u, 0u, 0u, 0u},
+    {"das-na", 409u, 175.97475496784469, 1945.1964991209986, 441u, 178u, 0u, 0u},
+    {"das-nd", 409u, 159.21952965601406, 786.5357461666041, 0u, 0u, 0u, 11537u},
+    {"das-noaging", 409u, 163.36876977997159, 1136.6043007220296, 6103u, 579u, 0u, 11694u},
+    {"das-crit", 409u, 173.98772962868534, 1428.8968933635158, 6428u, 556u, 0u, 11191u},
+    {"rein-sbf/wait-1ms", 409u, 180.85666284645743, 1147.9703437292508, 0u, 0u, 52u, 0u},
+    {"das/wait-1ms", 409u, 172.96419953747863, 1171.0445476382081, 6122u, 585u, 57u, 11808u},
+    {"req-srpt/preemptive", 409u, 182.41842049109465, 1850.7877245664019, 0u, 0u, 0u, 11151u},
+    {"das/preemptive", 409u, 158.80518409123403, 1319.5623076783043, 6670u, 676u, 0u, 11762u},
+    // clang-format on
+};
+
+TEST(GoldenResults, PinnedVariantGridIsBitExact) {
+  if (std::getenv("DAS_REGEN_GOLDEN") != nullptr) {
+    for (const VariantCase& c : kVariants) {
+      const ExperimentResult r = run_experiment(variant_config(c), golden_window());
+      std::printf("    {\"%s\", %lluu, %.17g, %.17g, %lluu, %lluu, %lluu, %lluu},\n",
+                  c.label, static_cast<unsigned long long>(r.requests_measured),
+                  r.rct.mean, r.rct.p99,
+                  static_cast<unsigned long long>(r.ops_deferred),
+                  static_cast<unsigned long long>(r.ops_resumed),
+                  static_cast<unsigned long long>(r.ops_aged),
+                  static_cast<unsigned long long>(r.reranks_applied));
+    }
+    GTEST_SKIP() << "DAS_REGEN_GOLDEN set: printed fresh rows, skipped the "
+                    "comparison";
+  }
+  ASSERT_EQ(std::size(kVariantGolden), std::size(kVariants))
+      << "variant golden table incomplete — regenerate with DAS_REGEN_GOLDEN=1";
+  for (std::size_t i = 0; i < std::size(kVariants); ++i) {
+    const VariantCase& c = kVariants[i];
+    const VariantGoldenRow& row = kVariantGolden[i];
+    SCOPED_TRACE(c.label);
+    ASSERT_STREQ(row.label, c.label);
+    const ExperimentResult r = run_experiment(variant_config(c), golden_window());
+    EXPECT_EQ(r.requests_measured, row.requests_measured);
+    EXPECT_EQ(r.rct.mean, row.mean_rct_us);
+    EXPECT_EQ(r.rct.p99, row.p99_us);
+    EXPECT_EQ(r.ops_deferred, row.ops_deferred);
+    EXPECT_EQ(r.ops_resumed, row.ops_resumed);
+    EXPECT_EQ(r.ops_aged, row.ops_aged);
+    EXPECT_EQ(r.reranks_applied, row.reranks_applied);
+    // The short bound exists to make aging act inside the window.
+    if (c.max_wait_us == kShortWait) {
+      EXPECT_GT(r.ops_aged, 0u);
+    }
+  }
+}
+
 TEST(GoldenResults, PinnedGridIsBitExact) {
   if (std::getenv("DAS_REGEN_GOLDEN") != nullptr) {
     for (const GoldenCase& c : kGrid) {
