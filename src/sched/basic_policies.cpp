@@ -19,13 +19,8 @@ void RandomScheduler::check_policy_invariants() const {
   }
 }
 
-void SjfScheduler::check_policy_invariants() const {
-  DAS_AUDIT(queue_.size() == size(), "SJF queue size drifted from accounting");
-  queue_.check_invariants();
-}
-
-void EdfScheduler::check_policy_invariants() const {
-  DAS_AUDIT(queue_.size() == size(), "EDF queue size drifted from accounting");
+void FrozenKeyScheduler::check_policy_invariants() const {
+  DAS_AUDIT(queue_.size() == size(), "priority queue size drifted from accounting");
   queue_.check_invariants();
 }
 
@@ -85,44 +80,20 @@ std::vector<OpContext> RandomScheduler::drain(SimTime) {
   return out;
 }
 
-void SjfScheduler::enqueue(const OpContext& op, SimTime now) {
+void FrozenKeyScheduler::enqueue(const OpContext& op, SimTime now) {
   OpContext copy = op;
   copy.enqueued_at = now;
   note_in(copy);
-  queue_.insert(copy.demand_us, std::move(copy));
+  queue_.insert(copy.*key_, std::move(copy));
 }
 
-OpContext SjfScheduler::dequeue(SimTime) {
+OpContext FrozenKeyScheduler::dequeue(SimTime) {
   OpContext op = queue_.pop_min();
   note_out(op);
   return op;
 }
 
-std::vector<OpContext> SjfScheduler::drain(SimTime) {
-  std::vector<OpContext> out;
-  out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    OpContext op = queue_.pop_min();
-    note_out(op);
-    out.push_back(std::move(op));
-  }
-  return out;
-}
-
-void EdfScheduler::enqueue(const OpContext& op, SimTime now) {
-  OpContext copy = op;
-  copy.enqueued_at = now;
-  note_in(copy);
-  queue_.insert(copy.deadline, std::move(copy));
-}
-
-OpContext EdfScheduler::dequeue(SimTime) {
-  OpContext op = queue_.pop_min();
-  note_out(op);
-  return op;
-}
-
-std::vector<OpContext> EdfScheduler::drain(SimTime) {
+std::vector<OpContext> FrozenKeyScheduler::drain(SimTime) {
   std::vector<OpContext> out;
   out.reserve(queue_.size());
   while (!queue_.empty()) {

@@ -50,38 +50,38 @@ class RandomScheduler final : public SchedulerBase {
   Rng rng_;
 };
 
-/// Shortest (local) job first: orders by the op's own demand only, ignoring
-/// the request structure. Separates "size awareness" from "fork-join
-/// awareness" in the evaluation.
-class SjfScheduler final : public SchedulerBase {
+/// Serves the minimum of a key frozen at enqueue, ties by arrival.
+class FrozenKeyScheduler : public SchedulerBase {
  public:
+  FrozenKeyScheduler(double OpContext::*key, const char* name)
+      : key_(key), name_(name) {}
   void enqueue(const OpContext& op, SimTime now) override;
   OpContext dequeue(SimTime now) override;
   std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return "sjf"; }
+  std::string name() const override { return name_; }
 
  protected:
   void check_policy_invariants() const override;
 
  private:
   friend struct TestCorruptor;
+  double OpContext::*key_;
+  const char* name_;
   KeyedQueue<double> queue_;
 };
 
-/// Earliest deadline first on the request deadline tag.
-class EdfScheduler final : public SchedulerBase {
+/// Shortest (local) job first: orders by the op's own demand only, ignoring
+/// the request structure. Separates "size awareness" from "fork-join
+/// awareness" in the evaluation.
+class SjfScheduler final : public FrozenKeyScheduler {
  public:
-  void enqueue(const OpContext& op, SimTime now) override;
-  OpContext dequeue(SimTime now) override;
-  std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return "edf"; }
+  SjfScheduler() : FrozenKeyScheduler(&OpContext::demand_us, "sjf") {}
+};
 
- protected:
-  void check_policy_invariants() const override;
-
- private:
-  friend struct TestCorruptor;
-  KeyedQueue<SimTime> queue_;
+/// Earliest deadline first on the request deadline tag.
+class EdfScheduler final : public FrozenKeyScheduler {
+ public:
+  EdfScheduler() : FrozenKeyScheduler(&OpContext::deadline, "edf") {}
 };
 
 }  // namespace das::sched

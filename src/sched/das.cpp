@@ -13,49 +13,33 @@ DasScheduler::DasScheduler(Options options) : options_(options) {
 
 void DasScheduler::check_policy_invariants() const {
   DAS_AUDIT(mu_hat_ > 0, "nonpositive speed estimate");
-  DAS_AUDIT(records_.size() == size(), "DAS record count drifted from accounting");
-  DAS_AUDIT(active_.size() + deferred_.size() == records_.size(),
-            "DAS order sets do not partition the records");
-  for (const OrderKey& entry : active_) {
-    const auto it = records_.find(entry.h);
-    DAS_AUDIT(it != records_.end(), "active entry without a record");
-    DAS_AUDIT(!it->second.in_deferred, "deferred record linked in active set");
-    DAS_AUDIT(entry.k == active_key(it->second.op), "stale active ordering key");
-  }
-  for (const OrderKey& entry : deferred_) {
-    const auto it = records_.find(entry.h);
-    DAS_AUDIT(it != records_.end(), "deferred entry without a record");
-    DAS_AUDIT(it->second.in_deferred, "active record linked in deferred set");
-    DAS_AUDIT(entry.k == it->second.op.est_other_completion,
-              "stale deferral expiry key");
-  }
+  DAS_AUDIT(queue_.size() == size(), "DAS queue size drifted from accounting");
+  queue_.check_invariants();
+  queue_.for_each([this](std::size_t lane, double key, const Queued& q) {
+    DAS_AUDIT(key == lane_key(q.op, static_cast<Lane>(lane)), "stale DAS lane key");
+    DAS_AUDIT(q.op.remaining_critical_us >= 0,
+              "negative critical-path remaining time");
+    DAS_AUDIT(q.op.total_demand_us >= 0, "negative total remaining demand");
+  });
   std::size_t request_handles = 0;
   for (const auto& [request, handles] : by_request_) {
     DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
     request_handles += handles.size();
     for (const Handle h : handles) {
-      const auto it = records_.find(h);
-      DAS_AUDIT(it != records_.end(), "per-request index holds a served handle");
-      DAS_AUDIT(it->second.op.request_id == request,
+      DAS_AUDIT(queue_.contains(h), "per-request index holds a served handle");
+      DAS_AUDIT(queue_.at(h).op.request_id == request,
                 "per-request index points at the wrong request");
     }
   }
-  DAS_AUDIT(request_handles == records_.size(),
-            "per-request index does not partition the records");
-  for (const auto& [h, rec] : records_) {
-    DAS_AUDIT(h < next_handle_, "record handle from the future");
-    DAS_AUDIT(rec.op.demand_us >= 0, "queued op with negative demand");
-    DAS_AUDIT(rec.op.remaining_critical_us >= 0,
-              "negative critical-path remaining time");
-    DAS_AUDIT(rec.op.total_demand_us >= 0, "negative total remaining demand");
-  }
-  // Aging must be able to reach every queued op: each record appears in the
+  DAS_AUDIT(request_handles == queue_.size(),
+            "per-request index does not partition the queue");
+  // Aging must be able to reach every queued op: each one appears in the
   // fifo exactly once (stale entries for served handles are skipped lazily).
   std::size_t live = 0;
   for (const Handle h : fifo_) {
-    if (records_.contains(h)) ++live;
+    if (queue_.contains(h)) ++live;
   }
-  DAS_AUDIT(live == records_.size(), "aging fifo lost track of queued ops");
+  DAS_AUDIT(live == queue_.size(), "aging fifo lost track of queued ops");
 }
 
 std::string DasScheduler::name() const {
@@ -96,78 +80,65 @@ double DasScheduler::active_key(const OpContext& op) const {
              : op.remaining_critical_us;
 }
 
-void DasScheduler::place(Handle h, Record& rec, SimTime now) {
-  rec.in_deferred = safe_to_defer(rec.op.est_other_completion, now);
-  if (rec.in_deferred) {
-    ++total_deferrals_;
-    rec.defer_started = now;
-    deferred_.insert(OrderKey{rec.op.est_other_completion, h});
-    if (tracer_ != nullptr) {
-      tracer_->op_defer(now, rec.op.op_id, rec.op.request_id, tracer_server_,
-                        rec.op.est_other_completion);
-    }
-  } else {
-    active_.insert(OrderKey{active_key(rec.op), h});
-  }
+double DasScheduler::lane_key(const OpContext& op, Lane lane) const {
+  return lane == kDeferred ? op.est_other_completion : active_key(op);
 }
 
-void DasScheduler::unlink(Handle h, Record& rec, SimTime now) {
-  auto& set = rec.in_deferred ? deferred_ : active_;
-  const double key =
-      rec.in_deferred ? rec.op.est_other_completion : active_key(rec.op);
-  const auto erased = set.erase(OrderKey{key, h});
-  DAS_CHECK_MSG(erased == 1, "DAS order-set desync");
-  if (rec.in_deferred) {
-    rec.op.deferred_wait_us += now - rec.defer_started;
-    rec.in_deferred = false;
+DasScheduler::Lane DasScheduler::place(Queued& q, SimTime now) {
+  if (!safe_to_defer(q.op.est_other_completion, now)) return kRunnable;
+  ++total_deferrals_;
+  q.defer_started = now;
+  if (tracer_ != nullptr) {
+    tracer_->op_defer(now, q.op.op_id, q.op.request_id, tracer_server_,
+                      q.op.est_other_completion);
   }
+  return kDeferred;
+}
+
+void DasScheduler::close_deferral(Handle h, SimTime now) {
+  if (queue_.lane(h) != kDeferred) return;
+  Queued& q = queue_.at(h);
+  q.op.deferred_wait_us += now - q.defer_started;
 }
 
 void DasScheduler::enqueue(const OpContext& op, SimTime now) {
-  const Handle h = next_handle_++;
-  Record rec;
-  rec.op = op;
-  rec.op.enqueued_at = now;
-  note_in(rec.op);
-  place(h, rec, now);
+  Queued q;
+  q.op = op;
+  q.op.enqueued_at = now;
+  note_in(q.op);
+  const Lane lane = place(q, now);
+  const double key = lane_key(q.op, lane);
+  const Handle h = queue_.insert(key, std::move(q), lane);
   fifo_.push_back(h);
   by_request_[op.request_id].push_back(h);
-  records_.emplace(h, std::move(rec));
 }
 
 OpContext DasScheduler::finish(Handle h, SimTime now) {
-  auto it = records_.find(h);
-  DAS_CHECK(it != records_.end());
-  unlink(h, it->second, now);
-  OpContext op = std::move(it->second.op);
+  close_deferral(h, now);
+  OpContext op = std::move(queue_.remove(h).op);
   auto by_req = by_request_.find(op.request_id);
   if (by_req != by_request_.end()) {
     std::erase(by_req->second, h);
     if (by_req->second.empty()) by_request_.erase(by_req);
   }
-  records_.erase(it);
   note_out(op);
   return op;
 }
 
 void DasScheduler::migrate_due(SimTime now) {
-  // The deferred set is ordered by deferral expiry (est_other_completion):
+  // The deferred lane is ordered by deferral expiry (est_other_completion):
   // its minimum is the least-safe element. While that element's window has
   // closed — time passed, or the backlog shrank — it re-enters the runnable
-  // set; once the minimum is safe, all later ones are too.
-  while (!deferred_.empty()) {
-    const OrderKey front = *deferred_.begin();
-    if (safe_to_defer(front.k, now)) break;
-    deferred_.erase(deferred_.begin());
-    auto it = records_.find(front.h);
-    DAS_CHECK(it != records_.end());
-    Record& rec = it->second;
-    rec.op.deferred_wait_us += now - rec.defer_started;
-    rec.in_deferred = false;
+  // lane; once the minimum is safe, all later ones are too.
+  while (queue_.lane_size(kDeferred) > 0) {
+    if (safe_to_defer(queue_.min_key(kDeferred), now)) break;
+    const Handle h = queue_.min_handle(kDeferred);
+    close_deferral(h, now);
     ++resumes_;
-    active_.insert(OrderKey{active_key(rec.op), front.h});
+    const OpContext& op = queue_.at(h).op;
+    queue_.move(h, kRunnable, active_key(op));
     if (tracer_ != nullptr)
-      tracer_->op_resume(now, rec.op.op_id, rec.op.request_id, tracer_server_);
+      tracer_->op_resume(now, op.op_id, op.request_id, tracer_server_);
   }
 }
 
@@ -175,16 +146,16 @@ OpContext DasScheduler::dequeue(SimTime now) {
   DAS_CHECK(!empty());
   // 1. Aging: the oldest op is served unconditionally past its wait bound.
   if (options_.max_wait_us != kTimeInfinity) {
-    while (!fifo_.empty() && !records_.contains(fifo_.front())) fifo_.pop_front();
+    while (!fifo_.empty() && !queue_.contains(fifo_.front())) fifo_.pop_front();
     if (!fifo_.empty()) {
       const Handle h = fifo_.front();
-      const Record& oldest = records_.at(h);
-      if (now - oldest.op.enqueued_at > options_.max_wait_us) {
+      const OpContext& oldest = queue_.at(h).op;
+      if (now - oldest.enqueued_at > options_.max_wait_us) {
         fifo_.pop_front();
         ++aging_promotions_;
         if (tracer_ != nullptr) {
-          tracer_->aging_promotion(now, oldest.op.op_id, oldest.op.request_id,
-                                   tracer_server_, now - oldest.op.enqueued_at);
+          tracer_->aging_promotion(now, oldest.op_id, oldest.request_id,
+                                   tracer_server_, now - oldest.enqueued_at);
         }
         return finish(h, now);
       }
@@ -192,26 +163,25 @@ OpContext DasScheduler::dequeue(SimTime now) {
   }
   // 2. Wake deferred ops whose safety window closed.
   migrate_due(now);
-  // 3. SRPT-first on the runnable set; fall back to the deferred set so the
+  // 3. SRPT-first on the runnable lane; fall back to the deferred lane so the
   // server never idles with work queued (work conservation).
-  if (!active_.empty()) return finish(active_.begin()->h, now);
-  DAS_CHECK(!deferred_.empty());
-  return finish(deferred_.begin()->h, now);
+  const Lane lane = queue_.lane_size(kRunnable) > 0 ? kRunnable : kDeferred;
+  return finish(queue_.min_handle(lane), now);
 }
 
 std::vector<OpContext> DasScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
-  out.reserve(records_.size());
+  out.reserve(queue_.size());
   // Walk the arrival fifo skipping stale entries; the fifo invariantly
-  // covers every live record, so this empties records_, both order sets,
-  // and the per-request index through the normal finish path.
+  // covers every queued op, so this empties the queue and the per-request
+  // index through the normal finish path.
   while (!fifo_.empty()) {
     const Handle h = fifo_.front();
     fifo_.pop_front();
-    if (!records_.contains(h)) continue;
+    if (!queue_.contains(h)) continue;
     out.push_back(finish(h, now));
   }
-  DAS_CHECK_MSG(records_.empty(), "drain left DAS records behind");
+  DAS_CHECK_MSG(queue_.empty(), "drain left DAS ops behind");
   return out;
 }
 
@@ -221,24 +191,23 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
   if (it == by_request_.end()) return;
   // Re-key every queued op of the request and re-evaluate its deferral.
   for (const Handle h : it->second) {
-    auto rec_it = records_.find(h);
-    DAS_CHECK(rec_it != records_.end());
-    Record& rec = rec_it->second;
-    if (rec.op.remaining_critical_us == update.remaining_critical_us &&
-        rec.op.est_other_completion == update.est_other_completion &&
-        rec.op.total_demand_us == update.remaining_total_us) {
+    Queued& q = queue_.at(h);
+    if (q.op.remaining_critical_us == update.remaining_critical_us &&
+        q.op.est_other_completion == update.est_other_completion &&
+        q.op.total_demand_us == update.remaining_total_us) {
       continue;
     }
-    const double old_key = active_key(rec.op);
-    unlink(h, rec, now);
-    rec.op.remaining_critical_us = update.remaining_critical_us;
-    rec.op.est_other_completion = update.est_other_completion;
-    rec.op.total_demand_us = update.remaining_total_us;
-    place(h, rec, now);
+    const double old_key = active_key(q.op);
+    close_deferral(h, now);
+    q.op.remaining_critical_us = update.remaining_critical_us;
+    q.op.est_other_completion = update.est_other_completion;
+    q.op.total_demand_us = update.remaining_total_us;
+    const Lane lane = place(q, now);
+    queue_.move(h, lane, lane_key(q.op, lane));
     ++reranks_;
     if (tracer_ != nullptr) {
-      tracer_->op_rerank(now, rec.op.op_id, rec.op.request_id, tracer_server_,
-                         old_key, active_key(rec.op));
+      tracer_->op_rerank(now, q.op.op_id, q.op.request_id, tracer_server_,
+                         old_key, active_key(q.op));
     }
   }
 }

@@ -21,7 +21,7 @@
 //       (tag time + rtt + advertised delay + service). While that bound lies
 //       beyond this server's drain horizon (backlog / mu_hat), even serving
 //       the op dead last cannot hurt its request, so it parks in a deferred
-//       set and yields to operations on their request's critical path.
+//       lane and yields to operations on their request's critical path.
 //
 // Adaptivity enters in three places: the client's per-server mu/delay
 // estimates feeding the tags (learned from response piggybacks), the
@@ -37,11 +37,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
 namespace das::sched {
@@ -85,17 +85,14 @@ class DasScheduler final : public SchedulerBase {
   bool preempts(const OpContext& incoming, const OpContext& in_service) const override;
   std::string name() const override;
 
-  /// Introspection for tests and the overhead bench.
-  std::size_t deferred_count() const { return deferred_.size(); }
-  std::size_t active_count() const { return active_.size(); }
   double speed_estimate() const { return mu_hat_; }
-  std::uint64_t total_deferrals() const { return total_deferrals_; }
-  std::uint64_t aging_promotions() const { return aging_promotions_; }
 
   MechanismCounters mechanism_counters() const override {
     return {total_deferrals_, resumes_, aging_promotions_, reranks_};
   }
-  std::size_t deferred_size() const override { return deferred_.size(); }
+  std::size_t deferred_size() const override {
+    return queue_.lane_size(kDeferred);
+  }
 
  protected:
   void check_policy_invariants() const override;
@@ -103,45 +100,41 @@ class DasScheduler final : public SchedulerBase {
  private:
   friend struct TestCorruptor;
 
-  using Handle = std::uint64_t;
+  /// Runnable ops wait SRPT-first on the active key; deferred ops wait
+  /// ordered by deferral expiry (est_other_completion).
+  enum Lane : std::size_t { kRunnable = 0, kDeferred = 1 };
 
-  struct OrderKey {
-    double k;  // active: remaining_critical_us; deferred: est_other_completion
-    Handle h;
-    bool operator<(const OrderKey& o) const {
-      return k != o.k ? k < o.k : h < o.h;
-    }
-  };
-
-  struct Record {
+  struct Queued {
     OpContext op;
-    bool in_deferred = false;
-    /// When the current deferral episode began (valid while in_deferred).
+    /// When the current deferral episode began (valid in the deferred lane).
     SimTime defer_started = 0;
   };
+
+  using Queue = KeyedQueue<double, Queued, 2>;
+  using Handle = Queue::Handle;
 
   /// Estimated time to drain the entire current backlog at current speed.
   Duration drain_time_us() const;
   double active_key(const OpContext& op) const;
+  double lane_key(const OpContext& op, Lane lane) const;
   bool safe_to_defer(SimTime est_other_completion, SimTime now) const;
-  void place(Handle h, Record& rec, SimTime now);
-  void unlink(Handle h, Record& rec, SimTime now);
+  /// The lane the op belongs in now; opens a deferral episode if deferred.
+  Lane place(Queued& q, SimTime now);
+  /// Closes the op's deferral episode, if any, into its deferred wait.
+  void close_deferral(Handle h, SimTime now);
   OpContext finish(Handle h, SimTime now);
   void migrate_due(SimTime now);
 
   Options options_;
   double mu_hat_ = 1.0;
 
-  FlatMap<Handle, Record> records_;
-  std::set<OrderKey> active_;    // runnable, SRPT-first by critical remaining
-  std::set<OrderKey> deferred_;  // safely deferrable, by deferral expiry
-  std::deque<Handle> fifo_;      // arrival order, for aging
+  Queue queue_;
+  std::deque<Handle> fifo_;  // arrival order, for aging and the crash drain
   /// Handles queued per request, in arrival order. Progress fan-in walks
   /// this; re-keying one handle never disturbs another's membership, and the
   /// per-handle outcome is order-independent, so a deterministic vector is
   /// result-equivalent to the hash set it replaced (and far cheaper).
   FlatMap<RequestId, std::vector<Handle>> by_request_;
-  Handle next_handle_ = 0;
   std::uint64_t total_deferrals_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t aging_promotions_ = 0;

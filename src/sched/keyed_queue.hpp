@@ -1,144 +1,240 @@
-// Ordered operation queue with stable handles.
+// Indexed priority queue with stable handles.
 //
-// Most policies are "serve the minimum of some key, ties by arrival". This
-// container provides exactly that plus O(log n) removal/re-keying by handle,
-// which the feedback-driven policies (Rein aging, DAS re-ranking) need. Keys
-// are totally ordered via operator<; equal keys dequeue in insertion order.
+// Most policies are "serve the minimum of some key, ties by arrival"; the
+// feedback-driven ones (ReqSRPT and DAS re-ranking, DAS deferral) also
+// re-key or move a queued element by handle. One container provides both:
+// a slab of slots recycled through a free list, plus one array min-heap per
+// *lane* ordered by (key, seq). Each slot records its lane and heap position,
+// so update, move and remove are O(log n) sifts that never allocate and need
+// no old key. A handle names {slot, seq}; the slot's current seq is the
+// liveness test (the sim::Simulator idiom), so a handle goes stale the moment
+// its element leaves, even after the slot is reused. Keys are totally ordered
+// via operator<; equal keys dequeue in insertion order, and an element keeps
+// its insertion seq across re-keys and lane moves.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
-#include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "sched/op_context.hpp"
 
 namespace das::sched {
 
-template <typename Key>
+template <typename Key, typename Payload = OpContext, std::size_t kLanes = 1>
 class KeyedQueue : public Auditable {
  public:
-  using Handle = std::uint64_t;
+  struct Handle {
+    std::uint32_t slot = 0;
+    std::uint64_t seq = 0;  // 0 = no element (sequence numbers start at 1)
+    bool operator==(const Handle&) const = default;
+  };
 
-  Handle insert(Key key, OpContext op) {
-    const Handle h = next_seq_++;
-    order_.emplace(OrderEntry{std::move(key), h});
-    ops_.emplace(h, std::move(op));
-    return h;
+  Handle insert(Key key, Payload value, std::size_t lane = 0) {
+    DAS_CHECK(lane < kLanes);
+    const std::uint64_t seq = next_seq_++;
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+      free_head_ = slots_[slot].pos;
+    } else {
+      DAS_CHECK_MSG(slots_.size() < kNoSlot, "KeyedQueue slab exhausted");
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    s.value = std::move(value);
+    s.seq = seq;
+    s.lane = static_cast<std::uint32_t>(lane);
+    heaps_[lane].push_back(Node{std::move(key), seq, slot});
+    sift(lane, heaps_[lane].size() - 1);
+    return {slot, seq};
   }
 
-  bool empty() const { return ops_.empty(); }
-  std::size_t size() const { return ops_.size(); }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& heap : heaps_) n += heap.size();
+    return n;
+  }
+  std::size_t lane_size(std::size_t lane) const { return heaps_[lane].size(); }
 
-  /// Key of the front element. Precondition: !empty().
-  const Key& min_key() const {
-    DAS_CHECK(!empty());
-    return order_.begin()->key;
+  /// Key of the lane's front element. Precondition: lane_size(lane) > 0.
+  const Key& min_key(std::size_t lane = 0) const { return front(lane).key; }
+  /// Lane's front handle. Precondition: lane_size(lane) > 0.
+  Handle min_handle(std::size_t lane = 0) const {
+    const Node& node = front(lane);
+    return {node.slot, node.seq};
+  }
+  /// Read-only access to the lane's front element.
+  const Payload& peek_min(std::size_t lane = 0) const {
+    return slots_[front(lane).slot].value;
+  }
+  /// Removes and returns the lane's front element.
+  Payload pop_min(std::size_t lane = 0) { return remove(min_handle(lane)); }
+
+  bool contains(Handle h) const {
+    return h.seq != 0 && h.slot < slots_.size() && slots_[h.slot].seq == h.seq;
   }
 
-  /// Front element's handle. Precondition: !empty().
-  Handle min_handle() const {
-    DAS_CHECK(!empty());
-    return order_.begin()->handle;
+  /// Removes an element by handle. Precondition: contains(h).
+  Payload remove(Handle h) {
+    Slot& s = slots_[live(h)];
+    detach(s);
+    s.seq = 0;
+    s.pos = free_head_;
+    free_head_ = h.slot;
+    return std::move(s.value);
   }
 
-  /// Read-only access to the front op. Precondition: !empty().
-  const OpContext& peek_min() const { return ops_.at(min_handle()); }
-
-  /// Removes and returns the front op.
-  OpContext pop_min() {
-    DAS_CHECK(!empty());
-    const auto it = order_.begin();
-    const Handle h = it->handle;
-    order_.erase(it);
-    return take(h);
+  /// Re-keys an element within its lane. Precondition: contains(h).
+  void update(Handle h, Key key) {
+    const Slot& s = slots_[live(h)];
+    heaps_[s.lane][s.pos].key = std::move(key);
+    sift(s.lane, s.pos);
   }
 
-  bool contains(Handle h) const { return ops_.contains(h); }
+  /// Moves an element to `lane` under `key`, keeping its seq (so its
+  /// insertion-order tie-break). Precondition: contains(h).
+  void move(Handle h, std::size_t lane, Key key) {
+    DAS_CHECK(lane < kLanes);
+    Slot& s = slots_[live(h)];
+    if (s.lane == lane) {
+      update(h, std::move(key));
+      return;
+    }
+    detach(s);
+    s.lane = static_cast<std::uint32_t>(lane);
+    heaps_[lane].push_back(Node{std::move(key), h.seq, h.slot});
+    sift(lane, heaps_[lane].size() - 1);
+  }
 
-  /// Removes an arbitrary element by handle. Precondition: contains(h).
-  OpContext remove(Handle h) {
-    auto node = ops_.find(h);
-    DAS_CHECK(node != ops_.end());
-    // Erase the matching order entry; we must find it by scanning the equal-
-    // key range, so callers pass the key they inserted with via rekey()/
-    // remove_with_key() when they have it. Generic remove falls back to a
-    // linear scan only in the rare handle-without-key path.
-    for (auto it = order_.begin(); it != order_.end(); ++it) {
-      if (it->handle == h) {
-        order_.erase(it);
-        return take(h);
+  /// Access by handle. Precondition: contains(h). Mutating the payload never
+  /// reorders it; only update/move change the order.
+  const Payload& at(Handle h) const { return slots_[live(h)].value; }
+  Payload& at(Handle h) { return slots_[live(h)].value; }
+  const Key& key(Handle h) const {
+    const Slot& s = slots_[live(h)];
+    return heaps_[s.lane][s.pos].key;
+  }
+  std::size_t lane(Handle h) const { return slots_[live(h)].lane; }
+
+  /// Calls f(lane, key, payload) for every element, in heap order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      for (const Node& node : heaps_[lane]) f(lane, node.key, slots_[node.slot].value);
+    }
+  }
+
+  /// Structural audit: every heap node names a live slot that points back
+  /// at the node's lane and position, each heap is ordered by (key, seq),
+  /// every live slot sits in some lane, no seq is at or past the next to be
+  /// issued, and every queued op has nonnegative demand.
+  void check_invariants() const override {
+    std::size_t nodes = 0;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      const auto& heap = heaps_[lane];
+      nodes += heap.size();
+      for (std::size_t i = 0; i < heap.size(); ++i) {
+        const Node& node = heap[i];
+        DAS_AUDIT(node.slot < slots_.size(), "KeyedQueue node past the slab");
+        const Slot& s = slots_[node.slot];
+        DAS_AUDIT(s.seq == node.seq, "KeyedQueue node names a free or reused slot");
+        DAS_AUDIT(s.lane == lane && s.pos == i,
+                  "KeyedQueue heap-position back-pointer mismatch");
+        DAS_AUDIT(node.seq < next_seq_, "KeyedQueue seq from the future");
+        DAS_AUDIT(i == 0 || !before(node, heap[(i - 1) / 2]),
+                  "KeyedQueue heap-order violation");
+        DAS_AUDIT(op_of(s.value).demand_us >= 0, "queued op with negative demand");
       }
     }
-    DAS_CHECK_MSG(false, "KeyedQueue order/ops desync");
-    return {};
-  }
-
-  /// O(log n) removal when the caller remembers the insertion key.
-  OpContext remove_with_key(const Key& key, Handle h) {
-    auto it = order_.find(OrderEntry{key, h});
-    DAS_CHECK_MSG(it != order_.end(), "stale key passed to remove_with_key");
-    order_.erase(it);
-    return take(h);
-  }
-
-  /// Re-keys an element in O(log n); the handle stays valid.
-  void rekey(const Key& old_key, Handle h, Key new_key) {
-    auto it = order_.find(OrderEntry{old_key, h});
-    DAS_CHECK_MSG(it != order_.end(), "stale key passed to rekey");
-    order_.erase(it);
-    order_.emplace(OrderEntry{std::move(new_key), h});
-  }
-
-  /// Read-only access by handle. Precondition: contains(h).
-  const OpContext& at(Handle h) const { return ops_.at(h); }
-
-  /// Structural audit: order index and op storage describe the same set of
-  /// handles (same size, no dangling or duplicated order entries), every
-  /// queued op has nonnegative demand, and no live handle is at or beyond
-  /// the next to be issued.
-  void check_invariants() const override {
-    DAS_AUDIT(order_.size() == ops_.size(), "KeyedQueue order/ops size desync");
-    FlatSet<Handle> seen;  // membership only, never iterated
-    seen.reserve(order_.size());
-    for (const OrderEntry& entry : order_) {
-      DAS_AUDIT(seen.insert(entry.handle),
-                "KeyedQueue handle ordered under two keys");
-      DAS_AUDIT(ops_.contains(entry.handle),
-                "KeyedQueue order entry without a stored op");
-      DAS_AUDIT(entry.handle < next_seq_, "KeyedQueue handle from the future");
-    }
-    for (const auto& [handle, op] : ops_) {
-      static_cast<void>(handle);
-      DAS_AUDIT(op.demand_us >= 0, "queued op with negative demand");
-    }
+    std::size_t live_slots = 0;
+    for (const Slot& s : slots_) live_slots += s.seq != 0 ? 1 : 0;
+    DAS_AUDIT(live_slots == nodes, "KeyedQueue live slot in no lane");
   }
 
  private:
   friend struct TestCorruptor;
 
-  struct OrderEntry {
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  struct Node {
     Key key;
-    Handle handle;
-    bool operator<(const OrderEntry& o) const {
-      if (key < o.key) return true;
-      if (o.key < key) return false;
-      return handle < o.handle;
-    }
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
-  OpContext take(Handle h) {
-    auto node = ops_.find(h);
-    OpContext out = std::move(node->second);
-    ops_.erase(node);
-    return out;
+  struct Slot {
+    Payload value{};
+    std::uint64_t seq = 0;  // 0 = free
+    std::uint32_t pos = 0;  // heap index in `lane` if live, else next free slot
+    std::uint32_t lane = 0;
+  };
+
+  /// The scheduled op inside a payload: the payload itself, or its `op`.
+  static const OpContext& op_of(const OpContext& op) { return op; }
+  static const OpContext& op_of(const auto& payload) { return payload.op; }
+
+  static bool before(const Node& a, const Node& b) {
+    if (a.key < b.key) return true;
+    if (b.key < a.key) return false;
+    return a.seq < b.seq;
   }
 
-  std::set<OrderEntry> order_;
-  FlatMap<Handle, OpContext> ops_;
-  Handle next_seq_ = 0;
+  const Node& front(std::size_t lane) const {
+    DAS_CHECK(!heaps_[lane].empty());
+    return heaps_[lane].front();
+  }
+
+  /// The slot of a live handle; throws on a stale one.
+  std::uint32_t live(Handle h) const {
+    DAS_CHECK_MSG(contains(h), "stale KeyedQueue handle");
+    return h.slot;
+  }
+
+  void put(std::size_t lane, std::size_t i, Node node) {
+    slots_[node.slot].pos = static_cast<std::uint32_t>(i);
+    heaps_[lane][i] = std::move(node);
+  }
+
+  /// Re-establishes heap order around node i after it was added, re-keyed
+  /// or replaced: it rises past larger parents, else sinks past smaller
+  /// children (a node that rose has no smaller child).
+  void sift(std::size_t lane, std::size_t i) {
+    auto& heap = heaps_[lane];
+    Node node = std::move(heap[i]);
+    while (i > 0 && before(node, heap[(i - 1) / 2])) {
+      put(lane, i, std::move(heap[(i - 1) / 2]));
+      i = (i - 1) / 2;
+    }
+    for (std::size_t child = 2 * i + 1; child < heap.size(); child = 2 * i + 1) {
+      if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) ++child;
+      if (!before(heap[child], node)) break;
+      put(lane, i, std::move(heap[child]));
+      i = child;
+    }
+    put(lane, i, std::move(node));
+  }
+
+  /// Unlinks the slot's node from its lane heap; the slot stays live.
+  void detach(const Slot& s) {
+    auto& heap = heaps_[s.lane];
+    const std::size_t pos = s.pos;
+    const std::size_t lane = s.lane;
+    Node last = std::move(heap.back());
+    heap.pop_back();
+    if (pos == heap.size()) return;
+    put(lane, pos, std::move(last));
+    sift(lane, pos);
+  }
+
+  std::vector<Slot> slots_;
+  std::array<std::vector<Node>, kLanes> heaps_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace das::sched

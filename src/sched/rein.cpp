@@ -14,25 +14,23 @@ ReinSbfScheduler::ReinSbfScheduler(Options options) : options_(options) {
 }
 
 void ReinSbfScheduler::check_policy_invariants() const {
+  // Each level is FCFS: arrival seqs strictly rise front to back, which is
+  // what lets aging find the globally oldest op among the level fronts.
   std::size_t queued = 0;
   for (const auto& level : levels_) {
-    level.check_invariants();
     queued += level.size();
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      DAS_AUDIT(level[i].op.demand_us >= 0, "queued op with negative demand");
+      DAS_AUDIT(level[i].arrival_seq < next_arrival_seq_,
+                "Rein arrival seq from the future");
+      DAS_AUDIT(i == 0 || level[i - 1].arrival_seq < level[i].arrival_seq,
+                "Rein level out of arrival order");
+    }
   }
   DAS_AUDIT(queued == size(), "Rein level sizes drifted from accounting");
   DAS_AUDIT(ewma_bottleneck_ >= 0, "negative bottleneck threshold");
   DAS_AUDIT(seeded_ || size() == 0 || enqueued_total() == 0,
             "threshold never seeded despite arrivals");
-  // Every queued op must be reachable by the aging scan: each live fifo
-  // entry names a still-queued handle at its recorded level, and the live
-  // entries cover the whole queue (stale entries for served ops are fine —
-  // dequeue() skips them lazily).
-  std::size_t live = 0;
-  for (const FifoEntry& entry : fifo_) {
-    DAS_AUDIT(entry.level < levels_.size(), "fifo entry with bad level");
-    if (levels_[entry.level].contains(entry.handle)) ++live;
-  }
-  DAS_AUDIT(live == queued, "aging fifo lost track of queued ops");
 }
 
 std::size_t ReinSbfScheduler::level_for(double v) const {
@@ -61,15 +59,12 @@ void ReinSbfScheduler::enqueue(const OpContext& op, SimTime now) {
     ewma_bottleneck_ += options_.threshold_alpha * (v - ewma_bottleneck_);
   }
 
-  const std::size_t level = level_for(v);
-  const std::uint64_t seq = next_arrival_seq_++;
-  const Handle h = levels_[level].insert(seq, std::move(copy));
-  fifo_.emplace_back(level, seq, h);
+  levels_[level_for(v)].push_back(Queued{next_arrival_seq_++, std::move(copy)});
 }
 
-OpContext ReinSbfScheduler::take(std::size_t level, std::uint64_t arrival_seq,
-                                 Handle h) {
-  OpContext op = levels_[level].remove_with_key(arrival_seq, h);
+OpContext ReinSbfScheduler::take(std::size_t level) {
+  OpContext op = std::move(levels_[level].front().op);
+  levels_[level].pop_front();
   note_out(op);
   return op;
 }
@@ -77,46 +72,36 @@ OpContext ReinSbfScheduler::take(std::size_t level, std::uint64_t arrival_seq,
 OpContext ReinSbfScheduler::dequeue(SimTime now) {
   DAS_CHECK(!empty());
   // Aging: the globally oldest queued op is promoted past all levels once its
-  // wait exceeds the bound. Entries for already-served ops are skipped lazily.
-  while (!fifo_.empty() && !levels_[fifo_.front().level].contains(fifo_.front().handle))
-    fifo_.pop_front();
-  if (!fifo_.empty()) {
-    const FifoEntry front = fifo_.front();
-    const OpContext& oldest = levels_[front.level].at(front.handle);
-    if (now - oldest.enqueued_at > options_.max_wait_us) {
-      fifo_.pop_front();
-      ++aging_promotions_;
-      if (tracer_ != nullptr) {
-        tracer_->aging_promotion(now, oldest.op_id, oldest.request_id,
-                                 tracer_server_, now - oldest.enqueued_at);
-      }
-      return take(front.level, front.arrival_seq, front.handle);
-    }
-  }
+  // wait exceeds the bound.
+  std::size_t oldest = levels_.size();
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    if (!levels_[level].empty()) {
-      const Handle h = levels_[level].min_handle();
-      const std::uint64_t seq = levels_[level].min_key();
-      return take(level, seq, h);
+    if (levels_[level].empty()) continue;
+    if (oldest == levels_.size() ||
+        levels_[level].front().arrival_seq < levels_[oldest].front().arrival_seq) {
+      oldest = level;
     }
   }
-  DAS_CHECK_MSG(false, "dequeue on empty ReinSbfScheduler");
-  return {};
+  const OpContext& op = levels_[oldest].front().op;
+  if (now - op.enqueued_at > options_.max_wait_us) {
+    ++aging_promotions_;
+    if (tracer_ != nullptr) {
+      tracer_->aging_promotion(now, op.op_id, op.request_id, tracer_server_,
+                               now - op.enqueued_at);
+    }
+    return take(oldest);
+  }
+  for (std::size_t level = 0;; ++level) {
+    if (!levels_[level].empty()) return take(level);
+  }
 }
 
 std::vector<OpContext> ReinSbfScheduler::drain(SimTime) {
   std::vector<OpContext> out;
   out.reserve(size());
-  // Level order, FCFS inside a level — the no-aging serve order. The aging
-  // fifo only ever points at queued ops, so it empties wholesale.
+  // Level order, FCFS inside a level — the no-aging serve order.
   for (std::size_t level = 0; level < levels_.size(); ++level) {
-    while (!levels_[level].empty()) {
-      const Handle h = levels_[level].min_handle();
-      const std::uint64_t seq = levels_[level].min_key();
-      out.push_back(take(level, seq, h));
-    }
+    while (!levels_[level].empty()) out.push_back(take(level));
   }
-  fifo_.clear();
   return out;
 }
 

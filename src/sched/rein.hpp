@@ -14,7 +14,6 @@
 #include <deque>
 #include <vector>
 
-#include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
 namespace das::sched {
@@ -49,25 +48,21 @@ class ReinSbfScheduler final : public SchedulerBase {
  private:
   friend struct TestCorruptor;
 
-  using Handle = KeyedQueue<std::uint64_t>::Handle;
-
-  struct FifoEntry {
-    std::size_t level;
+  struct Queued {
     std::uint64_t arrival_seq;
-    Handle handle;
+    OpContext op;
   };
 
   Options options_;
-  /// One FCFS queue per priority level, keyed by a global arrival sequence.
-  std::vector<KeyedQueue<std::uint64_t>> levels_;
-  /// Global arrival order for the aging check.
-  std::deque<FifoEntry> fifo_;
+  /// One FCFS queue per priority level. Arrival seqs rise along each level,
+  /// so the globally oldest queued op is the level front with the smallest.
+  std::vector<std::deque<Queued>> levels_;
   std::uint64_t next_arrival_seq_ = 0;
   double ewma_bottleneck_ = 0;
   bool seeded_ = false;
   std::uint64_t aging_promotions_ = 0;
 
-  OpContext take(std::size_t level, std::uint64_t arrival_seq, Handle h);
+  OpContext take(std::size_t level);
 };
 
 }  // namespace das::sched

@@ -40,16 +40,15 @@ class ReqSrptScheduler final : public SchedulerBase {
 
   using Handle = KeyedQueue<double>::Handle;
 
+  /// Keyed by the request's current total remaining demand.
   KeyedQueue<double> queue_;
-  /// Current remaining-demand key of each queued handle (needed to rekey).
-  FlatMap<Handle, double> key_of_;
   /// Handles queued here per request in arrival order, for progress fan-in.
   /// Re-keying is per-handle independent, so the deterministic vector walk
   /// is result-equivalent to the hash set it replaced.
   FlatMap<RequestId, std::vector<Handle>> by_request_;
   std::uint64_t reranks_ = 0;
 
-  void forget(const OpContext& op, Handle h);
+  OpContext take(Handle h);
 };
 
 }  // namespace das::sched

@@ -1,8 +1,9 @@
 // The invariant-audit layer must (a) stay silent on healthy structures and
 // (b) throw AuditError when internal state is corrupted on purpose. The
 // corruptions below simulate exactly the drift bugs the audits exist to
-// catch: lost order entries, desynced accounting, negative remaining work,
-// and aging indexes that lose track of queued operations.
+// catch: broken heap order, heap nodes and slots that disagree, desynced
+// accounting, stale or negative keys, and aging indexes that lose track of
+// queued operations.
 #include <gtest/gtest.h>
 
 #include "common/invariant.hpp"
@@ -20,42 +21,48 @@ struct TestCorruptor {
   static void bump_count(SchedulerBase& s) { ++s.count_; }
   static void poison_backlog(SchedulerBase& s) { s.backlog_us_ = -5.0; }
 
-  template <typename Key>
-  static void drop_op(KeyedQueue<Key>& q) {
-    q.ops_.erase(q.ops_.begin());
+  // KeyedQueue: lane-0 heap nodes and the slots they name.
+  template <typename Q>
+  static void free_front_slot(Q& q) {  // the slot dies, its node stays
+    q.slots_[q.heaps_[0].front().slot].seq = 0;
   }
-  template <typename Key>
-  static void negate_demand(KeyedQueue<Key>& q) {
-    q.ops_.begin()->second.demand_us = -1.0;
+  template <typename Q>
+  static void negate_demand(Q& q) {
+    q.slots_[q.heaps_[0].front().slot].value.demand_us = -1.0;
   }
-  template <typename Key>
-  static void duplicate_order_entry(KeyedQueue<Key>& q, Key other_key) {
-    const auto front = *q.order_.begin();
-    q.order_.insert({std::move(other_key), front.handle});
-    q.ops_.emplace(q.next_seq_ + 100, OpContext{});  // keep sizes equal
+  template <typename Q>
+  static void duplicate_front_node(Q& q) {
+    q.heaps_[0].push_back(q.heaps_[0].front());
+  }
+  template <typename Q>
+  static void raise_front_key(Q& q) {  // the root outgrows its children
+    q.heaps_[0].front().key += 1e9;
+  }
+  template <typename Q>
+  static void lower_front_key(Q& q) {  // heap order survives, the key is wrong
+    q.heaps_[0].front().key = -1.0;
+  }
+  template <typename Q>
+  static void swap_back_pointers(Q& q) {
+    std::swap(q.slots_[q.heaps_[0][0].slot].pos, q.slots_[q.heaps_[0][1].slot].pos);
+  }
+  template <typename Q>
+  static void unlink_back_node(Q& q) {  // the slot stays live in no lane
+    q.heaps_[0].pop_back();
   }
 
   static void lose_fifo_entry(DasScheduler& s) { s.fifo_.pop_front(); }
-  static void unlink_active(DasScheduler& s) {
-    s.active_.erase(s.active_.begin());
-  }
-  static void stale_active_key(DasScheduler& s) {
-    auto node = s.active_.extract(s.active_.begin());
-    node.value().k += 1e9;
-    s.active_.insert(std::move(node));
-  }
+  static DasScheduler::Queue& queue(DasScheduler& s) { return s.queue_; }
   static void negate_remaining(DasScheduler& s) {
-    s.records_.begin()->second.op.remaining_critical_us = -1.0;
+    s.queue_.slots_[s.queue_.heaps_[0].front().slot].value.op.remaining_critical_us =
+        -1.0;
   }
 
-  static void drop_key_index(ReqSrptScheduler& s) {
-    s.key_of_.erase(s.key_of_.begin());
-  }
-  static void negate_key_index(ReqSrptScheduler& s) {
-    s.key_of_.begin()->second = -1.0;
-  }
+  static KeyedQueue<double>& queue(ReqSrptScheduler& s) { return s.queue_; }
 
-  static void lose_fifo_entry(ReinSbfScheduler& s) { s.fifo_.pop_front(); }
+  static void reorder_level(ReinSbfScheduler& s) {
+    std::swap(s.levels_[0].front().arrival_seq, s.levels_[0].back().arrival_seq);
+  }
   static void negate_threshold(ReinSbfScheduler& s) {
     s.ewma_bottleneck_ = -1.0;
   }
@@ -64,7 +71,7 @@ struct TestCorruptor {
     std::swap(s.queue_.front().enqueued_at, s.queue_.back().enqueued_at);
   }
 
-  static KeyedQueue<double>& sjf_queue(SjfScheduler& s) { return s.queue_; }
+  static KeyedQueue<double>& queue(FrozenKeyScheduler& s) { return s.queue_; }
 };
 
 namespace {
@@ -133,25 +140,47 @@ TEST(InvariantAudit, NegativeBacklogOnEmptyThrows) {
 
 // --- KeyedQueue corruption --------------------------------------------------
 
-TEST(InvariantAudit, KeyedQueueLostOpThrows) {
+KeyedQueue<double> filled_queue() {
   KeyedQueue<double> q;
-  q.insert(1.0, op(1));
-  q.insert(2.0, op(2));
-  TestCorruptor::drop_op(q);
+  for (int i = 0; i < 6; ++i) {
+    q.insert(static_cast<double>(i % 3), op(static_cast<OperationId>(i)));
+  }
+  return q;
+}
+
+TEST(InvariantAudit, KeyedQueueLostOpThrows) {
+  KeyedQueue<double> q = filled_queue();
+  TestCorruptor::free_front_slot(q);
   EXPECT_THROW(q.check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, KeyedQueueNegativeDemandThrows) {
-  KeyedQueue<double> q;
-  q.insert(1.0, op(1));
+  KeyedQueue<double> q = filled_queue();
   TestCorruptor::negate_demand(q);
   EXPECT_THROW(q.check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, KeyedQueueDuplicatedHandleThrows) {
-  KeyedQueue<double> q;
-  q.insert(1.0, op(1));
-  TestCorruptor::duplicate_order_entry(q, 9.0);
+  KeyedQueue<double> q = filled_queue();
+  TestCorruptor::duplicate_front_node(q);
+  EXPECT_THROW(q.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, KeyedQueueHeapOrderViolationThrows) {
+  KeyedQueue<double> q = filled_queue();
+  TestCorruptor::raise_front_key(q);
+  EXPECT_THROW(q.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, KeyedQueueBackPointerMismatchThrows) {
+  KeyedQueue<double> q = filled_queue();
+  TestCorruptor::swap_back_pointers(q);
+  EXPECT_THROW(q.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, KeyedQueueLiveSlotInNoLaneThrows) {
+  KeyedQueue<double> q = filled_queue();
+  TestCorruptor::unlink_back_node(q);
   EXPECT_THROW(q.check_invariants(), AuditError);
 }
 
@@ -160,7 +189,7 @@ TEST(InvariantAudit, CorruptedKeyedQueueFailsOwningScheduler) {
   // through the scheduler's own check_invariants().
   SjfScheduler s;
   fill(s, 3);
-  TestCorruptor::negate_demand(TestCorruptor::sjf_queue(s));
+  TestCorruptor::negate_demand(TestCorruptor::queue(s));
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
@@ -174,16 +203,20 @@ TEST(InvariantAudit, DasAgingFifoLossThrows) {
 }
 
 TEST(InvariantAudit, DasOrderSetDesyncThrows) {
+  // A queued op drops out of the runnable lane without being served.
   DasScheduler s{{}};
   fill(s, 4);
-  TestCorruptor::unlink_active(s);
+  TestCorruptor::unlink_back_node(TestCorruptor::queue(s));
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, DasStaleOrderingKeyThrows) {
+  // The lane stays a valid heap, but the front's key no longer matches its
+  // op's active key — only the DAS audit can see that.
   DasScheduler s{{}};
   fill(s, 4);
-  TestCorruptor::stale_active_key(s);
+  TestCorruptor::lower_front_key(TestCorruptor::queue(s));
+  EXPECT_NO_THROW(TestCorruptor::queue(s).check_invariants());
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
@@ -196,10 +229,10 @@ TEST(InvariantAudit, DasNegativeRemainingThrows) {
 
 // --- Rein / SRPT corruption --------------------------------------------------
 
-TEST(InvariantAudit, ReinAgingFifoLossThrows) {
+TEST(InvariantAudit, ReinLevelOutOfArrivalOrderThrows) {
   ReinSbfScheduler s{{}};
   fill(s, 4);
-  TestCorruptor::lose_fifo_entry(s);
+  TestCorruptor::reorder_level(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
@@ -210,17 +243,20 @@ TEST(InvariantAudit, ReinNegativeThresholdThrows) {
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
-TEST(InvariantAudit, SrptKeyIndexLossThrows) {
+TEST(InvariantAudit, SrptHeapPositionMismatchThrows) {
   ReqSrptScheduler s;
   fill(s, 3);
-  TestCorruptor::drop_key_index(s);
+  TestCorruptor::swap_back_pointers(TestCorruptor::queue(s));
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, SrptNegativeRemainingThrows) {
+  // A negative stored key keeps the heap valid (it only moves to the front)
+  // but is no remaining total demand.
   ReqSrptScheduler s;
   fill(s, 3);
-  TestCorruptor::negate_key_index(s);
+  TestCorruptor::lower_front_key(TestCorruptor::queue(s));
+  EXPECT_NO_THROW(TestCorruptor::queue(s).check_invariants());
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 

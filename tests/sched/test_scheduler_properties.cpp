@@ -93,7 +93,7 @@ TEST(PolicyProperties, LargerDeferMarginDefersLess) {
     opt.defer_margin = margin;
     DasScheduler s{opt};
     service_order(s, ops, 0.5, 5);
-    return s.total_deferrals();
+    return s.mechanism_counters().ops_deferred;
   };
   const auto tight = deferrals(0.5);
   const auto loose = deferrals(4.0);
