@@ -48,9 +48,10 @@ int main(int argc, char** argv) {
 
   const std::vector<core::PerfPoint> points = core::run_perf_suite(options);
 
-  Table table{{"point", "events", "wall (s)", "events/sec", "sim time (ms)"}};
+  Table table{{"point", "events", "lane events", "wall (s)", "events/sec",
+               "sim time (ms)"}};
   for (const core::PerfPoint& p : points) {
-    table.add_row({p.point, std::to_string(p.events),
+    table.add_row({p.point, std::to_string(p.events), std::to_string(p.lane_events),
                    Table::fmt(p.wall_seconds, 3),
                    Table::fmt(p.events_per_sec, 0),
                    Table::fmt(p.sim_time_us / 1000.0, 1)});

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/invariant.hpp"
 
 namespace das {
 
@@ -317,6 +319,8 @@ IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(theta) {
   DAS_CHECK(n >= 1);
   DAS_CHECK(theta >= 0);
+  DAS_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                "Zipf universe beyond 32-bit ranks");
   cdf_.resize(n);
   double acc = 0;
   for (std::uint64_t r = 0; r < n; ++r) {
@@ -324,14 +328,30 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(thet
     cdf_[r] = acc;
   }
   norm_ = acc;
-  for (auto& c : cdf_) c /= norm_;
-  cdf_.back() = 1.0;
+  // Normalise and build the guide in the same pass: each bucket up to the
+  // entry's own gets that entry's rank when no earlier entry reached it, so
+  // guide_[j] ends up counting the entries in buckets before j. The last
+  // entry is pinned to exactly 1, which lands in the last bucket and fills
+  // every bucket.
+  guide_.resize((n + 3) / 4);
+  std::size_t j = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    cdf_[r] = r + 1 < n ? cdf_[r] / norm_ : 1.0;
+    for (const std::size_t b = bucket_of(cdf_[r]); j <= b; ++j) guide_[j] = r;
+  }
 }
 
 std::uint64_t ZipfGenerator::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+  return rank_for(rng.next_double());
+}
+
+std::uint64_t ZipfGenerator::rank_for(double u) const {
+  DAS_DCHECK(u >= 0 && u <= 1);
+  // Every entry counted by guide_ lies in an earlier bucket than u, hence
+  // below u; the scan stops at the last entry (1.0) at the latest.
+  std::size_t r = guide_[bucket_of(u)];
+  while (cdf_[r] < u) ++r;
+  return r;
 }
 
 double ZipfGenerator::pmf(std::uint64_t rank) const {

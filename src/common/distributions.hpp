@@ -5,6 +5,8 @@
 // requires E[service demand] in closed form rather than by Monte Carlo.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -75,13 +77,28 @@ IntDistPtr make_bimodal(std::uint32_t small, std::uint32_t large, double p_large
 IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> weights);
 
 /// Zipf sampler over ranks {0..n-1}: rank 0 is the most popular. Exact
-/// inverse-CDF sampling over a precomputed table; O(n) setup, O(log n) draw.
-/// theta = 0 degenerates to uniform.
+/// inverse-CDF sampling over a precomputed table; O(n) setup, O(1) expected
+/// draw. theta = 0 degenerates to uniform.
+///
+/// The draw uses a guide table (Chen & Asau's indexed search): [0, 1) is cut
+/// into one equal-width bucket per four ranks, and each bucket remembers how
+/// many CDF entries fall in the buckets before it. No draw in bucket j can
+/// map to a rank below that count, so a forward scan from it finds the exact
+/// answer — the first rank whose CDF is >= u, as a binary search would —
+/// after about n / (2 * buckets) = 2 steps on average, whatever theta is.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double theta);
 
+  /// One next_double() draw mapped through rank_for.
   std::uint64_t sample(Rng& rng) const;
+  /// The rank a uniform draw u in [0, 1] maps to: the first r with
+  /// cdf()[r] >= u, i.e. exactly std::lower_bound over cdf().
+  std::uint64_t rank_for(double u) const;
+  /// Cumulative probabilities by rank; the last entry is exactly 1.
+  const std::vector<double>& cdf() const { return cdf_; }
+  /// Guide-table size: ceil(n / 4) buckets.
+  std::size_t guide_buckets() const { return guide_.size(); }
   std::uint64_t universe() const { return n_; }
   double theta() const { return theta_; }
   /// P(rank = r).
@@ -92,6 +109,17 @@ class ZipfGenerator {
   double theta_;
   double norm_;                 // generalized harmonic H_{n,theta}
   std::vector<double> cdf_;     // cumulative probabilities, size n
+  /// guide_[j]: how many CDF entries lie in buckets before j, so the first
+  /// rank any draw in bucket j can map to.
+  std::vector<std::uint32_t> guide_;
+
+  /// The guide bucket of a probability in [0, 1]. Monotone in p, which is
+  /// all exactness needs: rounding in p * buckets can shift a boundary but
+  /// never lets a draw's bucket precede an entry at or above it.
+  std::size_t bucket_of(double p) const {
+    const auto j = static_cast<std::size_t>(p * static_cast<double>(guide_.size()));
+    return std::min(j, guide_.size() - 1);
+  }
 };
 
 }  // namespace das

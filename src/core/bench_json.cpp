@@ -219,7 +219,7 @@ void write_bench_json(const std::string& path, const std::string& experiment,
 
 void render_perf_json(std::ostream& os, const std::string& experiment,
                       const std::vector<PerfPoint>& points) {
-  os << "{\n  \"schema_version\": 2,\n  \"experiment\": ";
+  os << "{\n  \"schema_version\": 3,\n  \"experiment\": ";
   json_string(os, experiment);
   os << ",\n  \"points\": [";
   bool first = true;
@@ -228,6 +228,7 @@ void render_perf_json(std::ostream& os, const std::string& experiment,
     first = false;
     json_string(os, p.point);
     os << ",\n      \"events\": " << p.events;
+    os << ",\n      \"lane_events\": " << p.lane_events;
     os << ",\n      \"wall_seconds\": ";
     json_double(os, p.wall_seconds);
     os << ",\n      \"events_per_sec\": ";

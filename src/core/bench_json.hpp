@@ -101,18 +101,20 @@ std::string bench_json_string(const std::string& experiment,
 void write_bench_json(const std::string& path, const std::string& experiment,
                       const std::vector<SweepOutcome>& rows);
 
-/// One throughput measurement of the perf bench (BENCH_PERF.json). `events`
-/// and `sim_time_us` are deterministic for a fixed seed; the wall-clock
-/// fields are what the perf trajectory tracks.
+/// One throughput measurement of the perf bench (BENCH_PERF.json). `events`,
+/// `lane_events` and `sim_time_us` are deterministic for a fixed seed; the
+/// wall-clock fields are what the perf trajectory tracks.
 struct PerfPoint {
   std::string point;
   std::uint64_t events = 0;
+  /// Subset of `events` dispatched from the simulator's delivery lane.
+  std::uint64_t lane_events = 0;
   double wall_seconds = 0;
   double events_per_sec = 0;
   double sim_time_us = 0;
 };
 
-/// Renders perf points as a BENCH_PERF.json document (schema_version 2, same
+/// Renders perf points as a BENCH_PERF.json document (schema_version 3, same
 /// envelope as render_bench_json: {schema_version, experiment, points}).
 void render_perf_json(std::ostream& os, const std::string& experiment,
                       const std::vector<PerfPoint>& points);

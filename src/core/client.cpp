@@ -21,6 +21,33 @@ ServerId checked_pick(const std::vector<ServerId>& replicas, ServerId picked) {
   return picked;
 }
 
+/// The two largest per-server full-completion estimates. A destination's
+/// deferral bound is the largest estimate among the OTHER servers: the
+/// runner-up when it holds the maximum itself, the maximum otherwise. Fed
+/// one value per distinct server, so two servers tied at the maximum give
+/// each other the maximum. Starting from 0 keeps the bound 0 when no other
+/// server is left.
+class TopTwo {
+ public:
+  void add(ServerId server, SimTime estimate) {
+    if (estimate > first_) {
+      second_ = first_;
+      first_ = estimate;
+      first_server_ = server;
+    } else if (estimate > second_) {
+      second_ = estimate;
+    }
+  }
+  SimTime max_excluding(ServerId server) const {
+    return server == first_server_ ? second_ : first_;
+  }
+
+ private:
+  SimTime first_ = 0;
+  SimTime second_ = 0;
+  ServerId first_server_ = 0;  // meaningful only once first_ > 0
+};
+
 }  // namespace
 
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
@@ -305,9 +332,11 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   }
   std::uint32_t bottleneck_ops = 0;
   double bottleneck_demand = 0;
+  TopTwo full_estimates;
   for (const auto& [server, agg] : per_server) {
     bottleneck_ops = std::max(bottleneck_ops, agg.ops);
     bottleneck_demand = std::max(bottleneck_demand, agg.demand);
+    full_estimates.add(server, agg.max_full_estimate);
   }
 
   pending.remaining = pending.ops.size();
@@ -319,14 +348,6 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   }
 
   for (PendingOp& op : pending.ops) {
-    // Deferral bound: the latest completion estimate among siblings on
-    // servers other than this op's.
-    SimTime est_other = 0;
-    for (const auto& [server, agg] : per_server) {
-      if (server == op.server) continue;
-      est_other = std::max(est_other, agg.max_full_estimate);
-    }
-
     sched::OpContext ctx;
     ctx.op_id = op.op_id;
     ctx.request_id = rid;
@@ -335,7 +356,9 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     ctx.demand_us = op.demand_us;
     ctx.request_arrival = now;
     ctx.remaining_critical_us = critical_us;
-    ctx.est_other_completion = est_other;
+    // Deferral bound: the latest completion estimate among siblings on
+    // servers other than this op's.
+    ctx.est_other_completion = full_estimates.max_excluding(op.server);
     ctx.bottleneck_ops = bottleneck_ops;
     ctx.bottleneck_demand_us = bottleneck_demand;
     ctx.total_demand_us = total_demand;
@@ -677,7 +700,8 @@ void Client::on_response(const OpResponse& resp) {
   // produce different results. First-touch order — the order ops appear in
   // the request — is deterministic everywhere. A request touches few
   // distinct servers (fan-out mean 8), so the linear scan is cheap.
-  std::vector<std::pair<ServerId, SimTime>> server_max_full;
+  std::vector<std::pair<ServerId, SimTime>>& server_max_full = progress_servers_;
+  server_max_full.clear();
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
     remaining_demand += op.demand_us;
@@ -707,16 +731,13 @@ void Client::on_response(const OpResponse& resp) {
   req.last_sent_total = remaining_demand;
   // One update per distinct server still holding pending ops; the deferral
   // bound is per destination (max full estimate over the OTHER servers).
+  TopTwo full_estimates;
+  for (const auto& [server, est] : server_max_full) full_estimates.add(server, est);
   for (const auto& [server, unused] : server_max_full) {
     (void)unused;
-    SimTime est_other = 0;
-    for (const auto& [other, est] : server_max_full) {
-      if (other == server) continue;
-      est_other = std::max(est_other, est);
-    }
     sched::ProgressUpdate update;
     update.remaining_critical_us = new_critical;
-    update.est_other_completion = est_other;
+    update.est_other_completion = full_estimates.max_excluding(server);
     update.remaining_total_us = remaining_demand;
     send_progress_(server, rid, update);
     ++progress_sent_;

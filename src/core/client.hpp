@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -282,6 +283,10 @@ class Client {
   /// suspicion flags (failure detection).
   std::vector<std::uint32_t> rto_strikes_;
   std::vector<char> suspected_;
+  /// on_response scratch: (server, max full estimate) per server still
+  /// holding ops of the request, in first-touch order. A member so a
+  /// response allocates nothing once it has grown to the widest request.
+  std::vector<std::pair<ServerId, SimTime>> progress_servers_;
 
   std::uint64_t next_request_seq_ = 0;
   std::uint64_t next_op_seq_ = 0;

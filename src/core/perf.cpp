@@ -30,6 +30,7 @@ PerfPoint finish_point(std::string name, const sim::Simulator& sim,
   PerfPoint p;
   p.point = std::move(name);
   p.events = sim.events_dispatched();
+  p.lane_events = sim.lane_events();
   p.wall_seconds = seconds_since(start);
   p.events_per_sec =
       static_cast<double>(p.events) / std::max(p.wall_seconds, 1e-9);

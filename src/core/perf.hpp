@@ -5,9 +5,10 @@
 // are cancelled before firing), a network streaming loop (send + FIFO clamp +
 // delivery), and full cluster runs under FCFS and DAS (everything at once:
 // scheduler bookkeeping, progress fan-in, metrics). Each point reports
-// dispatched events, wall seconds and events/sec; `bench_throughput` writes
-// the result as BENCH_PERF.json (schema_version 2) and CI gates on
-// events/sec regressions against the committed baseline.
+// dispatched events (and how many of them came from the delivery lane), wall
+// seconds and events/sec; `bench_throughput` writes the result as
+// BENCH_PERF.json (schema_version 3) and CI gates on events/sec regressions
+// against the committed baseline.
 //
 // Event counts and simulated time are deterministic for a fixed scale; only
 // the wall-clock fields vary run to run.

@@ -110,7 +110,7 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
   }
   SimTime& last = link_last_[link];
   last = std::max(sim_.now() + config_.latency->sample(rng_), last);
-  sim_.schedule_at(last, std::move(deliver));
+  sim_.schedule_delivery(last, std::move(deliver));
 }
 
 }  // namespace das::net

@@ -5,6 +5,13 @@
 // Per-link FIFO ordering is unconditional — jitter never reorders messages
 // on the same (src, dst) pair, matching a TCP connection — because
 // schedulers downstream rely on feedback arriving in causal order.
+//
+// Deliveries go through the simulator's delivery lane
+// (Simulator::schedule_delivery), not its timer heap: a message is never
+// recalled once sent, and with constant latency each one is due no earlier
+// than the one sent before it, so the lane takes every delivery in O(1).
+// Under jitter a delivery due before the lane's tail falls back to the heap;
+// the dispatch order is the same either way.
 #pragma once
 
 #include <cstdint>

@@ -8,38 +8,57 @@
 namespace das::sim {
 
 void Simulator::compact() {
-  std::erase_if(queue_, [this](const HeapEntry& e) { return !entry_live(e); });
+  std::erase_if(queue_, [this](const QueueEntry& e) { return !entry_live(e); });
   // Rebuilding cannot reorder dispatch: (t, seq) is a total order, so the
   // relative order of the surviving nodes is heap-shape-independent.
   std::make_heap(queue_.begin(), queue_.end());
   ++compactions_;
 }
 
-bool Simulator::pop_next(SimTime horizon, SimTime& t_out, EventFn& fn) {
-  while (!queue_.empty()) {
-    if (!entry_live(queue_.front())) {  // cancelled: drop the dead node
-      std::pop_heap(queue_.begin(), queue_.end());
-      queue_.pop_back();
-      continue;
-    }
-    // Peek before popping: a beyond-horizon event stays exactly where it is,
-    // so run_until never disturbs the queue it leaves behind.
-    if (queue_.front().t > horizon) return false;
-    std::pop_heap(queue_.begin(), queue_.end());
-    const HeapEntry e = queue_.back();
-    queue_.pop_back();
-    t_out = e.t;
-    // Move the callback out and recycle the slot BEFORE invoking: the
-    // callback may schedule (growing the slab) or cancel, and a handle to
-    // this event is already spent.
-    fn = std::move(slots_[e.slot].fn);
-    release_slot(e.slot);
-    --live_;
-    // Popping a live node can tip the dead fraction past the threshold.
-    maybe_compact();
-    return true;
+void Simulator::grow_lane() {
+  std::vector<QueueEntry> grown(std::max(kMinLaneCapacity, 2 * lane_.size()));
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
   }
-  return false;
+  lane_ = std::move(grown);
+  lane_head_ = 0;
+}
+
+bool Simulator::pop_next(SimTime horizon, SimTime& t_out, EventFn& fn) {
+  // Cancelled heap tops are dead nodes: drop them so the heap's head, if
+  // any, is the next live timer.
+  while (!queue_.empty() && !entry_live(queue_.front())) {
+    std::pop_heap(queue_.begin(), queue_.end());
+    queue_.pop_back();
+  }
+  // Both heads are the minima of their structures, so the earlier of the
+  // two by (t, seq) is the global next event.
+  const bool from_lane =
+      lane_size_ != 0 && (queue_.empty() || lane_front().before(queue_.front()));
+  QueueEntry e{};
+  if (from_lane) {
+    // Peek before popping: a beyond-horizon event stays exactly where it
+    // is, so run_until never disturbs the queue it leaves behind.
+    e = lane_front();
+    if (e.t > horizon) return false;
+    lane_pop();
+    ++lane_dispatched_;
+  } else {
+    if (queue_.empty() || queue_.front().t > horizon) return false;
+    std::pop_heap(queue_.begin(), queue_.end());
+    e = queue_.back();
+    queue_.pop_back();
+  }
+  t_out = e.t;
+  // Move the callback out and recycle the slot BEFORE invoking: the
+  // callback may schedule (growing the slab) or cancel, and a handle to
+  // this event is already spent.
+  fn = std::move(slots_[e.slot].fn);
+  release_slot(e.slot);
+  --live_;
+  // Popping a live heap node can tip the dead fraction past the threshold.
+  if (!from_lane) maybe_compact();
+  return true;
 }
 
 bool Simulator::step() {
@@ -62,22 +81,43 @@ void Simulator::add_auditable(const Auditable* auditable) {
 void Simulator::check_invariants() const {
   DAS_AUDIT(std::is_heap(queue_.begin(), queue_.end()),
             "event queue lost the heap property");
-  // Each live slot must be named by exactly one heap entry.
+  // Each live slot must be named by exactly one heap or lane entry.
   std::vector<std::uint8_t> seen(slots_.size(), 0);
-  std::size_t live = 0;
-  for (const HeapEntry& e : queue_) {
-    DAS_AUDIT(e.slot < slots_.size(), "heap entry names a slot out of range");
-    DAS_AUDIT(e.seq != 0 && e.seq < next_seq_, "event sequence out of range");
-    if (!entry_live(e)) continue;
-    ++live;
-    DAS_AUDIT(!seen[e.slot], "two live heap entries share a slot");
+  const auto check_live = [&](const QueueEntry& e) {
+    DAS_AUDIT(!seen[e.slot], "two live queue entries share a slot");
     seen[e.slot] = 1;
     // Time monotonicity: dispatching any live event may never move the
     // clock backwards.
     DAS_AUDIT(e.t >= now_, "live event scheduled in the past");
     DAS_AUDIT(slots_[e.slot].fn != nullptr, "live event without a callback");
+  };
+  std::size_t heap_live = 0;
+  for (const QueueEntry& e : queue_) {
+    DAS_AUDIT(e.slot < slots_.size(), "heap entry names a slot out of range");
+    DAS_AUDIT(e.seq != 0 && e.seq < next_seq_, "event sequence out of range");
+    if (!entry_live(e)) continue;
+    ++heap_live;
+    check_live(e);
   }
-  DAS_AUDIT(live == live_, "live-event count out of sync with the heap");
+  // The lane: a power-of-two ring whose entries are all live (deliveries
+  // are never cancelled) and strictly ascending by (t, seq), so its front
+  // is its minimum and the two-way merge in pop_next stays exact.
+  DAS_AUDIT(lane_.size() == 0 || (lane_.size() & (lane_.size() - 1)) == 0,
+            "lane capacity is not a power of two");
+  DAS_AUDIT(lane_size_ <= lane_.size(), "lane holds more entries than slots");
+  const QueueEntry* prev = nullptr;
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    const QueueEntry& e = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    DAS_AUDIT(e.slot < slots_.size(), "lane entry names a slot out of range");
+    DAS_AUDIT(e.seq != 0 && e.seq < next_seq_, "event sequence out of range");
+    DAS_AUDIT(entry_live(e), "dead entry in the delivery lane");
+    DAS_AUDIT(prev == nullptr || prev->before(e),
+              "delivery lane out of (t, seq) order");
+    check_live(e);
+    prev = &e;
+  }
+  DAS_AUDIT(live_ == heap_live + lane_size_,
+            "live-event count out of sync with the heap and lane");
   // Slab accounting: occupied slots are exactly the live events, and the
   // free list threads through every other slot exactly once.
   std::size_t occupied = 0;
@@ -94,11 +134,11 @@ void Simulator::check_invariants() const {
   }
   DAS_AUDIT(occupied + free_count == slots_.size(),
             "slab slots neither occupied nor free");
-  // Compaction runs after every cancel and pop, so dead nodes may exceed
-  // live ones only while the queue sits under the compaction floor.
+  // Compaction runs after every cancel and heap pop, so dead heap nodes may
+  // exceed live ones only while the heap sits under the compaction floor.
   if (compaction_enabled_) {
-    const std::size_t dead = queue_.size() - live;
-    DAS_AUDIT(queue_.size() < kCompactionFloor || dead <= live,
+    const std::size_t dead = queue_.size() - heap_live;
+    DAS_AUDIT(queue_.size() < kCompactionFloor || dead <= heap_live,
               "dead heap nodes outnumber live ones despite compaction");
   }
 }

@@ -2,20 +2,30 @@
 //
 // A Simulator owns a time-ordered event queue. Events at equal timestamps
 // dispatch in scheduling order (a monotone sequence number breaks ties), so
-// runs are fully deterministic. Cancellation is lazy: cancelled events stay
-// in the heap and are skipped at pop time, which keeps schedule/cancel O(log n)
-// without an indexed heap. When dead (cancelled-but-still-queued) nodes come
-// to outnumber live ones the heap is compacted — rebuilt from the live nodes
-// only — so workloads that cancel almost every timer they set (hedging,
-// retransmission) keep the queue proportional to the live event count.
-// Compaction preserves the (t, seq) dispatch order exactly.
+// runs are fully deterministic. The queue is two structures merged by
+// (t, seq) at dispatch:
 //
-// Storage is split for throughput: the heap itself holds 24-byte POD entries
+//  - a binary min-heap for timers and everything else scheduled with
+//    schedule_at/schedule_after. Cancellation is lazy: cancelled events stay
+//    in the heap and are skipped at pop time, which keeps schedule/cancel
+//    O(log n) without an indexed heap. When dead (cancelled-but-still-queued)
+//    nodes come to outnumber live heap nodes the heap is compacted — rebuilt
+//    from the live nodes only — so workloads that cancel almost every timer
+//    they set (hedging, retransmission) keep it proportional to the live
+//    timer count. Compaction preserves the (t, seq) dispatch order exactly.
+//  - a FIFO delivery lane for network deliveries (schedule_delivery). A
+//    delivery is never cancelled and, under constant latency, is never due
+//    before the one scheduled just ahead of it, so the lane is sorted by
+//    construction and push/pop are O(1). A delivery due earlier than the
+//    lane's tail (latency jitter) goes to the heap instead, which keeps the
+//    lane sorted and the merged order exact.
+//
+// Storage is split for throughput: heap and lane hold 24-byte POD entries
 // {t, seq, slot} (sift operations are raw copies, no callable moves), and
 // callbacks live in a slab of pooled slots recycled through a free list — no
 // per-event allocation once the slab has grown to the high-water mark. A
 // slot's current sequence number doubles as the liveness test: an EventHandle
-// (and a heap entry) names {slot, seq}, and cancel/fire bumps the slot's seq
+// (and a queue entry) names {slot, seq}, and cancel/fire bumps the slot's seq
 // to 0, so stale handles and dead heap entries are recognized by a single
 // integer compare instead of a hash-set lookup per event.
 #pragma once
@@ -90,6 +100,23 @@ class Simulator : public Auditable {
     return schedule_impl(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Schedules a network delivery at absolute time `t` (>= now()). Returns
+  /// no handle: deliveries are never cancelled. A delivery due no earlier
+  /// than the lane's tail is appended to the FIFO lane in O(1); an earlier
+  /// one (latency jitter) falls back to the heap. Either way it dispatches
+  /// in the same global (t, seq) order as schedule_at would give it.
+  void schedule_delivery(SimTime t, EventFn&& fn) {
+    DAS_CHECK(fn != nullptr);
+    if (lane_size_ != 0 && t < lane_back().t) {
+      schedule_impl(t, std::move(fn));
+      return;
+    }
+    DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    const std::uint64_t seq = next_seq_++;
+    lane_push(QueueEntry{t, seq, fill_slot(seq, std::move(fn))});
+    ++live_;
+  }
+
   /// Cancels a pending event. Cancelling an already-fired, already-cancelled
   /// or invalid handle is a harmless no-op (idempotent). A handle is live iff
   /// its slot still carries the same sequence number; fired and cancelled
@@ -114,14 +141,22 @@ class Simulator : public Auditable {
   /// Dispatches at most one event; returns false if the queue was empty.
   bool step();
 
+  /// Live events, in the heap and in the delivery lane.
   bool empty() const { return live_ == 0; }
   std::size_t pending() const { return live_; }
   std::uint64_t events_dispatched() const { return dispatched_; }
+  /// Subset of events_dispatched() taken from the delivery lane.
+  std::uint64_t lane_events() const { return lane_dispatched_; }
+  /// Lane storage in entries: a power of two (or 0) at most twice the lane's
+  /// peak occupancy, past a small floor — it never grows with the number of
+  /// deliveries streamed through it.
+  std::size_t lane_capacity() const { return lane_.size(); }
 
   /// --- lazy-cancel heap compaction ------------------------------------------
-  /// Heap nodes including dead (cancelled, not yet reclaimed) ones; the gap
-  /// versus pending() is what compaction bounds.
-  std::size_t queued_nodes() const { return queue_.size(); }
+  /// Queue entries: heap nodes including dead (cancelled, not yet reclaimed)
+  /// ones, plus lane entries (always live). The gap versus pending() is the
+  /// dead-node count that compaction bounds.
+  std::size_t queued_nodes() const { return queue_.size() + lane_size_; }
   /// Times the heap has been rebuilt from its live nodes.
   std::uint64_t compactions() const { return compactions_; }
   /// Disabling compaction restores pure lazy cancellation (tests use this to
@@ -151,26 +186,30 @@ class Simulator : public Auditable {
   /// Throws AuditError on the first violation.
   void audit_now() const;
 
-  /// Simulator-local invariants: the heap is a heap, no live event is
-  /// scheduled in the past, heap entries and slab slots describe the same
-  /// live set, the free list is consistent with it, and (when compaction is
-  /// enabled) dead nodes never outnumber live ones once the queue is past
-  /// the compaction floor.
+  /// Simulator-local invariants: the heap is a heap, the lane is sorted by
+  /// (t, seq) and holds only live entries, no live event is scheduled in the
+  /// past, heap and lane entries together name exactly the occupied slab
+  /// slots, the free list is consistent with them, and (when compaction is
+  /// enabled) dead heap nodes never outnumber live ones once the heap is
+  /// past the compaction floor.
   void check_invariants() const override;
 
  private:
-  /// POD heap node: sift operations copy 24 bytes and never touch the
-  /// callback. `seq` snapshots the slot's sequence number at scheduling
-  /// time; the entry is dead iff the slot has since moved on.
-  struct HeapEntry {
+  friend struct TestCorruptor;  // audit tests break invariants on purpose
+
+  /// POD queue node (heap or lane): sift operations copy 24 bytes and never
+  /// touch the callback. `seq` snapshots the slot's sequence number at
+  /// scheduling time; the entry is dead iff the slot has since moved on.
+  struct QueueEntry {
     SimTime t;
     std::uint64_t seq;
     std::uint32_t slot;
-    // Min-heap by (t, seq): std::push_heap builds a max-heap, so invert.
-    bool operator<(const HeapEntry& other) const {
-      if (t != other.t) return t > other.t;
-      return seq > other.seq;
+    /// Dispatch order: (t, seq) ascending.
+    bool before(const QueueEntry& other) const {
+      return t != other.t ? t < other.t : seq < other.seq;
     }
+    // Min-heap by (t, seq): std::push_heap builds a max-heap, so invert.
+    bool operator<(const QueueEntry& other) const { return other.before(*this); }
   };
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -183,7 +222,7 @@ class Simulator : public Auditable {
     std::uint32_t next_free = kNoSlot;
   };
 
-  bool entry_live(const HeapEntry& e) const { return slots_[e.slot].seq == e.seq; }
+  bool entry_live(const QueueEntry& e) const { return slots_[e.slot].seq == e.seq; }
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
@@ -205,10 +244,9 @@ class Simulator : public Auditable {
     free_head_ = slot;
   }
 
+  /// Moves `fn` into a pooled slot stamped with `seq`; returns the slot.
   template <typename F>
-  EventHandle schedule_impl(SimTime t, F&& fn) {
-    DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    const std::uint64_t seq = next_seq_++;
+  std::uint32_t fill_slot(std::uint64_t seq, F&& fn) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     try {
@@ -220,7 +258,15 @@ class Simulator : public Auditable {
       throw;
     }
     s.seq = seq;
-    queue_.push_back(HeapEntry{t, seq, slot});
+    return slot;
+  }
+
+  template <typename F>
+  EventHandle schedule_impl(SimTime t, F&& fn) {
+    DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    const std::uint64_t seq = next_seq_++;
+    const std::uint32_t slot = fill_slot(seq, std::forward<F>(fn));
+    queue_.push_back(QueueEntry{t, seq, slot});
     std::push_heap(queue_.begin(), queue_.end());
     ++live_;
     // Growth can carry the queue across the compaction floor with a backlog
@@ -229,20 +275,41 @@ class Simulator : public Auditable {
     return EventHandle{slot, seq};
   }
 
-  /// Pops the next live event with t <= horizon, moving its callback into
-  /// `fn` and its timestamp into `t_out`. Dead heap entries encountered on
-  /// the way are dropped. Returns false when drained or when the next live
-  /// event lies beyond the horizon (which it peeks without disturbing).
+  /// --- delivery lane: a ring buffer, capacity 0 or a power of two ---------
+  const QueueEntry& lane_front() const { return lane_[lane_head_]; }
+  const QueueEntry& lane_back() const {
+    return lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)];
+  }
+  void lane_push(const QueueEntry& e) {
+    if (lane_size_ == lane_.size()) grow_lane();
+    lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = e;
+    ++lane_size_;
+  }
+  void lane_pop() {
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+  }
+  /// Doubles the ring (from kMinLaneCapacity), unrolling it to start at 0.
+  void grow_lane();
+  static constexpr std::size_t kMinLaneCapacity = 16;
+
+  /// Pops the next live event with t <= horizon — the earlier by (t, seq)
+  /// of the heap top and the lane front — moving its callback into `fn` and
+  /// its timestamp into `t_out`. Dead heap entries encountered on the way
+  /// are dropped. Returns false when drained or when the next live event
+  /// lies beyond the horizon (which it peeks without disturbing).
   bool pop_next(SimTime horizon, SimTime& t_out, EventFn& fn);
 
   /// Rebuilds the heap from its live nodes when dead ones outnumber them.
-  /// Called after every operation that can raise the dead fraction (cancel
-  /// and pop), so the dead <= live bound in check_invariants() always holds.
-  /// The threshold test is inline (three loads on the hot path); the rebuild
-  /// itself is out of line.
+  /// Called after every operation that can raise the heap's dead fraction
+  /// (cancel, heap push and heap pop), so the dead <= live bound in
+  /// check_invariants() always holds. Lane entries are never dead, so the
+  /// rule counts heap nodes only. The threshold test is inline (a few loads
+  /// on the hot path); the rebuild itself is out of line.
   void maybe_compact() {
     if (!compaction_enabled_ || queue_.size() < kCompactionFloor) return;
-    if ((queue_.size() - live_) * 2 <= queue_.size()) return;
+    const std::size_t heap_live = live_ - lane_size_;
+    if ((queue_.size() - heap_live) * 2 <= queue_.size()) return;
     compact();
   }
   void compact();
@@ -254,7 +321,11 @@ class Simulator : public Auditable {
   /// Runs the cadence audit when one is due.
   void maybe_audit() const;
 
-  std::vector<HeapEntry> queue_;
+  std::vector<QueueEntry> queue_;  // the heap
+  std::vector<QueueEntry> lane_;   // the delivery ring
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  std::uint64_t lane_dispatched_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 namespace das {
 namespace {
@@ -212,6 +214,53 @@ TEST(ZipfGenerator, SingletonUniverse) {
   Rng rng{19};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(gen.sample(rng), 0u);
   EXPECT_DOUBLE_EQ(gen.pmf(0), 1.0);
+}
+
+// The guide table must return exactly the rank a binary search over the CDF
+// returns, for every draw: random ones, and those on bucket and CDF
+// boundaries where the rounding in the bucket index could bite.
+TEST(ZipfGenerator, GuideTableMatchesBinarySearchExactly) {
+  for (const double theta : {0.0, 0.5, 0.9, 0.99, 1.2}) {
+    for (const std::uint64_t n : {1u, 2u, 3u, 7u, 1000u, 128000u}) {
+      SCOPED_TRACE(::testing::Message() << "theta " << theta << " n " << n);
+      const ZipfGenerator gen{n, theta};
+      const std::vector<double>& cdf = gen.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      ASSERT_EQ(gen.guide_buckets(), (n + 3) / 4);
+      std::uint64_t checked = 0, mismatches = 0;
+      const auto check = [&](double u) {
+        if (!(u >= 0.0 && u <= 1.0)) return;
+        ++checked;
+        const auto want = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        const std::uint64_t got = gen.rank_for(u);
+        if (got != want && mismatches++ == 0) {
+          ADD_FAILURE() << "u " << u << ": guide gives " << got
+                        << ", binary search " << want;
+        }
+      };
+      const auto check_around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 2.0));
+      };
+      check(0.0);
+      check(1.0 - std::ldexp(1.0, -53));  // the largest next_double()
+      const double m = static_cast<double>(gen.guide_buckets());
+      for (std::size_t j = 0; j <= gen.guide_buckets(); ++j) {
+        check_around(static_cast<double>(j) / m);
+      }
+      for (const double c : cdf) check_around(c);
+      Rng draws{n * 31 + 7}, replay{n * 31 + 7};
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t sampled = gen.sample(draws);
+        const double u = replay.next_double();
+        check(u);
+        EXPECT_EQ(sampled, gen.rank_for(u));
+      }
+      EXPECT_EQ(mismatches, 0u) << "of " << checked << " draws";
+    }
+  }
 }
 
 // Property sweep: every integer family's analytic mean matches Monte Carlo.

@@ -149,6 +149,78 @@ TEST_F(ClientFixture, EstOtherCompletionExcludesOwnServer) {
   }
 }
 
+TEST_F(ClientFixture, EstOtherCompletionTiedMaxReachesBothHolders) {
+  // Value sizes by server: 0 and 1 hold 1000 B (demand 30us) and tie for
+  // the largest full estimate, 2 holds 100 B (12us), 3 holds 400 B (18us).
+  // The bound is the max over the OTHER servers, so the tied holders must
+  // each see the other's maximum, not the runner-up behind it.
+  for (std::size_t k = 0; k < key_sizes.size(); ++k) {
+    key_sizes[k] = k % kServers < 2 ? 1000 : (k % kServers == 2 ? 100 : 400);
+  }
+  build(32);
+  client->start(1500.0);
+  sim.run();
+  std::map<ServerId, double> max_full;
+  for (const SentOp& op : sent_ops) {
+    double& slot = max_full[op.server];
+    slot = std::max(slot, 1000.0 + 10.0 + op.ctx.demand_us);
+  }
+  ASSERT_EQ(max_full.size(), kServers);
+  ASSERT_DOUBLE_EQ(max_full[0], max_full[1]);
+  for (const SentOp& op : sent_ops) {
+    EXPECT_DOUBLE_EQ(op.ctx.est_other_completion, 1000.0 + 10.0 + 30.0)
+        << "server " << op.server;
+  }
+}
+
+TEST_F(ClientFixture, FanoutOfOneCarriesNoDeferralBound) {
+  Client::Params p;
+  p.progress_updates = true;
+  p.progress_threshold = 0.0;
+  build(1, p);
+  client->start(1500.0);
+  sim.run();
+  ASSERT_EQ(sent_ops.size(), 1u);
+  EXPECT_DOUBLE_EQ(sent_ops[0].ctx.est_other_completion, 0.0);
+  respond(sent_ops[0]);
+  EXPECT_EQ(metrics.counts().completed, 1u);
+  EXPECT_TRUE(sent_progress.empty());
+}
+
+TEST_F(ClientFixture, ProgressToTheLastRemainingServerHasBoundZero) {
+  // Threshold 0: every response re-sends progress to each server still
+  // holding ops. While two or more servers remain, each update carries the
+  // others' full estimate (now + rtt + 12us on a cold view); once a single
+  // server remains, nothing else bounds its deferral.
+  Client::Params p;
+  p.progress_updates = true;
+  p.progress_threshold = 0.0;
+  build(8, p);
+  client->start(1500.0);
+  sim.run();
+  sim.run_until(1600.0);
+  const ServerId last = sent_ops.back().server;
+  std::vector<SentOp> others;
+  for (const SentOp& op : sent_ops) {
+    if (op.server != last) others.push_back(op);
+  }
+  ASSERT_FALSE(others.empty());
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    sent_progress.clear();
+    respond(others[i]);
+    std::map<ServerId, int> updates;
+    for (const SentProgress& prog : sent_progress) ++updates[prog.server];
+    for (const SentProgress& prog : sent_progress) {
+      const double expected = updates.size() == 1 ? 0.0 : 1600.0 + 10.0 + 12.0;
+      EXPECT_DOUBLE_EQ(prog.update.est_other_completion, expected);
+    }
+    if (i + 1 == others.size()) {
+      ASSERT_EQ(updates.size(), 1u);
+      EXPECT_EQ(updates.begin()->first, last);
+    }
+  }
+}
+
 TEST_F(ClientFixture, RequestCompletesWhenAllOpsRespond) {
   metrics.set_window(0, kTimeInfinity);
   build(4);

@@ -4,10 +4,28 @@
 // schedule/cancel churn.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/invariant.hpp"
 #include "sim/simulator.hpp"
 
 namespace das::sim {
+
+/// Breaks the delivery lane's invariants on purpose (friend of Simulator).
+struct TestCorruptor {
+  static Simulator::QueueEntry& lane_entry(Simulator& sim, std::size_t i) {
+    return sim.lane_[(sim.lane_head_ + i) & (sim.lane_.size() - 1)];
+  }
+  static void swap_lane_entries(Simulator& sim) {
+    std::swap(lane_entry(sim, 0), lane_entry(sim, 1));
+  }
+  static void kill_lane_front(Simulator& sim) { ++lane_entry(sim, 0).seq; }
+  static void backdate_lane_back(Simulator& sim, SimTime t) {
+    lane_entry(sim, sim.lane_size_ - 1).t = t;
+  }
+  static void drop_live_count(Simulator& sim) { --sim.live_; }
+};
+
 namespace {
 
 class CountingAuditable final : public Auditable {
@@ -91,6 +109,46 @@ TEST(SimulatorAudit, CadenceAppliesToRunUntil) {
   sim.run_until(3.5);  // dispatches events at t = 0, 1, 2, 3
   EXPECT_EQ(sim.audits_run(), 2u);
   EXPECT_EQ(counting.calls, 2);
+}
+
+/// Two deliveries in the lane and one timer in the heap, with the clock
+/// moved to 1 so an entry can be backdated into the past.
+void fill_lane(Simulator& sim) {
+  sim.schedule_at(1.0, [] {});
+  sim.step();
+  sim.schedule_delivery(2.0, [] {});
+  sim.schedule_delivery(3.0, [] {});
+  sim.schedule_at(2.5, [] {});
+  ASSERT_NO_THROW(sim.check_invariants());
+}
+
+TEST(SimulatorAudit, LaneOutOfOrderIsCaught) {
+  Simulator sim;
+  fill_lane(sim);
+  TestCorruptor::swap_lane_entries(sim);
+  EXPECT_THROW(sim.check_invariants(), AuditError);
+}
+
+TEST(SimulatorAudit, DeadLaneEntryIsCaught) {
+  Simulator sim;
+  fill_lane(sim);
+  TestCorruptor::kill_lane_front(sim);
+  EXPECT_THROW(sim.check_invariants(), AuditError);
+}
+
+TEST(SimulatorAudit, LaneEntryInThePastIsCaught) {
+  Simulator sim;
+  fill_lane(sim);
+  TestCorruptor::backdate_lane_back(sim, 0.5);
+  EXPECT_THROW(sim.check_invariants(), AuditError);
+}
+
+TEST(SimulatorAudit, LiveCountCoversHeapAndLane) {
+  Simulator sim;
+  fill_lane(sim);
+  EXPECT_EQ(sim.pending(), 3u);
+  TestCorruptor::drop_live_count(sim);
+  EXPECT_THROW(sim.check_invariants(), AuditError);
 }
 
 }  // namespace

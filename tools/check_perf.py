@@ -5,9 +5,11 @@ Usage:
     tools/check_perf.py MEASURED.json bench/perf_baseline.json
 
 Two checks per point:
-  1. Determinism: the dispatched-event count must equal the baseline count
-     bit-for-bit (event counts are deterministic for a fixed --scale, so any
-     drift means the engine's behaviour changed, not just its speed).
+  1. Determinism: the dispatched-event count and the delivery-lane event
+     count must each equal the baseline count bit-for-bit (both are
+     deterministic for a fixed --scale, so any drift means the engine's
+     behaviour changed, not just its speed; a change that routes network
+     deliveries back through the event heap moves `lane_events`).
   2. Throughput: events/sec must stay >= baseline * (1 - tolerance).  The
      baseline values are deliberately conservative (see the comment field in
      bench/perf_baseline.json) so shared CI runners pass with headroom while
@@ -23,6 +25,7 @@ import sys
 REQUIRED_POINT_KEYS = {
     "point": str,
     "events": int,
+    "lane_events": int,
     "wall_seconds": float,
     "events_per_sec": float,
     "sim_time_us": float,
@@ -43,8 +46,8 @@ def load_json(path):
 
 
 def validate_measured_schema(doc, path):
-    if doc.get("schema_version") != 2:
-        fail_usage(f"{path}: schema_version must be 2, got {doc.get('schema_version')!r}")
+    if doc.get("schema_version") != 3:
+        fail_usage(f"{path}: schema_version must be 3, got {doc.get('schema_version')!r}")
     if doc.get("experiment") != "perf_throughput":
         fail_usage(f"{path}: experiment must be 'perf_throughput', got {doc.get('experiment')!r}")
     points = doc.get("points")
@@ -63,6 +66,8 @@ def validate_measured_schema(doc, path):
                 fail_usage(f"{path}: points[{i}].{key} has type {type(value).__name__}, want {ty.__name__}")
         if p["events"] <= 0 or p["wall_seconds"] <= 0 or p["events_per_sec"] <= 0:
             fail_usage(f"{path}: points[{i}] ({p['point']}) has a non-positive measurement")
+        if not 0 <= p["lane_events"] <= p["events"]:
+            fail_usage(f"{path}: points[{i}] ({p['point']}) has lane_events outside [0, events]")
 
 
 def main(argv):
@@ -76,22 +81,25 @@ def main(argv):
     measured = {p["point"]: p for p in measured_doc["points"]}
     failures = []
 
-    print(f"{'point':>18}  {'events':>9}  {'meas eps':>12}  {'floor eps':>12}  verdict")
+    print(f"{'point':>18}  {'events':>9}  {'lane':>9}  {'meas eps':>12}  {'floor eps':>12}  verdict")
     for base in baseline_doc["points"]:
         name = base["point"]
         if name not in measured:
             failures.append(f"{name}: missing from measured output")
-            print(f"{name:>18}  {'-':>9}  {'-':>12}  {'-':>12}  MISSING")
+            print(f"{name:>18}  {'-':>9}  {'-':>9}  {'-':>12}  {'-':>12}  MISSING")
             continue
         p = measured[name]
         floor = base["events_per_sec"] * (1.0 - tolerance)
         verdicts = []
         if p["events"] != base["events"]:
             verdicts.append(f"events {p['events']} != baseline {base['events']} (determinism drift)")
+        if p["lane_events"] != base["lane_events"]:
+            verdicts.append(f"lane_events {p['lane_events']} != baseline {base['lane_events']} "
+                            "(deliveries moved between the delivery lane and the event heap)")
         if p["events_per_sec"] < floor:
             verdicts.append(f"events/sec {p['events_per_sec']:.0f} below floor {floor:.0f}")
         status = "OK" if not verdicts else "FAIL"
-        print(f"{name:>18}  {p['events']:>9}  {p['events_per_sec']:>12.0f}  {floor:>12.0f}  {status}")
+        print(f"{name:>18}  {p['events']:>9}  {p['lane_events']:>9}  {p['events_per_sec']:>12.0f}  {floor:>12.0f}  {status}")
         for v in verdicts:
             failures.append(f"{name}: {v}")
 
