@@ -4,8 +4,8 @@
 //   ./build/bench/bench_throughput --json=BENCH_PERF.json
 //   ./build/bench/bench_throughput --scale=0.2          # CI smoke size
 //
-// Unlike the bench_e* binaries (which measure the SIMULATED system via
-// google-benchmark), this measures the SIMULATOR itself: how many events per
+// Unlike the experiment grids (`dassim --experiment`, which measure the
+// SIMULATED system), this measures the SIMULATOR itself: how many events per
 // wall-clock second the engine dispatches under four fixed workloads (timer
 // ring, cancel-heavy, network streaming, full cluster). CI's perf-smoke job
 // runs it at a reduced scale, validates the JSON against the schema and
@@ -14,7 +14,7 @@
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
-#include "core/perf.hpp"
+#include "perf.hpp"
 
 int main(int argc, char** argv) {
   using namespace das;

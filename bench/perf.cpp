@@ -1,4 +1,4 @@
-#include "core/perf.hpp"
+#include "perf.hpp"
 
 #include <algorithm>
 #include <array>

@@ -50,6 +50,6 @@ int main() {
   std::cout << "Feed-page completion time during the evening peak\n\n";
   table.print(std::cout);
   std::cout << "\nDAS keeps light pages fast without starving heavy ones\n"
-               "(aging bounds the worst case; see bench_e11_ablation).\n";
+               "(aging bounds the worst case; see dassim --experiment=E11_ablation).\n";
   return 0;
 }

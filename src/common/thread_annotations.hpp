@@ -1,8 +1,8 @@
 // Clang Thread Safety Analysis annotations.
 //
 // The simulator proper is single-threaded by design, but real threads exist
-// at the edges — the SweepRunner pool, the bench Collector's memo cache —
-// and ROADMAP item 1 (parallel DES) will multiply them. These macros wire
+// at one edge — the SweepRunner pool, whose first-error channel is the
+// annotated state — and a parallel DES would multiply them. These macros wire
 // shared state to the mutex that guards it so `-Wthread-safety` turns lock
 // discipline into a compile-time property: an unguarded access to a
 // DAS_GUARDED_BY member, or a call to a DAS_REQUIRES function without the

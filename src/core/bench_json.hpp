@@ -1,8 +1,8 @@
 // Structured JSON results emitter.
 //
-// Every bench (and dassim --sweep) can persist its sweep as
-// BENCH_<experiment>.json so the perf trajectory is machine-readable instead
-// of living only in printed tables. Schema (schema_version 6):
+// Every grid dassim runs (--experiment=<name> or --sweep) can persist its
+// rows as BENCH_<experiment>.json so the perf trajectory is machine-readable
+// instead of living only in printed tables. Schema (schema_version 6):
 //
 //   {
 //     "schema_version": 6,

@@ -44,8 +44,8 @@ struct GoldenRow {
   double p99_us;
 };
 
-// The five headline policies of the paper's figures (bench_common's
-// headline_policies()), at a moderate and a high load.
+// The five headline policies of the paper's figures (headline_policies()
+// in tools/experiments.cpp), at a moderate and a high load.
 constexpr GoldenCase kGrid[] = {
     {sched::Policy::kFcfs, 0.5},    {sched::Policy::kFcfs, 0.8},
     {sched::Policy::kSjf, 0.5},     {sched::Policy::kSjf, 0.8},

@@ -1,0 +1,133 @@
+// The experiment registry behind `dassim --experiment`: every registered
+// grid is well formed (unique name that labels its rows, non-empty, valid
+// configurations, no duplicate rows, an FCFS baseline for the gain columns)
+// and reproducible run to run.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/bench_json.hpp"
+#include "core/sweep.hpp"
+#include "experiments.hpp"
+
+namespace das::experiments {
+namespace {
+
+std::vector<Experiment> all_experiments() {
+  std::vector<Experiment> out;
+  for (const std::string& name : experiment_names())
+    out.push_back(build_experiment(name));
+  return out;
+}
+
+bool runs(const Experiment& e, sched::Policy policy) {
+  return std::find(e.policies.begin(), e.policies.end(), policy) !=
+         e.policies.end();
+}
+
+TEST(ExperimentRegistry, NamesAreUniqueAndLabelEveryRow) {
+  const std::vector<std::string> names = experiment_names();
+  EXPECT_EQ(names.size(), 21u);  // E1–E11 and E13–E22; E12 is a microbench
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+  for (const std::string& name : names) {
+    const Experiment e = build_experiment(name);
+    EXPECT_EQ(e.name, name);
+    for (const core::SweepPoint& p : sweep_points(e))
+      EXPECT_EQ(p.experiment, name) << p.point;
+  }
+}
+
+TEST(ExperimentRegistry, UnknownNameNamesTheFlagAndListsTheGrids) {
+  try {
+    build_experiment("E99_nope");
+    FAIL() << "an unknown name must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--experiment"), std::string::npos) << what;
+    for (const std::string& name : experiment_names())
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+  }
+}
+
+TEST(ExperimentRegistry, EveryGridIsNonEmpty) {
+  for (const Experiment& e : all_experiments()) {
+    EXPECT_FALSE(e.points.empty()) << e.name;
+    EXPECT_FALSE(e.policies.empty()) << e.name;
+    EXPECT_FALSE(e.tables.empty()) << e.name;
+    EXPECT_EQ(sweep_points(e).size(), e.points.size() * e.policies.size())
+        << e.name;
+  }
+}
+
+TEST(ExperimentRegistry, EveryPointValidates) {
+  for (const Experiment& e : all_experiments()) {
+    for (core::SweepPoint& p : sweep_points(e)) {
+      p.config.policy = p.policy;
+      EXPECT_NO_THROW(p.config.validate())
+          << e.name << " " << p.point << " " << sched::to_string(p.policy);
+    }
+  }
+}
+
+TEST(ExperimentRegistry, NoPointPolicyPairRepeats) {
+  for (const Experiment& e : all_experiments()) {
+    std::set<std::pair<std::string, sched::Policy>> seen;
+    for (const core::SweepPoint& p : sweep_points(e)) {
+      EXPECT_TRUE(seen.emplace(p.point, p.policy).second)
+          << e.name << " repeats " << p.point << " / "
+          << sched::to_string(p.policy);
+    }
+  }
+}
+
+TEST(ExperimentRegistry, TablesPrintKnownMetricsAgainstAnFcfsBaseline) {
+  const core::ExperimentResult empty;
+  for (const Experiment& e : all_experiments()) {
+    for (const TableSpec& table : e.tables) {
+      if (table.metric.empty()) {
+        // One row per policy: only meaningful for a single-point grid.
+        EXPECT_EQ(e.points.size(), 1u) << e.name;
+      } else {
+        EXPECT_NO_THROW(metric_value(empty, table.metric))
+            << e.name << " " << table.metric;
+      }
+    }
+    // The "das vs fcfs" columns, the per-policy "vs fcfs" column and the
+    // JSON gain_vs_fcfs_pct all need the FCFS row; it runs first.
+    if (runs(e, sched::Policy::kDas)) {
+      EXPECT_TRUE(runs(e, sched::Policy::kFcfs)) << e.name;
+      EXPECT_EQ(e.policies.front(), sched::Policy::kFcfs) << e.name;
+    }
+  }
+}
+
+// The JSON rendering of a run with the one non-deterministic field dropped.
+std::string deterministic_json(const Experiment& e,
+                               const std::vector<core::SweepOutcome>& rows) {
+  std::istringstream is{core::bench_json_string(e.name, rows)};
+  std::string out;
+  for (std::string line; std::getline(is, line);)
+    if (line.find("\"wall_seconds\"") == std::string::npos) out += line + '\n';
+  return out;
+}
+
+TEST(ExperimentRegistry, HedgingGridReproducesRunToRun) {
+  const Experiment e = build_experiment("E16_hedging");
+  core::SweepRunner runner;
+  for (core::SweepPoint& p : sweep_points(e)) runner.add(std::move(p));
+  const std::vector<core::SweepOutcome> serial = runner.run(1);
+  const std::vector<core::SweepOutcome> parallel = runner.run(2);
+  ASSERT_EQ(serial.size(), e.points.size() * e.policies.size());
+  EXPECT_GT(serial.front().result.requests_measured, 0u);
+  EXPECT_EQ(deterministic_json(e, serial), deterministic_json(e, parallel));
+}
+
+}  // namespace
+}  // namespace das::experiments

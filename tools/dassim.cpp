@@ -4,16 +4,19 @@
 //   ./build/tools/dassim --policy=all --fanout=bimodal:2:32:0.2 --format=csv
 //   ./build/tools/dassim --policy=das,fcfs --stragglers=0.25 --straggler-speed=0.5
 //   ./build/tools/dassim --sweep --jobs=4 --json=BENCH_sweep.json
+//   ./build/tools/dassim --experiment=E5_skew --jobs=4 --json=BENCH_E5_skew.json
 //   ./build/tools/dassim --policy=das --trace=trace.json --breakdown
 //   ./build/tools/dassim --policy=das --load=1.2 --queue-cap=64 --deadline-ms=20
 //   ./build/tools/dassim --policy=das --load=1.2 --admission
 //
 // Prints one row per policy; --format=csv emits machine-readable output for
-// plotting scripts. --sweep runs a (load grid x policy) sweep across a
-// thread pool (--jobs) with bit-identical-to-serial results and can persist
-// them as BENCH_<experiment>.json (--json). --trace records the full op
-// lifecycle of a single-policy run as Chrome trace-event JSON (open in
-// Perfetto); --breakdown prints the exact per-component RCT attribution.
+// plotting scripts. --sweep runs a (load grid x policy) sweep and
+// --experiment one of the registered paper grids (tools/experiments.hpp),
+// both across a thread pool (--jobs) with bit-identical-to-serial results;
+// --json persists them in the BENCH_<experiment>.json schema. --trace
+// records the full op lifecycle of a single-policy run as Chrome trace-event
+// JSON (open in Perfetto); --breakdown prints the exact per-component RCT
+// attribution.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -27,6 +30,7 @@
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "experiments.hpp"
 #include "fault/fault_plan.hpp"
 #include "overload/overload.hpp"
 #include "select/selector.hpp"
@@ -50,56 +54,78 @@ std::vector<sched::Policy> parse_policies(const std::string& spec) {
   return out;
 }
 
-/// --sweep: the (load x policy) grid, fanned out over a thread pool. All
-/// stdout output is deterministic (bit-identical across --jobs values); the
-/// wall-clock line goes to stderr.
-int run_sweep(const core::ClusterConfig& base, const core::RunWindow& window,
-              const std::vector<sched::Policy>& policies, const Flags& flags) {
-  const std::string experiment = flags.get_string("experiment");
-  const auto loads = core::parse_load_list(flags.get_string("sweep-loads"));
-  const auto jobs_flag = flags.get_int("jobs");
-  const std::size_t jobs = jobs_flag <= 0 ? core::SweepRunner::default_jobs()
-                                          : static_cast<std::size_t>(jobs_flag);
-
+/// --sweep: the ad-hoc (load [x selection] x policy) grid from the cluster
+/// flags, labelled "sweep" in tables and JSON.
+experiments::Experiment sweep_grid(const core::ClusterConfig& base,
+                                   const core::RunWindow& window,
+                                   const std::vector<sched::Policy>& policies,
+                                   const Flags& flags) {
+  experiments::Experiment grid{"sweep", {}, policies, {{"Mean RCT", "mean"}}};
   // Optional third grid dimension: replica-selection modes. Empty keeps the
-  // single mode of --selection and the historical "load=X" point labels.
+  // single mode of --selection and the plain "load=X" point labels.
   std::vector<core::ReplicaSelection> selections;
-  const std::string selections_spec = flags.get_string("sweep-selections");
-  {
-    std::istringstream is{selections_spec};
-    std::string token;
-    while (std::getline(is, token, ',')) {
-      core::ReplicaSelection mode = core::ReplicaSelection::kPrimary;
-      if (!select::mode_from_string(token, mode)) {
-        std::cerr << "unknown --sweep-selections mode: " << token << "\n";
-        return 2;
-      }
-      selections.push_back(mode);
-    }
+  std::istringstream is{flags.get_string("sweep-selections")};
+  for (std::string token; std::getline(is, token, ',');) {
+    core::ReplicaSelection mode = core::ReplicaSelection::kPrimary;
+    if (!select::mode_from_string(token, mode))
+      throw std::invalid_argument("unknown --sweep-selections mode: " + token);
+    selections.push_back(mode);
   }
-  const auto point_label = [&](double load,
-                               core::ReplicaSelection sel) -> std::string {
-    std::string point = "load=" + Table::fmt(load, 2);
-    if (!selections.empty())
-      point += std::string(" sel=") + select::to_string(sel);
-    return point;
-  };
-  const std::vector<core::ReplicaSelection> grid_selections =
-      selections.empty()
-          ? std::vector<core::ReplicaSelection>{base.replica_selection}
-          : selections;
-
-  core::SweepRunner runner;
-  for (const double load : loads) {
-    for (const core::ReplicaSelection sel : grid_selections) {
+  for (const double load : core::parse_load_list(flags.get_string("sweep-loads"))) {
+    for (const core::ReplicaSelection sel :
+         selections.empty() ? std::vector{base.replica_selection} : selections) {
       core::ClusterConfig cfg = base;
       cfg.target_load = load;
       cfg.replica_selection = sel;
-      const std::string point = point_label(load, sel);
-      for (const sched::Policy policy : policies)
-        runner.add(experiment, point, policy, cfg, window);
+      std::string label = "load=" + Table::fmt(load, 2);
+      if (!selections.empty()) label += std::string(" sel=") + select::to_string(sel);
+      grid.points.push_back({std::move(label), cfg, window});
     }
   }
+  return grid;
+}
+
+/// The result columns of every --format=csv row, after its coordinates.
+constexpr const char* kCsvColumns =
+    "requests,mean_rct_us,p50_us,p95_us,p99_us,p999_us,mean_util,max_util,"
+    "net_msgs,progress_msgs\n";
+
+void print_csv_cells(const core::ExperimentResult& r) {
+  std::cout << r.requests_measured << ',' << r.rct.mean << ',' << r.rct.p50 << ','
+            << r.rct.p95 << ',' << r.rct.p99 << ',' << r.rct.p999 << ','
+            << r.mean_server_utilization << ',' << r.max_server_utilization << ','
+            << r.net_messages << ',' << r.progress_messages << '\n';
+}
+
+/// The per-policy table of one point: percentiles, gain over FCFS (when
+/// FCFS runs first) and server utilisation.
+void print_policy_table(const std::vector<core::PolicyRun>& runs) {
+  const double fcfs_mean =
+      runs.front().policy == sched::Policy::kFcfs ? runs.front().result.rct.mean : 0;
+  Table table{{"policy", "mean RCT", "p50", "p95", "p99", "p999", "vs fcfs",
+               "util", "max util"}};
+  for (const auto& [policy, r] : runs) {
+    table.add_row(
+        {sched::to_string(policy), Table::fmt(r.rct.mean, 1),
+         Table::fmt(r.rct.p50, 1), Table::fmt(r.rct.p95, 1),
+         Table::fmt(r.rct.p99, 1), Table::fmt(r.rct.p999, 1),
+         fcfs_mean > 0 ? Table::fmt_percent(1.0 - r.rct.mean / fcfs_mean) : "-",
+         Table::fmt(r.mean_server_utilization, 3),
+         Table::fmt(r.max_server_utilization, 3)});
+  }
+  table.print(std::cout);
+}
+
+/// --sweep and --experiment: every (point, policy) of the grid, fanned out
+/// over a thread pool. All stdout output is deterministic (bit-identical
+/// across --jobs values); the wall-clock line goes to stderr.
+int run_grid(const experiments::Experiment& grid, const Flags& flags) {
+  const auto jobs_flag = flags.get_int("jobs");
+  const std::size_t jobs = jobs_flag <= 0 ? core::SweepRunner::default_jobs()
+                                          : static_cast<std::size_t>(jobs_flag);
+  core::SweepRunner runner;
+  for (core::SweepPoint& point : experiments::sweep_points(grid))
+    runner.add(std::move(point));
 
   // Wall-clock sweep timing for the operator's progress line only.
   const auto wall_start = std::chrono::steady_clock::now();  // NOLINT(das-no-wallclock)
@@ -108,52 +134,28 @@ int run_sweep(const core::ClusterConfig& base, const core::RunWindow& window,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -  // NOLINT(das-no-wallclock)
                                     wall_start)
           .count();
-  std::cerr << "sweep: " << outcomes.size() << " points, jobs=" << jobs << ", "
-            << wall_seconds << " s\n";
-
-  const auto find_mean = [&](const std::string& point,
-                             sched::Policy policy) -> double {
-    for (const auto& o : outcomes)
-      if (o.point == point && o.policy == policy) return o.result.rct.mean;
-    return 0.0;
-  };
+  std::cerr << grid.name << ": " << outcomes.size() << " points, jobs=" << jobs
+            << ", " << wall_seconds << " s\n";
 
   const std::string format = flags.get_string("format");
   if (format == "csv") {
-    std::cout << "experiment,point,policy,requests,mean_rct_us,p50_us,p95_us,"
-                 "p99_us,p999_us,mean_util,max_util,net_msgs,progress_msgs\n";
+    std::cout << "experiment,point,policy," << kCsvColumns;
     for (const auto& o : outcomes) {
-      const auto& r = o.result;
       std::cout << o.experiment << ',' << o.point << ','
-                << sched::to_string(o.policy) << ',' << r.requests_measured
-                << ',' << r.rct.mean << ',' << r.rct.p50 << ',' << r.rct.p95
-                << ',' << r.rct.p99 << ',' << r.rct.p999 << ','
-                << r.mean_server_utilization << ',' << r.max_server_utilization
-                << ',' << r.net_messages << ',' << r.progress_messages << '\n';
+                << sched::to_string(o.policy) << ',';
+      print_csv_cells(o.result);
     }
   } else if (format == "table") {
-    std::vector<std::string> headers{"point"};
-    for (const sched::Policy p : policies) headers.push_back(sched::to_string(p));
-    const bool gains = policies.size() > 1 &&
-                       policies.front() == sched::Policy::kFcfs;
-    if (gains) headers.push_back("last vs fcfs");
-    Table table{headers};
-    for (const double load : loads) {
-      for (const core::ReplicaSelection sel : grid_selections) {
-        const std::string point = point_label(load, sel);
-        std::vector<std::string> cells{point};
-        for (const sched::Policy p : policies)
-          cells.push_back(Table::fmt(find_mean(point, p), 1));
-        if (gains) {
-          const double fcfs = find_mean(point, sched::Policy::kFcfs);
-          const double last = find_mean(point, policies.back());
-          cells.push_back(fcfs > 0 ? Table::fmt_percent(1.0 - last / fcfs) : "-");
-        }
-        table.add_row(std::move(cells));
+    for (const experiments::TableSpec& table : grid.tables) {
+      std::cout << "\n### " << table.heading << "\n\n";
+      if (!table.metric.empty()) {
+        experiments::print_table(std::cout, grid, outcomes, table.metric);
+        continue;
       }
+      std::vector<core::PolicyRun> runs;
+      for (const auto& o : outcomes) runs.push_back({o.policy, o.result});
+      print_policy_table(runs);
     }
-    std::cout << "== " << experiment << " — mean RCT (us) ==\n";
-    table.print(std::cout);
   } else {
     std::cerr << "unknown --format: " << format << "\n";
     return 2;
@@ -161,7 +163,7 @@ int run_sweep(const core::ClusterConfig& base, const core::RunWindow& window,
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
-    core::write_bench_json(json_path, experiment, outcomes);
+    core::write_bench_json(json_path, grid.name, outcomes);
     std::cerr << "wrote " << json_path << "\n";
   }
   return 0;
@@ -277,7 +279,7 @@ int run(int argc, char** argv) {
   flags.define("sweep", "false",
                "run a (load grid x policy) sweep instead of a single point");
   flags.define("jobs", "1",
-               "sweep worker threads (0 = hardware concurrency); results are "
+               "grid worker threads (0 = hardware concurrency); results are "
                "bit-identical to --jobs=1");
   flags.define("sweep-loads", "0.3,0.5,0.6,0.7,0.8,0.9",
                "comma-separated target loads of the sweep grid (the E1 grid)");
@@ -285,9 +287,12 @@ int run(int argc, char** argv) {
                "comma-separated replica-selection modes added as a third "
                "sweep dimension (empty = just --selection); needs "
                "--replication >= 2");
-  flags.define("experiment", "e1_load_mean", "sweep experiment label");
+  flags.define("experiment", "",
+               "run a registered experiment grid by name (E1_load_mean ... "
+               "E22_overload, see EXPERIMENTS.md) instead of a single point");
   flags.define("json", "",
-               "write sweep results as BENCH-schema JSON to this path");
+               "write --sweep / --experiment results as BENCH-schema JSON to "
+               "this path");
   flags.define("trace", "",
                "write a Chrome trace-event JSON (Perfetto-loadable) of the "
                "run to this path; requires exactly one --policy, no --sweep");
@@ -455,17 +460,29 @@ int run(int argc, char** argv) {
   const std::string trace_path = flags.get_string("trace");
   const std::string record_path = flags.get_string("record");
 
-  if (flags.get_bool("sweep")) {
-    if (!trace_path.empty()) {
-      std::cerr << "--trace is incompatible with --sweep\n";
+  // A grid: the ad-hoc --sweep over the cluster flags, or a registered
+  // experiment whose builder sets every knob itself.
+  const std::string experiment = flags.get_string("experiment");
+  if (flags.get_bool("sweep") || !experiment.empty()) {
+    if (!trace_path.empty() || !record_path.empty()) {
+      std::cerr << (trace_path.empty() ? "--record" : "--trace")
+                << " is incompatible with "
+                << (experiment.empty() ? "--sweep" : "--experiment") << "\n";
       return 2;
     }
-    if (!record_path.empty()) {
-      std::cerr << "--record is incompatible with --sweep\n";
+    if (flags.get_bool("sweep") && !experiment.empty()) {
+      std::cerr << "--experiment names a registered grid and cannot be "
+                   "combined with --sweep (registered:";
+      for (const std::string& name : experiments::experiment_names())
+        std::cerr << ' ' << name;
+      std::cerr << ")\n";
       return 2;
     }
     try {
-      return run_sweep(cfg, window, policies, flags);
+      return run_grid(experiment.empty()
+                          ? sweep_grid(cfg, window, policies, flags)
+                          : experiments::build_experiment(experiment),
+                      flags);
     } catch (const std::invalid_argument& e) {
       std::cerr << e.what() << "\n";  // malformed grid spec = usage error
       return 2;
@@ -507,8 +524,6 @@ int run(int argc, char** argv) {
     runs = core::compare_policies(cfg, policies, window);
   }
   const std::string format = flags.get_string("format");
-  const double fcfs_mean =
-      runs.front().policy == sched::Policy::kFcfs ? runs.front().result.rct.mean : 0;
 
   // Exact RCT attribution: component means over the measurement window plus
   // the mechanism-activation counters (what the scheduler actually did).
@@ -595,14 +610,10 @@ int run(int argc, char** argv) {
   };
 
   if (format == "csv") {
-    std::cout << "policy,requests,mean_rct_us,p50_us,p95_us,p99_us,p999_us,"
-                 "mean_util,max_util,net_msgs,progress_msgs\n";
+    std::cout << "policy," << kCsvColumns;
     for (const auto& [policy, r] : runs) {
-      std::cout << sched::to_string(policy) << ',' << r.requests_measured << ','
-                << r.rct.mean << ',' << r.rct.p50 << ',' << r.rct.p95 << ','
-                << r.rct.p99 << ',' << r.rct.p999 << ','
-                << r.mean_server_utilization << ',' << r.max_server_utilization
-                << ',' << r.net_messages << ',' << r.progress_messages << '\n';
+      std::cout << sched::to_string(policy) << ',';
+      print_csv_cells(r);
     }
     if (flags.get_bool("breakdown")) print_breakdown();
     if (have_tenants) print_tenants();
@@ -615,18 +626,7 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  Table table{{"policy", "mean RCT", "p50", "p95", "p99", "p999", "vs fcfs",
-               "util", "max util"}};
-  for (const auto& [policy, r] : runs) {
-    table.add_row(
-        {sched::to_string(policy), Table::fmt(r.rct.mean, 1),
-         Table::fmt(r.rct.p50, 1), Table::fmt(r.rct.p95, 1),
-         Table::fmt(r.rct.p99, 1), Table::fmt(r.rct.p999, 1),
-         fcfs_mean > 0 ? Table::fmt_percent(1.0 - r.rct.mean / fcfs_mean) : "-",
-         Table::fmt(r.mean_server_utilization, 3),
-         Table::fmt(r.max_server_utilization, 3)});
-  }
-  table.print(std::cout);
+  print_policy_table(runs);
   if (flags.get_bool("breakdown")) print_breakdown();
   if (have_tenants) print_tenants();
   if (!cfg.fault_plan.empty()) print_degradation();

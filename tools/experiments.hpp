@@ -1,0 +1,69 @@
+// Named experiment grids: the paper's evaluation (E1–E11) and its
+// extensions (E13–E22), one builder per experiment in a by-name registry.
+//
+// Each builder returns its grid — the points (a label, the cluster
+// configuration and the run window), the policies run at every point and
+// the paper-style tables to print from the results. `dassim
+// --experiment=E5_skew --jobs=4 --json=BENCH_E5_skew.json` runs one on
+// core::SweepRunner; the ad-hoc `dassim --sweep` grid goes through the same
+// runner and the same table printer under the name "sweep".
+//
+// The catalogue lives beside dassim, not in the simulator library: nothing
+// under src/ depends on which grids exist.
+#pragma once
+
+#include <iosfwd>
+#include <string>
+#include <vector>
+
+#include "core/config.hpp"
+#include "core/experiment.hpp"
+#include "core/sweep.hpp"
+
+namespace das::experiments {
+
+/// One coordinate of a grid; every policy of the experiment runs on it.
+struct GridPoint {
+  std::string label;  // e.g. "load=0.7"
+  core::ClusterConfig config;
+  core::RunWindow window;
+};
+
+/// One printed table: a "### heading" line and a point × policy grid of
+/// `metric` (a metric_value key). An empty metric prints one row per policy
+/// instead (percentiles, gain and utilisation of a single-point grid).
+struct TableSpec {
+  std::string heading;
+  std::string metric;
+};
+
+struct Experiment {
+  std::string name;  // the --experiment name and the JSON "experiment" label
+  std::vector<GridPoint> points;
+  std::vector<sched::Policy> policies;
+  std::vector<TableSpec> tables;
+};
+
+/// Registered names, in experiment order (E1_load_mean … E22_overload).
+std::vector<std::string> experiment_names();
+
+/// Builds the named grid. Throws std::invalid_argument naming --experiment
+/// and listing the registered names when `name` is unknown.
+Experiment build_experiment(const std::string& name);
+
+/// The grid as sweep points: point-major, policies in list order — the row
+/// order of the tables and of the JSON.
+std::vector<core::SweepPoint> sweep_points(const Experiment& experiment);
+
+/// The cell value of `metric` ("mean", "p99", "util", "jain", …) in a
+/// result; DAS_CHECK on an unknown key.
+double metric_value(const core::ExperimentResult& r, const std::string& metric);
+
+/// Prints one point × policy table of `metric` over `outcomes`, which are in
+/// sweep_points order. Adds a "das vs fcfs" gain column when both policies
+/// are in the grid.
+void print_table(std::ostream& os, const Experiment& experiment,
+                 const std::vector<core::SweepOutcome>& outcomes,
+                 const std::string& metric);
+
+}  // namespace das::experiments
