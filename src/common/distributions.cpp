@@ -321,6 +321,11 @@ ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(thet
   DAS_CHECK(theta >= 0);
   DAS_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
                 "Zipf universe beyond 32-bit ranks");
+  if (uniform()) {
+    // The cumulative sum of n ones, exact: the CDF is closed-form.
+    norm_ = static_cast<double>(n);
+    return;
+  }
   cdf_.resize(n);
   double acc = 0;
   for (std::uint64_t r = 0; r < n; ++r) {
@@ -347,6 +352,15 @@ std::uint64_t ZipfGenerator::sample(Rng& rng) const {
 
 std::uint64_t ZipfGenerator::rank_for(double u) const {
   DAS_DCHECK(u >= 0 && u <= 1);
+  if (uniform()) {
+    // (r + 1) / n >= u first holds near r = u * n - 1; rounding in u * n and
+    // in the quotients moves the answer by a step or two at most. The
+    // forward scan stops at the last entry (exactly 1) at the latest.
+    std::uint64_t r = std::min(static_cast<std::uint64_t>(u * norm_), n_ - 1);
+    while (r > 0 && cdf_at(r - 1) >= u) --r;
+    while (cdf_at(r) < u) ++r;
+    return r;
+  }
   // Every entry counted by guide_ lies in an earlier bucket than u, hence
   // below u; the scan stops at the last entry (1.0) at the latest.
   std::size_t r = guide_[bucket_of(u)];

@@ -77,15 +77,21 @@ IntDistPtr make_bimodal(std::uint32_t small, std::uint32_t large, double p_large
 IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> weights);
 
 /// Zipf sampler over ranks {0..n-1}: rank 0 is the most popular. Exact
-/// inverse-CDF sampling over a precomputed table; O(n) setup, O(1) expected
-/// draw. theta = 0 degenerates to uniform.
+/// inverse-CDF sampling: a draw u maps to the first rank whose CDF is >= u.
+/// O(1) expected draw; theta = 0 degenerates to uniform.
 ///
-/// The draw uses a guide table (Chen & Asau's indexed search): [0, 1) is cut
-/// into one equal-width bucket per four ranks, and each bucket remembers how
-/// many CDF entries fall in the buckets before it. No draw in bucket j can
-/// map to a rank below that count, so a forward scan from it finds the exact
-/// answer — the first rank whose CDF is >= u, as a binary search would —
-/// after about n / (2 * buckets) = 2 steps on average, whatever theta is.
+/// theta = 0 keeps no table. Every term of the cumulative sum is exactly 1,
+/// so the sum is exact below 2^53, the normaliser is n and the CDF entries
+/// are exactly fl((r + 1) / n). rank_for() starts from floor(u * n) and
+/// corrects by a step or two, comparing against those same quotients.
+///
+/// theta > 0 precomputes the CDF (O(n) setup) and a guide table (Chen &
+/// Asau's indexed search): [0, 1) is cut into one equal-width bucket per
+/// four ranks, and each bucket remembers how many CDF entries fall in the
+/// buckets before it. No draw in bucket j can map to a rank below that
+/// count, so a forward scan from it finds the exact answer — the first rank
+/// whose CDF is >= u, as a binary search would — after about
+/// n / (2 * buckets) = 2 steps on average, whatever theta is.
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint64_t n, double theta);
@@ -93,11 +99,13 @@ class ZipfGenerator {
   /// One next_double() draw mapped through rank_for.
   std::uint64_t sample(Rng& rng) const;
   /// The rank a uniform draw u in [0, 1] maps to: the first r with
-  /// cdf()[r] >= u, i.e. exactly std::lower_bound over cdf().
+  /// cdf_at(r) >= u, i.e. exactly std::lower_bound over the CDF.
   std::uint64_t rank_for(double u) const;
-  /// Cumulative probabilities by rank; the last entry is exactly 1.
-  const std::vector<double>& cdf() const { return cdf_; }
-  /// Guide-table size: ceil(n / 4) buckets.
+  /// Cumulative probability of ranks 0..r; cdf_at(n - 1) is exactly 1.
+  double cdf_at(std::uint64_t rank) const {
+    return uniform() ? static_cast<double>(rank + 1) / norm_ : cdf_[rank];
+  }
+  /// Guide-table size: ceil(n / 4) buckets, or 0 for theta = 0 (no table).
   std::size_t guide_buckets() const { return guide_.size(); }
   std::uint64_t universe() const { return n_; }
   double theta() const { return theta_; }
@@ -105,12 +113,14 @@ class ZipfGenerator {
   double pmf(std::uint64_t rank) const;
 
  private:
+  bool uniform() const { return theta_ == 0; }
+
   std::uint64_t n_;
   double theta_;
-  double norm_;                 // generalized harmonic H_{n,theta}
-  std::vector<double> cdf_;     // cumulative probabilities, size n
+  double norm_;                 // generalized harmonic H_{n,theta}; n at theta 0
+  std::vector<double> cdf_;     // cumulative probabilities, size n; empty at theta 0
   /// guide_[j]: how many CDF entries lie in buckets before j, so the first
-  /// rank any draw in bucket j can map to.
+  /// rank any draw in bucket j can map to. Empty at theta 0.
   std::vector<std::uint32_t> guide_;
 
   /// The guide bucket of a probability in [0, 1]. Monotone in p, which is

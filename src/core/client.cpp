@@ -53,14 +53,16 @@ class TopTwo {
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
                std::vector<TenantStream> tenants,
                const store::Partitioner& partitioner,
-               std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
+               const std::vector<Bytes>& catalogue,
+               FlatMap<KeyId, Bytes>& issued, Metrics& metrics, SendOp send_op,
                SendProgress send_progress)
     : sim_(sim),
       params_(params),
       rng_(rng),
       tenants_(std::move(tenants)),
       partitioner_(partitioner),
-      key_sizes_(key_sizes),
+      catalogue_(catalogue),
+      issued_(issued),
       metrics_(metrics),
       send_op_(std::move(send_op)),
       send_progress_(std::move(send_progress)),
@@ -142,10 +144,15 @@ void Client::schedule_replay(std::size_t tenant, std::size_t index,
   });
 }
 
+Bytes Client::size_of(KeyId key) const {
+  DAS_CHECK(key < catalogue_.size());
+  const auto it = issued_.find(key);
+  return it != issued_.end() ? it->second : catalogue_[key];
+}
+
 double Client::op_demand_us(KeyId key) const {
-  DAS_CHECK(key < key_sizes_.size());
   return params_.per_op_overhead_us +
-         static_cast<double>(key_sizes_[key]) / params_.service_bytes_per_us;
+         static_cast<double>(size_of(key)) / params_.service_bytes_per_us;
 }
 
 double Client::service_estimate_us(ServerId server, double demand) const {
@@ -194,7 +201,7 @@ void Client::generate_request(std::size_t tenant) {
   const bool is_rmw = kind == workload::OpKind::kRmw;
   if (is_write) {
     const KeyId key = stream.generator->sample_key(rng, now);
-    const Bytes old_size = key_sizes_[key];
+    const Bytes old_size = size_of(key);
     const RealDistPtr& write_dist =
         stream.write_size_bytes ? stream.write_size_bytes : params_.write_size_bytes;
     const Bytes new_size =
@@ -202,8 +209,8 @@ void Client::generate_request(std::size_t tenant) {
                          std::max(1.0, std::round(write_dist->sample(rng))))
                    : old_size;
     // The writer knows the size it is writing; publish it to the shared
-    // catalogue so demand estimates track the store's contents.
-    key_sizes_[key] = new_size;
+    // overlay so demand estimates track the store's contents.
+    issued_[key] = new_size;
     const double demand =
         is_rmw ? 2.0 * params_.per_op_overhead_us +
                      static_cast<double>(old_size + new_size) /
@@ -226,7 +233,7 @@ void Client::generate_request(std::size_t tenant) {
       const double demand = op_demand_us(key);
       if (recorder_ != nullptr) {
         recorder_->records.push_back(
-            {now, workload::ReplayOp::kRead, key, key_sizes_[key]});
+            {now, workload::ReplayOp::kRead, key, size_of(key)});
       }
       plan.emplace_back(key, pick_server(key, demand), demand, false, 0);
     }
@@ -237,12 +244,12 @@ void Client::generate_request(std::size_t tenant) {
 void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
   const SimTime now = sim_.now();
   const workload::ReplayRecord& rec = tenants_[tenant].replay->records[index];
-  DAS_CHECK_MSG(rec.key < key_sizes_.size(),
+  DAS_CHECK_MSG(rec.key < catalogue_.size(),
                 "replay record references a key outside the keyspace");
   std::vector<PlannedOp> plan;
   if (rec.op == workload::ReplayOp::kWrite) {
-    const Bytes new_size = rec.size_bytes > 0 ? rec.size_bytes : key_sizes_[rec.key];
-    key_sizes_[rec.key] = new_size;
+    const Bytes new_size = rec.size_bytes > 0 ? rec.size_bytes : size_of(rec.key);
+    issued_[rec.key] = new_size;
     const double demand =
         params_.per_op_overhead_us +
         static_cast<double>(new_size) / params_.service_bytes_per_us;
@@ -255,13 +262,14 @@ void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
       plan.emplace_back(rec.key, server, demand, true, new_size);
     }
   } else {
-    // The trace's size is authoritative for the key's catalogued size: the
-    // replayed store serves what the traced store served.
-    if (rec.size_bytes > 0) key_sizes_[rec.key] = rec.size_bytes;
+    // The trace's size is authoritative for the client's demand estimate:
+    // the replayed store served that size when the trace was taken. Servers
+    // keep serving their own catalogue and completed writes.
+    if (rec.size_bytes > 0) issued_[rec.key] = rec.size_bytes;
     const double demand = op_demand_us(rec.key);
     if (recorder_ != nullptr) {
       recorder_->records.push_back(
-          {now, workload::ReplayOp::kRead, rec.key, key_sizes_[rec.key]});
+          {now, workload::ReplayOp::kRead, rec.key, size_of(rec.key)});
     }
     plan.emplace_back(rec.key, pick_server(rec.key, demand), demand, false, 0);
   }

@@ -108,13 +108,14 @@ class Client {
       std::function<void(ServerId, RequestId, const sched::ProgressUpdate&)>;
 
   /// One TenantStream per tenant (a legacy run is one synthetic tenant).
-  /// `key_sizes` is the shared size catalogue; writes update it in place (the
-  /// writer knows the size it wrote; other clients' estimates converge on
-  /// their next access).
+  /// `catalogue` is the size drawn for every key, frozen at construction.
+  /// `issued` is the overlay all clients share: a writer publishes the size
+  /// it issued there (the writer knows it; other clients' estimates converge
+  /// on their next access). Both must outlive the client.
   Client(sim::Simulator& sim, Params params, Rng rng,
          std::vector<TenantStream> tenants, const store::Partitioner& partitioner,
-         std::vector<Bytes>& key_sizes, Metrics& metrics, SendOp send_op,
-         SendProgress send_progress);
+         const std::vector<Bytes>& catalogue, FlatMap<KeyId, Bytes>& issued,
+         Metrics& metrics, SendOp send_op, SendProgress send_progress);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -152,6 +153,9 @@ class Client {
   /// Current learned view (tests).
   double delay_estimate(ServerId s) const { return d_est_[s]; }
   double speed_estimate(ServerId s) const { return mu_est_[s]; }
+  /// Size of `key` as clients see it: the last issued write in the shared
+  /// overlay, else the catalogue's draw.
+  Bytes size_of(KeyId key) const;
 
   /// Attaches a lifecycle tracer (nullptr detaches). Purely observational.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
@@ -248,7 +252,8 @@ class Client {
   Rng rng_;
   std::vector<TenantStream> tenants_;
   const store::Partitioner& partitioner_;
-  std::vector<Bytes>& key_sizes_;
+  const std::vector<Bytes>& catalogue_;
+  FlatMap<KeyId, Bytes>& issued_;
   Metrics& metrics_;
   SendOp send_op_;
   SendProgress send_progress_;

@@ -61,9 +61,6 @@ bool policy_uses_progress(sched::Policy policy) {
 
 Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     : config_(std::move(config)), window_(window), tracer_(tracer) {
-  DAS_CHECK(config_.num_servers >= 1);
-  DAS_CHECK(config_.num_clients >= 1);
-  DAS_CHECK(config_.keys_per_server >= 1);
   DAS_CHECK(window_.measure_us > 0);
   config_.validate();
 
@@ -99,10 +96,9 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
 
   // Key catalogue: sizes drawn once, each key from its owning tenant's
   // value-size distribution (the cluster's when the tenant sets none), in key
-  // order from one sequential stream. Clients share key_sizes_ for demand
-  // estimation and publish written sizes into it when they issue a PUT;
-  // servers serve the frozen copy catalogue_ under their own overlay of
-  // completed writes.
+  // order from one sequential stream, and never mutated. Servers serve it
+  // under their own overlay of completed writes; clients estimate demand
+  // from it under the shared overlay of issued writes.
   const std::uint64_t universe =
       config_.num_servers * config_.keys_per_server;
   tenant_value_dists_.resize(tenant_count);
@@ -120,7 +116,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
           static_cast<Bytes>(std::max(1.0, std::round(dist.sample(size_rng))));
     }
   }
-  catalogue_ = key_sizes_;
 
   // Servers.
   metrics_.set_window(window_.warmup_us, window_.horizon());
@@ -138,7 +133,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                  : config_.speed_profiles[s];
     }
     params.preemptive = config_.preemptive_service;
-    params.catalogue = catalogue_;
+    params.catalogue = key_sizes_;
     params.overload = config_.overload;
     if (config_.store_model == StoreModel::kLsm) {
       store::LsmOptions lsm_opt = config_.lsm;
@@ -284,7 +279,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     }
     clients_.push_back(std::make_unique<Client>(
         sim_, params, master.fork(0xC11E47 + c), std::move(streams),
-        *partitioner_, key_sizes_, metrics_, std::move(send_op),
+        *partitioner_, key_sizes_, issued_sizes_, metrics_, std::move(send_op),
         std::move(send_progress)));
     if (tracer_ != nullptr) clients_.back()->set_tracer(tracer_);
     clients_.back()->set_breakdown_collector(&breakdown_);

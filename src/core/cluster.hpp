@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "common/types.hpp"
 #include "core/client.hpp"
@@ -53,7 +54,12 @@ class Cluster : public Auditable {
   std::size_t server_count() const { return servers_.size(); }
   std::size_t client_count() const { return clients_.size(); }
   const store::Partitioner& partitioner() const { return *partitioner_; }
+  /// Value size of every key as drawn at construction; never mutated.
   const std::vector<Bytes>& key_sizes() const { return key_sizes_; }
+  /// Size of `key` as clients see it: the last write any client issued (or
+  /// a replayed read's recorded size), else the construction-time draw.
+  /// Every client reads the same catalogue and overlay.
+  Bytes client_size(KeyId key) const { return clients_.front()->size_of(key); }
   /// Request arrival rate (requests/µs, all clients) that the load
   /// calibration derived from target_load; 0 when every tenant replays.
   double request_rate() const { return request_rate_; }
@@ -90,11 +96,13 @@ class Cluster : public Auditable {
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
   store::PartitionerPtr partitioner_;
-  /// Client-side sizes: drawn at construction, updated as PUTs are issued.
+  /// The size catalogue: drawn at construction, read-only after. Servers
+  /// and clients read through it. Declared before servers_ and clients_ so
+  /// it outlives them.
   std::vector<Bytes> key_sizes_;
-  /// The drawn sizes, read-only after construction; every server reads
-  /// through it. Declared before servers_ so it outlives them.
-  std::vector<Bytes> catalogue_;
+  /// Sizes clients have issued writes with, shared by every client. The
+  /// client-side mirror of each server's overlay of completed writes.
+  FlatMap<KeyId, Bytes> issued_sizes_;
   /// The tenants the workload runs: config_.tenants, or the one `legacy`
   /// tenant when the config declares none; every tenant's mix is
   /// resolved (a tenant without `mix:` runs the cluster write_fraction).

@@ -1,6 +1,9 @@
 #include "core/config.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -33,6 +36,25 @@ void ClusterConfig::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("ClusterConfig: " + what);
   };
+  if (num_servers == 0) reject("num_servers must be >= 1");
+  if (num_clients == 0) reject("num_clients must be >= 1");
+  if (keys_per_server == 0) reject("keys_per_server must be >= 1");
+  // Popularity ranks and the rank -> key table are 32-bit.
+  if (keys_per_server > std::numeric_limits<std::uint32_t>::max() / num_servers) {
+    reject("num_servers * keys_per_server must fit 32-bit ranks (< 2^32)");
+  }
+  if (!(std::isfinite(zipf_theta) && zipf_theta >= 0)) {
+    reject("zipf_theta must be finite and >= 0");
+  }
+  if (!(std::isfinite(net_latency_us) && net_latency_us >= 0)) {
+    reject("net_latency_us must be finite and >= 0");
+  }
+  if (!(std::isfinite(per_op_overhead_us) && per_op_overhead_us >= 0)) {
+    reject("per_op_overhead_us must be finite and >= 0");
+  }
+  if (!(std::isfinite(service_bytes_per_us) && service_bytes_per_us > 0)) {
+    reject("service_bytes_per_us must be finite and > 0");
+  }
   // Loads >= 1 are deliberately representable (E22 drives the cluster past
   // saturation); the upper bound only catches unit mistakes.
   if (!(target_load > 0 && target_load < 10)) {

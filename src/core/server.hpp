@@ -79,8 +79,9 @@ class Server : public Auditable {
     /// stores (and the paper) serve operations to completion.
     bool preemptive = false;
     /// Value size of every key, indexed by key, as drawn at cluster
-    /// construction. Shared read-only by all servers; the owner must
-    /// outlive the server. Keys past its end are misses until written.
+    /// construction. The cluster's one catalogue, shared read-only by all
+    /// servers and clients; the owner must outlive the server. Keys past
+    /// its end are misses until written.
     std::span<const Bytes> catalogue;
     /// Storage-aware service-time model. nullptr = synthetic mode: every op
     /// costs its client-tagged demand and storage never dents capacity.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -19,7 +20,7 @@ MultigetGenerator::MultigetGenerator(Config config)
                   "drift rotate_stride must be >= 1");
   }
   rank_to_key_.resize(config_.key_universe);
-  for (std::uint64_t k = 0; k < config_.key_universe; ++k) rank_to_key_[k] = k;
+  std::iota(rank_to_key_.begin(), rank_to_key_.end(), std::uint32_t{0});
   Rng perm_rng{config_.rank_permutation_seed};
   for (std::uint64_t i = config_.key_universe; i > 1; --i) {
     const std::uint64_t j = perm_rng.next_below(i);

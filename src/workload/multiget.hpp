@@ -118,7 +118,8 @@ class MultigetGenerator {
   ZipfGenerator zipf_;
   /// rank -> key permutation (Fisher-Yates from rank_permutation_seed), so
   /// hot keys scatter uniformly over the keyspace and hence over servers.
-  std::vector<KeyId> rank_to_key_;
+  /// Holds offsets from key_base; the Zipf universe bound keeps them 32-bit.
+  std::vector<std::uint32_t> rank_to_key_;
   /// Per-storm pre-sampled hot sets (final key ids).
   std::vector<std::vector<KeyId>> storm_sets_;
 };

@@ -10,7 +10,7 @@
 //                   "size_bytes": 512}
 //
 // `op` is `read` or `write`; `size_bytes` is the value size (used as the
-// write payload for writes and to seed the key's catalogued size for reads).
+// write payload for writes and as the clients' size estimate for reads).
 // Timestamps must be non-negative and non-decreasing. Loading is strict:
 // any malformed line throws std::logic_error naming the line number —
 // a corrupt trace must never silently run a different experiment.

@@ -216,50 +216,81 @@ TEST(ZipfGenerator, SingletonUniverse) {
   EXPECT_DOUBLE_EQ(gen.pmf(0), 1.0);
 }
 
-// The guide table must return exactly the rank a binary search over the CDF
-// returns, for every draw: random ones, and those on bucket and CDF
-// boundaries where the rounding in the bucket index could bite.
+// The CDF as a table: the cumulative sum of 1 / (r + 1)^theta, normalised,
+// with the last entry pinned to 1. The generator must reproduce it exactly,
+// whether it keeps a table (theta > 0) or computes entries (theta = 0).
+std::vector<double> reference_cdf(std::uint64_t n, double theta) {
+  std::vector<double> cdf(n);
+  double acc = 0;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    acc += 1.0 / std::pow(static_cast<double>(r + 1), theta);
+    cdf[r] = acc;
+  }
+  for (std::uint64_t r = 0; r < n; ++r) cdf[r] = r + 1 < n ? cdf[r] / acc : 1.0;
+  return cdf;
+}
+
+// rank_for must return exactly the rank a binary search over the reference
+// table returns, for every draw: random ones, and those on CDF (and, with a
+// guide table, bucket) boundaries where rounding could bite.
 TEST(ZipfGenerator, GuideTableMatchesBinarySearchExactly) {
+  struct Case {
+    double theta;
+    std::uint64_t n;
+  };
+  std::vector<Case> cases;
   for (const double theta : {0.0, 0.5, 0.9, 0.99, 1.2}) {
     for (const std::uint64_t n : {1u, 2u, 3u, 7u, 1000u, 128000u}) {
-      SCOPED_TRACE(::testing::Message() << "theta " << theta << " n " << n);
-      const ZipfGenerator gen{n, theta};
-      const std::vector<double>& cdf = gen.cdf();
-      ASSERT_EQ(cdf.size(), n);
-      ASSERT_EQ(gen.guide_buckets(), (n + 3) / 4);
-      std::uint64_t checked = 0, mismatches = 0;
-      const auto check = [&](double u) {
-        if (!(u >= 0.0 && u <= 1.0)) return;
-        ++checked;
-        const auto want = static_cast<std::uint64_t>(
-            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
-        const std::uint64_t got = gen.rank_for(u);
-        if (got != want && mismatches++ == 0) {
-          ADD_FAILURE() << "u " << u << ": guide gives " << got
-                        << ", binary search " << want;
-        }
-      };
-      const auto check_around = [&](double u) {
-        check(std::nextafter(u, 0.0));
-        check(u);
-        check(std::nextafter(u, 2.0));
-      };
-      check(0.0);
-      check(1.0 - std::ldexp(1.0, -53));  // the largest next_double()
-      const double m = static_cast<double>(gen.guide_buckets());
-      for (std::size_t j = 0; j <= gen.guide_buckets(); ++j) {
-        check_around(static_cast<double>(j) / m);
-      }
-      for (const double c : cdf) check_around(c);
-      Rng draws{n * 31 + 7}, replay{n * 31 + 7};
-      for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t sampled = gen.sample(draws);
-        const double u = replay.next_double();
-        check(u);
-        EXPECT_EQ(sampled, gen.rank_for(u));
-      }
-      EXPECT_EQ(mismatches, 0u) << "of " << checked << " draws";
+      cases.push_back({theta, n});
     }
+  }
+  cases.push_back({0.0, 2'560'000});
+  for (const auto& [theta, n] : cases) {
+    SCOPED_TRACE(::testing::Message() << "theta " << theta << " n " << n);
+    const ZipfGenerator gen{n, theta};
+    const std::vector<double> cdf = reference_cdf(n, theta);
+    // A uniform law needs no table at all.
+    ASSERT_EQ(gen.guide_buckets(), theta == 0 ? 0 : (n + 3) / 4);
+    std::uint64_t entry_mismatches = 0;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      if (gen.cdf_at(r) != cdf[r] && entry_mismatches++ == 0) {
+        ADD_FAILURE() << "cdf_at(" << r << ") = " << gen.cdf_at(r)
+                      << ", table " << cdf[r];
+      }
+    }
+    EXPECT_EQ(entry_mismatches, 0u);
+    std::uint64_t checked = 0, mismatches = 0;
+    const auto check = [&](double u) {
+      if (!(u >= 0.0 && u <= 1.0)) return;
+      ++checked;
+      const auto want = static_cast<std::uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      const std::uint64_t got = gen.rank_for(u);
+      if (got != want && mismatches++ == 0) {
+        ADD_FAILURE() << "u " << u << ": rank_for gives " << got
+                      << ", binary search " << want;
+      }
+    };
+    const auto check_around = [&](double u) {
+      check(std::nextafter(u, 0.0));
+      check(u);
+      check(std::nextafter(u, 2.0));
+    };
+    check(0.0);
+    check(1.0 - std::ldexp(1.0, -53));  // the largest next_double()
+    const double m = static_cast<double>(gen.guide_buckets());
+    for (std::size_t j = 0; j <= gen.guide_buckets(); ++j) {
+      check_around(static_cast<double>(j) / m);
+    }
+    for (const double c : cdf) check_around(c);
+    Rng draws{n * 31 + 7}, replay{n * 31 + 7};
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t sampled = gen.sample(draws);
+      const double u = replay.next_double();
+      check(u);
+      EXPECT_EQ(sampled, gen.rank_for(u));
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << checked << " draws";
   }
 }
 

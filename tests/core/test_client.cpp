@@ -35,6 +35,7 @@ struct ClientFixture : ::testing::Test {
   Metrics metrics;
   store::PartitionerPtr partitioner = store::make_modulo_partitioner(kServers);
   std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);  // demand 10+100/50=12us
+  FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<SentOp> sent_ops;
   std::vector<SentProgress> sent_progress;
   std::unique_ptr<workload::MultigetGenerator> generator;
@@ -59,7 +60,7 @@ struct ClientFixture : ::testing::Test {
         sim, params, Rng{42},
         one_stream(*generator,
                    workload::make_deterministic_arrivals(0.001)),  // every 1000us
-        *partitioner, key_sizes, metrics,
+        *partitioner, key_sizes, issued_sizes, metrics,
         [this](ServerId s, const sched::OpContext& ctx) {
           sent_ops.push_back(SentOp{s, ctx});
         },

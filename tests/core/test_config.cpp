@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -153,6 +155,80 @@ TEST(ConfigValidate, RejectionsNameTheOffendingField) {
   cfg.retry_max_attempts = 5;  // give-up bound without retransmission
   EXPECT_NE(validation_error(cfg).find("retry_max_attempts"),
             std::string::npos);
+}
+
+/// Whether validate() rejects `cfg` with a message naming `field`.
+bool rejects_naming(const ClusterConfig& cfg, const std::string& field) {
+  return validation_error(cfg).find(field) != std::string::npos;
+}
+
+TEST(ConfigValidate, ZipfThetaMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  for (const double theta : {-0.5, std::nan(""), HUGE_VAL}) {
+    cfg.zipf_theta = theta;
+    EXPECT_TRUE(rejects_naming(cfg, "zipf_theta")) << theta;
+  }
+  cfg.zipf_theta = 0.0;
+  EXPECT_EQ(validation_error(cfg), "");
+}
+
+TEST(ConfigValidate, NumServersMustBePositive) {
+  ClusterConfig cfg;
+  cfg.num_servers = 0;
+  EXPECT_TRUE(rejects_naming(cfg, "num_servers"));
+}
+
+TEST(ConfigValidate, NumClientsMustBePositive) {
+  ClusterConfig cfg;
+  cfg.num_clients = 0;
+  EXPECT_TRUE(rejects_naming(cfg, "num_clients"));
+}
+
+TEST(ConfigValidate, KeysPerServerMustBePositive) {
+  ClusterConfig cfg;
+  cfg.keys_per_server = 0;
+  EXPECT_TRUE(rejects_naming(cfg, "keys_per_server"));
+}
+
+TEST(ConfigValidate, UniverseMustFitThirtyTwoBitRanks) {
+  // validate() only checks the arithmetic; nothing is allocated.
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.keys_per_server = (std::uint64_t{1} << 30);  // exactly 2^32 keys
+  EXPECT_TRUE(rejects_naming(cfg, "keys_per_server"));
+  cfg.keys_per_server = (std::uint64_t{1} << 30) - 1;
+  EXPECT_EQ(validation_error(cfg), "");
+  // A product that would wrap 64 bits is rejected, not wrapped.
+  cfg.keys_per_server = std::uint64_t{1} << 63;
+  EXPECT_TRUE(rejects_naming(cfg, "keys_per_server"));
+}
+
+TEST(ConfigValidate, NetLatencyMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  for (const double latency : {-1.0, std::nan(""), HUGE_VAL}) {
+    cfg.net_latency_us = latency;
+    EXPECT_TRUE(rejects_naming(cfg, "net_latency_us")) << latency;
+  }
+  cfg.net_latency_us = 0.0;
+  EXPECT_EQ(validation_error(cfg), "");
+}
+
+TEST(ConfigValidate, PerOpOverheadMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  for (const double overhead : {-1.0, std::nan(""), HUGE_VAL}) {
+    cfg.per_op_overhead_us = overhead;
+    EXPECT_TRUE(rejects_naming(cfg, "per_op_overhead_us")) << overhead;
+  }
+  cfg.per_op_overhead_us = 0.0;
+  EXPECT_EQ(validation_error(cfg), "");
+}
+
+TEST(ConfigValidate, ServiceBytesPerUsMustBePositive) {
+  ClusterConfig cfg;
+  for (const double rate : {0.0, -50.0, std::nan(""), HUGE_VAL}) {
+    cfg.service_bytes_per_us = rate;
+    EXPECT_TRUE(rejects_naming(cfg, "service_bytes_per_us")) << rate;
+  }
 }
 
 TEST(ConfigValidate, FaultPlanSafetyCoupling) {

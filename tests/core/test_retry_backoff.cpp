@@ -35,6 +35,7 @@ struct RetryFixture : ::testing::Test {
   Metrics metrics;
   store::PartitionerPtr partitioner = store::make_modulo_partitioner(kServers);
   std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);
+  FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<TimedSend> sends;
   std::unique_ptr<workload::MultigetGenerator> generator;
   std::unique_ptr<Client> client;
@@ -59,7 +60,7 @@ struct RetryFixture : ::testing::Test {
         sim, params, Rng{42},
         // One arrival, at 1000us.
         one_stream(*generator, workload::make_deterministic_arrivals(0.001)),
-        *partitioner, key_sizes, metrics,
+        *partitioner, key_sizes, issued_sizes, metrics,
         [this](ServerId s, const sched::OpContext& ctx) {
           sends.push_back(TimedSend{sim.now(), s, ctx.op_id, ctx});
         },
@@ -140,7 +141,8 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
     Metrics metrics;
     metrics.enable_tenants(1);
     const store::PartitionerPtr partitioner = store::make_modulo_partitioner(4);
-    std::vector<Bytes> key_sizes(64, 100);
+    const std::vector<Bytes> key_sizes(64, 100);
+    FlatMap<KeyId, Bytes> issued_sizes;
     workload::MultigetGenerator::Config gen_cfg;
     gen_cfg.key_universe = key_sizes.size();
     gen_cfg.zipf_theta = 0.0;
@@ -160,6 +162,7 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
                              workload::make_deterministic_arrivals(0.001)),
                   *partitioner,
                   key_sizes,
+                  issued_sizes,
                   metrics,
                   [&](ServerId, const sched::OpContext& ctx) {
                     sends.emplace_back(sim.now(), ctx.op_id);

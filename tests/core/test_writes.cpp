@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "workload/registry.hpp"
+#include "workload/replay.hpp"
 
 namespace das::core {
 namespace {
@@ -54,7 +57,7 @@ TEST(Writes, WriteAllTouchesEveryReplica) {
   const auto& part = cluster.partitioner();
   std::size_t written = 0;
   for (KeyId key = 0; key < drawn.size(); ++key) {
-    if (cluster.key_sizes()[key] == drawn[key]) continue;
+    if (cluster.client_size(key) == drawn[key]) continue;
     ++written;
     const auto replicas = part.replicas_for(key, 3);
     for (std::size_t s = 0; s < cluster.server_count(); ++s) {
@@ -101,9 +104,76 @@ TEST(Writes, CatalogueTracksWrittenSizes) {
   std::size_t written = 0, scanned = 0;
   for (KeyId key = 0; key < cluster.key_sizes().size(); ++key) {
     ++scanned;
-    if (cluster.key_sizes()[key] == 4096) ++written;
+    if (cluster.client_size(key) == 4096) ++written;
   }
   EXPECT_GT(written, scanned / 20);  // plenty of keys rewritten
+}
+
+TEST(Writes, KeySizesStayTheConstructionTimeDraws) {
+  auto cfg = rw_config(1.0);
+  cfg.write_size_bytes = make_constant(4096.0);
+  Cluster cluster{cfg, window()};
+  const std::vector<Bytes> drawn = cluster.key_sizes();
+  cluster.run();
+  EXPECT_EQ(cluster.key_sizes(), drawn);
+}
+
+TEST(Writes, ClientSizeIsTheLastIssuedWrite) {
+  auto cfg = rw_config(0.5, 2);
+  cfg.write_size_bytes = make_uniform_real(100.0, 5000.0);
+  Cluster cluster{cfg, window()};
+  workload::ReplayTrace recorded;
+  cluster.set_workload_recorder(&recorded);
+  cluster.run();
+  // The recorder sees every client's writes in issue order.
+  std::vector<std::optional<Bytes>> last(cluster.key_sizes().size());
+  for (const workload::ReplayRecord& rec : recorded.records) {
+    if (rec.op == workload::ReplayOp::kWrite) last[rec.key] = rec.size_bytes;
+  }
+  std::size_t written = 0;
+  for (KeyId key = 0; key < last.size(); ++key) {
+    written += last[key].has_value() ? 1 : 0;
+    EXPECT_EQ(cluster.client_size(key), last[key].value_or(cluster.key_sizes()[key]))
+        << "key " << key;
+  }
+  EXPECT_GT(written, 100u);
+}
+
+// A replayed read's recorded size is what the traced store served, so it
+// sets the client's demand estimate; the servers keep serving their own
+// catalogue and completed writes.
+TEST(Writes, ReplayedReadSizeMovesClientDemandNotServers) {
+  constexpr KeyId kKey = 7;
+  constexpr Bytes kRecorded = 9999;
+  workload::ReplayTrace trace;
+  trace.records.push_back(
+      {10.0 * kMillisecond, workload::ReplayOp::kRead, kKey, kRecorded});
+  const std::string path = ::testing::TempDir() + "writes_replayed_read.csv";
+  trace.save(path);
+
+  auto cfg = rw_config(0.0);
+  cfg.tenants = workload::parse_tenants("replay:" + path);
+  Cluster cluster{cfg, window()};
+  ASSERT_NE(cluster.key_sizes()[kKey], kRecorded);
+  std::vector<std::optional<Bytes>> before;
+  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+    before.push_back(cluster.server(s).stored_size(kKey));
+  }
+  const ExperimentResult r = cluster.run();
+  ASSERT_EQ(r.ops_completed, 1u);
+  EXPECT_EQ(cluster.client_size(kKey), kRecorded);
+  // Synthetic service costs the client-tagged demand, so the one op's busy
+  // time is the demand the client derived from the recorded size.
+  double busy = 0;
+  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+    busy += cluster.server(s).busy_time_in_window();
+    EXPECT_EQ(cluster.server(s).stored_size(kKey), before[s]) << "server " << s;
+  }
+  // Busy time is a difference of simulated instants, so allow rounding.
+  EXPECT_NEAR(busy,
+              cfg.per_op_overhead_us +
+                  static_cast<double>(kRecorded) / cfg.service_bytes_per_us,
+              1e-9 * kMillisecond);
 }
 
 TEST(Writes, DasStillBeatsFcfsWithWrites) {

@@ -328,8 +328,16 @@ int run(int argc, char** argv) {
     return 2;
   }
   cfg.zipf_theta = flags.get_double("theta");
-  cfg.fanout = workload::parse_int_dist(flags.get_string("fanout"));
-  cfg.value_size_bytes = workload::parse_real_dist(flags.get_string("value-size"));
+  // A malformed distribution spec is a usage error naming its flag.
+  std::string dist_flag = "fanout";
+  try {
+    cfg.fanout = workload::parse_int_dist(flags.get_string(dist_flag));
+    dist_flag = "value-size";
+    cfg.value_size_bytes = workload::parse_real_dist(flags.get_string(dist_flag));
+  } catch (const std::logic_error& e) {
+    std::cerr << "flag --" << dist_flag << ": " << e.what() << "\n";
+    return 2;
+  }
   cfg.per_op_overhead_us = flags.get_double("op-overhead-us");
   cfg.service_bytes_per_us = flags.get_double("bytes-per-us");
   cfg.net_latency_us = flags.get_double("net-latency-us");
