@@ -150,11 +150,6 @@ Bytes Client::size_of(KeyId key) const {
   return it != issued_.end() ? it->second : catalogue_[key];
 }
 
-double Client::op_demand_us(KeyId key) const {
-  return params_.per_op_overhead_us +
-         static_cast<double>(size_of(key)) / params_.service_bytes_per_us;
-}
-
 double Client::service_estimate_us(ServerId server, double demand) const {
   const double mu = params_.adaptive ? mu_est_[server] : 1.0;
   return demand / mu;
@@ -195,11 +190,9 @@ void Client::generate_request(std::size_t tenant) {
   // key at its chosen replica), a single-key write-all PUT (one op per
   // replica), or a read-modify-write (write-all whose per-replica demand
   // covers reading the old value plus writing the new one).
-  std::vector<PlannedOp> plan;
+  std::vector<PendingOp> plan;
   const workload::OpKind kind = stream.mix.sample(rng);
-  const bool is_write = kind != workload::OpKind::kRead;
-  const bool is_rmw = kind == workload::OpKind::kRmw;
-  if (is_write) {
+  if (kind != workload::OpKind::kRead) {
     const KeyId key = stream.generator->sample_key(rng, now);
     const Bytes old_size = size_of(key);
     const RealDistPtr& write_dist =
@@ -208,75 +201,76 @@ void Client::generate_request(std::size_t tenant) {
         write_dist ? static_cast<Bytes>(
                          std::max(1.0, std::round(write_dist->sample(rng))))
                    : old_size;
-    // The writer knows the size it is writing; publish it to the shared
-    // overlay so demand estimates track the store's contents.
-    issued_[key] = new_size;
     const double demand =
-        is_rmw ? 2.0 * params_.per_op_overhead_us +
-                     static_cast<double>(old_size + new_size) /
-                         params_.service_bytes_per_us
-               : params_.per_op_overhead_us +
-                     static_cast<double>(new_size) / params_.service_bytes_per_us;
-    if (recorder_ != nullptr) {
-      recorder_->records.push_back(
-          {now, workload::ReplayOp::kWrite, key, new_size});
-    }
-    for (const ServerId server :
-         partitioner_.replicas_for(key, std::max<std::size_t>(params_.replication, 1))) {
-      plan.emplace_back(key, server, demand, true, new_size);
-    }
+        kind == workload::OpKind::kRmw
+            ? 2.0 * params_.per_op_overhead_us +
+                  static_cast<double>(old_size + new_size) /
+                      params_.service_bytes_per_us
+            : params_.per_op_overhead_us +
+                  static_cast<double>(new_size) / params_.service_bytes_per_us;
+    plan_write(plan, key, new_size, demand);
   } else {
     const workload::MultigetSpec spec = stream.generator->generate(rng, now);
     DAS_CHECK(!spec.keys.empty());
     plan.reserve(spec.keys.size());
-    for (const KeyId key : spec.keys) {
-      const double demand = op_demand_us(key);
-      if (recorder_ != nullptr) {
-        recorder_->records.push_back(
-            {now, workload::ReplayOp::kRead, key, size_of(key)});
-      }
-      plan.emplace_back(key, pick_server(key, demand), demand, false, 0);
-    }
+    for (const KeyId key : spec.keys) plan_read(plan, key);
   }
-  dispatch_plan(tenant, plan);
+  dispatch_plan(tenant, std::move(plan));
 }
 
 void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
-  const SimTime now = sim_.now();
   const workload::ReplayRecord& rec = tenants_[tenant].replay->records[index];
   DAS_CHECK_MSG(rec.key < catalogue_.size(),
                 "replay record references a key outside the keyspace");
-  std::vector<PlannedOp> plan;
+  std::vector<PendingOp> plan;
   if (rec.op == workload::ReplayOp::kWrite) {
     const Bytes new_size = rec.size_bytes > 0 ? rec.size_bytes : size_of(rec.key);
-    issued_[rec.key] = new_size;
-    const double demand =
-        params_.per_op_overhead_us +
-        static_cast<double>(new_size) / params_.service_bytes_per_us;
-    if (recorder_ != nullptr) {
-      recorder_->records.push_back(
-          {now, workload::ReplayOp::kWrite, rec.key, new_size});
-    }
-    for (const ServerId server : partitioner_.replicas_for(
-             rec.key, std::max<std::size_t>(params_.replication, 1))) {
-      plan.emplace_back(rec.key, server, demand, true, new_size);
-    }
+    plan_write(plan, rec.key, new_size,
+               params_.per_op_overhead_us +
+                   static_cast<double>(new_size) / params_.service_bytes_per_us);
   } else {
     // The trace's size is authoritative for the client's demand estimate:
     // the replayed store served that size when the trace was taken. Servers
     // keep serving their own catalogue and completed writes.
     if (rec.size_bytes > 0) issued_[rec.key] = rec.size_bytes;
-    const double demand = op_demand_us(rec.key);
-    if (recorder_ != nullptr) {
-      recorder_->records.push_back(
-          {now, workload::ReplayOp::kRead, rec.key, size_of(rec.key)});
-    }
-    plan.emplace_back(rec.key, pick_server(rec.key, demand), demand, false, 0);
+    plan_read(plan, rec.key);
   }
-  dispatch_plan(tenant, plan);
+  dispatch_plan(tenant, std::move(plan));
 }
 
-void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& plan) {
+void Client::plan_write(std::vector<PendingOp>& plan, KeyId key, Bytes size,
+                        double demand) {
+  // The writer knows the size it is writing; publish it to the shared
+  // overlay so demand estimates track the store's contents.
+  issued_[key] = size;
+  if (recorder_ != nullptr) {
+    recorder_->records.push_back({sim_.now(), workload::ReplayOp::kWrite, key, size});
+  }
+  for (const ServerId server :
+       partitioner_.replicas_for(key, std::max<std::size_t>(params_.replication, 1))) {
+    PendingOp& op = plan.emplace_back();
+    op.server = server;
+    op.ctx.key = key;
+    op.ctx.demand_us = demand;
+    op.ctx.is_write = true;
+    op.ctx.write_size = size;
+  }
+}
+
+void Client::plan_read(std::vector<PendingOp>& plan, KeyId key) {
+  const Bytes size = size_of(key);
+  const double demand = params_.per_op_overhead_us +
+                        static_cast<double>(size) / params_.service_bytes_per_us;
+  if (recorder_ != nullptr) {
+    recorder_->records.push_back({sim_.now(), workload::ReplayOp::kRead, key, size});
+  }
+  PendingOp& op = plan.emplace_back();
+  op.server = pick_server(key, demand);
+  op.ctx.key = key;
+  op.ctx.demand_us = demand;
+}
+
+void Client::dispatch_plan(std::size_t tenant, std::vector<PendingOp> plan) {
   const SimTime now = sim_.now();
   const RequestId rid =
       (static_cast<RequestId>(params_.id) << 48) | next_request_seq_++;
@@ -303,7 +297,7 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     pending.expiry = now + params_.overload.deadline_budget_us;
   }
   const SimTime expiry = pending.expiry;
-  pending.ops.reserve(plan.size());
+  pending.ops = std::move(plan);
 
   // Per-server aggregates: (op count, demand sum) for the Rein bottleneck
   // tags, plus the per-server max full-completion estimate for the DAS
@@ -319,24 +313,16 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   FlatMap<ServerId, ServerAgg> per_server;
   double total_demand = 0;
   double critical_us = 0;
-  for (const PlannedOp& planned : plan) {
-    auto& agg = per_server[planned.server];
+  for (PendingOp& op : pending.ops) {
+    const double demand = op.ctx.demand_us;
+    auto& agg = per_server[op.server];
     ++agg.ops;
-    agg.demand += planned.demand;
-    agg.max_full_estimate = std::max(
-        agg.max_full_estimate, full_estimate(now, planned.server, planned.demand));
-    total_demand += planned.demand;
-    critical_us =
-        std::max(critical_us, service_estimate_us(planned.server, planned.demand));
-
-    PendingOp op;
-    op.op_id = (static_cast<OperationId>(params_.id) << 48) | next_op_seq_++;
-    op.server = planned.server;
-    op.key = planned.key;
-    op.demand_us = planned.demand;
-    op.sent_ctx.is_write = planned.is_write;
-    op.sent_ctx.write_size = planned.write_size;
-    pending.ops.push_back(op);
+    agg.demand += demand;
+    agg.max_full_estimate =
+        std::max(agg.max_full_estimate, full_estimate(now, op.server, demand));
+    total_demand += demand;
+    critical_us = std::max(critical_us, service_estimate_us(op.server, demand));
+    op.ctx.op_id = (static_cast<OperationId>(params_.id) << 48) | next_op_seq_++;
   }
   std::uint32_t bottleneck_ops = 0;
   double bottleneck_demand = 0;
@@ -356,12 +342,9 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
   }
 
   for (PendingOp& op : pending.ops) {
-    sched::OpContext ctx;
-    ctx.op_id = op.op_id;
+    sched::OpContext& ctx = op.ctx;
     ctx.request_id = rid;
     ctx.client = params_.id;
-    ctx.key = op.key;
-    ctx.demand_us = op.demand_us;
     ctx.request_arrival = now;
     ctx.remaining_critical_us = critical_us;
     // Deferral bound: the latest completion estimate among siblings on
@@ -372,24 +355,15 @@ void Client::dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& pla
     ctx.total_demand_us = total_demand;
     ctx.deadline = now + params_.edf_slo_us;
     ctx.expiry = expiry;
-    ctx.is_write = op.sent_ctx.is_write;
-    ctx.write_size = op.sent_ctx.write_size;
-    op_to_request_.emplace(op.op_id, rid);
-    op.sent_ctx = ctx;
-    send_op_(op.server, ctx);
+    send(op, op.server, /*resend=*/false);
     ++ops_generated_;
-    if (tracer_ != nullptr) {
-      tracer_->op_send(now, op.op_id, rid, params_.id, op.server, op.demand_us,
-                       /*resend=*/false);
-    }
   }
   auto [it, inserted] = pending_.emplace(rid, std::move(pending));
   DAS_CHECK(inserted);
   for (PendingOp& op : it->second.ops) {
     if (params_.retry_timeout_us > 0) arm_retry(rid, op);
     // Writes already fan out to every replica; hedging applies to reads.
-    if (params_.hedge_delay_us > 0 && params_.replication >= 2 &&
-        !op.sent_ctx.is_write) {
+    if (params_.hedge_delay_us > 0 && params_.replication >= 2 && !op.ctx.is_write) {
       arm_hedge(rid, op);
     }
   }
@@ -411,13 +385,12 @@ void Client::expire_request(RequestId rid) {
   const SimTime now = sim_.now();
   // Tear down every op still in flight. A response (including a server-side
   // kExpired shed, which by time ordering always arrives after this timer)
-  // lands in the unknown-op path and discards as a duplicate.
+  // finds no pending request and discards as a duplicate.
   for (PendingOp& op : req.ops) {
     if (op.done) continue;
     op.done = true;
     sim_.cancel(op.retry_timer);
     sim_.cancel(op.hedge_timer);
-    op_to_request_.erase(op.op_id);
   }
   if (admission_ != nullptr) admission_->on_overload(req.tenant);
   metrics_.record_unserved(Settled::kExpired, req.arrival, now, req.tenant);
@@ -427,32 +400,40 @@ void Client::expire_request(RequestId rid) {
   pending_.erase(req_it);
 }
 
+Client::PendingOp& Client::find_op(PendingRequest& req, OperationId op_id) {
+  const auto it = std::ranges::find(
+      req.ops, op_id, [](const PendingOp& op) { return op.ctx.op_id; });
+  DAS_CHECK_MSG(it != req.ops.end(), "op id outside its pending request");
+  return *it;
+}
+
+void Client::send(const PendingOp& op, ServerId server, bool resend) {
+  send_op_(server, op.ctx);
+  if (tracer_ != nullptr) {
+    tracer_->op_send(sim_.now(), op.ctx.op_id, op.ctx.request_id, params_.id,
+                     server, op.ctx.demand_us, resend);
+  }
+}
+
 void Client::arm_hedge(RequestId rid, PendingOp& op) {
-  const OperationId op_id = op.op_id;
+  const OperationId op_id = op.ctx.op_id;
   op.hedge_timer = sim_.schedule_after(params_.hedge_delay_us, [this, rid, op_id] {
     const auto req_it = pending_.find(rid);
     if (req_it == pending_.end()) return;
-    auto& ops = req_it->second.ops;
-    const auto it = std::find_if(ops.begin(), ops.end(), [&](const PendingOp& o) {
-      return o.op_id == op_id;
-    });
-    if (it == ops.end() || it->done || it->hedged) return;
+    PendingOp& pop = find_op(req_it->second, op_id);
+    if (pop.done || pop.hedged) return;
     // Pick the best OTHER replica under the current learned view. Hedging to
     // a suspected replica only doubles the load on a host that is not
     // answering, so pick_alternate skips suspects.
-    const auto replicas = partitioner_.replicas_for(it->key, params_.replication);
+    const auto replicas = partitioner_.replicas_for(pop.ctx.key, params_.replication);
     const ServerId alternate = selector_->pick_alternate(
-        replicas, learned_view(), {it->demand_us, it->key, sim_.now()},
-        it->server);
+        replicas, learned_view(), {pop.ctx.demand_us, pop.ctx.key, sim_.now()},
+        pop.server);
     if (alternate == kInvalidServer) return;  // no distinct live replica
     checked_pick(replicas, alternate);
-    it->hedged = true;
+    pop.hedged = true;
     ++ops_hedged_;
-    send_op_(alternate, it->sent_ctx);
-    if (tracer_ != nullptr) {
-      tracer_->op_send(sim_.now(), op_id, rid, params_.id, alternate,
-                       it->demand_us, /*resend=*/true);
-    }
+    send(pop, alternate, /*resend=*/true);
   });
 }
 
@@ -467,32 +448,28 @@ void Client::arm_retry(RequestId rid, PendingOp& op) {
     timeout = std::min(timeout, params_.retry_backoff_max_us);
   }
   timeout *= retry_rng_.uniform(0.8, 1.2);
-  const OperationId op_id = op.op_id;
+  const OperationId op_id = op.ctx.op_id;
   op.retry_timer = sim_.schedule_after(timeout, [this, rid, op_id] {
     const auto req_it = pending_.find(rid);
     if (req_it == pending_.end()) return;
-    auto& ops = req_it->second.ops;
-    const auto it = std::find_if(ops.begin(), ops.end(), [&](const PendingOp& o) {
-      return o.op_id == op_id;
-    });
-    if (it == ops.end() || it->done) return;
+    PendingRequest& req = req_it->second;
+    PendingOp& pop = find_op(req, op_id);
+    if (pop.done) return;
     // Failure detection: one more consecutive unanswered timeout against
     // this server.
-    note_rto(it->server);
-    if (params_.retry_max_attempts > 0 &&
-        it->attempts >= params_.retry_max_attempts) {
-      abandon_op(rid, *it);
+    note_rto(pop.server);
+    if (params_.retry_max_attempts > 0 && pop.attempts >= params_.retry_max_attempts) {
+      // The retry budget is spent. If the server's last word on this op was
+      // BUSY, the exhaustion is the overload layer's doing: shed, not failed.
+      ++ops_abandoned_;
+      give_up_op(rid, req, pop, pop.busy_rejected);
       return;
     }
-    ++it->attempts;
+    ++pop.attempts;
     ++ops_retransmitted_;
-    maybe_fail_over(req_it->second, *it);
-    send_op_(it->server, it->sent_ctx);
-    if (tracer_ != nullptr) {
-      tracer_->op_send(sim_.now(), op_id, rid, params_.id, it->server,
-                       it->demand_us, /*resend=*/true);
-    }
-    arm_retry(rid, *it);
+    maybe_fail_over(req, pop);
+    send(pop, pop.server, /*resend=*/true);
+    arm_retry(rid, pop);
   });
 }
 
@@ -509,59 +486,34 @@ void Client::note_rto(ServerId server) {
 void Client::maybe_fail_over(PendingRequest& req, PendingOp& op) {
   // Writes are fanned out to every replica already — a write retry must keep
   // hammering its own replica. Reads can move.
-  if (params_.replication < 2 || op.sent_ctx.is_write) return;
+  if (params_.replication < 2 || op.ctx.is_write) return;
   if (suspected_[op.server] == 0) return;
-  const auto replicas = partitioner_.replicas_for(op.key, params_.replication);
+  const auto replicas = partitioner_.replicas_for(op.ctx.key, params_.replication);
   const ServerId best = selector_->pick_alternate(
-      replicas, learned_view(), {op.demand_us, op.key, sim_.now()}, op.server);
+      replicas, learned_view(), {op.ctx.demand_us, op.ctx.key, sim_.now()},
+      op.server);
   if (best == kInvalidServer) return;  // every replica suspected: keep trying
   op.server = checked_pick(replicas, best);
   ++ops_failed_over_;
   req.failed_over = true;
 }
 
-void Client::abandon_op(RequestId rid, PendingOp& op) {
-  // The retry budget is spent: declare the op failed so the request leaves
-  // the books as FAILED rather than hanging in flight forever. A straggler
-  // response arriving later is discarded as a duplicate. If the server's
-  // last word on this op was BUSY, the exhaustion is the overload layer's
-  // doing and the op counts as shed instead.
-  op.done = true;
-  sim_.cancel(op.hedge_timer);
-  op_to_request_.erase(op.op_id);
-  ++ops_abandoned_;
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK(req_it != pending_.end());
-  PendingRequest& req = req_it->second;
-  if (op.busy_rejected) {
-    ++req.shed_ops;
-  } else {
-    ++req.failed_ops;
-  }
-  DAS_CHECK(req.remaining > 0);
-  --req.remaining;
-  if (req.remaining == 0) finalize_degraded(rid);
-}
-
-void Client::shed_op(RequestId rid, PendingOp& op) {
-  // BUSY with no retry machinery to lean on: the op is terminally shed.
+void Client::give_up_op(RequestId rid, PendingRequest& req, PendingOp& op,
+                        bool shed) {
+  // The request leaves the books as SHED or FAILED rather than hanging in
+  // flight forever; a straggler response arriving later is discarded as a
+  // duplicate. Cancelling the retry timer that is firing right now is a
+  // no-op: its handle is already spent.
   op.done = true;
   sim_.cancel(op.retry_timer);
   sim_.cancel(op.hedge_timer);
-  op_to_request_.erase(op.op_id);
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK(req_it != pending_.end());
-  PendingRequest& req = req_it->second;
-  ++req.shed_ops;
+  ++(shed ? req.shed_ops : req.failed_ops);
   DAS_CHECK(req.remaining > 0);
   --req.remaining;
-  if (req.remaining == 0) finalize_degraded(rid);
+  if (req.remaining == 0) finalize_degraded(rid, req);
 }
 
-void Client::finalize_degraded(RequestId rid) {
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK(req_it != pending_.end());
-  PendingRequest& req = req_it->second;
+void Client::finalize_degraded(RequestId rid, PendingRequest& req) {
   DAS_CHECK(req.remaining == 0);
   DAS_CHECK(req.shed_ops > 0 || req.failed_ops > 0);
   const SimTime now = sim_.now();
@@ -580,29 +532,7 @@ void Client::finalize_degraded(RequestId rid) {
       tracer_->request_complete(now, rid, params_.id, now - req.arrival);
     }
   }
-  pending_.erase(req_it);
-}
-
-void Client::on_shed_response(const OpResponse& resp, RequestId rid) {
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK_MSG(req_it != pending_.end(), "shed response for settled request");
-  PendingRequest& req = req_it->second;
-  const auto pop =
-      std::find_if(req.ops.begin(), req.ops.end(),
-                   [&](const PendingOp& op) { return op.op_id == resp.op_id; });
-  DAS_CHECK(pop != req.ops.end());
-  DAS_CHECK_MSG(!pop->done, "shed response for settled op");
-  // Every BUSY is an overload signal for the AIMD throttle, whether or not
-  // the op survives via retry.
-  if (admission_ != nullptr) admission_->on_overload(req.tenant);
-  if (params_.retry_timeout_us > 0) {
-    // The retry timer armed at send is still running: the retransmission
-    // path (backoff, jitter, failover, give-up budget) handles the redo.
-    // The explicit BUSY just told us sooner than silence would have.
-    pop->busy_rejected = true;
-    return;
-  }
-  shed_op(rid, *pop);
+  pending_.erase(rid);
 }
 
 void Client::on_response(const OpResponse& resp) {
@@ -613,8 +543,11 @@ void Client::on_response(const OpResponse& resp) {
   rto_strikes_[resp.server] = 0;
   suspected_[resp.server] = 0;
 
-  const auto op_it = op_to_request_.find(resp.op_id);
-  if (op_it == op_to_request_.end()) {
+  const RequestId rid = resp.request_id;
+  const auto req_it = pending_.find(rid);
+  PendingOp* const pop =
+      req_it != pending_.end() ? &find_op(req_it->second, resp.op_id) : nullptr;
+  if (pop == nullptr || pop->done) {
     // With retransmission or hedging enabled, a second copy of a served op
     // yields a duplicate response; with the overload layer on, a server-side
     // shed of an already-settled request lands here too (a kExpired shed
@@ -637,23 +570,22 @@ void Client::on_response(const OpResponse& resp) {
     mu_est_[resp.server] +=
         params_.ewma_alpha * (resp.mu_hat - mu_est_[resp.server]);
   }
-  const RequestId rid = op_it->second;
+  PendingRequest& req = req_it->second;
   if (resp.status != OpStatus::kOk) {
-    // The op was shed server-side; it is still pending (the mapping stays
-    // while the retry path may yet rescue it).
-    on_shed_response(resp, rid);
+    // The op was shed server-side. Every BUSY is an overload signal for the
+    // AIMD throttle, whether or not the op survives via retry.
+    if (admission_ != nullptr) admission_->on_overload(req.tenant);
+    if (params_.retry_timeout_us > 0) {
+      // The retry timer armed at send is still running: the retransmission
+      // path (backoff, jitter, failover, give-up budget) handles the redo.
+      // The explicit BUSY just told us sooner than silence would have.
+      pop->busy_rejected = true;
+    } else {
+      give_up_op(rid, req, *pop, /*shed=*/true);
+    }
     return;
   }
-  op_to_request_.erase(op_it);
 
-  const auto req_it = pending_.find(rid);
-  DAS_CHECK_MSG(req_it != pending_.end(), "response for completed request");
-  PendingRequest& req = req_it->second;
-
-  const auto pop = std::find_if(req.ops.begin(), req.ops.end(),
-                                [&](const PendingOp& op) { return op.op_id == resp.op_id; });
-  DAS_CHECK(pop != req.ops.end());
-  DAS_CHECK_MSG(!pop->done, "duplicate response");
   pop->done = true;
   pop->delivered_at = now;
   pop->timing = resp.timing;
@@ -670,7 +602,7 @@ void Client::on_response(const OpResponse& resp) {
       // A sibling op was shed or abandoned earlier: the request is degraded
       // as a whole even though this last op did get served. Its latency must
       // not enter the RCT population.
-      finalize_degraded(rid);
+      finalize_degraded(rid, req);
       return;
     }
     sim_.cancel(req.deadline_timer);
@@ -685,7 +617,7 @@ void Client::on_response(const OpResponse& resp) {
     if (breakdown_ != nullptr && pop->timing.valid) {
       double slack_sum = 0;
       for (const PendingOp& op : req.ops) {
-        if (op.op_id == pop->op_id) continue;
+        if (&op == pop) continue;
         slack_sum += now - op.delivered_at;
       }
       breakdown_->record(trace::make_request_breakdown(
@@ -712,13 +644,13 @@ void Client::on_response(const OpResponse& resp) {
   server_max_full.clear();
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
-    remaining_demand += op.demand_us;
-    new_critical =
-        std::max(new_critical, service_estimate_us(op.server, op.demand_us));
+    const double demand = op.ctx.demand_us;
+    remaining_demand += demand;
+    new_critical = std::max(new_critical, service_estimate_us(op.server, demand));
     const auto slot = std::find_if(
         server_max_full.begin(), server_max_full.end(),
         [&](const auto& entry) { return entry.first == op.server; });
-    const SimTime est = full_estimate(now, op.server, op.demand_us);
+    const SimTime est = full_estimate(now, op.server, demand);
     if (slot == server_max_full.end()) {
       server_max_full.emplace_back(op.server, est);
     } else {

@@ -170,13 +170,12 @@ class Client {
 
  private:
   struct PendingOp {
-    OperationId op_id = 0;
+    /// The op as sent (id, key, demand, write payload and tags), kept for
+    /// retransmission and hedging.
+    sched::OpContext ctx;
+    /// Current destination: the planned replica, or a failover target.
     ServerId server = 0;
-    KeyId key = 0;
-    double demand_us = 0;
     bool done = false;
-    /// Message as originally sent, kept for retransmission/hedging.
-    sched::OpContext sent_ctx;
     sim::EventHandle retry_timer;
     sim::EventHandle hedge_timer;
     std::uint32_t attempts = 1;
@@ -213,31 +212,29 @@ class Client {
     sim::EventHandle deadline_timer;
   };
 
-  /// What one planned operation looks like before tagging/sending.
-  struct PlannedOp {
-    KeyId key = 0;
-    ServerId server = 0;
-    double demand = 0;
-    bool is_write = false;
-    Bytes write_size = 0;
-  };
-
   void schedule_next_arrival(std::size_t tenant, SimTime horizon);
   void generate_request(std::size_t tenant);
   /// Chain-schedules this client's next assigned replay record (>= `index`,
   /// stepping by num_clients) of tenant `tenant`.
   void schedule_replay(std::size_t tenant, std::size_t index, SimTime horizon);
   void generate_replay_request(std::size_t tenant, std::size_t index);
+  /// Plans a write-all PUT of `size` bytes: publishes the size to the shared
+  /// overlay, records the op and adds one op per replica, each of `demand`.
+  void plan_write(std::vector<PendingOp>& plan, KeyId key, Bytes size,
+                  double demand);
+  /// Plans one GET of `key`: records the op and adds it at the replica the
+  /// selector picks.
+  void plan_read(std::vector<PendingOp>& plan, KeyId key);
   /// Tags, accounts and sends a planned request (shared by the synthetic and
-  /// replay paths).
-  void dispatch_plan(std::size_t tenant, const std::vector<PlannedOp>& plan);
+  /// replay paths). Each planned op carries its server, key, demand and
+  /// write payload; the rest of its context is filled here.
+  void dispatch_plan(std::size_t tenant, std::vector<PendingOp> plan);
   /// The RNG stream backing tenant `t`'s workload draws. Tenant 0 IS the
   /// client stream (bit-identity with single-tenant builds); later tenants
   /// fork from a copy at construction.
   Rng& tenant_rng(std::size_t t) {
     return t == 0 ? rng_ : extra_tenant_rngs_[t - 1];
   }
-  double op_demand_us(KeyId key) const;
   /// Target replica for `key` per the configured selection strategy.
   ServerId pick_server(KeyId key, double demand);
   /// Snapshot of the learned per-server state for the selector layer.
@@ -266,10 +263,11 @@ class Client {
   /// The replica-selection strategy (src/select); shared by fresh picks,
   /// hedges and failovers so their ranking logic cannot diverge again.
   std::unique_ptr<select::ReplicaSelector> selector_;
-  // Lookup-only tables (never iterated): FlatMap keeps them deterministic
-  // across standard libraries and off the per-response allocation path.
+  /// The one ledger of in-flight work: an op is live iff its request is
+  /// here and the op is not done. Lookup-only (never iterated): FlatMap
+  /// keeps it deterministic across standard libraries and off the
+  /// per-response allocation path.
   FlatMap<RequestId, PendingRequest> pending_;
-  FlatMap<OperationId, RequestId> op_to_request_;
 
   /// Jitter stream for retry backoff, forked off a COPY of the client RNG at
   /// construction so the workload draws stay bit-identical to jitter-free
@@ -310,21 +308,22 @@ class Client {
   void arm_retry(RequestId rid, PendingOp& op);
   /// Arms the one-shot hedge timer for an op of `rid`.
   void arm_hedge(RequestId rid, PendingOp& op);
+  /// The op `op_id` of `req`; an id outside the request is a protocol bug.
+  static PendingOp& find_op(PendingRequest& req, OperationId op_id);
+  /// Sends `op` to `server` (first send, hedge or retransmission) and
+  /// traces it.
+  void send(const PendingOp& op, ServerId server, bool resend);
   /// Failure detection: one more consecutive timeout against `server`.
   void note_rto(ServerId server);
   /// Redirects a read retry to the best unsuspected replica, if any.
   void maybe_fail_over(PendingRequest& req, PendingOp& op);
-  /// Retry budget exhausted: the op is declared failed (or shed, if its last
-  /// word from the server was BUSY); finalizes once no op remains in flight.
-  void abandon_op(RequestId rid, PendingOp& op);
-  /// A BUSY response arrived for a pending op: feed the admission throttle
-  /// and either lean on the armed retry timer or shed the op terminally.
-  void on_shed_response(const OpResponse& resp, RequestId rid);
-  /// Terminally sheds one op (mirrors abandon_op with shed attribution).
-  void shed_op(RequestId rid, PendingOp& op);
+  /// Settles one op without a served response, as shed (the overload layer
+  /// turned it away) or failed (its retry budget is spent); finalizes the
+  /// request once no op remains in flight.
+  void give_up_op(RequestId rid, PendingRequest& req, PendingOp& op, bool shed);
   /// remaining == 0 with shed_ops or failed_ops: settles the request as
   /// SHED (precedence) or FAILED and erases it.
-  void finalize_degraded(RequestId rid);
+  void finalize_degraded(RequestId rid, PendingRequest& req);
   /// Deadline timer callback: fails the whole request as EXPIRED, tearing
   /// down every in-flight op (late responses discard as duplicates).
   void expire_request(RequestId rid);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "workload/spec.hpp"
@@ -62,6 +63,25 @@ void ClusterConfig::validate() const {
   }
   if (!(write_fraction >= 0 && write_fraction <= 1)) {
     reject("write_fraction must be in [0, 1]");
+  }
+  if (!server_speed_factors.empty() && server_speed_factors.size() != num_servers) {
+    reject("server_speed_factors must list 0 or num_servers factors");
+  }
+  for (const double factor : server_speed_factors) {
+    if (!(std::isfinite(factor) && factor > 0)) {
+      reject("server_speed_factors must be finite and > 0");
+    }
+  }
+  if (speed_profiles.size() > 1 && speed_profiles.size() != num_servers) {
+    reject("speed_profiles must list 0, 1 or num_servers profiles");
+  }
+  for (const auto& [name, value] :
+       {std::pair{"retry_timeout_us", retry_timeout_us},
+        std::pair{"retry_backoff_max_us", retry_backoff_max_us},
+        std::pair{"hedge_delay_us", hedge_delay_us}}) {
+    if (!(std::isfinite(value) && value >= 0)) {
+      reject(std::string{name} + " must be finite and >= 0");
+    }
   }
   if (msg_loss_probability < 0 || msg_loss_probability >= 1) {
     reject("msg_loss_probability must be in [0, 1)");

@@ -188,7 +188,7 @@ void Server::receive_op(const sched::OpContext& op) {
       tracer_->op_shed(now, op.op_id, op.request_id, params_.id,
                        trace::OpShedReason::kQueueFull);
     }
-    respond_shed(op, OpStatus::kBusy);
+    respond(make_response(op, OpStatus::kBusy));
     return;
   }
   if (busy_ && params_.preemptive) {
@@ -207,19 +207,23 @@ void Server::receive_op(const sched::OpContext& op) {
   maybe_start();
 }
 
-void Server::respond_shed(const sched::OpContext& op, OpStatus status) {
+OpResponse Server::make_response(const sched::OpContext& op,
+                                 OpStatus status) const {
   OpResponse resp;
   resp.op_id = op.op_id;
   resp.request_id = op.request_id;
   resp.client = op.client;
   resp.server = params_.id;
   resp.key = op.key;
-  resp.hit = false;
   resp.is_write = op.is_write;
   resp.completed_at = sim_.now();
   resp.d_hat_us = d_hat_us();
   resp.mu_hat = mu_hat_;
   resp.status = status;
+  return resp;
+}
+
+void Server::respond(const OpResponse& resp) const {
   DAS_CHECK_MSG(respond_ != nullptr, "response handler not wired");
   respond_(resp);
 }
@@ -316,7 +320,7 @@ void Server::maybe_start() {
         tracer_->op_shed(now, head.op_id, head.request_id, params_.id,
                          trace::OpShedReason::kExpired);
       }
-      respond_shed(head, OpStatus::kExpired);
+      respond(make_response(head, OpStatus::kExpired));
       continue;
     }
     if (guard_.should_drop_sojourn(now, head.enqueued_at)) {
@@ -325,7 +329,7 @@ void Server::maybe_start() {
         tracer_->op_shed(now, head.op_id, head.request_id, params_.id,
                          trace::OpShedReason::kSojourn);
       }
-      respond_shed(head, OpStatus::kBusy);
+      respond(make_response(head, OpStatus::kBusy));
       continue;
     }
     current_op_ = head;
@@ -390,18 +394,11 @@ void Server::complete_current() {
   metrics_.record_operation(current_op_.enqueued_at, now,
                             current_started_ - current_op_.enqueued_at);
 
-  OpResponse resp;
-  resp.op_id = current_op_.op_id;
-  resp.request_id = current_op_.request_id;
-  resp.client = current_op_.client;
-  resp.server = params_.id;
-  resp.key = current_op_.key;
+  // Built before maybe_start(): d_hat must describe the backlog this op
+  // leaves behind, not the next op's.
+  OpResponse resp = make_response(current_op_, OpStatus::kOk);
   resp.hit = size.has_value();
-  resp.is_write = current_op_.is_write;
   resp.value_size = size.value_or(0);
-  resp.completed_at = now;
-  resp.d_hat_us = d_hat_us();
-  resp.mu_hat = mu_hat_;
   // Timing echo for the client-side RCT breakdown. Under preempt-resume the
   // cut points describe the FINAL service slice (the remainder's re-enqueue
   // and dispatch), so earlier slices fold into the "network" residual.
@@ -421,9 +418,7 @@ void Server::complete_current() {
   // new work (it runs through the network anyway), and the server must never
   // idle with a non-empty queue.
   maybe_start();
-
-  DAS_CHECK_MSG(respond_ != nullptr, "response handler not wired");
-  respond_(resp);
+  respond(resp);
 }
 
 }  // namespace das::core

@@ -197,9 +197,11 @@ class Server : public Auditable {
   /// Forwards store-model transitions (compaction/stall spans, flushes) to
   /// the tracer. No-op when untraced.
   void emit_store_transitions();
-  /// Answers a shed op with a BUSY/EXPIRED response — still piggybacking
-  /// d_hat/mu_hat, so shedding feeds the client's learned view.
-  void respond_shed(const sched::OpContext& op, OpStatus status);
+  /// The response to `op`: ids, key, write flag, completion time and the
+  /// d_hat/mu_hat piggyback. A shed op is answered with it as is — still
+  /// piggybacking, so shedding feeds the client's learned view.
+  OpResponse make_response(const sched::OpContext& op, OpStatus status) const;
+  void respond(const OpResponse& resp) const;
   void maybe_start();
   void complete_current();
   /// Requeues the in-service op with its remaining demand.

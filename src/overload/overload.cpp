@@ -1,5 +1,6 @@
 #include "overload/overload.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -40,11 +41,11 @@ void OverloadConfig::validate() const {
   auto reject = [](const std::string& what) {
     throw std::invalid_argument("OverloadConfig: " + what);
   };
-  if (sojourn_threshold_us < 0)
-    reject("sojourn_threshold_us must be >= 0 (got " +
+  if (!(sojourn_threshold_us >= 0 && std::isfinite(sojourn_threshold_us)))
+    reject("sojourn_threshold_us must be finite and >= 0 (got " +
            std::to_string(sojourn_threshold_us) + ")");
-  if (deadline_budget_us < 0)
-    reject("deadline_budget_us must be >= 0 (got " +
+  if (!(deadline_budget_us >= 0 && std::isfinite(deadline_budget_us)))
+    reject("deadline_budget_us must be finite and >= 0 (got " +
            std::to_string(deadline_budget_us) + ")");
   if (admission_floor <= 0 || admission_floor > 1)
     reject("admission_floor must be in (0, 1] (got " +

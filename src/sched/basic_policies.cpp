@@ -39,15 +39,10 @@ OpContext FcfsScheduler::dequeue(SimTime) {
   return op;
 }
 
-std::vector<OpContext> FcfsScheduler::drain(SimTime) {
+std::vector<OpContext> FcfsScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
   out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    OpContext op = std::move(queue_.front());
-    queue_.pop_front();
-    note_out(op);
-    out.push_back(std::move(op));
-  }
+  while (!queue_.empty()) out.push_back(dequeue(now));
   return out;
 }
 
@@ -93,14 +88,10 @@ OpContext FrozenKeyScheduler::dequeue(SimTime) {
   return op;
 }
 
-std::vector<OpContext> FrozenKeyScheduler::drain(SimTime) {
+std::vector<OpContext> FrozenKeyScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
   out.reserve(queue_.size());
-  while (!queue_.empty()) {
-    OpContext op = queue_.pop_min();
-    note_out(op);
-    out.push_back(std::move(op));
-  }
+  while (!queue_.empty()) out.push_back(dequeue(now));
   return out;
 }
 

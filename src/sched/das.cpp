@@ -21,18 +21,7 @@ void DasScheduler::check_policy_invariants() const {
               "negative critical-path remaining time");
     DAS_AUDIT(q.op.total_demand_us >= 0, "negative total remaining demand");
   });
-  std::size_t request_handles = 0;
-  for (const auto& [request, handles] : by_request_) {
-    DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
-    request_handles += handles.size();
-    for (const Handle h : handles) {
-      DAS_AUDIT(queue_.contains(h), "per-request index holds a served handle");
-      DAS_AUDIT(queue_.at(h).op.request_id == request,
-                "per-request index points at the wrong request");
-    }
-  }
-  DAS_AUDIT(request_handles == queue_.size(),
-            "per-request index does not partition the queue");
+  by_request_.check_invariants(queue_);
   // Aging must be able to reach every queued op: each one appears in the
   // fifo exactly once (stale entries for served handles are skipped lazily).
   std::size_t live = 0;
@@ -110,17 +99,13 @@ void DasScheduler::enqueue(const OpContext& op, SimTime now) {
   const double key = lane_key(q.op, lane);
   const Handle h = queue_.insert(key, std::move(q), lane);
   fifo_.push_back(h);
-  by_request_[op.request_id].push_back(h);
+  by_request_.add(op.request_id, h);
 }
 
 OpContext DasScheduler::finish(Handle h, SimTime now) {
   close_deferral(h, now);
   OpContext op = std::move(queue_.remove(h).op);
-  auto by_req = by_request_.find(op.request_id);
-  if (by_req != by_request_.end()) {
-    std::erase(by_req->second, h);
-    if (by_req->second.empty()) by_request_.erase(by_req);
-  }
+  by_request_.remove(op.request_id, h);
   note_out(op);
   return op;
 }
@@ -187,10 +172,8 @@ std::vector<OpContext> DasScheduler::drain(SimTime now) {
 
 void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& update,
                                        SimTime now) {
-  const auto it = by_request_.find(request);
-  if (it == by_request_.end()) return;
   // Re-key every queued op of the request and re-evaluate its deferral.
-  for (const Handle h : it->second) {
+  for (const Handle h : by_request_.find(request)) {
     Queued& q = queue_.at(h);
     if (q.op.remaining_critical_us == update.remaining_critical_us &&
         q.op.est_other_completion == update.est_other_completion &&

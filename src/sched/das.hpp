@@ -40,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
@@ -130,11 +129,7 @@ class DasScheduler final : public SchedulerBase {
 
   Queue queue_;
   std::deque<Handle> fifo_;  // arrival order, for aging and the crash drain
-  /// Handles queued per request, in arrival order. Progress fan-in walks
-  /// this; re-keying one handle never disturbs another's membership, and the
-  /// per-handle outcome is order-independent, so a deterministic vector is
-  /// result-equivalent to the hash set it replaced (and far cheaper).
-  FlatMap<RequestId, std::vector<Handle>> by_request_;
+  RequestIndex<Queue> by_request_;
   std::uint64_t total_deferrals_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t aging_promotions_ = 0;

@@ -10,18 +10,7 @@ void ReqSrptScheduler::check_policy_invariants() const {
   queue_.for_each([](std::size_t, double key, const OpContext&) {
     DAS_AUDIT(key >= 0, "negative remaining total demand");
   });
-  std::size_t request_handles = 0;
-  for (const auto& [request, handles] : by_request_) {
-    DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
-    request_handles += handles.size();
-    for (const Handle h : handles) {
-      DAS_AUDIT(queue_.contains(h), "per-request index holds a served handle");
-      DAS_AUDIT(queue_.at(h).request_id == request,
-                "per-request index points at the wrong request");
-    }
-  }
-  DAS_AUDIT(request_handles == queue_.size(),
-            "per-request index does not partition the queue");
+  by_request_.check_invariants(queue_);
 }
 
 void ReqSrptScheduler::enqueue(const OpContext& op, SimTime now) {
@@ -29,16 +18,12 @@ void ReqSrptScheduler::enqueue(const OpContext& op, SimTime now) {
   copy.enqueued_at = now;
   note_in(copy);
   const double key = copy.total_demand_us;
-  by_request_[op.request_id].push_back(queue_.insert(key, std::move(copy)));
+  by_request_.add(op.request_id, queue_.insert(key, std::move(copy)));
 }
 
 OpContext ReqSrptScheduler::take(Handle h) {
   OpContext op = queue_.remove(h);
-  const auto it = by_request_.find(op.request_id);
-  if (it != by_request_.end()) {
-    std::erase(it->second, h);
-    if (it->second.empty()) by_request_.erase(it);
-  }
+  by_request_.remove(op.request_id, h);
   note_out(op);
   return op;
 }
@@ -60,9 +45,7 @@ bool ReqSrptScheduler::preempts(const OpContext& incoming,
 void ReqSrptScheduler::on_request_progress(RequestId request,
                                            const ProgressUpdate& update,
                                            SimTime now) {
-  const auto it = by_request_.find(request);
-  if (it == by_request_.end()) return;
-  for (const Handle h : it->second) {
+  for (const Handle h : by_request_.find(request)) {
     const double old_key = queue_.key(h);
     if (old_key == update.remaining_total_us) continue;
     queue_.update(h, update.remaining_total_us);

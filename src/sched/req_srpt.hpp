@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "common/flat_map.hpp"
 #include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
@@ -42,10 +41,7 @@ class ReqSrptScheduler final : public SchedulerBase {
 
   /// Keyed by the request's current total remaining demand.
   KeyedQueue<double> queue_;
-  /// Handles queued here per request in arrival order, for progress fan-in.
-  /// Re-keying is per-handle independent, so the deterministic vector walk
-  /// is result-equivalent to the hash set it replaced.
-  FlatMap<RequestId, std::vector<Handle>> by_request_;
+  RequestIndex<KeyedQueue<double>> by_request_;
   std::uint64_t reranks_ = 0;
 
   OpContext take(Handle h);

@@ -70,7 +70,8 @@ struct ClientFixture : ::testing::Test {
   }
 
   /// Completes one sent op and feeds the response back.
-  void respond(const SentOp& op, double d_hat = 0.0, double mu_hat = 1.0) {
+  void respond(const SentOp& op, double d_hat = 0.0, double mu_hat = 1.0,
+               OpStatus status = OpStatus::kOk) {
     OpResponse resp;
     resp.op_id = op.ctx.op_id;
     resp.request_id = op.ctx.request_id;
@@ -82,6 +83,7 @@ struct ClientFixture : ::testing::Test {
     resp.completed_at = sim.now();
     resp.d_hat_us = d_hat;
     resp.mu_hat = mu_hat;
+    resp.status = status;
     client->on_response(resp);
   }
 };
@@ -418,6 +420,63 @@ TEST_F(ClientFixture, LateDuplicateClearsSuspicionButNotTheView) {
   EXPECT_FALSE(client->suspects(original));  // liveness signal honoured
   EXPECT_DOUBLE_EQ(client->delay_estimate(original), 0.0);  // view untouched
   EXPECT_DOUBLE_EQ(client->speed_estimate(original), 1.0);
+}
+
+TEST_F(ClientFixture, BusyThenExhaustedRetryBudgetSettlesAsShed) {
+  // A BUSY answer leaves the op to the retry timer; when the budget then
+  // runs out, the overload layer is to blame: the request is shed, not
+  // failed.
+  Client::Params p;
+  p.retry_timeout_us = 100.0;
+  p.retry_max_attempts = 2;
+  build(1, p);
+  client->start(1500.0);
+  sim.run_until(1050.0);
+  ASSERT_EQ(sent_ops.size(), 1u);
+  respond(sent_ops[0], 0.0, 1.0, OpStatus::kBusy);
+  EXPECT_EQ(client->in_flight(), 1u);  // the retry timer still owns the op
+
+  sim.run();  // one retransmission, then silence exhausts the budget
+  EXPECT_EQ(sent_ops.size(), 2u);
+  EXPECT_EQ(client->ops_abandoned(), 1u);
+  EXPECT_EQ(metrics.counts().shed, 1u);
+  EXPECT_EQ(metrics.counts().failed, 0u);
+  EXPECT_EQ(client->in_flight(), 0u);
+}
+
+TEST_F(ClientFixture, BusyWithRetriesOffShedsAtOnceAndCancelsItsHedge) {
+  Client::Params p;
+  p.replication = 2;
+  p.hedge_delay_us = 150.0;
+  build(2, p);
+  client->start(1500.0);
+  sim.run_until(1050.0);
+  ASSERT_EQ(sent_ops.size(), 2u);
+  ASSERT_EQ(sim.pending(), 2u);  // one hedge timer per op
+
+  respond(sent_ops[0], 0.0, 1.0, OpStatus::kBusy);
+  EXPECT_EQ(sim.pending(), 1u);  // the shed op's hedge timer is gone
+  EXPECT_EQ(client->in_flight(), 1u);
+
+  sim.run();  // only the sibling hedges
+  EXPECT_EQ(client->ops_hedged(), 1u);
+  ASSERT_EQ(sent_ops.size(), 3u);
+  EXPECT_EQ(sent_ops[2].ctx.op_id, sent_ops[1].ctx.op_id);
+  respond(sent_ops[1]);
+  EXPECT_EQ(metrics.counts().shed, 1u);
+  EXPECT_EQ(metrics.counts().completed, 0u);
+  EXPECT_EQ(client->ops_abandoned(), 0u);
+  EXPECT_EQ(client->in_flight(), 0u);
+}
+
+TEST_F(ClientFixture, ResponseForAnOpOutsideItsPendingRequestThrows) {
+  build(2);
+  client->start(1500.0);
+  sim.run();
+  ASSERT_EQ(sent_ops.size(), 2u);
+  SentOp stray = sent_ops[0];
+  stray.ctx.op_id = std::max(sent_ops[0].ctx.op_id, sent_ops[1].ctx.op_id) + 1000;
+  EXPECT_THROW(respond(stray), std::logic_error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/cluster.hpp"
+#include "workload/rate_function.hpp"
 
 namespace das::core {
 namespace {
@@ -229,6 +230,57 @@ TEST(ConfigValidate, ServiceBytesPerUsMustBePositive) {
     cfg.service_bytes_per_us = rate;
     EXPECT_TRUE(rejects_naming(cfg, "service_bytes_per_us")) << rate;
   }
+}
+
+TEST(ConfigValidate, ServerSpeedFactorsMustCoverEveryServerAndBePositive) {
+  ClusterConfig cfg;
+  cfg.server_speed_factors.assign(cfg.num_servers - 1, 1.0);  // one short
+  EXPECT_TRUE(rejects_naming(cfg, "server_speed_factors"));
+  for (const double factor : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    cfg.server_speed_factors.assign(cfg.num_servers, 1.0);
+    cfg.server_speed_factors.back() = factor;
+    EXPECT_TRUE(rejects_naming(cfg, "server_speed_factors")) << factor;
+  }
+  cfg.server_speed_factors.back() = 0.5;
+  EXPECT_EQ(validation_error(cfg), "");
+}
+
+TEST(ConfigValidate, SpeedProfilesListOneOrEveryServer) {
+  ClusterConfig cfg;
+  cfg.speed_profiles.assign(2, workload::make_constant_rate(1.0));
+  EXPECT_TRUE(rejects_naming(cfg, "speed_profiles"));
+  cfg.speed_profiles.assign(1, workload::make_constant_rate(1.0));
+  EXPECT_EQ(validation_error(cfg), "");
+  cfg.speed_profiles.assign(cfg.num_servers, workload::make_constant_rate(1.0));
+  EXPECT_EQ(validation_error(cfg), "");
+}
+
+TEST(ConfigValidate, RetryTimeoutMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  for (const double timeout : {-1.0, std::nan(""), HUGE_VAL}) {
+    cfg.retry_timeout_us = timeout;
+    EXPECT_TRUE(rejects_naming(cfg, "retry_timeout_us must be finite")) << timeout;
+  }
+}
+
+TEST(ConfigValidate, RetryBackoffCapMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  cfg.retry_timeout_us = 100.0;
+  for (const double cap : {-1.0, std::nan(""), HUGE_VAL}) {
+    cfg.retry_backoff_max_us = cap;
+    EXPECT_TRUE(rejects_naming(cfg, "retry_backoff_max_us must be finite")) << cap;
+  }
+}
+
+TEST(ConfigValidate, HedgeDelayMustBeFiniteAndNonNegative) {
+  ClusterConfig cfg;
+  cfg.replication = 2;
+  for (const double delay : {-1.0, std::nan(""), HUGE_VAL}) {
+    cfg.hedge_delay_us = delay;
+    EXPECT_TRUE(rejects_naming(cfg, "hedge_delay_us must be finite")) << delay;
+  }
+  cfg.hedge_delay_us = 500.0;
+  EXPECT_EQ(validation_error(cfg), "");
 }
 
 TEST(ConfigValidate, FaultPlanSafetyCoupling) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
@@ -63,6 +65,21 @@ TEST(OverloadConfig, ValidateNamesTheField) {
   cfg = OverloadConfig{};
   cfg.deadline_budget_us = -5;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // NaN fails every comparison, so it must not slip past a `< 0` test.
+  const auto rejection = [](const OverloadConfig& c) -> std::string {
+    try {
+      c.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  cfg = OverloadConfig{};
+  cfg.deadline_budget_us = std::nan("");
+  EXPECT_NE(rejection(cfg).find("deadline_budget_us"), std::string::npos);
+  cfg = OverloadConfig{};
+  cfg.sojourn_threshold_us = std::nan("");
+  EXPECT_NE(rejection(cfg).find("sojourn_threshold_us"), std::string::npos);
   cfg = OverloadConfig{};
   cfg.admission_floor = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);

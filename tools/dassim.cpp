@@ -385,6 +385,10 @@ int run(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   cfg.audit_every_events = flags.get_count("audit-every");
   const double straggler_fraction = flags.get_double("stragglers");
+  if (!(straggler_fraction >= 0 && straggler_fraction <= 1)) {
+    std::cerr << "flag --stragglers: fraction of servers must be in [0, 1]\n";
+    return 2;
+  }
   if (straggler_fraction > 0) {
     cfg.server_speed_factors.assign(cfg.num_servers, 1.0);
     const auto n = static_cast<std::size_t>(
