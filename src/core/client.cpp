@@ -657,9 +657,9 @@ void Client::on_response(const OpResponse& resp) {
       slot->second = std::max(slot->second, est);
     }
   }
-  // Send when either the critical path (DAS's key) or the total remaining
-  // (ReqSRPT's key) moved by more than the threshold, relative to its last
-  // sent value.
+  // Send when either the critical path (das-crit's key) or the total
+  // remaining (the SRPT-first key of das and req-srpt) moved by more than the
+  // threshold, relative to its last sent value.
   const bool critical_moved =
       std::abs(new_critical - req.last_sent_critical) >=
       params_.progress_threshold * std::max(req.last_sent_critical, 1.0);

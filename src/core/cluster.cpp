@@ -42,21 +42,6 @@ void fill_request_counts(Result& out, const RequestCounts& run,
   out.requests_expired_measured = window.expired;
 }
 
-bool policy_uses_progress(sched::Policy policy) {
-  switch (policy) {
-    case sched::Policy::kDas:
-    case sched::Policy::kDasNoDefer:
-    case sched::Policy::kDasNoAging:
-    case sched::Policy::kDasCritical:
-    case sched::Policy::kReqSrpt:
-      return true;
-    // DAS-NA turns the whole adaptive feedback loop off, progress included.
-    case sched::Policy::kDasNoAdapt:
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
@@ -214,7 +199,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   request_rate_ = derived_request_rate();
   const double per_client_rate =
       request_rate_ / static_cast<double>(config_.num_clients);
-  const bool progress = policy_uses_progress(config_.policy);
+  const bool progress = sched::uses_progress(config_.policy);
   const bool adaptive = config_.policy != sched::Policy::kDasNoAdapt;
 
   const std::size_t replication =

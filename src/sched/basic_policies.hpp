@@ -21,7 +21,6 @@ class FcfsScheduler final : public SchedulerBase {
   void enqueue(const OpContext& op, SimTime now) override;
   OpContext dequeue(SimTime now) override;
   std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return "fcfs"; }
 
  protected:
   void check_policy_invariants() const override;
@@ -39,7 +38,6 @@ class RandomScheduler final : public SchedulerBase {
   OpContext dequeue(SimTime now) override;
   /// Drains in arrival order: a crash drop must not consume randomness.
   std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return "random"; }
 
  protected:
   void check_policy_invariants() const override;
@@ -53,12 +51,10 @@ class RandomScheduler final : public SchedulerBase {
 /// Serves the minimum of a key frozen at enqueue, ties by arrival.
 class FrozenKeyScheduler : public SchedulerBase {
  public:
-  FrozenKeyScheduler(double OpContext::*key, const char* name)
-      : key_(key), name_(name) {}
+  explicit FrozenKeyScheduler(double OpContext::*key) : key_(key) {}
   void enqueue(const OpContext& op, SimTime now) override;
   OpContext dequeue(SimTime now) override;
   std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return name_; }
 
  protected:
   void check_policy_invariants() const override;
@@ -66,7 +62,6 @@ class FrozenKeyScheduler : public SchedulerBase {
  private:
   friend struct TestCorruptor;
   double OpContext::*key_;
-  const char* name_;
   KeyedQueue<double> queue_;
 };
 
@@ -75,13 +70,13 @@ class FrozenKeyScheduler : public SchedulerBase {
 /// awareness" in the evaluation.
 class SjfScheduler final : public FrozenKeyScheduler {
  public:
-  SjfScheduler() : FrozenKeyScheduler(&OpContext::demand_us, "sjf") {}
+  SjfScheduler() : FrozenKeyScheduler(&OpContext::demand_us) {}
 };
 
 /// Earliest deadline first on the request deadline tag.
 class EdfScheduler final : public FrozenKeyScheduler {
  public:
-  EdfScheduler() : FrozenKeyScheduler(&OpContext::deadline, "edf") {}
+  EdfScheduler() : FrozenKeyScheduler(&OpContext::deadline) {}
 };
 
 }  // namespace das::sched

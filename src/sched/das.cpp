@@ -1,7 +1,5 @@
 #include "sched/das.hpp"
 
-#include <cmath>
-
 #include "trace/tracer.hpp"
 
 namespace das::sched {
@@ -9,6 +7,7 @@ namespace das::sched {
 DasScheduler::DasScheduler(Options options) : options_(options) {
   DAS_CHECK(options_.max_wait_us > 0);
   DAS_CHECK(options_.defer_margin > 0);
+  DAS_CHECK_MSG(options_.retag || !options_.defer, "deferral needs retagging");
 }
 
 void DasScheduler::check_policy_invariants() const {
@@ -16,27 +15,35 @@ void DasScheduler::check_policy_invariants() const {
   DAS_AUDIT(queue_.size() == size(), "DAS queue size drifted from accounting");
   queue_.check_invariants();
   queue_.for_each([this](std::size_t lane, double key, const Queued& q) {
-    DAS_AUDIT(key == lane_key(q.op, static_cast<Lane>(lane)), "stale DAS lane key");
+    DAS_AUDIT(key >= 0, "negative DAS lane key");
+    DAS_AUDIT(!options_.retag || key == lane_key(q.op, static_cast<Lane>(lane)),
+              "stale DAS lane key");
     DAS_AUDIT(q.op.remaining_critical_us >= 0,
               "negative critical-path remaining time");
     DAS_AUDIT(q.op.total_demand_us >= 0, "negative total remaining demand");
   });
-  by_request_.check_invariants(queue_);
+  // The per-request index partitions the queue and prunes empty requests.
+  std::size_t indexed = 0;
+  for (const auto& [request, handles] : by_request_) {
+    DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
+    indexed += handles.size();
+    for (const Handle h : handles) {
+      DAS_AUDIT(queue_.contains(h), "per-request index holds a served handle");
+      DAS_AUDIT(queue_.at(h).op.request_id == request,
+                "per-request index points at the wrong request");
+    }
+  }
+  DAS_AUDIT(indexed == queue_.size(), "per-request index does not partition the queue");
   // Aging must be able to reach every queued op: each one appears in the
-  // fifo exactly once (stale entries for served handles are skipped lazily).
+  // fifo exactly once, and the head is queued (served ops behind it are
+  // dropped once they reach the front).
+  DAS_AUDIT(fifo_.empty() || queue_.contains(fifo_.front()),
+            "aging fifo head is a served op");
   std::size_t live = 0;
   for (const Handle h : fifo_) {
     if (queue_.contains(h)) ++live;
   }
   DAS_AUDIT(live == queue_.size(), "aging fifo lost track of queued ops");
-}
-
-std::string DasScheduler::name() const {
-  if (options_.primary_key == PrimaryKey::kCriticalPath) return "das-crit";
-  if (!options_.adaptive) return "das-na";
-  if (!options_.defer) return "das-nd";
-  if (options_.max_wait_us == kTimeInfinity) return "das-noaging";
-  return "das";
 }
 
 void DasScheduler::on_speed_estimate(double speed) {
@@ -69,6 +76,12 @@ double DasScheduler::active_key(const OpContext& op) const {
              : op.remaining_critical_us;
 }
 
+double DasScheduler::active_key(const ProgressUpdate& update) const {
+  return options_.primary_key == PrimaryKey::kTotalRemaining
+             ? update.remaining_total_us
+             : update.remaining_critical_us;
+}
+
 double DasScheduler::lane_key(const OpContext& op, Lane lane) const {
   return lane == kDeferred ? op.est_other_completion : active_key(op);
 }
@@ -99,13 +112,18 @@ void DasScheduler::enqueue(const OpContext& op, SimTime now) {
   const double key = lane_key(q.op, lane);
   const Handle h = queue_.insert(key, std::move(q), lane);
   fifo_.push_back(h);
-  by_request_.add(op.request_id, h);
+  by_request_[op.request_id].push_back(h);
 }
 
 OpContext DasScheduler::finish(Handle h, SimTime now) {
   close_deferral(h, now);
   OpContext op = std::move(queue_.remove(h).op);
-  by_request_.remove(op.request_id, h);
+  const auto it = by_request_.find(op.request_id);
+  std::erase(it->second, h);
+  if (it->second.empty()) by_request_.erase(it);
+  // Keep the fifo head live: served ops leave its front whether or not aging
+  // is on, so the fifo empties with the queue.
+  while (!fifo_.empty() && !queue_.contains(fifo_.front())) fifo_.pop_front();
   note_out(op);
   return op;
 }
@@ -129,22 +147,17 @@ void DasScheduler::migrate_due(SimTime now) {
 
 OpContext DasScheduler::dequeue(SimTime now) {
   DAS_CHECK(!empty());
-  // 1. Aging: the oldest op is served unconditionally past its wait bound.
-  if (options_.max_wait_us != kTimeInfinity) {
-    while (!fifo_.empty() && !queue_.contains(fifo_.front())) fifo_.pop_front();
-    if (!fifo_.empty()) {
-      const Handle h = fifo_.front();
-      const OpContext& oldest = queue_.at(h).op;
-      if (now - oldest.enqueued_at > options_.max_wait_us) {
-        fifo_.pop_front();
-        ++aging_promotions_;
-        if (tracer_ != nullptr) {
-          tracer_->aging_promotion(now, oldest.op_id, oldest.request_id,
-                                   tracer_server_, now - oldest.enqueued_at);
-        }
-        return finish(h, now);
-      }
+  // 1. Aging: the oldest op (the fifo head, live by finish()) is served
+  // unconditionally past its wait bound.
+  const Handle h = fifo_.front();
+  const OpContext& oldest = queue_.at(h).op;
+  if (now - oldest.enqueued_at > options_.max_wait_us) {
+    ++aging_promotions_;
+    if (tracer_ != nullptr) {
+      tracer_->aging_promotion(now, oldest.op_id, oldest.request_id,
+                               tracer_server_, now - oldest.enqueued_at);
     }
+    return finish(h, now);
   }
   // 2. Wake deferred ops whose safety window closed.
   migrate_due(now);
@@ -157,15 +170,10 @@ OpContext DasScheduler::dequeue(SimTime now) {
 std::vector<OpContext> DasScheduler::drain(SimTime now) {
   std::vector<OpContext> out;
   out.reserve(queue_.size());
-  // Walk the arrival fifo skipping stale entries; the fifo invariantly
+  // Serve the live fifo head until none is left; the fifo invariantly
   // covers every queued op, so this empties the queue and the per-request
   // index through the normal finish path.
-  while (!fifo_.empty()) {
-    const Handle h = fifo_.front();
-    fifo_.pop_front();
-    if (!queue_.contains(h)) continue;
-    out.push_back(finish(h, now));
-  }
+  while (!fifo_.empty()) out.push_back(finish(fifo_.front(), now));
   DAS_CHECK_MSG(queue_.empty(), "drain left DAS ops behind");
   return out;
 }
@@ -173,24 +181,32 @@ std::vector<OpContext> DasScheduler::drain(SimTime now) {
 void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& update,
                                        SimTime now) {
   // Re-key every queued op of the request and re-evaluate its deferral.
-  for (const Handle h : by_request_.find(request)) {
+  const auto it = by_request_.find(request);
+  if (it == by_request_.end()) return;
+  for (const Handle h : it->second) {
     Queued& q = queue_.at(h);
-    if (q.op.remaining_critical_us == update.remaining_critical_us &&
-        q.op.est_other_completion == update.est_other_completion &&
-        q.op.total_demand_us == update.remaining_total_us) {
-      continue;
+    // Without retagging an op is always runnable, keyed apart from its tags.
+    const double old_key = options_.retag ? active_key(q.op) : queue_.key(h);
+    if (options_.retag) {
+      if (q.op.remaining_critical_us == update.remaining_critical_us &&
+          q.op.est_other_completion == update.est_other_completion &&
+          q.op.total_demand_us == update.remaining_total_us) {
+        continue;
+      }
+      close_deferral(h, now);
+      q.op.remaining_critical_us = update.remaining_critical_us;
+      q.op.est_other_completion = update.est_other_completion;
+      q.op.total_demand_us = update.remaining_total_us;
+      const Lane lane = place(q, now);
+      queue_.move(h, lane, lane_key(q.op, lane));
+    } else {
+      if (old_key == active_key(update)) continue;
+      queue_.update(h, active_key(update));
     }
-    const double old_key = active_key(q.op);
-    close_deferral(h, now);
-    q.op.remaining_critical_us = update.remaining_critical_us;
-    q.op.est_other_completion = update.est_other_completion;
-    q.op.total_demand_us = update.remaining_total_us;
-    const Lane lane = place(q, now);
-    queue_.move(h, lane, lane_key(q.op, lane));
     ++reranks_;
     if (tracer_ != nullptr) {
       tracer_->op_rerank(now, q.op.op_id, q.op.request_id, tracer_server_,
-                         old_key, active_key(q.op));
+                         old_key, active_key(update));
     }
   }
 }

@@ -33,13 +33,15 @@
 // Each mechanism switches off independently for the ablation study, and the
 // primary key can be switched to the request's critical-path remaining time
 // (max instead of sum) to quantify why total remaining is the right notion.
+// With deferral, aging and retagging off, what remains is request-level SRPT,
+// the `req-srpt` baseline.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "sched/keyed_queue.hpp"
 #include "sched/scheduler_base.hpp"
 
@@ -69,6 +71,11 @@ class DasScheduler final : public SchedulerBase {
     /// Margin multiplier on the safe-deferral test; > 1 defers less.
     double defer_margin = 2.0;
     PrimaryKey primary_key = PrimaryKey::kTotalRemaining;
+    /// Progress rewrites a queued op's tags. false = progress moves only its
+    /// ordering key and the op leaves with the tags it arrived with, which a
+    /// preempt-resume server then compares and re-enqueues on (req-srpt's
+    /// rule). Requires defer off: deferral reads the tags.
+    bool retag = true;
   };
 
   explicit DasScheduler(Options options);
@@ -82,7 +89,6 @@ class DasScheduler final : public SchedulerBase {
   /// Oracle-mode preemption on the primary key (only used when the server
   /// runs preemptively; the paper's DAS is non-preemptive).
   bool preempts(const OpContext& incoming, const OpContext& in_service) const override;
-  std::string name() const override;
 
   double speed_estimate() const { return mu_hat_; }
 
@@ -115,6 +121,7 @@ class DasScheduler final : public SchedulerBase {
   /// Estimated time to drain the entire current backlog at current speed.
   Duration drain_time_us() const;
   double active_key(const OpContext& op) const;
+  double active_key(const ProgressUpdate& update) const;
   double lane_key(const OpContext& op, Lane lane) const;
   bool safe_to_defer(SimTime est_other_completion, SimTime now) const;
   /// The lane the op belongs in now; opens a deferral episode if deferred.
@@ -128,8 +135,11 @@ class DasScheduler final : public SchedulerBase {
   double mu_hat_ = 1.0;
 
   Queue queue_;
-  std::deque<Handle> fifo_;  // arrival order, for aging and the crash drain
-  RequestIndex<Queue> by_request_;
+  // Arrival order, for aging and the crash drain; the head is always queued.
+  std::deque<Handle> fifo_;
+  /// Each request's queued handles in arrival order: the progress fan-in.
+  /// Re-keying one never disturbs another, so a vector beats a hash set.
+  FlatMap<RequestId, std::vector<Handle>> by_request_;
   std::uint64_t total_deferrals_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t aging_promotions_ = 0;

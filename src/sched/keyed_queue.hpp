@@ -1,8 +1,8 @@
 // Indexed priority queue with stable handles.
 //
 // Most policies are "serve the minimum of some key, ties by arrival"; the
-// feedback-driven ones (ReqSRPT and DAS re-ranking, DAS deferral) also
-// re-key or move a queued element by handle. One container provides both:
+// feedback-driven one (DAS re-ranking and deferral, req-srpt included) also
+// re-keys or moves a queued element by handle. One container provides both:
 // a slab of slots recycled through a free list, plus one array min-heap per
 // *lane* ordered by (key, seq). Each slot records its lane and heap position,
 // so update, move and remove are O(log n) sifts that never allocate and need
@@ -15,12 +15,10 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "sched/op_context.hpp"
 
@@ -131,10 +129,6 @@ class KeyedQueue : public Auditable {
     }
   }
 
-  /// The scheduled op inside a payload: the payload itself, or its `op`.
-  static const OpContext& op_of(const OpContext& op) { return op; }
-  static const OpContext& op_of(const auto& payload) { return payload.op; }
-
   /// Structural audit: every heap node names a live slot that points back
   /// at the node's lane and position, each heap is ordered by (key, seq),
   /// every live slot sits in some lane, no seq is at or past the next to be
@@ -166,6 +160,10 @@ class KeyedQueue : public Auditable {
   friend struct TestCorruptor;
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// The scheduled op inside a payload: the payload itself, or its `op`.
+  static const OpContext& op_of(const OpContext& op) { return op; }
+  static const OpContext& op_of(const auto& payload) { return payload.op; }
 
   struct Node {
     Key key;
@@ -237,50 +235,6 @@ class KeyedQueue : public Auditable {
   std::array<std::vector<Node>, kLanes> heaps_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
-};
-
-/// The handles a KeyedQueue holds per request, in arrival order: the
-/// progress fan-in of the request-aware policies (DAS, ReqSRPT). Re-keying
-/// one handle never disturbs another, so the vector's walk order is as good
-/// as a hash set's and far cheaper.
-template <typename Queue>
-class RequestIndex {
- public:
-  using Handle = typename Queue::Handle;
-
-  void add(RequestId request, Handle h) { by_request_[request].push_back(h); }
-  /// Drops `h` from its request, pruning the request once it has none left.
-  void remove(RequestId request, Handle h) {
-    const auto it = by_request_.find(request);
-    if (it == by_request_.end()) return;
-    std::erase(it->second, h);
-    if (it->second.empty()) by_request_.erase(it);
-  }
-  /// The request's queued handles (empty when it has none).
-  std::span<const Handle> find(RequestId request) const {
-    const auto it = by_request_.find(request);
-    if (it == by_request_.end()) return {};
-    return it->second;
-  }
-  /// Audit: no request is left empty, every handle is queued under its own
-  /// request, and the handles partition `queue`.
-  void check_invariants(const Queue& queue) const {
-    std::size_t handles = 0;
-    for (const auto& [request, list] : by_request_) {
-      DAS_AUDIT(!list.empty(), "empty per-request handle set not pruned");
-      handles += list.size();
-      for (const Handle h : list) {
-        DAS_AUDIT(queue.contains(h), "per-request index holds a served handle");
-        DAS_AUDIT(Queue::op_of(queue.at(h)).request_id == request,
-                  "per-request index points at the wrong request");
-      }
-    }
-    DAS_AUDIT(handles == queue.size(),
-              "per-request index does not partition the queue");
-  }
-
- private:
-  FlatMap<RequestId, std::vector<Handle>> by_request_;
 };
 
 }  // namespace das::sched

@@ -86,7 +86,7 @@ struct ProgressUpdate {
   /// New earliest completion over the request's ops on servers OTHER than
   /// the destination (deferral bound; 0 = none elsewhere).
   SimTime est_other_completion = 0;
-  /// New total remaining demand (request-global; ReqSRPT's key).
+  /// New total remaining demand (request-global; the SRPT-first key).
   double remaining_total_us = 0;
 };
 

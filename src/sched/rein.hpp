@@ -32,7 +32,6 @@ class ReinSbfScheduler final : public SchedulerBase {
   void enqueue(const OpContext& op, SimTime now) override;
   OpContext dequeue(SimTime now) override;
   std::vector<OpContext> drain(SimTime now) override;
-  std::string name() const override { return "rein-sbf"; }
 
   /// Level an op with bottleneck `v` would be assigned right now (tests).
   std::size_t level_for(double v) const;

@@ -4,7 +4,6 @@
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
 
 namespace das::sched {
 
@@ -12,76 +11,104 @@ void Scheduler::on_request_progress(RequestId, const ProgressUpdate&, SimTime) {
 void Scheduler::on_speed_estimate(double) {}
 bool Scheduler::preempts(const OpContext&, const OpContext&) const { return false; }
 
-std::string to_string(Policy policy) {
-  switch (policy) {
-    case Policy::kFcfs: return "fcfs";
-    case Policy::kRandom: return "random";
-    case Policy::kSjf: return "sjf";
-    case Policy::kReqSrpt: return "req-srpt";
-    case Policy::kEdf: return "edf";
-    case Policy::kReinSbf: return "rein-sbf";
-    case Policy::kDas: return "das";
-    case Policy::kDasNoAdapt: return "das-na";
-    case Policy::kDasNoDefer: return "das-nd";
-    case Policy::kDasNoAging: return "das-noaging";
-    case Policy::kDasCritical: return "das-crit";
-  }
-  DAS_CHECK_MSG(false, "unknown policy enum");
-  return {};
+namespace {
+
+using DasOptions = DasScheduler::Options;
+
+template <typename S>
+SchedulerPtr build(const SchedulerConfig&) {
+  return std::make_unique<S>();
 }
 
+SchedulerPtr build_random(const SchedulerConfig& config) {
+  return std::make_unique<RandomScheduler>(config.seed);
+}
+
+SchedulerPtr build_rein(const SchedulerConfig& config) {
+  ReinSbfScheduler::Options opt;
+  opt.max_wait_us = config.max_wait_us;
+  return std::make_unique<ReinSbfScheduler>(opt);
+}
+
+/// DAS in the paper configuration with the option set `Ablate` applied.
+template <void (*Ablate)(DasOptions&)>
+SchedulerPtr build_das(const SchedulerConfig& config) {
+  DasOptions opt;
+  opt.max_wait_us = config.max_wait_us;
+  Ablate(opt);
+  return std::make_unique<DasScheduler>(opt);
+}
+
+void paper(DasOptions&) {}
+void no_adapt(DasOptions& opt) { opt.adaptive = false; }
+void no_defer(DasOptions& opt) { opt.defer = false; }
+void no_aging(DasOptions& opt) { opt.max_wait_us = kTimeInfinity; }
+void critical_path(DasOptions& opt) {
+  opt.primary_key = DasScheduler::PrimaryKey::kCriticalPath;
+}
+/// Request-level SRPT, the strongest request-aware baseline: DAS's
+/// SRPT-first half alone, ops keeping the tags they arrived with.
+void srpt_first(DasOptions& opt) {
+  no_defer(opt);
+  no_aging(opt);
+  opt.retag = false;
+}
+
+/// A policy's name, construction and progress use, each stated once.
+struct PolicyInfo {
+  Policy policy;
+  const char* name;
+  bool progress;  // see uses_progress()
+  SchedulerPtr (*build)(const SchedulerConfig& config);
+};
+
+/// One row per policy, in presentation order.
+constexpr PolicyInfo kPolicies[] = {
+    {Policy::kFcfs, "fcfs", false, build<FcfsScheduler>},
+    {Policy::kRandom, "random", false, build_random},
+    {Policy::kSjf, "sjf", false, build<SjfScheduler>},
+    {Policy::kReqSrpt, "req-srpt", true, build_das<srpt_first>},
+    {Policy::kEdf, "edf", false, build<EdfScheduler>},
+    {Policy::kReinSbf, "rein-sbf", false, build_rein},
+    {Policy::kDas, "das", true, build_das<paper>},
+    // DAS-NA turns the whole adaptive feedback loop off, progress included.
+    {Policy::kDasNoAdapt, "das-na", false, build_das<no_adapt>},
+    {Policy::kDasNoDefer, "das-nd", true, build_das<no_defer>},
+    {Policy::kDasNoAging, "das-noaging", true, build_das<no_aging>},
+    {Policy::kDasCritical, "das-crit", true, build_das<critical_path>},
+};
+
+const PolicyInfo& info(Policy policy) {
+  for (const PolicyInfo& row : kPolicies)
+    if (row.policy == policy) return row;
+  DAS_CHECK_MSG(false, "unknown policy enum");
+  return kPolicies[0];
+}
+
+}  // namespace
+
+std::string to_string(Policy policy) { return info(policy).name; }
+
 Policy policy_from_string(const std::string& name) {
-  for (const Policy p : all_policies())
-    if (to_string(p) == name) return p;
+  for (const PolicyInfo& row : kPolicies)
+    if (name == row.name) return row.policy;
   DAS_CHECK_MSG(false, "unknown policy name: " + name);
   return Policy::kFcfs;
 }
 
 const std::vector<Policy>& all_policies() {
-  static const std::vector<Policy> kAll = {
-      Policy::kFcfs,       Policy::kRandom,     Policy::kSjf,
-      Policy::kReqSrpt,    Policy::kEdf,        Policy::kReinSbf,
-      Policy::kDas,        Policy::kDasNoAdapt, Policy::kDasNoDefer,
-      Policy::kDasNoAging, Policy::kDasCritical,
-  };
+  static const std::vector<Policy> kAll = [] {
+    std::vector<Policy> all;
+    for (const PolicyInfo& row : kPolicies) all.push_back(row.policy);
+    return all;
+  }();
   return kAll;
 }
 
+bool uses_progress(Policy policy) { return info(policy).progress; }
+
 SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
-  switch (policy) {
-    case Policy::kFcfs:
-      return std::make_unique<FcfsScheduler>();
-    case Policy::kRandom:
-      return std::make_unique<RandomScheduler>(config.seed);
-    case Policy::kSjf:
-      return std::make_unique<SjfScheduler>();
-    case Policy::kReqSrpt:
-      return std::make_unique<ReqSrptScheduler>();
-    case Policy::kEdf:
-      return std::make_unique<EdfScheduler>();
-    case Policy::kReinSbf: {
-      ReinSbfScheduler::Options opt;
-      opt.max_wait_us = config.max_wait_us;
-      return std::make_unique<ReinSbfScheduler>(opt);
-    }
-    case Policy::kDas:
-    case Policy::kDasNoAdapt:
-    case Policy::kDasNoDefer:
-    case Policy::kDasNoAging:
-    case Policy::kDasCritical: {
-      DasScheduler::Options opt;
-      opt.adaptive = policy != Policy::kDasNoAdapt;
-      opt.defer = policy != Policy::kDasNoDefer;
-      opt.max_wait_us =
-          policy == Policy::kDasNoAging ? kTimeInfinity : config.max_wait_us;
-      opt.primary_key = policy == Policy::kDasCritical
-                            ? DasScheduler::PrimaryKey::kCriticalPath
-                            : DasScheduler::PrimaryKey::kTotalRemaining;
-      return std::make_unique<DasScheduler>(opt);
-    }
-  }
-  DAS_CHECK_MSG(false, "unknown policy enum");
-  return nullptr;
+  return info(policy).build(config);
 }
 
 }  // namespace das::sched

@@ -79,8 +79,6 @@ class Scheduler : public Auditable {
   /// `in_service.demand_us` holds the REMAINING demand. Default: never.
   virtual bool preempts(const OpContext& incoming, const OpContext& in_service) const;
 
-  virtual std::string name() const = 0;
-
   /// Lifetime mechanism-activation counters (zeros unless overridden).
   virtual MechanismCounters mechanism_counters() const { return {}; }
 
@@ -103,7 +101,9 @@ class Scheduler : public Auditable {
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;
 
-/// The policies under study. `kDas*` variants are ablations of kDas.
+/// The policies under study, each one row of the table in scheduler.cpp.
+/// `kDas*` variants are ablations of kDas; kReqSrpt is DAS minus deferral, aging
+/// and retagging.
 enum class Policy {
   kFcfs,
   kRandom,
@@ -124,6 +124,8 @@ std::string to_string(Policy policy);
 Policy policy_from_string(const std::string& name);
 /// All policies in presentation order.
 const std::vector<Policy>& all_policies();
+/// Whether clients send the policy progress updates as siblings complete.
+bool uses_progress(Policy policy);
 
 /// Tuning shared by policy constructors; semantics per policy documented at
 /// each implementation. Defaults reproduce the paper configuration; the rest

@@ -6,12 +6,15 @@
 // queued operations.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/invariant.hpp"
+#include "common/rng.hpp"
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
 #include "sched/keyed_queue.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
+#include "sched/scheduler.hpp"
 #include "sched_test_util.hpp"
 
 namespace das::sched {
@@ -52,13 +55,12 @@ struct TestCorruptor {
   }
 
   static void lose_fifo_entry(DasScheduler& s) { s.fifo_.pop_front(); }
+  static std::size_t fifo_size(const DasScheduler& s) { return s.fifo_.size(); }
   static DasScheduler::Queue& queue(DasScheduler& s) { return s.queue_; }
   static void negate_remaining(DasScheduler& s) {
     s.queue_.slots_[s.queue_.heaps_[0].front().slot].value.op.remaining_critical_us =
         -1.0;
   }
-
-  static KeyedQueue<double>& queue(ReqSrptScheduler& s) { return s.queue_; }
 
   static void reorder_level(ReinSbfScheduler& s) {
     std::swap(s.levels_[0].front().arrival_seq, s.levels_[0].back().arrival_seq);
@@ -92,24 +94,18 @@ void fill(S& s, int n) {
 // --- healthy structures audit clean ----------------------------------------
 
 TEST(InvariantAudit, HealthySchedulersPass) {
-  FcfsScheduler fcfs;
-  RandomScheduler random{7};
-  SjfScheduler sjf;
-  EdfScheduler edf;
-  ReqSrptScheduler srpt;
-  ReinSbfScheduler rein{{}};
-  DasScheduler das{{}};
-  for (Scheduler* s : std::initializer_list<Scheduler*>{&fcfs, &random, &sjf,
-                                                        &edf, &srpt, &rein, &das}) {
-    EXPECT_NO_THROW(s->check_invariants()) << "empty " << s->name();
+  for (const Policy policy : all_policies()) {
+    const std::string name = to_string(policy);
+    const SchedulerPtr s = make_scheduler(policy);
+    EXPECT_NO_THROW(s->check_invariants()) << "empty " << name;
     for (int i = 0; i < 16; ++i) {
       s->enqueue(op(static_cast<OperationId>(i), 5.0 + i), static_cast<double>(i));
     }
-    EXPECT_NO_THROW(s->check_invariants()) << "filled " << s->name();
+    EXPECT_NO_THROW(s->check_invariants()) << "filled " << name;
     for (int i = 0; i < 9; ++i) s->dequeue(100.0);
-    EXPECT_NO_THROW(s->check_invariants()) << "drained " << s->name();
+    EXPECT_NO_THROW(s->check_invariants()) << "drained " << name;
     while (!s->empty()) s->dequeue(200.0);
-    EXPECT_NO_THROW(s->check_invariants()) << "empty again " << s->name();
+    EXPECT_NO_THROW(s->check_invariants()) << "empty again " << name;
   }
 }
 
@@ -202,6 +198,29 @@ TEST(InvariantAudit, DasAgingFifoLossThrows) {
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
+TEST(InvariantAudit, DasFifoEmptiesWithTheQueueWithoutAging) {
+  // With aging off the fifo still sheds served ops, so a long run leaves it
+  // no longer than the queue instead of holding every op ever enqueued.
+  DasScheduler::Options opt;
+  opt.max_wait_us = kTimeInfinity;
+  DasScheduler s{opt};
+  Rng rng{5};
+  SimTime now = 0;
+  OperationId next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    now += 1.0;
+    if (s.empty() || rng.chance(0.5)) {
+      s.enqueue(OpBuilder{next++}.total(rng.uniform(1, 400)).build(), now);
+    } else {
+      s.dequeue(now);
+    }
+  }
+  EXPECT_NO_THROW(s.check_invariants());
+  while (!s.empty()) s.dequeue(now += 1.0);
+  EXPECT_LE(TestCorruptor::fifo_size(s), s.size());
+  EXPECT_NO_THROW(s.check_invariants());
+}
+
 TEST(InvariantAudit, DasOrderSetDesyncThrows) {
   // A queued op drops out of the runnable lane without being served.
   DasScheduler s{{}};
@@ -243,21 +262,24 @@ TEST(InvariantAudit, ReinNegativeThresholdThrows) {
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
+// req-srpt is the DAS option set with deferral, aging and retagging off.
+DasScheduler& as_das(const SchedulerPtr& s) { return dynamic_cast<DasScheduler&>(*s); }
+
 TEST(InvariantAudit, SrptHeapPositionMismatchThrows) {
-  ReqSrptScheduler s;
-  fill(s, 3);
-  TestCorruptor::swap_back_pointers(TestCorruptor::queue(s));
-  EXPECT_THROW(s.check_invariants(), AuditError);
+  const SchedulerPtr s = make_scheduler(Policy::kReqSrpt);
+  fill(*s, 3);
+  TestCorruptor::swap_back_pointers(TestCorruptor::queue(as_das(s)));
+  EXPECT_THROW(s->check_invariants(), AuditError);
 }
 
 TEST(InvariantAudit, SrptNegativeRemainingThrows) {
   // A negative stored key keeps the heap valid (it only moves to the front)
   // but is no remaining total demand.
-  ReqSrptScheduler s;
-  fill(s, 3);
-  TestCorruptor::lower_front_key(TestCorruptor::queue(s));
-  EXPECT_NO_THROW(TestCorruptor::queue(s).check_invariants());
-  EXPECT_THROW(s.check_invariants(), AuditError);
+  const SchedulerPtr s = make_scheduler(Policy::kReqSrpt);
+  fill(*s, 3);
+  TestCorruptor::lower_front_key(TestCorruptor::queue(as_das(s)));
+  EXPECT_NO_THROW(TestCorruptor::queue(as_das(s)).check_invariants());
+  EXPECT_THROW(s->check_invariants(), AuditError);
 }
 
 // --- FCFS ordering -----------------------------------------------------------

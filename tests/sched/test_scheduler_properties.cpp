@@ -9,7 +9,6 @@
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
 #include "sched/rein.hpp"
-#include "sched/req_srpt.hpp"
 #include "sched/scheduler.hpp"
 #include "sched_test_util.hpp"
 
@@ -79,11 +78,11 @@ TEST(PolicyProperties, DasNoAgingEqualsDasWhenNothingStarves) {
 
 TEST(PolicyProperties, DasNdEqualsReqSrptOrderOnSharedKeys) {
   // das-nd (no deferral) orders purely by total remaining with arrival
-  // tie-breaks — identical to req-srpt when no progress updates arrive.
+  // tie-breaks — identical to req-srpt while nothing waits past max_wait.
   const auto ops = random_stream(400, 17);
   const SchedulerPtr nd = make_scheduler(Policy::kDasNoDefer);
-  ReqSrptScheduler srpt;
-  EXPECT_EQ(service_order(*nd, ops, 0.5, 3), service_order(srpt, ops, 0.5, 3));
+  const SchedulerPtr srpt = make_scheduler(Policy::kReqSrpt);
+  EXPECT_EQ(service_order(*nd, ops, 0.5, 3), service_order(*srpt, ops, 0.5, 3));
 }
 
 TEST(PolicyProperties, LargerDeferMarginDefersLess) {

@@ -108,6 +108,52 @@ TEST(ExperimentRegistry, TablesPrintKnownMetricsAgainstAnFcfsBaseline) {
   }
 }
 
+// A one-point fcfs/das grid whose results carry the given mean RCT and
+// goodput, printed as the `metric` table.
+std::string one_point_table(const std::string& metric, double fcfs_mean,
+                            double das_mean, double fcfs_goodput,
+                            double das_goodput) {
+  Experiment e;
+  e.name = "gain";
+  e.points.push_back({"p", core::ClusterConfig{}, core::RunWindow{}});
+  e.policies = {sched::Policy::kFcfs, sched::Policy::kDas};
+  std::vector<core::SweepOutcome> rows(2);
+  rows[0].result.rct.mean = fcfs_mean;
+  rows[0].result.goodput_rps = fcfs_goodput;
+  rows[1].result.rct.mean = das_mean;
+  rows[1].result.goodput_rps = das_goodput;
+  std::ostringstream os;
+  print_table(os, e, rows, metric);
+  return os.str();
+}
+
+TEST(ExperimentTables, GainIsPositiveWhenDasIsBetterInEitherDirection) {
+  // Lower is better for RCT: 200 -> 150 is a 25% gain.
+  EXPECT_NE(one_point_table("mean", 200, 150, 0, 0).find("25.0%"),
+            std::string::npos);
+  // Higher is better for goodput: 27,525 -> 42,425 is a 54.1% gain, not a
+  // loss.
+  const std::string goodput = one_point_table("goodput", 0, 0, 27525, 42425);
+  EXPECT_NE(goodput.find("54.1%"), std::string::npos) << goodput;
+  EXPECT_EQ(goodput.find("-54.1%"), std::string::npos) << goodput;
+  EXPECT_NE(one_point_table("goodput", 0, 0, 200, 100).find("-50.0%"),
+            std::string::npos);
+}
+
+TEST(ExperimentTables, TitlesNameTheMetricAndItsUnit) {
+  const std::string mean = one_point_table("mean", 200, 150, 0, 0);
+  EXPECT_EQ(mean.rfind("== gain — RCT mean (us) ==\n", 0), 0u) << mean;
+  const std::string goodput = one_point_table("goodput", 0, 0, 1, 2);
+  EXPECT_EQ(goodput.find("RCT"), std::string::npos) << goodput;
+  EXPECT_NE(goodput.find("goodput (completed requests/s)"), std::string::npos)
+      << goodput;
+  // A counter has no better direction, so its gain cell is "-".
+  std::istringstream lines{one_point_table("reranks", 0, 0, 0, 0)};
+  std::string row;
+  for (int i = 0; i < 4; ++i) std::getline(lines, row);  // title, header, rule
+  EXPECT_EQ(row.back(), '-') << row;
+}
+
 // The JSON rendering of a run with the one non-deterministic field dropped.
 std::string deterministic_json(const Experiment& e,
                                const std::vector<core::SweepOutcome>& rows) {

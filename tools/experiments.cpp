@@ -733,32 +733,88 @@ std::vector<core::SweepPoint> sweep_points(const Experiment& experiment) {
   return out;
 }
 
+namespace {
+
+/// Which way a metric improves; kNone (counters, utilisation) prints no gain.
+enum class Better { kLower, kHigher, kNone };
+
+/// One table metric: its TableSpec key, its title with unit, the decimals
+/// of its cells, which way it improves and how to read it from a result.
+struct Metric {
+  const char* key;
+  const char* title;
+  int precision;
+  Better better;
+  double (*value)(const core::ExperimentResult& r);
+};
+
+using Result = core::ExperimentResult;
+
+constexpr Metric kMetrics[] = {
+    {"mean", "RCT mean (us)", 1, Better::kLower,
+     [](const Result& r) { return r.rct.mean; }},
+    {"p99", "RCT p99 (us)", 1, Better::kLower,
+     [](const Result& r) { return r.rct.p99; }},
+    {"p999", "RCT p999 (us)", 1, Better::kLower,
+     [](const Result& r) { return r.rct.p999; }},
+    {"util", "mean server utilisation", 3, Better::kNone,
+     [](const Result& r) { return r.mean_server_utilization; }},
+    {"max_util", "max server utilisation", 3, Better::kNone,
+     [](const Result& r) { return r.max_server_utilization; }},
+    {"progress_msgs", "progress messages", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.progress_messages); }},
+    {"ops_deferred", "ops deferred", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.ops_deferred); }},
+    {"ops_aged", "ops aged", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.ops_aged); }},
+    {"reranks", "reranks applied", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.reranks_applied); }},
+    {"bd_deferred_wait", "mean deferred wait (us)", 1, Better::kNone,
+     [](const Result& r) { return r.breakdown.mean_deferred_wait_us; }},
+    {"availability", "availability (completed / settled)", 4, Better::kHigher,
+     [](const Result& r) { return r.availability; }},
+    {"ops_failed_over", "ops failed over", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.ops_failed_over); }},
+    {"jain", "Jain index over per-tenant mean RCT", 4, Better::kHigher,
+     [](const Result& r) { return r.jain_fairness; }},
+    {"goodput", "goodput (completed requests/s)", 1, Better::kHigher,
+     [](const Result& r) { return r.goodput_rps; }},
+    {"throughput", "throughput (settled requests/s)", 1, Better::kNone,
+     [](const Result& r) { return r.throughput_rps; }},
+    {"requests_shed", "requests shed", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.requests_shed); }},
+    {"requests_expired", "requests expired", 0, Better::kNone,
+     [](const Result& r) { return static_cast<double>(r.requests_expired); }},
+    {"wasted_ms", "wasted service (ms)", 1, Better::kLower,
+     [](const Result& r) { return r.wasted_service_us / 1e3; }},
+};
+
+const Metric& find_metric(const std::string& key) {
+  for (const Metric& metric : kMetrics)
+    if (key == metric.key) return metric;
+  DAS_CHECK_MSG(false, "unknown metric: " + key);
+  return kMetrics[0];
+}
+
+/// DAS's gain over FCFS as a signed percentage, positive when DAS is
+/// better; "-" without a direction or an FCFS value to compare against.
+std::string gain(const Metric& metric, double fcfs, double das) {
+  if (metric.better == Better::kNone || fcfs <= 0) return "-";
+  const double ratio = das / fcfs;
+  return Table::fmt_percent(metric.better == Better::kLower ? 1.0 - ratio
+                                                            : ratio - 1.0);
+}
+
+}  // namespace
+
 double metric_value(const core::ExperimentResult& r, const std::string& metric) {
-  if (metric == "mean") return r.rct.mean;
-  if (metric == "p99") return r.rct.p99;
-  if (metric == "p999") return r.rct.p999;
-  if (metric == "util") return r.mean_server_utilization;
-  if (metric == "max_util") return r.max_server_utilization;
-  if (metric == "progress_msgs") return static_cast<double>(r.progress_messages);
-  if (metric == "ops_deferred") return static_cast<double>(r.ops_deferred);
-  if (metric == "ops_aged") return static_cast<double>(r.ops_aged);
-  if (metric == "reranks") return static_cast<double>(r.reranks_applied);
-  if (metric == "bd_deferred_wait") return r.breakdown.mean_deferred_wait_us;
-  if (metric == "availability") return r.availability;
-  if (metric == "ops_failed_over") return static_cast<double>(r.ops_failed_over);
-  if (metric == "jain") return r.jain_fairness;
-  if (metric == "goodput") return r.goodput_rps;
-  if (metric == "throughput") return r.throughput_rps;
-  if (metric == "requests_shed") return static_cast<double>(r.requests_shed);
-  if (metric == "requests_expired") return static_cast<double>(r.requests_expired);
-  if (metric == "wasted_ms") return r.wasted_service_us / 1e3;
-  DAS_CHECK_MSG(false, "unknown metric: " + metric);
-  return 0;
+  return find_metric(metric).value(r);
 }
 
 void print_table(std::ostream& os, const Experiment& experiment,
                  const std::vector<core::SweepOutcome>& outcomes,
                  const std::string& metric) {
+  const Metric& spec = find_metric(metric);
   const std::vector<sched::Policy>& policies = experiment.policies;
   const std::size_t n = policies.size();
   DAS_CHECK(outcomes.size() == experiment.points.size() * n);
@@ -768,32 +824,25 @@ void print_table(std::ostream& os, const Experiment& experiment,
   };
   const std::size_t fcfs_at = column(sched::Policy::kFcfs);
   const std::size_t das_at = column(sched::Policy::kDas);
-  const bool gain = fcfs_at < n && das_at < n;
+  const bool has_gain = fcfs_at < n && das_at < n;
 
   std::vector<std::string> headers{"point"};
   for (const sched::Policy p : policies) headers.push_back(sched::to_string(p));
-  if (gain) headers.push_back("das vs fcfs");
+  if (has_gain) headers.push_back("das vs fcfs");
 
-  // Dimensionless ratio metrics read better with full precision than the
-  // one-decimal µs default.
-  const int precision = metric == "jain" || metric == "availability" ? 4 : 1;
   Table table{headers};
   for (std::size_t i = 0; i < experiment.points.size(); ++i) {
     // Outcomes are point-major (sweep_points order).
     const auto value = [&](std::size_t j) {
-      return metric_value(outcomes[i * n + j].result, metric);
+      return spec.value(outcomes[i * n + j].result);
     };
     std::vector<std::string> cells{experiment.points[i].label};
     for (std::size_t j = 0; j < n; ++j)
-      cells.push_back(Table::fmt(value(j), precision));
-    if (gain) {
-      cells.push_back(value(fcfs_at) > 0
-                          ? Table::fmt_percent(1.0 - value(das_at) / value(fcfs_at))
-                          : "-");
-    }
+      cells.push_back(Table::fmt(value(j), spec.precision));
+    if (has_gain) cells.push_back(gain(spec, value(fcfs_at), value(das_at)));
     table.add_row(std::move(cells));
   }
-  os << "== " << experiment.name << " — RCT " << metric << " (us) ==\n";
+  os << "== " << experiment.name << " — " << spec.title << " ==\n";
   table.print(os);
   os << '\n';
 }

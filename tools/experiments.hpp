@@ -60,8 +60,9 @@ std::vector<core::SweepPoint> sweep_points(const Experiment& experiment);
 double metric_value(const core::ExperimentResult& r, const std::string& metric);
 
 /// Prints one point × policy table of `metric` over `outcomes`, which are in
-/// sweep_points order. Adds a "das vs fcfs" gain column when both policies
-/// are in the grid.
+/// sweep_points order, titled with the metric and its unit. Adds a "das vs
+/// fcfs" gain column when both policies are in the grid: positive when DAS
+/// is better in the metric's direction, "-" for metrics without one.
 void print_table(std::ostream& os, const Experiment& experiment,
                  const std::vector<core::SweepOutcome>& outcomes,
                  const std::string& metric);
