@@ -31,6 +31,7 @@ PerfPoint finish_point(std::string name, const sim::Simulator& sim,
   p.point = std::move(name);
   p.events = sim.events_dispatched();
   p.lane_events = sim.lane_events();
+  p.other_events = p.events;
   p.wall_seconds = seconds_since(start);
   p.events_per_sec =
       static_cast<double>(p.events) / std::max(p.wall_seconds, 1e-9);
@@ -98,8 +99,9 @@ PerfPoint run_cancel_heavy(std::uint64_t events) {
 }
 
 /// Network streaming: each delivery sends the next message on its link, so
-/// the point measures send + latency sampling + FIFO clamping + dispatch.
-struct NetStream {
+/// the point measures send + latency sampling + FIFO clamping + dispatch. A
+/// message's ticket is its link, (from, to) in two 16-bit halves.
+struct NetStream final : sim::MessageSink {
   sim::Simulator sim;
   std::unique_ptr<net::Network> net;
   std::uint64_t remaining = 0;
@@ -107,7 +109,10 @@ struct NetStream {
   void pump(net::NodeId from, net::NodeId to) {
     if (remaining == 0) return;
     --remaining;
-    net->send(from, to, 256, [this, from, to] { pump(to, from); });
+    net->send(from, to, 256, from << 16 | to);
+  }
+  void deliver(sim::Ticket ticket) override {
+    pump(ticket & 0xFFFFu, ticket >> 16);
   }
 };
 
@@ -118,6 +123,7 @@ PerfPoint run_net_stream(std::uint64_t events) {
   cfg.latency = net::make_uniform_latency(2.0, 8.0);
   cfg.num_nodes = 2 * kLinks;
   bench.net = std::make_unique<net::Network>(bench.sim, cfg, Rng{0x4E7});
+  bench.sim.set_message_sink(&bench);
   bench.remaining = events;
   for (net::NodeId link = 0; link < kLinks; ++link) {
     bench.pump(link, kLinks + link);
@@ -146,7 +152,19 @@ PerfPoint run_cluster_point(const char* name, sched::Policy policy,
   const auto start = Clock::now();
   const ExperimentResult result = cluster.run();
   DAS_CHECK(result.requests_completed == result.requests_generated);
-  return finish_point(name, cluster.simulator(), start);
+  PerfPoint p = finish_point(name, cluster.simulator(), start);
+  const Cluster::DeliveryCounts& delivered = cluster.deliveries();
+  p.op_deliveries = delivered.ops;
+  p.response_deliveries = delivered.responses;
+  p.progress_deliveries = delivered.progress;
+  p.other_events = p.events - delivered.total();
+  for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+    const sched::MechanismCounters counters =
+        cluster.server(s).scheduler().mechanism_counters();
+    p.progress_rekeyed += counters.progress_rekeyed;
+    p.progress_unqueued += counters.progress_unqueued;
+  }
+  return p;
 }
 
 // NOLINTEND(das-no-wallclock)

@@ -5,10 +5,11 @@
 // are cancelled before firing), a network streaming loop (send + FIFO clamp +
 // delivery), and full cluster runs under FCFS and DAS (everything at once:
 // scheduler bookkeeping, progress fan-in, metrics). Each point reports
-// dispatched events (and how many of them came from the delivery lane), wall
-// seconds and events/sec; `bench_throughput` writes the result as
-// BENCH_PERF.json (schema_version 3) and CI gates on events/sec regressions
-// against the committed baseline.
+// dispatched events (how many came from the delivery lane, and how many were
+// op, response and progress deliveries, with the progress outcome split),
+// wall seconds and events/sec; `bench_throughput` writes the result as
+// BENCH_PERF.json (schema_version 4) and CI gates the counts exactly and
+// events/sec against the committed baseline.
 //
 // Event counts and simulated time are deterministic for a fixed scale; only
 // the wall-clock fields vary run to run.

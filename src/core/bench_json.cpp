@@ -219,7 +219,7 @@ void write_bench_json(const std::string& path, const std::string& experiment,
 
 void render_perf_json(std::ostream& os, const std::string& experiment,
                       const std::vector<PerfPoint>& points) {
-  os << "{\n  \"schema_version\": 3,\n  \"experiment\": ";
+  os << "{\n  \"schema_version\": 4,\n  \"experiment\": ";
   json_string(os, experiment);
   os << ",\n  \"points\": [";
   bool first = true;
@@ -229,6 +229,12 @@ void render_perf_json(std::ostream& os, const std::string& experiment,
     json_string(os, p.point);
     os << ",\n      \"events\": " << p.events;
     os << ",\n      \"lane_events\": " << p.lane_events;
+    os << ",\n      \"op_deliveries\": " << p.op_deliveries;
+    os << ",\n      \"response_deliveries\": " << p.response_deliveries;
+    os << ",\n      \"progress_deliveries\": " << p.progress_deliveries;
+    os << ",\n      \"other_events\": " << p.other_events;
+    os << ",\n      \"progress_rekeyed\": " << p.progress_rekeyed;
+    os << ",\n      \"progress_unqueued\": " << p.progress_unqueued;
     os << ",\n      \"wall_seconds\": ";
     json_double(os, p.wall_seconds);
     os << ",\n      \"events_per_sec\": ";

@@ -101,20 +101,30 @@ std::string bench_json_string(const std::string& experiment,
 void write_bench_json(const std::string& path, const std::string& experiment,
                       const std::vector<SweepOutcome>& rows);
 
-/// One throughput measurement of the perf bench (BENCH_PERF.json). `events`,
-/// `lane_events` and `sim_time_us` are deterministic for a fixed seed; the
+/// One throughput measurement of the perf bench (BENCH_PERF.json). The
+/// counts and `sim_time_us` are deterministic for a fixed seed; the
 /// wall-clock fields are what the perf trajectory tracks.
 struct PerfPoint {
   std::string point;
   std::uint64_t events = 0;
   /// Subset of `events` dispatched from the simulator's delivery lane.
   std::uint64_t lane_events = 0;
+  /// `events` by kind: the cluster's op, response and progress deliveries,
+  /// and every other event (timers, and a microbench's own messages).
+  std::uint64_t op_deliveries = 0;
+  std::uint64_t response_deliveries = 0;
+  std::uint64_t progress_deliveries = 0;
+  std::uint64_t other_events = 0;
+  /// Progress deliveries that re-keyed at least one queued op, and those
+  /// that found no queued op of their request.
+  std::uint64_t progress_rekeyed = 0;
+  std::uint64_t progress_unqueued = 0;
   double wall_seconds = 0;
   double events_per_sec = 0;
   double sim_time_us = 0;
 };
 
-/// Renders perf points as a BENCH_PERF.json document (schema_version 3, same
+/// Renders perf points as a BENCH_PERF.json document (schema_version 4, same
 /// envelope as render_bench_json: {schema_version, experiment, points}).
 void render_perf_json(std::ostream& os, const std::string& experiment,
                       const std::vector<PerfPoint>& points);

@@ -54,8 +54,8 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
                std::vector<TenantStream> tenants,
                const store::Partitioner& partitioner,
                const std::vector<Bytes>& catalogue,
-               FlatMap<KeyId, Bytes>& issued, Metrics& metrics, SendOp send_op,
-               SendProgress send_progress)
+               FlatMap<KeyId, Bytes>& issued, Metrics& metrics,
+               Transport& transport)
     : sim_(sim),
       params_(params),
       rng_(rng),
@@ -64,8 +64,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
       catalogue_(catalogue),
       issued_(issued),
       metrics_(metrics),
-      send_op_(std::move(send_op)),
-      send_progress_(std::move(send_progress)),
+      transport_(transport),
       // Fork the jitter stream off a COPY so the workload stream of rng_ is
       // untouched: runs without retries stay bit-identical to older builds.
       // Seeded in the init list — retry_rng_ is never default-constructed
@@ -86,8 +85,6 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
       DAS_CHECK(tenant.arrivals != nullptr);
     }
   }
-  DAS_CHECK(send_op_ != nullptr);
-  DAS_CHECK(send_progress_ != nullptr);
   DAS_CHECK(params_.ewma_alpha > 0 && params_.ewma_alpha <= 1);
   // Tenants past the first get their own workload streams, forked off COPIES
   // so neither rng_ nor the single-tenant draw sequence is perturbed.
@@ -108,6 +105,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
   selector_ = select::make_selector(params_.replica_selection);
   rto_strikes_.assign(params_.num_servers, 0);
   suspected_.assign(params_.num_servers, 0);
+  progress_entry_.assign(params_.num_servers, kNoEntry);
 }
 
 void Client::start(SimTime horizon) {
@@ -155,9 +153,9 @@ double Client::service_estimate_us(ServerId server, double demand) const {
   return demand / mu;
 }
 
-SimTime Client::full_estimate(SimTime now, ServerId server, double demand) const {
+SimTime Client::full_estimate(SimTime now, ServerId server, double service) const {
   const double d = params_.adaptive ? d_est_[server] : 0.0;
-  return now + params_.est_rtt_us + d + service_estimate_us(server, demand);
+  return now + params_.est_rtt_us + d + service;
 }
 
 select::LearnedView Client::learned_view() const {
@@ -315,13 +313,14 @@ void Client::dispatch_plan(std::size_t tenant, std::vector<PendingOp> plan) {
   double critical_us = 0;
   for (PendingOp& op : pending.ops) {
     const double demand = op.ctx.demand_us;
+    const double service = service_estimate_us(op.server, demand);
     auto& agg = per_server[op.server];
     ++agg.ops;
     agg.demand += demand;
     agg.max_full_estimate =
-        std::max(agg.max_full_estimate, full_estimate(now, op.server, demand));
+        std::max(agg.max_full_estimate, full_estimate(now, op.server, service));
     total_demand += demand;
-    critical_us = std::max(critical_us, service_estimate_us(op.server, demand));
+    critical_us = std::max(critical_us, service);
     op.ctx.op_id = (static_cast<OperationId>(params_.id) << 48) | next_op_seq_++;
   }
   std::uint32_t bottleneck_ops = 0;
@@ -408,7 +407,7 @@ Client::PendingOp& Client::find_op(PendingRequest& req, OperationId op_id) {
 }
 
 void Client::send(const PendingOp& op, ServerId server, bool resend) {
-  send_op_(server, op.ctx);
+  transport_.send_op(server, op.ctx);
   if (tracer_ != nullptr) {
     tracer_->op_send(sim_.now(), op.ctx.op_id, op.ctx.request_id, params_.id,
                      server, op.ctx.demand_us, resend);
@@ -638,24 +637,30 @@ void Client::on_response(const OpResponse& resp) {
   // network (event sequence numbers!), so this must NOT be an unordered
   // container: libstdc++ and libc++ would send in different orders and
   // produce different results. First-touch order — the order ops appear in
-  // the request — is deterministic everywhere. A request touches few
-  // distinct servers (fan-out mean 8), so the linear scan is cheap.
+  // the request — is deterministic everywhere. progress_entry_ finds a
+  // server's entry in O(1), so the scan is linear in the request's ops.
   std::vector<std::pair<ServerId, SimTime>>& server_max_full = progress_servers_;
   server_max_full.clear();
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
     const double demand = op.ctx.demand_us;
     remaining_demand += demand;
-    new_critical = std::max(new_critical, service_estimate_us(op.server, demand));
-    const auto slot = std::find_if(
-        server_max_full.begin(), server_max_full.end(),
-        [&](const auto& entry) { return entry.first == op.server; });
-    const SimTime est = full_estimate(now, op.server, demand);
-    if (slot == server_max_full.end()) {
+    // One division serves both estimates.
+    const double service = service_estimate_us(op.server, demand);
+    new_critical = std::max(new_critical, service);
+    const SimTime est = full_estimate(now, op.server, service);
+    std::uint32_t& entry = progress_entry_[op.server];
+    if (entry == kNoEntry) {
+      entry = static_cast<std::uint32_t>(server_max_full.size());
       server_max_full.emplace_back(op.server, est);
     } else {
-      slot->second = std::max(slot->second, est);
+      SimTime& max_est = server_max_full[entry].second;
+      max_est = std::max(max_est, est);
     }
+  }
+  for (const auto& [server, unused] : server_max_full) {
+    (void)unused;
+    progress_entry_[server] = kNoEntry;
   }
   // Send when either the critical path (das-crit's key) or the total
   // remaining (the SRPT-first key of das and req-srpt) moved by more than the
@@ -679,7 +684,7 @@ void Client::on_response(const OpResponse& resp) {
     update.remaining_critical_us = new_critical;
     update.est_other_completion = full_estimates.max_excluding(server);
     update.remaining_total_us = remaining_demand;
-    send_progress_(server, rid, update);
+    transport_.send_progress(params_.id, server, rid, update);
     ++progress_sent_;
   }
 }

@@ -8,7 +8,6 @@
 // piggybacks — the "distributed" half of the paper's design.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/config.hpp"
+#include "core/message.hpp"
 #include "core/metrics.hpp"
 #include "core/server.hpp"
 #include "sched/op_context.hpp"
@@ -103,19 +103,16 @@ class Client {
     const workload::ReplayTrace* replay = nullptr;
   };
 
-  using SendOp = std::function<void(ServerId, const sched::OpContext&)>;
-  using SendProgress =
-      std::function<void(ServerId, RequestId, const sched::ProgressUpdate&)>;
-
   /// One TenantStream per tenant (a legacy run is one synthetic tenant).
   /// `catalogue` is the size drawn for every key, frozen at construction.
   /// `issued` is the overlay all clients share: a writer publishes the size
   /// it issued there (the writer knows it; other clients' estimates converge
-  /// on their next access). Both must outlive the client.
+  /// on their next access). Ops and progress updates leave through
+  /// `transport`. All three must outlive the client.
   Client(sim::Simulator& sim, Params params, Rng rng,
          std::vector<TenantStream> tenants, const store::Partitioner& partitioner,
          const std::vector<Bytes>& catalogue, FlatMap<KeyId, Bytes>& issued,
-         Metrics& metrics, SendOp send_op, SendProgress send_progress);
+         Metrics& metrics, Transport& transport);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -170,12 +167,13 @@ class Client {
 
  private:
   struct PendingOp {
+    /// Current destination: the planned replica, or a failover target.
+    /// First, with `done`, so the per-response scan reads one cache line.
+    ServerId server = 0;
+    bool done = false;
     /// The op as sent (id, key, demand, write payload and tags), kept for
     /// retransmission and hedging.
     sched::OpContext ctx;
-    /// Current destination: the planned replica, or a failover target.
-    ServerId server = 0;
-    bool done = false;
     sim::EventHandle retry_timer;
     sim::EventHandle hedge_timer;
     std::uint32_t attempts = 1;
@@ -241,8 +239,9 @@ class Client {
   select::LearnedView learned_view() const;
   /// Intrinsic service-time estimate of one op (demand over learned speed).
   double service_estimate_us(ServerId server, double demand) const;
-  /// Full completion estimate of one op if sent now (rtt + queueing + service).
-  SimTime full_estimate(SimTime now, ServerId server, double demand) const;
+  /// Full completion estimate of one op if sent now: rtt + queueing +
+  /// `service`, its service_estimate_us, summed in that order.
+  SimTime full_estimate(SimTime now, ServerId server, double service) const;
 
   sim::Simulator& sim_;
   Params params_;
@@ -252,8 +251,7 @@ class Client {
   const std::vector<Bytes>& catalogue_;
   FlatMap<KeyId, Bytes>& issued_;
   Metrics& metrics_;
-  SendOp send_op_;
-  SendProgress send_progress_;
+  Transport& transport_;
   trace::Tracer* tracer_ = nullptr;
   trace::BreakdownCollector* breakdown_ = nullptr;
   workload::ReplayTrace* recorder_ = nullptr;
@@ -287,9 +285,13 @@ class Client {
   std::vector<std::uint32_t> rto_strikes_;
   std::vector<char> suspected_;
   /// on_response scratch: (server, max full estimate) per server still
-  /// holding ops of the request, in first-touch order. A member so a
-  /// response allocates nothing once it has grown to the widest request.
+  /// holding ops of the request, in first-touch order, and each server's
+  /// index in it (kNoEntry when absent; every touched entry is reset before
+  /// on_response returns). Members so a response allocates nothing once
+  /// they have grown to the widest request.
   std::vector<std::pair<ServerId, SimTime>> progress_servers_;
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> progress_entry_;
 
   std::uint64_t next_request_seq_ = 0;
   std::uint64_t next_op_seq_ = 0;

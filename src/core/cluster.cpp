@@ -150,14 +150,10 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   sim_.add_auditable(this);
   sim_.set_audit_cadence(config_.audit_every_events);
 
-  // Response routing: server -> network -> client.
-  for (auto& server : servers_) {
-    server->set_response_handler([this](const OpResponse& resp) {
-      net_->send(server_node(resp.server), client_node(resp.client),
-                 wire::response_wire_size(resp),
-                 [this, resp] { clients_[resp.client]->on_response(resp); });
-    });
-  }
+  // Message routing: servers and clients send through this cluster's
+  // Transport, and the simulator delivers every ticket back to it.
+  for (auto& server : servers_) server->set_transport(*this);
+  sim_.set_message_sink(this);
 
   // Workload generators: one per tenant over its contiguous slice (replay
   // tenants load their trace instead).
@@ -200,7 +196,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   const double per_client_rate =
       request_rate_ / static_cast<double>(config_.num_clients);
   const bool progress = sched::uses_progress(config_.policy);
-  const bool adaptive = config_.policy != sched::Policy::kDasNoAdapt;
+  const bool adaptive = sched::learns_estimates(config_.policy);
 
   const std::size_t replication =
       std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
@@ -227,19 +223,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                        : config_.value_size_bytes;
     params.overload = config_.overload;
 
-    auto send_op = [this](ServerId server, const sched::OpContext& ctx) {
-      net_->send(client_node(ctx.client), server_node(server),
-                 wire::op_wire_size(ctx),
-                 [this, server, ctx] { servers_[server]->receive_op(ctx); });
-    };
-    auto send_progress = [this, c](ServerId server, RequestId rid,
-                                   const sched::ProgressUpdate& update) {
-      net_->send(client_node(static_cast<ClientId>(c)), server_node(server),
-                 wire::progress_wire_size(), [this, server, rid, update] {
-                   servers_[server]->receive_progress(rid, update);
-                 });
-    };
-
     std::vector<Client::TenantStream> streams(tenant_count);
     for (std::size_t t = 0; t < tenant_count; ++t) {
       const workload::TenantSpec& tenant = tenants_[t];
@@ -264,8 +247,8 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     }
     clients_.push_back(std::make_unique<Client>(
         sim_, params, master.fork(0xC11E47 + c), std::move(streams),
-        *partitioner_, key_sizes_, issued_sizes_, metrics_, std::move(send_op),
-        std::move(send_progress)));
+        *partitioner_, key_sizes_, issued_sizes_, metrics_,
+        static_cast<Transport&>(*this)));
     if (tracer_ != nullptr) clients_.back()->set_tracer(tracer_);
     clients_.back()->set_breakdown_collector(&breakdown_);
   }
@@ -425,6 +408,56 @@ void Cluster::check_invariants() const {
   DAS_AUDIT(counts.generated == counts.settled() + in_flight,
             "request conservation violated: generated != completed + failed "
             "+ shed + expired + in flight");
+}
+
+template <typename T>
+void Cluster::post(Pool<T>& pool, MessageKind kind, net::NodeId from,
+                   net::NodeId to, Bytes size, const T& msg) {
+  const std::uint32_t index = pool.put(msg);
+  const sim::Ticket ticket = static_cast<std::uint32_t>(kind) << kKindShift | index;
+  if (!net_->send(from, to, size, ticket)) pool.drop(index);
+}
+
+void Cluster::send_op(ServerId server, const sched::OpContext& op) {
+  post(op_pool_, MessageKind::kOp, client_node(op.client), server_node(server),
+       wire::op_wire_size(op), OpMessage{server, op});
+}
+
+void Cluster::send_progress(ClientId client, ServerId server, RequestId request,
+                            const sched::ProgressUpdate& update) {
+  post(progress_pool_, MessageKind::kProgress, client_node(client),
+       server_node(server), wire::progress_wire_size(),
+       ProgressMessage{server, request, update});
+}
+
+void Cluster::send_response(const OpResponse& resp) {
+  post(response_pool_, MessageKind::kResponse, server_node(resp.server),
+       client_node(resp.client), wire::response_wire_size(resp), resp);
+}
+
+void Cluster::deliver(sim::Ticket ticket) {
+  const std::uint32_t index = ticket & kIndexMask;
+  switch (static_cast<MessageKind>(ticket >> kKindShift)) {
+    case MessageKind::kOp: {
+      ++deliveries_.ops;
+      const OpMessage msg = op_pool_.take(index);
+      servers_[msg.server]->receive_op(msg.op);
+      return;
+    }
+    case MessageKind::kResponse: {
+      ++deliveries_.responses;
+      const OpResponse resp = response_pool_.take(index);
+      clients_[resp.client]->on_response(resp);
+      return;
+    }
+    case MessageKind::kProgress: {
+      ++deliveries_.progress;
+      const ProgressMessage msg = progress_pool_.take(index);
+      servers_[msg.server]->receive_progress(msg.request, msg.update);
+      return;
+    }
+  }
+  DAS_CHECK_MSG(false, "ticket of an unknown message kind");
 }
 
 void Cluster::set_workload_recorder(workload::ReplayTrace* sink) {

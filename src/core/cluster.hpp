@@ -5,11 +5,13 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "common/types.hpp"
 #include "core/client.hpp"
 #include "core/config.hpp"
+#include "core/message.hpp"
 #include "core/metrics.hpp"
 #include "core/server.hpp"
 #include "net/network.hpp"
@@ -31,7 +33,13 @@ struct RunWindow {
 
 /// Auditable: between events every generated request is either settled in
 /// the Metrics ledger or in flight at its client (request conservation).
-class Cluster : public Auditable {
+///
+/// The cluster is also the wire: it is the Transport its clients and servers
+/// send through and the MessageSink its simulator delivers to. A message in
+/// flight is a plain struct parked in its kind's pool; the network carries
+/// only a ticket naming it, and deliver() dispatches the ticket with one
+/// switch.
+class Cluster : public Auditable, private Transport, private sim::MessageSink {
  public:
   /// `tracer` (optional, caller-owned, must outlive the cluster) records the
   /// full op lifecycle; null means zero tracing overhead.
@@ -71,11 +79,80 @@ class Cluster : public Auditable {
   /// config.breakdown_retain_requests > 0).
   const trace::BreakdownCollector& breakdown() const { return breakdown_; }
 
+  /// Messages delivered so far, per kind. Every other dispatched event is a
+  /// timer (arrival, service completion, retry, hedge, deadline, fault).
+  struct DeliveryCounts {
+    std::uint64_t ops = 0;
+    std::uint64_t responses = 0;
+    std::uint64_t progress = 0;
+    std::uint64_t total() const { return ops + responses + progress; }
+  };
+  const DeliveryCounts& deliveries() const { return deliveries_; }
+
   /// generated == settled + Σ client in-flight, over the whole run so far.
   void check_invariants() const override;
 
  private:
   friend struct TestCorruptor;
+
+  /// A ticket is a message kind in its top two bits over an index into that
+  /// kind's pool.
+  enum class MessageKind : std::uint32_t { kOp = 0, kResponse = 1, kProgress = 2 };
+  static constexpr std::uint32_t kKindShift = 30;
+  static constexpr std::uint32_t kIndexMask = (1u << kKindShift) - 1;
+
+  struct OpMessage {
+    ServerId server = 0;
+    sched::OpContext op;
+  };
+  struct ProgressMessage {
+    ServerId server = 0;
+    RequestId request = 0;
+    sched::ProgressUpdate update;
+  };
+
+  /// Messages of one kind parked between send and delivery; freed entries
+  /// are reused first, so a pool grows only to the peak in flight.
+  template <typename T>
+  class Pool {
+   public:
+    std::uint32_t put(const T& msg) {
+      if (free_.empty()) {
+        DAS_CHECK_MSG(items_.size() <= kIndexMask, "message pool exhausted");
+        items_.push_back(msg);
+        return static_cast<std::uint32_t>(items_.size() - 1);
+      }
+      const std::uint32_t index = free_.back();
+      free_.pop_back();
+      items_[index] = msg;
+      return index;
+    }
+    /// Frees the entry and returns a copy of its message: the handler it is
+    /// handed to may send more, growing the pool under a reference.
+    T take(std::uint32_t index) {
+      free_.push_back(index);
+      return items_[index];
+    }
+    /// Frees the entry of a message the network dropped.
+    void drop(std::uint32_t index) { free_.push_back(index); }
+
+   private:
+    std::vector<T> items_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  /// Parks `msg` and sends its ticket; a dropped message is freed at once.
+  template <typename T>
+  void post(Pool<T>& pool, MessageKind kind, net::NodeId from, net::NodeId to,
+            Bytes size, const T& msg);
+
+  // Transport: the clients' and servers' way onto the network.
+  void send_op(ServerId server, const sched::OpContext& op) override;
+  void send_progress(ClientId client, ServerId server, RequestId request,
+                     const sched::ProgressUpdate& update) override;
+  void send_response(const OpResponse& resp) override;
+  // MessageSink: a delivered ticket becomes its receiver's handler call.
+  void deliver(sim::Ticket ticket) override;
 
   /// Request arrival rate per the calibration mode: a share-weighted,
   /// mix-aware demand model over the synthetic tenants (replay tenants pace
@@ -118,6 +195,10 @@ class Cluster : public Auditable {
   trace::BreakdownCollector breakdown_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
+  Pool<OpMessage> op_pool_;
+  Pool<OpResponse> response_pool_;
+  Pool<ProgressMessage> progress_pool_;
+  DeliveryCounts deliveries_;
   double request_rate_ = 0;
   bool ran_ = false;
 };

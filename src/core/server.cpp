@@ -46,11 +46,6 @@ Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler
   scheduler_->on_speed_estimate(mu_hat_);
 }
 
-void Server::set_response_handler(std::function<void(const OpResponse&)> handler) {
-  DAS_CHECK(handler != nullptr);
-  respond_ = std::move(handler);
-}
-
 std::optional<Bytes> Server::stored_size(KeyId key) const {
   if (const auto it = written_.find(key); it != written_.end()) return it->second;
   if (key < params_.catalogue.size()) return params_.catalogue[key];
@@ -224,8 +219,8 @@ OpResponse Server::make_response(const sched::OpContext& op,
 }
 
 void Server::respond(const OpResponse& resp) const {
-  DAS_CHECK_MSG(respond_ != nullptr, "response handler not wired");
-  respond_(resp);
+  DAS_CHECK_MSG(transport_ != nullptr, "server transport not wired");
+  transport_->send_response(resp);
 }
 
 void Server::preempt_current() {
@@ -414,9 +409,9 @@ void Server::complete_current() {
   }
 
   busy_ = false;
-  // Start the next op before responding: the response callback can inject
-  // new work (it runs through the network anyway), and the server must never
-  // idle with a non-empty queue.
+  // Start the next op before responding: the transport may inject new work
+  // (it runs through the network anyway), and the server must never idle
+  // with a non-empty queue.
   maybe_start();
   respond(resp);
 }

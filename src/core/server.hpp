@@ -2,7 +2,6 @@
 // loop with time-varying speed and an adaptive service-rate estimator.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -10,6 +9,7 @@
 #include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "common/types.hpp"
+#include "core/message.hpp"
 #include "core/metrics.hpp"
 #include "overload/overload.hpp"
 #include "sched/scheduler.hpp"
@@ -20,43 +20,6 @@
 #include "workload/rate_function.hpp"
 
 namespace das::core {
-
-/// Outcome of an operation, as reported to the client. Non-OK statuses are
-/// explicit overload signals — unlike a silent drop they arrive promptly and
-/// still piggyback d_hat/mu_hat, so shedding FEEDS the learned view.
-enum class OpStatus : std::uint8_t {
-  kOk = 0,
-  /// Shed by the server's QueueGuard: queue at cap (reject-new) or sojourn
-  /// threshold exceeded (sojourn-drop). The op was not served.
-  kBusy = 1,
-  /// Dropped at dequeue because the request's end-to-end deadline had
-  /// already passed — serving it would have been pure waste.
-  kExpired = 2,
-};
-
-/// What a server sends back to the client when an operation completes.
-/// `d_hat_us` / `mu_hat` are the piggybacked adaptive state: the advertised
-/// queueing-delay estimate and the observed service speed (1.0 = nominal).
-struct OpResponse {
-  OperationId op_id = 0;
-  RequestId request_id = 0;
-  ClientId client = 0;
-  ServerId server = 0;
-  KeyId key = 0;
-  Bytes value_size = 0;
-  bool hit = false;
-  bool is_write = false;
-  SimTime completed_at = 0;
-  double d_hat_us = 0;
-  double mu_hat = 1.0;
-  /// kOk unless the op was shed by the overload layer (in which case `hit`
-  /// is false, no value travels, and the wire adds one status byte).
-  OpStatus status = OpStatus::kOk;
-  /// Server-side timing echo for the RCT breakdown. Out of band: carried on
-  /// the simulated message object but EXCLUDED from the wire-size model
-  /// (core/wire.hpp), so enabling the breakdown never changes net_bytes.
-  trace::OpServiceTiming timing;
-};
 
 class Server : public Auditable {
  public:
@@ -99,8 +62,9 @@ class Server : public Auditable {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Response delivery hook; the cluster routes it through the network.
-  void set_response_handler(std::function<void(const OpResponse&)> handler);
+  /// Where responses go; the cluster routes them through the network. Must
+  /// be set before the first op arrives and outlive the server.
+  void set_transport(Transport& transport) { transport_ = &transport; }
 
   /// An operation message arrived from the network.
   void receive_op(const sched::OpContext& op);
@@ -220,7 +184,7 @@ class Server : public Auditable {
   FlatMap<KeyId, Bytes> written_;
   /// Moved out of Params at construction; nullptr in synthetic mode.
   store::ServiceTimeProviderPtr service_model_;
-  std::function<void(const OpResponse&)> respond_;
+  Transport* transport_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   /// Scratch buffer for draining store-model transitions while traced.
   std::vector<store::StoreTransition> store_transitions_;

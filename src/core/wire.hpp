@@ -1,7 +1,7 @@
 // Message sizes of the client/server protocol.
 //
-// The simulator ships no bytes — a message is a callback scheduled after a
-// latency — so a message is its size: the byte budget of a fixed-layout
+// The simulator ships no bytes — a message is a pooled struct whose ticket
+// is delivered after a latency — so on the wire a message is its size: the byte budget of a fixed-layout
 // little-endian encoding (doubles as IEEE-754 bit patterns) with a 4-byte
 // checksum trailer. The cluster charges the network with these sizes
 // (net_bytes) and the overhead study (E12) reports them.
@@ -10,7 +10,7 @@
 #include <cstddef>
 
 #include "common/types.hpp"
-#include "core/server.hpp"
+#include "core/message.hpp"
 #include "sched/op_context.hpp"
 
 namespace das::core::wire {

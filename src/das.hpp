@@ -23,6 +23,7 @@
 #include "core/client.hpp"
 #include "core/config.hpp"
 #include "core/experiment.hpp"
+#include "core/message.hpp"
 #include "core/metrics.hpp"
 #include "core/server.hpp"
 #include "core/wire.hpp"

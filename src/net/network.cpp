@@ -86,10 +86,9 @@ void Network::set_burst_loss(double p) {
   burst_loss_ = p;
 }
 
-void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
+bool Network::send(NodeId from, NodeId to, Bytes size, sim::Ticket ticket) {
   DAS_CHECK_MSG(from < config_.num_nodes && to < config_.num_nodes,
                 "node id beyond Config::num_nodes");
-  DAS_CHECK(deliver != nullptr);
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
   const std::size_t link = link_index(from, to);
@@ -98,19 +97,20 @@ void Network::send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver) {
   if (partitions_active_ > 0 && partition_[link] != 0) {
     ++stats_.messages_dropped;
     ++stats_.messages_dropped_partition;
-    return;
+    return false;
   }
   if (config_.loss_probability > 0 && rng_.chance(config_.loss_probability)) {
     ++stats_.messages_dropped;
-    return;
+    return false;
   }
   if (burst_loss_ > 0 && rng_.chance(burst_loss_)) {
     ++stats_.messages_dropped;
-    return;
+    return false;
   }
   SimTime& last = link_last_[link];
   last = std::max(sim_.now() + config_.latency->sample(rng_), last);
-  sim_.schedule_delivery(last, std::move(deliver));
+  sim_.schedule_delivery(last, ticket);
+  return true;
 }
 
 }  // namespace das::net

@@ -1,9 +1,12 @@
 // Simulated message-passing network.
 //
-// Everything runs in one process, so a "message" is a callback scheduled
-// after a sampled propagation delay; its size only feeds the byte counters.
-// Per-link FIFO ordering is unconditional — jitter never reorders messages
-// on the same (src, dst) pair, matching a TCP connection — because
+// Everything runs in one process, so the network carries no payload: the
+// sender parks its message with the simulator's MessageSink (the cluster
+// keeps one pool per message kind) and hands the network a ticket naming
+// it. The network decides the message's fate — partition, loss, latency —
+// and schedules the ticket's delivery; the size only feeds the byte
+// counters. Per-link FIFO ordering is unconditional — jitter never reorders
+// messages on the same (src, dst) pair, matching a TCP connection — because
 // schedulers downstream rely on feedback arriving in causal order.
 //
 // Deliveries go through the simulator's delivery lane
@@ -69,11 +72,11 @@ class Network {
 
   Network(sim::Simulator& sim, Config config, Rng rng);
 
-  /// Sends `size` bytes from `from` to `to`; `deliver` runs at the receiver
-  /// when the message arrives. Taken by rvalue reference and moved through
-  /// delivery scheduling: the pooled callback type is never copied (lambdas
-  /// convert to a temporary EventFn at the call site).
-  void send(NodeId from, NodeId to, Bytes size, sim::EventFn&& deliver);
+  /// Sends `size` bytes from `from` to `to`: the simulator hands `ticket` to
+  /// its message sink when the message arrives. Returns false when the
+  /// message was dropped (partition or loss) and will never be delivered,
+  /// so the sender can reclaim whatever the ticket names.
+  bool send(NodeId from, NodeId to, Bytes size, sim::Ticket ticket);
 
   /// Fault layer: cuts (or heals) the undirected link between `a` and `b`.
   /// While cut, every message on the link is destroyed — before any RNG

@@ -22,18 +22,21 @@ void DasScheduler::check_policy_invariants() const {
               "negative critical-path remaining time");
     DAS_AUDIT(q.op.total_demand_us >= 0, "negative total remaining demand");
   });
-  // The per-request index partitions the queue and prunes empty requests.
+  // The per-request chains partition the queue and prune empty requests.
   std::size_t indexed = 0;
-  for (const auto& [request, handles] : by_request_) {
-    DAS_AUDIT(!handles.empty(), "empty per-request handle set not pruned");
-    indexed += handles.size();
-    for (const Handle h : handles) {
-      DAS_AUDIT(queue_.contains(h), "per-request index holds a served handle");
+  for (const auto& [request, chain] : by_request_) {
+    DAS_AUDIT(chain.head.valid(), "empty per-request chain not pruned");
+    Handle last;
+    for (Handle h = chain.head; h.valid(); h = queue_.at(h).next) {
+      DAS_AUDIT(queue_.contains(h), "per-request chain holds a served handle");
       DAS_AUDIT(queue_.at(h).op.request_id == request,
-                "per-request index points at the wrong request");
+                "per-request chain points at the wrong request");
+      DAS_AUDIT(++indexed <= queue_.size(), "per-request chain cycle");
+      last = h;
     }
+    DAS_AUDIT(chain.tail == last, "per-request chain tail is not its last op");
   }
-  DAS_AUDIT(indexed == queue_.size(), "per-request index does not partition the queue");
+  DAS_AUDIT(indexed == queue_.size(), "per-request chains do not partition the queue");
   // Aging must be able to reach every queued op: each one appears in the
   // fifo exactly once, and the head is queued (served ops behind it are
   // dropped once they reach the front).
@@ -112,15 +115,36 @@ void DasScheduler::enqueue(const OpContext& op, SimTime now) {
   const double key = lane_key(q.op, lane);
   const Handle h = queue_.insert(key, std::move(q), lane);
   fifo_.push_back(h);
-  by_request_[op.request_id].push_back(h);
+  Chain& chain = by_request_[op.request_id];
+  if (chain.head.valid()) {
+    queue_.at(chain.tail).next = h;
+  } else {
+    chain.head = h;
+  }
+  chain.tail = h;
+}
+
+void DasScheduler::unlink(Handle h) {
+  const Queued& q = queue_.at(h);
+  const auto it = by_request_.find(q.op.request_id);
+  Chain& chain = it->second;
+  if (chain.head == h) {
+    chain.head = q.next;
+    if (!chain.head.valid()) by_request_.erase(it);
+    return;
+  }
+  // A request has few queued ops here (its fan-out share of this server),
+  // so the walk to the predecessor is short.
+  Handle prev = chain.head;
+  while (queue_.at(prev).next != h) prev = queue_.at(prev).next;
+  queue_.at(prev).next = q.next;
+  if (chain.tail == h) chain.tail = prev;
 }
 
 OpContext DasScheduler::finish(Handle h, SimTime now) {
   close_deferral(h, now);
+  unlink(h);
   OpContext op = std::move(queue_.remove(h).op);
-  const auto it = by_request_.find(op.request_id);
-  std::erase(it->second, h);
-  if (it->second.empty()) by_request_.erase(it);
   // Keep the fifo head live: served ops leave its front whether or not aging
   // is on, so the fifo empties with the queue.
   while (!fifo_.empty() && !queue_.contains(fifo_.front())) fifo_.pop_front();
@@ -182,9 +206,15 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
                                        SimTime now) {
   // Re-key every queued op of the request and re-evaluate its deferral.
   const auto it = by_request_.find(request);
-  if (it == by_request_.end()) return;
-  for (const Handle h : it->second) {
+  if (it == by_request_.end()) {
+    ++progress_unqueued_;
+    return;
+  }
+  bool rekeyed = false;
+  for (Handle next = it->second.head; next.valid();) {
+    const Handle h = next;
     Queued& q = queue_.at(h);
+    next = q.next;
     // Without retagging an op is always runnable, keyed apart from its tags.
     const double old_key = options_.retag ? active_key(q.op) : queue_.key(h);
     if (options_.retag) {
@@ -204,11 +234,13 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
       queue_.update(h, active_key(update));
     }
     ++reranks_;
+    rekeyed = true;
     if (tracer_ != nullptr) {
       tracer_->op_rerank(now, q.op.op_id, q.op.request_id, tracer_server_,
                          old_key, active_key(update));
     }
   }
+  if (rekeyed) ++progress_rekeyed_;
 }
 
 }  // namespace das::sched

@@ -93,7 +93,8 @@ class DasScheduler final : public SchedulerBase {
   double speed_estimate() const { return mu_hat_; }
 
   MechanismCounters mechanism_counters() const override {
-    return {total_deferrals_, resumes_, aging_promotions_, reranks_};
+    return {total_deferrals_, resumes_, aging_promotions_, reranks_,
+            progress_rekeyed_, progress_unqueued_};
   }
   std::size_t deferred_size() const override {
     return queue_.lane_size(kDeferred);
@@ -113,10 +114,19 @@ class DasScheduler final : public SchedulerBase {
     OpContext op;
     /// When the current deferral episode began (valid in the deferred lane).
     SimTime defer_started = 0;
+    /// The next queued op of the same request, in arrival order; invalid at
+    /// the end of the chain.
+    QueueHandle next;
   };
 
   using Queue = KeyedQueue<double, Queued, 2>;
   using Handle = Queue::Handle;
+
+  /// A request's queued ops: a chain through Queued::next, oldest first.
+  struct Chain {
+    Handle head;
+    Handle tail;
+  };
 
   /// Estimated time to drain the entire current backlog at current speed.
   Duration drain_time_us() const;
@@ -128,6 +138,8 @@ class DasScheduler final : public SchedulerBase {
   Lane place(Queued& q, SimTime now);
   /// Closes the op's deferral episode, if any, into its deferred wait.
   void close_deferral(Handle h, SimTime now);
+  /// Takes a queued op out of its request's chain.
+  void unlink(Handle h);
   OpContext finish(Handle h, SimTime now);
   void migrate_due(SimTime now);
 
@@ -137,13 +149,16 @@ class DasScheduler final : public SchedulerBase {
   Queue queue_;
   // Arrival order, for aging and the crash drain; the head is always queued.
   std::deque<Handle> fifo_;
-  /// Each request's queued handles in arrival order: the progress fan-in.
-  /// Re-keying one never disturbs another, so a vector beats a hash set.
-  FlatMap<RequestId, std::vector<Handle>> by_request_;
+  /// Each request's queued ops in arrival order: the progress fan-in. The
+  /// chain lives in the queued ops themselves, so queueing an op allocates
+  /// nothing here beyond the map entry of a new request.
+  FlatMap<RequestId, Chain> by_request_;
   std::uint64_t total_deferrals_ = 0;
   std::uint64_t resumes_ = 0;
   std::uint64_t aging_promotions_ = 0;
   std::uint64_t reranks_ = 0;
+  std::uint64_t progress_rekeyed_ = 0;
+  std::uint64_t progress_unqueued_ = 0;
 };
 
 }  // namespace das::sched

@@ -24,14 +24,19 @@
 
 namespace das::sched {
 
+/// Names one element of a KeyedQueue. Declared outside the template so a
+/// payload can hold handles to other elements of its own queue.
+struct QueueHandle {
+  std::uint32_t slot = 0;
+  std::uint64_t seq = 0;  // 0 = no element (sequence numbers start at 1)
+  bool valid() const { return seq != 0; }
+  bool operator==(const QueueHandle&) const = default;
+};
+
 template <typename Key, typename Payload = OpContext, std::size_t kLanes = 1>
 class KeyedQueue : public Auditable {
  public:
-  struct Handle {
-    std::uint32_t slot = 0;
-    std::uint64_t seq = 0;  // 0 = no element (sequence numbers start at 1)
-    bool operator==(const Handle&) const = default;
-  };
+  using Handle = QueueHandle;
 
   Handle insert(Key key, Payload value, std::size_t lane = 0) {
     DAS_CHECK(lane < kLanes);

@@ -54,28 +54,31 @@ void srpt_first(DasOptions& opt) {
   opt.retag = false;
 }
 
-/// A policy's name, construction and progress use, each stated once.
+/// A policy's name, construction, progress use and client learning, each
+/// stated once.
 struct PolicyInfo {
   Policy policy;
   const char* name;
   bool progress;  // see uses_progress()
+  bool learns;    // see learns_estimates()
   SchedulerPtr (*build)(const SchedulerConfig& config);
 };
 
 /// One row per policy, in presentation order.
 constexpr PolicyInfo kPolicies[] = {
-    {Policy::kFcfs, "fcfs", false, build<FcfsScheduler>},
-    {Policy::kRandom, "random", false, build_random},
-    {Policy::kSjf, "sjf", false, build<SjfScheduler>},
-    {Policy::kReqSrpt, "req-srpt", true, build_das<srpt_first>},
-    {Policy::kEdf, "edf", false, build<EdfScheduler>},
-    {Policy::kReinSbf, "rein-sbf", false, build_rein},
-    {Policy::kDas, "das", true, build_das<paper>},
-    // DAS-NA turns the whole adaptive feedback loop off, progress included.
-    {Policy::kDasNoAdapt, "das-na", false, build_das<no_adapt>},
-    {Policy::kDasNoDefer, "das-nd", true, build_das<no_defer>},
-    {Policy::kDasNoAging, "das-noaging", true, build_das<no_aging>},
-    {Policy::kDasCritical, "das-crit", true, build_das<critical_path>},
+    {Policy::kFcfs, "fcfs", false, true, build<FcfsScheduler>},
+    {Policy::kRandom, "random", false, true, build_random},
+    {Policy::kSjf, "sjf", false, true, build<SjfScheduler>},
+    {Policy::kReqSrpt, "req-srpt", true, true, build_das<srpt_first>},
+    {Policy::kEdf, "edf", false, true, build<EdfScheduler>},
+    {Policy::kReinSbf, "rein-sbf", false, true, build_rein},
+    {Policy::kDas, "das", true, true, build_das<paper>},
+    // DAS-NA turns the whole adaptive feedback loop off: progress, the
+    // clients' learned view and the servers' speed estimate.
+    {Policy::kDasNoAdapt, "das-na", false, false, build_das<no_adapt>},
+    {Policy::kDasNoDefer, "das-nd", true, true, build_das<no_defer>},
+    {Policy::kDasNoAging, "das-noaging", true, true, build_das<no_aging>},
+    {Policy::kDasCritical, "das-crit", true, true, build_das<critical_path>},
 };
 
 const PolicyInfo& info(Policy policy) {
@@ -106,6 +109,8 @@ const std::vector<Policy>& all_policies() {
 }
 
 bool uses_progress(Policy policy) { return info(policy).progress; }
+
+bool learns_estimates(Policy policy) { return info(policy).learns; }
 
 SchedulerPtr make_scheduler(Policy policy, const SchedulerConfig& config) {
   return info(policy).build(config);

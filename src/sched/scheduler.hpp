@@ -31,6 +31,12 @@ struct MechanismCounters {
   std::uint64_t ops_resumed = 0;      // deferral window closed; op woke up
   std::uint64_t ops_aged = 0;         // starvation bound served the oldest op
   std::uint64_t reranks_applied = 0;  // progress message re-keyed a queued op
+  /// Outcomes of progress messages: re-keyed at least one queued op, or
+  /// found no queued op of their request (in service, served, or not yet
+  /// arrived). Their sum falls short of the messages received only by those
+  /// whose every queued op already carried the new tags.
+  std::uint64_t progress_rekeyed = 0;
+  std::uint64_t progress_unqueued = 0;
 };
 
 /// Schedulers are Auditable: check_invariants() verifies conservation
@@ -126,6 +132,9 @@ Policy policy_from_string(const std::string& name);
 const std::vector<Policy>& all_policies();
 /// Whether clients send the policy progress updates as siblings complete.
 bool uses_progress(Policy policy);
+/// Whether clients learn per-server delay/speed estimates from response
+/// piggybacks; false leaves them a static view (zero delay, nominal speed).
+bool learns_estimates(Policy policy);
 
 /// Tuning shared by policy constructors; semantics per policy documented at
 /// each implementation. Defaults reproduce the paper configuration; the rest

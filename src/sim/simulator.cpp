@@ -24,9 +24,9 @@ void Simulator::grow_lane() {
   lane_head_ = 0;
 }
 
-bool Simulator::pop_next(SimTime horizon, SimTime& t_out, EventFn& fn) {
+bool Simulator::pop_next(SimTime horizon, QueueEntry& e, EventFn& fn) {
   // Cancelled heap tops are dead nodes: drop them so the heap's head, if
-  // any, is the next live timer.
+  // any, is the next live event.
   while (!queue_.empty() && !entry_live(queue_.front())) {
     std::pop_heap(queue_.begin(), queue_.end());
     queue_.pop_back();
@@ -35,7 +35,6 @@ bool Simulator::pop_next(SimTime horizon, SimTime& t_out, EventFn& fn) {
   // two by (t, seq) is the global next event.
   const bool from_lane =
       lane_size_ != 0 && (queue_.empty() || lane_front().before(queue_.front()));
-  QueueEntry e{};
   if (from_lane) {
     // Peek before popping: a beyond-horizon event stays exactly where it
     // is, so run_until never disturbs the queue it leaves behind.
@@ -49,27 +48,36 @@ bool Simulator::pop_next(SimTime horizon, SimTime& t_out, EventFn& fn) {
     e = queue_.back();
     queue_.pop_back();
   }
-  t_out = e.t;
-  // Move the callback out and recycle the slot BEFORE invoking: the
-  // callback may schedule (growing the slab) or cancel, and a handle to
-  // this event is already spent.
-  fn = std::move(slots_[e.slot].fn);
-  release_slot(e.slot);
   --live_;
+  if (!e.delivery()) {
+    // Move the callback out and recycle the slot BEFORE invoking: the
+    // callback may schedule (growing the slab) or cancel, and a handle to
+    // this event is already spent.
+    fn = std::move(slots_[e.slot].fn);
+    release_slot(e.slot);
+  }
   // Popping a live heap node can tip the dead fraction past the threshold.
   if (!from_lane) maybe_compact();
   return true;
 }
 
-bool Simulator::step() {
-  SimTime t = 0;
-  EventFn fn;
-  if (!pop_next(kTimeInfinity, t, fn)) return false;
-  DAS_CHECK(t >= now_);
-  now_ = t;
+void Simulator::dispatch(const QueueEntry& e, EventFn& fn) {
+  DAS_CHECK(e.t >= now_);
+  now_ = e.t;
   ++dispatched_;
-  fn();
+  if (e.delivery()) {
+    sink_->deliver(e.ticket);
+  } else {
+    fn();
+  }
   maybe_audit();
+}
+
+bool Simulator::step() {
+  QueueEntry e{};
+  EventFn fn;
+  if (!pop_next(kTimeInfinity, e, fn)) return false;
+  dispatch(e, fn);
   return true;
 }
 
@@ -81,50 +89,59 @@ void Simulator::add_auditable(const Auditable* auditable) {
 void Simulator::check_invariants() const {
   DAS_AUDIT(std::is_heap(queue_.begin(), queue_.end()),
             "event queue lost the heap property");
-  // Each live slot must be named by exactly one heap or lane entry.
+  // Each live timer must be named by exactly one heap entry.
   std::vector<std::uint8_t> seen(slots_.size(), 0);
   const auto check_live = [&](const QueueEntry& e) {
-    DAS_AUDIT(!seen[e.slot], "two live queue entries share a slot");
-    seen[e.slot] = 1;
     // Time monotonicity: dispatching any live event may never move the
     // clock backwards.
     DAS_AUDIT(e.t >= now_, "live event scheduled in the past");
+    if (e.delivery()) {
+      DAS_AUDIT(sink_ != nullptr, "queued delivery without a message sink");
+      return;
+    }
+    DAS_AUDIT(!seen[e.slot], "two live queue entries share a slot");
+    seen[e.slot] = 1;
     DAS_AUDIT(slots_[e.slot].fn != nullptr, "live event without a callback");
   };
   std::size_t heap_live = 0;
+  std::size_t deliveries = 0;
   for (const QueueEntry& e : queue_) {
-    DAS_AUDIT(e.slot < slots_.size(), "heap entry names a slot out of range");
+    DAS_AUDIT(e.delivery() || e.slot < slots_.size(),
+              "heap entry names a slot out of range");
     DAS_AUDIT(e.seq != 0 && e.seq < next_seq_, "event sequence out of range");
     if (!entry_live(e)) continue;
     ++heap_live;
+    if (e.delivery()) ++deliveries;
     check_live(e);
   }
-  // The lane: a power-of-two ring whose entries are all live (deliveries
-  // are never cancelled) and strictly ascending by (t, seq), so its front
-  // is its minimum and the two-way merge in pop_next stays exact.
+  // The lane: a power-of-two ring of deliveries (never cancelled, so always
+  // live) strictly ascending by (t, seq), so its front is its minimum and
+  // the two-way merge in pop_next stays exact.
   DAS_AUDIT(lane_.size() == 0 || (lane_.size() & (lane_.size() - 1)) == 0,
             "lane capacity is not a power of two");
   DAS_AUDIT(lane_size_ <= lane_.size(), "lane holds more entries than slots");
   const QueueEntry* prev = nullptr;
   for (std::size_t i = 0; i < lane_size_; ++i) {
     const QueueEntry& e = lane_[(lane_head_ + i) & (lane_.size() - 1)];
-    DAS_AUDIT(e.slot < slots_.size(), "lane entry names a slot out of range");
     DAS_AUDIT(e.seq != 0 && e.seq < next_seq_, "event sequence out of range");
-    DAS_AUDIT(entry_live(e), "dead entry in the delivery lane");
+    DAS_AUDIT(e.delivery(), "timer entry in the delivery lane");
     DAS_AUDIT(prev == nullptr || prev->before(e),
               "delivery lane out of (t, seq) order");
     check_live(e);
+    ++deliveries;
     prev = &e;
   }
   DAS_AUDIT(live_ == heap_live + lane_size_,
             "live-event count out of sync with the heap and lane");
-  // Slab accounting: occupied slots are exactly the live events, and the
-  // free list threads through every other slot exactly once.
+  // Slab accounting: occupied slots are exactly the live timers, so they
+  // and the queued deliveries add up to the live count, and the free list
+  // threads through every other slot exactly once.
   std::size_t occupied = 0;
   for (const Slot& s : slots_) {
     if (s.seq != 0) ++occupied;
   }
-  DAS_AUDIT(occupied == live_, "slab occupancy out of sync with live events");
+  DAS_AUDIT(occupied + deliveries == live_,
+            "slab occupancy plus deliveries out of sync with live events");
   std::size_t free_count = 0;
   for (std::uint32_t s = free_head_; s != kNoSlot; s = slots_[s].next_free) {
     DAS_AUDIT(s < slots_.size(), "free list points out of the slab");
@@ -156,20 +173,16 @@ void Simulator::maybe_audit() const {
 }
 
 void Simulator::run() {
-  while (step()) {
-  }
+  QueueEntry e{};
+  EventFn fn;
+  while (pop_next(kTimeInfinity, e, fn)) dispatch(e, fn);
 }
 
 void Simulator::run_until(SimTime t) {
   DAS_CHECK(t >= now_);
-  SimTime event_t = 0;
+  QueueEntry e{};
   EventFn fn;
-  while (pop_next(t, event_t, fn)) {
-    now_ = event_t;
-    ++dispatched_;
-    fn();
-    maybe_audit();
-  }
+  while (pop_next(t, e, fn)) dispatch(e, fn);
   now_ = t;
 }
 

@@ -14,20 +14,23 @@
 //    they set (hedging, retransmission) keep it proportional to the live
 //    timer count. Compaction preserves the (t, seq) dispatch order exactly.
 //  - a FIFO delivery lane for network deliveries (schedule_delivery). A
-//    delivery is never cancelled and, under constant latency, is never due
+//    delivery is not a callback but a 32-bit ticket that the simulator hands
+//    to the one MessageSink at dispatch; the sink owns the message it names.
+//    A delivery is never cancelled and, under constant latency, is never due
 //    before the one scheduled just ahead of it, so the lane is sorted by
 //    construction and push/pop are O(1). A delivery due earlier than the
-//    lane's tail (latency jitter) goes to the heap instead, which keeps the
-//    lane sorted and the merged order exact.
+//    lane's tail (latency jitter) goes to the heap as the same ticketed
+//    entry, which keeps the lane sorted and the merged order exact.
 //
 // Storage is split for throughput: heap and lane hold 24-byte POD entries
-// {t, seq, slot} (sift operations are raw copies, no callable moves), and
-// callbacks live in a slab of pooled slots recycled through a free list — no
-// per-event allocation once the slab has grown to the high-water mark. A
-// slot's current sequence number doubles as the liveness test: an EventHandle
-// (and a queue entry) names {slot, seq}, and cancel/fire bumps the slot's seq
-// to 0, so stale handles and dead heap entries are recognized by a single
-// integer compare instead of a hash-set lookup per event.
+// {t, seq, slot, ticket} (sift operations are raw copies, no callable
+// moves), and timer callbacks live in a slab of pooled slots recycled
+// through a free list — no per-event allocation once the slab has grown to
+// the high-water mark. A slot's current sequence number doubles as the
+// liveness test: an EventHandle (and a queue entry) names {slot, seq}, and
+// cancel/fire bumps the slot's seq to 0, so stale handles and dead heap
+// entries are recognized by a single integer compare instead of a hash-set
+// lookup per event. A delivery entry names no slot and is always live.
 #pragma once
 
 #include <algorithm>
@@ -43,10 +46,27 @@
 
 namespace das::sim {
 
-/// Event callback. The inline capacity is sized for the largest hot-path
-/// closure (the cluster's per-op send capture, an OpContext plus pointers);
-/// anything bigger falls back to the heap rather than failing to compile.
-using EventFn = SmallFn<192>;
+/// Event callback: a timer-sized closure. The 56-byte buffer makes the whole
+/// callable 64 bytes and holds every closure the simulator schedules (the
+/// largest in src/ is the cluster's fault event, 40 bytes); anything bigger
+/// falls back to the heap rather than failing to compile. Messages never
+/// travel as closures: see MessageSink.
+using EventFn = SmallFn<56>;
+static_assert(sizeof(EventFn) <= 64, "EventFn must stay timer-sized");
+
+/// Names one message in flight. Its owner (the MessageSink) decides what it
+/// encodes; the simulator only carries it from schedule_delivery to dispatch.
+using Ticket = std::uint32_t;
+
+/// Receives every delivery the simulator dispatches. The sink resolves the
+/// ticket to the message it parked and runs the receiver's handler.
+class MessageSink {
+ public:
+  virtual void deliver(Ticket ticket) = 0;
+
+ protected:
+  ~MessageSink() = default;
+};
 
 /// Opaque ticket for a scheduled event; valid until the event fires or is
 /// cancelled. Default-constructed handles refer to no event.
@@ -100,20 +120,28 @@ class Simulator : public Auditable {
     return schedule_impl(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Schedules a network delivery at absolute time `t` (>= now()). Returns
-  /// no handle: deliveries are never cancelled. A delivery due no earlier
-  /// than the lane's tail is appended to the FIFO lane in O(1); an earlier
-  /// one (latency jitter) falls back to the heap. Either way it dispatches
-  /// in the same global (t, seq) order as schedule_at would give it.
-  void schedule_delivery(SimTime t, EventFn&& fn) {
-    DAS_CHECK(fn != nullptr);
+  /// Where deliveries go at dispatch. The sink must outlive every delivery
+  /// it is handed (the cluster owns both).
+  void set_message_sink(MessageSink* sink) { sink_ = sink; }
+
+  /// Schedules the delivery of `ticket` to the message sink at absolute time
+  /// `t` (>= now()). Returns no handle: deliveries are never cancelled. A
+  /// delivery due no earlier than the lane's tail is appended to the FIFO
+  /// lane in O(1); an earlier one (latency jitter) falls back to the heap.
+  /// Either way it dispatches in the same global (t, seq) order as
+  /// schedule_at would give it.
+  void schedule_delivery(SimTime t, Ticket ticket) {
+    DAS_CHECK_MSG(sink_ != nullptr, "delivery scheduled without a message sink");
+    DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
+    const QueueEntry e{t, next_seq_++, kNoSlot, ticket};
     if (lane_size_ != 0 && t < lane_back().t) {
-      schedule_impl(t, std::move(fn));
+      queue_.push_back(e);
+      std::push_heap(queue_.begin(), queue_.end());
+      ++live_;
+      maybe_compact();
       return;
     }
-    DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    const std::uint64_t seq = next_seq_++;
-    lane_push(QueueEntry{t, seq, fill_slot(seq, std::move(fn))});
+    lane_push(e);
     ++live_;
   }
 
@@ -165,8 +193,9 @@ class Simulator : public Auditable {
   void set_compaction_enabled(bool enabled) { compaction_enabled_ = enabled; }
   bool compaction_enabled() const { return compaction_enabled_; }
 
-  /// Pooled callback slots currently allocated (the slab's high-water mark;
-  /// introspection for tests — steady-state runs stop growing it).
+  /// Pooled timer-callback slots currently allocated (the slab's high-water
+  /// mark; introspection for tests — steady-state runs stop growing it).
+  /// Deliveries hold no slot.
   std::size_t slab_slots() const { return slots_.size(); }
 
   /// --- invariant auditing ---------------------------------------------------
@@ -187,23 +216,27 @@ class Simulator : public Auditable {
   void audit_now() const;
 
   /// Simulator-local invariants: the heap is a heap, the lane is sorted by
-  /// (t, seq) and holds only live entries, no live event is scheduled in the
-  /// past, heap and lane entries together name exactly the occupied slab
-  /// slots, the free list is consistent with them, and (when compaction is
-  /// enabled) dead heap nodes never outnumber live ones once the heap is
-  /// past the compaction floor.
+  /// (t, seq) and holds only deliveries, no live event is scheduled in the
+  /// past, live heap timers name exactly the occupied slab slots (so occupied
+  /// slots plus queued deliveries equal the live count), the free list is
+  /// consistent with them, and (when compaction is enabled) dead heap nodes
+  /// never outnumber live ones once the heap is past the compaction floor.
   void check_invariants() const override;
 
  private:
   friend struct TestCorruptor;  // audit tests break invariants on purpose
 
   /// POD queue node (heap or lane): sift operations copy 24 bytes and never
-  /// touch the callback. `seq` snapshots the slot's sequence number at
-  /// scheduling time; the entry is dead iff the slot has since moved on.
+  /// touch a callback. A timer names its slab slot, and `seq` snapshots the
+  /// slot's sequence number at scheduling time: the entry is dead iff the
+  /// slot has since moved on. A delivery names no slot (kNoSlot) and carries
+  /// its ticket in what would otherwise be padding; it is always live.
   struct QueueEntry {
     SimTime t;
     std::uint64_t seq;
     std::uint32_t slot;
+    Ticket ticket;
+    bool delivery() const { return slot == kNoSlot; }
     /// Dispatch order: (t, seq) ascending.
     bool before(const QueueEntry& other) const {
       return t != other.t ? t < other.t : seq < other.seq;
@@ -222,7 +255,9 @@ class Simulator : public Auditable {
     std::uint32_t next_free = kNoSlot;
   };
 
-  bool entry_live(const QueueEntry& e) const { return slots_[e.slot].seq == e.seq; }
+  bool entry_live(const QueueEntry& e) const {
+    return e.delivery() || slots_[e.slot].seq == e.seq;
+  }
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNoSlot) {
@@ -266,7 +301,7 @@ class Simulator : public Auditable {
     DAS_CHECK_MSG(t >= now_, "cannot schedule into the past");
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t slot = fill_slot(seq, std::forward<F>(fn));
-    queue_.push_back(QueueEntry{t, seq, slot});
+    queue_.push_back(QueueEntry{t, seq, slot, 0});
     std::push_heap(queue_.begin(), queue_.end());
     ++live_;
     // Growth can carry the queue across the compaction floor with a backlog
@@ -294,11 +329,14 @@ class Simulator : public Auditable {
   static constexpr std::size_t kMinLaneCapacity = 16;
 
   /// Pops the next live event with t <= horizon — the earlier by (t, seq)
-  /// of the heap top and the lane front — moving its callback into `fn` and
-  /// its timestamp into `t_out`. Dead heap entries encountered on the way
-  /// are dropped. Returns false when drained or when the next live event
-  /// lies beyond the horizon (which it peeks without disturbing).
-  bool pop_next(SimTime horizon, SimTime& t_out, EventFn& fn);
+  /// of the heap top and the lane front — into `e`, moving a timer's
+  /// callback into `fn`. Dead heap entries encountered on the way are
+  /// dropped. Returns false when drained or when the next live event lies
+  /// beyond the horizon (which it peeks without disturbing).
+  bool pop_next(SimTime horizon, QueueEntry& e, EventFn& fn);
+  /// Advances the clock to a popped event and runs it: a delivery goes to
+  /// the message sink, a timer runs the callback pop_next moved out.
+  void dispatch(const QueueEntry& e, EventFn& fn);
 
   /// Rebuilds the heap from its live nodes when dead ones outnumber them.
   /// Called after every operation that can raise the heap's dead fraction
@@ -328,6 +366,7 @@ class Simulator : public Auditable {
   std::uint64_t lane_dispatched_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  MessageSink* sink_ = nullptr;
   std::size_t live_ = 0;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;  // 0 is the invalid-handle sentinel

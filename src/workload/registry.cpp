@@ -295,7 +295,7 @@ std::vector<TenantSpec> WorkloadFactory::parse_tenants(
     tenants.push_back(parse_tenant(one));
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    if (tenants[i].name.empty()) tenants[i].name = "t" + std::to_string(i);
+    if (tenants[i].name.empty()) tenants[i].name.append("t").append(std::to_string(i));
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     for (std::size_t j = i + 1; j < tenants.size(); ++j) {

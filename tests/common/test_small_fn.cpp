@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "sched/op_context.hpp"
+#include "fault/fault_plan.hpp"
 #include "sim/simulator.hpp"
 
 namespace das {
@@ -125,25 +125,35 @@ TEST(SmallFn, CopyNeverHappens) {
   EXPECT_EQ(copies, 0);
 }
 
-// The event-queue hot path must never heap-allocate: pin that the largest
-// real closures — an OpContext plus pointers (the cluster's per-op send
-// capture shape) — fit inside EventFn's inline buffer.
+// The event-queue hot path must never heap-allocate. Messages travel as
+// tickets, so the largest closures the simulator still schedules are the
+// cluster's fault event and a replay tenant's arrival chain: pin that both
+// fit inside the timer-sized EventFn's inline buffer.
 TEST(SmallFn, HotPathClosureShapesStayInline) {
-  sched::OpContext op;
+  fault::FaultEvent event;
   int sink = 0;
   int* self = &sink;
-  sim::EventFn cluster_like{[self, op] { ++*self; }};
-  EXPECT_TRUE(cluster_like.is_inline());
+  sim::EventFn fault_like{[self, event] { *self += event.server != 0 ? 1 : 0; }};
+  EXPECT_TRUE(fault_like.is_inline());
+  const std::size_t tenant = 0;
+  const std::size_t index = 0;
+  const SimTime horizon = 0;
+  sim::EventFn replay_like{[self, tenant, index, horizon] {
+    *self += static_cast<int>(tenant + index + 1) + static_cast<int>(horizon);
+  }};
+  EXPECT_TRUE(replay_like.is_inline());
   sim::EventFn timer_like{[self] { ++*self; }};
   EXPECT_TRUE(timer_like.is_inline());
-  cluster_like();
+  fault_like();
+  replay_like();
   timer_like();
-  EXPECT_EQ(sink, 2);
+  EXPECT_EQ(sink, 3);
 }
 
 TEST(SmallFn, CapacityIsReported) {
   EXPECT_EQ(SmallFn<64>::capacity(), 64u);
-  EXPECT_EQ(sim::EventFn::capacity(), 192u);
+  EXPECT_EQ(sim::EventFn::capacity(), 56u);
+  EXPECT_LE(sizeof(sim::EventFn), 64u);
 }
 
 }  // namespace

@@ -28,6 +28,24 @@ struct SentProgress {
   sched::ProgressUpdate update;
 };
 
+/// Records what a client sends; a client never sends responses.
+struct RecordingTransport final : Transport {
+  std::vector<SentOp>& ops;
+  std::vector<SentProgress>& progress;
+  RecordingTransport(std::vector<SentOp>& ops_out,
+                     std::vector<SentProgress>& progress_out)
+      : ops(ops_out), progress(progress_out) {}
+  void send_op(ServerId s, const sched::OpContext& ctx) override {
+    ops.push_back(SentOp{s, ctx});
+  }
+  void send_progress(ClientId c, ServerId s, RequestId r,
+                     const sched::ProgressUpdate& u) override {
+    EXPECT_EQ(c, 3u);  // the fixture's client id
+    progress.push_back(SentProgress{s, r, u});
+  }
+  void send_response(const OpResponse&) override { FAIL(); }
+};
+
 struct ClientFixture : ::testing::Test {
   static constexpr std::size_t kServers = 4;
 
@@ -38,6 +56,7 @@ struct ClientFixture : ::testing::Test {
   FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<SentOp> sent_ops;
   std::vector<SentProgress> sent_progress;
+  RecordingTransport transport{sent_ops, sent_progress};
   std::unique_ptr<workload::MultigetGenerator> generator;
   std::unique_ptr<Client> client;
 
@@ -60,13 +79,7 @@ struct ClientFixture : ::testing::Test {
         sim, params, Rng{42},
         one_stream(*generator,
                    workload::make_deterministic_arrivals(0.001)),  // every 1000us
-        *partitioner, key_sizes, issued_sizes, metrics,
-        [this](ServerId s, const sched::OpContext& ctx) {
-          sent_ops.push_back(SentOp{s, ctx});
-        },
-        [this](ServerId s, RequestId r, const sched::ProgressUpdate& u) {
-          sent_progress.push_back(SentProgress{s, r, u});
-        });
+        *partitioner, key_sizes, issued_sizes, metrics, transport);
   }
 
   /// Completes one sent op and feeds the response back.

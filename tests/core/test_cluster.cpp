@@ -40,6 +40,38 @@ TEST(Cluster, ConservesRequestsAndOps) {
   EXPECT_LE(r.requests_measured, r.requests_completed);
 }
 
+// Every delivered message is counted once, by kind, and every progress
+// delivery a DAS server handles lands in at most one outcome bucket.
+TEST(Cluster, DeliveriesAreCountedByKind) {
+  for (const sched::Policy policy : {sched::Policy::kFcfs, sched::Policy::kDas}) {
+    SCOPED_TRACE(sched::to_string(policy));
+    Cluster cluster{small_config(policy), small_window()};
+    const ExperimentResult r = cluster.run();
+    const Cluster::DeliveryCounts& d = cluster.deliveries();
+    EXPECT_EQ(d.ops, r.ops_generated);
+    EXPECT_EQ(d.responses, r.ops_completed);
+    EXPECT_EQ(d.progress, r.progress_messages);
+    EXPECT_EQ(d.total(), r.net_messages);
+    EXPECT_LT(d.total(), cluster.simulator().events_dispatched());
+    std::uint64_t rekeyed = 0;
+    std::uint64_t unqueued = 0;
+    for (std::size_t s = 0; s < cluster.server_count(); ++s) {
+      const sched::MechanismCounters c =
+          cluster.server(s).scheduler().mechanism_counters();
+      rekeyed += c.progress_rekeyed;
+      unqueued += c.progress_unqueued;
+    }
+    EXPECT_LE(rekeyed + unqueued, d.progress);
+    if (policy == sched::Policy::kDas) {
+      EXPECT_GT(rekeyed, 0u);
+      EXPECT_GT(unqueued, 0u);
+    } else {
+      EXPECT_EQ(d.progress, 0u);
+      EXPECT_EQ(rekeyed + unqueued, 0u);
+    }
+  }
+}
+
 TEST(Cluster, RunIsSingleShot) {
   Cluster cluster{small_config(), small_window()};
   cluster.run();

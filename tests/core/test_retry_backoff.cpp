@@ -28,6 +28,20 @@ struct TimedSend {
   sched::OpContext ctx;
 };
 
+/// Records each op send with its instant; progress is not under test.
+struct TimedTransport final : Transport {
+  const sim::Simulator& sim;
+  std::vector<TimedSend>& sends;
+  TimedTransport(const sim::Simulator& s, std::vector<TimedSend>& out)
+      : sim(s), sends(out) {}
+  void send_op(ServerId s, const sched::OpContext& ctx) override {
+    sends.push_back(TimedSend{sim.now(), s, ctx.op_id, ctx});
+  }
+  void send_progress(ClientId, ServerId, RequestId,
+                     const sched::ProgressUpdate&) override {}
+  void send_response(const OpResponse&) override { FAIL(); }
+};
+
 struct RetryFixture : ::testing::Test {
   static constexpr std::size_t kServers = 4;
 
@@ -37,6 +51,7 @@ struct RetryFixture : ::testing::Test {
   std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);
   FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<TimedSend> sends;
+  TimedTransport transport{sim, sends};
   std::unique_ptr<workload::MultigetGenerator> generator;
   std::unique_ptr<Client> client;
 
@@ -60,11 +75,7 @@ struct RetryFixture : ::testing::Test {
         sim, params, Rng{42},
         // One arrival, at 1000us.
         one_stream(*generator, workload::make_deterministic_arrivals(0.001)),
-        *partitioner, key_sizes, issued_sizes, metrics,
-        [this](ServerId s, const sched::OpContext& ctx) {
-          sends.push_back(TimedSend{sim.now(), s, ctx.op_id, ctx});
-        },
-        [](ServerId, RequestId, const sched::ProgressUpdate&) {});
+        *partitioner, key_sizes, issued_sizes, metrics, transport);
   }
 
   /// Send instants of one op, in order: index 0 is the original transmission.
@@ -154,7 +165,8 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
     params.per_op_overhead_us = 10.0;
     params.service_bytes_per_us = 50.0;
     params.retry_timeout_us = 100.0;
-    std::vector<std::pair<SimTime, OperationId>> sends;
+    std::vector<TimedSend> timed;
+    TimedTransport transport{sim, timed};
     Client client{sim,
                   params,
                   Rng{42},
@@ -164,12 +176,11 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
                   key_sizes,
                   issued_sizes,
                   metrics,
-                  [&](ServerId, const sched::OpContext& ctx) {
-                    sends.emplace_back(sim.now(), ctx.op_id);
-                  },
-                  [](ServerId, RequestId, const sched::ProgressUpdate&) {}};
+                  transport};
     client.start(1500.0);
     sim.run_until(1300.0);
+    std::vector<std::pair<SimTime, OperationId>> sends;
+    for (const TimedSend& s : timed) sends.emplace_back(s.at, s.op_id);
     return sends;
   };
   const auto first_run = record_sends();

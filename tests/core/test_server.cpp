@@ -10,17 +10,29 @@
 namespace das::core {
 namespace {
 
+/// Records what a server sends; a server only ever sends responses.
+struct RecordingTransport final : Transport {
+  std::vector<OpResponse>& responses;
+  explicit RecordingTransport(std::vector<OpResponse>& out) : responses(out) {}
+  void send_op(ServerId, const sched::OpContext&) override { FAIL(); }
+  void send_progress(ClientId, ServerId, RequestId,
+                     const sched::ProgressUpdate&) override {
+    FAIL();
+  }
+  void send_response(const OpResponse& resp) override { responses.push_back(resp); }
+};
+
 struct ServerFixture : ::testing::Test {
   sim::Simulator sim;
   Metrics metrics;
   std::vector<OpResponse> responses;
+  RecordingTransport transport{responses};
 
   std::unique_ptr<Server> make_server(Server::Params params,
                                       sched::Policy policy = sched::Policy::kFcfs) {
     auto server = std::make_unique<Server>(sim, std::move(params),
                                            sched::make_scheduler(policy), metrics);
-    server->set_response_handler(
-        [this](const OpResponse& r) { responses.push_back(r); });
+    server->set_transport(transport);
     return server;
   }
 

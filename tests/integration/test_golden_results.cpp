@@ -25,7 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/cluster.hpp"
 #include "core/experiment.hpp"
+#include "fault/fault_plan.hpp"
 #include "workload/registry.hpp"
 
 namespace das::core {
@@ -345,6 +347,91 @@ TEST(GoldenResults, PinnedVariantGridIsBitExact) {
       EXPECT_GT(r.ops_aged, 0u);
     }
   }
+}
+
+// --- lossy, jittered network -----------------------------------------------
+//
+// Every row above runs a constant-latency, lossless network, so every
+// delivery takes the simulator's FIFO lane. This row pins the other delivery
+// paths: lognormal jitter sends a delivery due before the lane's tail to the
+// event heap, message loss and a scripted partition drop messages before they
+// are scheduled, and retries plus hedged reads at replication 2 put
+// duplicates and cancelled timers on the wire. The dispatch counts sit next
+// to the results, so a change that moves a delivery between lane and heap, or
+// delivers a dropped message, fails here.
+
+struct NetworkGoldenRow {
+  std::uint64_t requests_measured;
+  double mean_rct_us;
+  double p99_us;
+  std::uint64_t net_messages;
+  std::uint64_t net_messages_dropped;
+  std::uint64_t net_messages_dropped_partition;
+  std::uint64_t ops_retransmitted;
+  std::uint64_t ops_hedged;
+  std::uint64_t duplicate_responses;
+  std::uint64_t events;
+  std::uint64_t lane_events;
+};
+
+ClusterConfig network_golden_config() {
+  ClusterConfig cfg = golden_config(sched::Policy::kDas, 0.8);
+  cfg.replication = 2;
+  cfg.net_jitter_sigma = 0.8;
+  cfg.msg_loss_probability = 0.02;
+  cfg.retry_timeout_us = 1500.0;
+  cfg.hedge_delay_us = 400.0;
+  cfg.fault_plan = fault::parse_fault_plan("partition@6ms:c0-s1,heal@12ms:c0-s1");
+  return cfg;
+}
+
+// Pinned before network deliveries became typed messages.
+const NetworkGoldenRow kNetworkGolden = {
+    // clang-format off
+    409u, 317.11318942568187, 1796.356331369572, 17693u, 711u, 364u, 26u, 495u, 287u, 21848u, 4533u,
+    // clang-format on
+};
+
+TEST(GoldenResults, PinnedLossyJitteredRowIsBitExact) {
+  Cluster cluster{network_golden_config(), golden_window()};
+  const ExperimentResult r = cluster.run();
+  const sim::Simulator& sim = cluster.simulator();
+  if (std::getenv("DAS_REGEN_GOLDEN") != nullptr) {
+    std::printf("    %lluu, %.17g, %.17g, %lluu, %lluu, %lluu, %lluu, %lluu, "
+                "%lluu, %lluu, %lluu,\n",
+                static_cast<unsigned long long>(r.requests_measured), r.rct.mean,
+                r.rct.p99, static_cast<unsigned long long>(r.net_messages),
+                static_cast<unsigned long long>(r.net_messages_dropped),
+                static_cast<unsigned long long>(r.net_messages_dropped_partition),
+                static_cast<unsigned long long>(r.ops_retransmitted),
+                static_cast<unsigned long long>(r.ops_hedged),
+                static_cast<unsigned long long>(r.duplicate_responses),
+                static_cast<unsigned long long>(sim.events_dispatched()),
+                static_cast<unsigned long long>(sim.lane_events()));
+    GTEST_SKIP() << "DAS_REGEN_GOLDEN set: printed a fresh row, skipped the "
+                    "comparison";
+  }
+  const NetworkGoldenRow& row = kNetworkGolden;
+  EXPECT_EQ(r.requests_measured, row.requests_measured);
+  EXPECT_EQ(r.rct.mean, row.mean_rct_us);
+  EXPECT_EQ(r.rct.p99, row.p99_us);
+  EXPECT_EQ(r.net_messages, row.net_messages);
+  EXPECT_EQ(r.net_messages_dropped, row.net_messages_dropped);
+  EXPECT_EQ(r.net_messages_dropped_partition, row.net_messages_dropped_partition);
+  EXPECT_EQ(r.ops_retransmitted, row.ops_retransmitted);
+  EXPECT_EQ(r.ops_hedged, row.ops_hedged);
+  EXPECT_EQ(r.duplicate_responses, row.duplicate_responses);
+  EXPECT_EQ(sim.events_dispatched(), row.events);
+  EXPECT_EQ(sim.lane_events(), row.lane_events);
+  // The row exists to cover these paths; a config that stops reaching one
+  // of them would pin nothing.
+  EXPECT_GT(r.net_messages_dropped_partition, 0u);
+  EXPECT_GT(r.net_messages_dropped, r.net_messages_dropped_partition);
+  EXPECT_GT(r.ops_retransmitted, 0u);
+  EXPECT_GT(r.ops_hedged, 0u);
+  EXPECT_LT(sim.lane_events(), r.net_messages - r.net_messages_dropped);
+  // A dropped message is never delivered; every other one is, once.
+  EXPECT_EQ(cluster.deliveries().total(), r.net_messages - r.net_messages_dropped);
 }
 
 TEST(GoldenResults, PinnedGridIsBitExact) {

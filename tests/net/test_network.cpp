@@ -4,7 +4,11 @@
 
 #include <vector>
 
+#include "closure_sink.hpp"
+
 namespace das::net {
+
+using sim::ClosureSink;
 namespace {
 
 Network make_net(sim::Simulator& sim, LatencyPtr latency) {
@@ -46,8 +50,9 @@ TEST(LatencyModels, LognormalEmpiricalMean) {
 TEST(Network, DeliversAfterConstantLatency) {
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(5.0));
+  ClosureSink sink{sim};
   SimTime delivered = -1;
-  net.send(0, 1, 100, [&] { delivered = sim.now(); });
+  net.send(0, 1, 100, sink([&] { delivered = sim.now(); }));
   sim.run();
   EXPECT_DOUBLE_EQ(delivered, 5.0);
 }
@@ -55,8 +60,11 @@ TEST(Network, DeliversAfterConstantLatency) {
 TEST(Network, FifoPreservesPerLinkOrderUnderJitter) {
   sim::Simulator sim;
   Network net = make_net(sim, make_uniform_latency(1.0, 100.0));
+  ClosureSink sink{sim};
   std::vector<int> order;
-  for (int i = 0; i < 200; ++i) net.send(0, 1, 10, [&order, i] { order.push_back(i); });
+  for (int i = 0; i < 200; ++i) {
+    net.send(0, 1, 10, sink([&order, i] { order.push_back(i); }));
+  }
   sim.run();
   for (int i = 0; i < 200; ++i) ASSERT_EQ(order[i], i);
 }
@@ -64,15 +72,16 @@ TEST(Network, FifoPreservesPerLinkOrderUnderJitter) {
 TEST(Network, DifferentLinksCanReorder) {
   sim::Simulator sim;
   Network net = make_net(sim, make_uniform_latency(1.0, 100.0));
+  ClosureSink sink{sim};
   std::vector<int> order;
   bool reordered = false;
   int expected = 0;
   for (int i = 0; i < 200; ++i) {
     const NodeId src = i % 4;
-    net.send(src, 9, 10, [&, i] {
+    net.send(src, 9, 10, sink([&, i] {
       if (i != expected) reordered = true;
       ++expected;
-    });
+    }));
   }
   sim.run();
   EXPECT_TRUE(reordered);  // cross-link ordering is NOT guaranteed
@@ -81,17 +90,20 @@ TEST(Network, DifferentLinksCanReorder) {
 TEST(Network, StatsCountMessagesAndBytes) {
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(1.0));
-  net.send(0, 1, 100, [] {});
-  net.send(1, 0, 250, [] {});
+  ClosureSink sink{sim};
+  net.send(0, 1, 100, sink([] {}));
+  net.send(1, 0, 250, sink([] {}));
   sim.run();
   EXPECT_EQ(net.stats().messages_sent, 2u);
   EXPECT_EQ(net.stats().bytes_sent, 350u);
 }
 
+// A delivery needs somewhere to go: a simulator without a message sink
+// refuses to schedule one.
 TEST(Network, NullDeliveryThrows) {
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(1.0));
-  EXPECT_THROW(net.send(0, 1, 10, nullptr), std::logic_error);
+  EXPECT_THROW(net.send(0, 1, 10, 0), std::logic_error);
 }
 
 TEST(Network, ZeroNodesRejected) {
@@ -109,9 +121,10 @@ TEST(Network, NodeBeyondTableIsRejected) {
   cfg.latency = make_constant_latency(1.0);
   cfg.num_nodes = 4;
   Network net{sim, cfg, Rng{1}};
+  ClosureSink sink{sim};
   net.set_partitioned(0, 1, true);
-  EXPECT_THROW(net.send(4, 0, 10, [] {}), std::logic_error);
-  EXPECT_THROW(net.send(0, 4, 10, [] {}), std::logic_error);
+  EXPECT_THROW(net.send(4, 0, 10, sink([] {})), std::logic_error);
+  EXPECT_THROW(net.send(0, 4, 10, sink([] {})), std::logic_error);
   EXPECT_EQ(net.stats().messages_sent, 0u);
 }
 
@@ -122,20 +135,28 @@ TEST(Network, LossDropsConfiguredFraction) {
   cfg.loss_probability = 0.25;
   cfg.num_nodes = 2;
   Network net{sim, cfg, Rng{7}};
+  ClosureSink sink{sim};
   int delivered = 0;
   const int n = 40000;
-  for (int i = 0; i < n; ++i) net.send(0, 1, 8, [&] { ++delivered; });
+  int refused = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!net.send(0, 1, 8, sink([&] { ++delivered; }))) ++refused;
+  }
   sim.run();
   EXPECT_EQ(net.stats().messages_sent, static_cast<std::uint64_t>(n));
   EXPECT_NEAR(static_cast<double>(net.stats().messages_dropped) / n, 0.25, 0.01);
   EXPECT_EQ(delivered + static_cast<int>(net.stats().messages_dropped), n);
+  // send() reports every drop, so the sender can reclaim the message.
+  EXPECT_EQ(refused, static_cast<int>(net.stats().messages_dropped));
+  EXPECT_EQ(sink.parked(), net.stats().messages_dropped);
 }
 
 TEST(Network, ZeroLossDeliversEverything) {
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(1.0));
+  ClosureSink sink{sim};
   int delivered = 0;
-  for (int i = 0; i < 1000; ++i) net.send(0, 1, 8, [&] { ++delivered; });
+  for (int i = 0; i < 1000; ++i) net.send(0, 1, 8, sink([&] { ++delivered; }));
   sim.run();
   EXPECT_EQ(delivered, 1000);
   EXPECT_EQ(net.stats().messages_dropped, 0u);
@@ -150,10 +171,9 @@ TEST(Network, InvalidLossProbabilityRejected) {
   EXPECT_THROW((Network{sim, cfg, Rng{1}}), std::logic_error);
 }
 
-// The delivery callback must move through send() and the event queue, never
-// copy: a copy would double the captured per-op state (an OpContext on the
-// cluster path) on every message. Counted end to end: call site -> EventFn
-// -> scheduler slot -> dispatch.
+// The network and the event queue carry only the ticket: the message parked
+// behind it is never copied on its way, whatever it holds (an OpContext on
+// the cluster path). Counted end to end: call site -> sink -> dispatch.
 TEST(Network, DeliveryCallbackIsMovedNotCopied) {
   struct Probe {
     int* copies;
@@ -172,22 +192,24 @@ TEST(Network, DeliveryCallbackIsMovedNotCopied) {
   };
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(1.0));
+  ClosureSink sink{sim};
   int copies = 0, moves = 0, invoked = 0;
-  net.send(0, 1, 8, Probe{&copies, &moves, &invoked});
+  net.send(0, 1, 8, sink(Probe{&copies, &moves, &invoked}));
   sim.run();
   EXPECT_EQ(invoked, 1);
   EXPECT_EQ(copies, 0);
-  // Bounded hand-offs: into the EventFn, through schedule, into the pooled
-  // slot, out at dispatch. A regression to by-value plumbing shows up here.
+  // Bounded hand-offs: into the sink's parked entry and out at dispatch. A
+  // regression to by-value plumbing shows up here.
   EXPECT_LE(moves, 4);
 }
 
 TEST(Network, ZeroLatencyDeliversImmediatelyInOrder) {
   sim::Simulator sim;
   Network net = make_net(sim, make_constant_latency(0.0));
+  ClosureSink sink{sim};
   std::vector<int> order;
-  net.send(0, 1, 1, [&] { order.push_back(1); });
-  net.send(0, 1, 1, [&] { order.push_back(2); });
+  net.send(0, 1, 1, sink([&] { order.push_back(1); }));
+  net.send(0, 1, 1, sink([&] { order.push_back(2); }));
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);

@@ -97,7 +97,14 @@ TEST(Das, ProgressRekeysActiveOrdering) {
   s.enqueue(OpBuilder{1}.request(1).total(300).build(), 0);
   s.enqueue(OpBuilder{2}.request(2).total(100).build(), 0);
   s.on_request_progress(1, progress(10.0, 0, 10.0), 1.0);
+  // The same tags again re-key nothing; neither outcome counts it.
+  s.on_request_progress(1, progress(10.0, 0, 10.0), 1.0);
+  EXPECT_EQ(s.mechanism_counters().progress_rekeyed, 1u);
+  EXPECT_EQ(s.mechanism_counters().progress_unqueued, 0u);
   EXPECT_EQ(s.dequeue(2).op_id, 1u);
+  // Request 1 has no queued op left here.
+  s.on_request_progress(1, progress(5.0, 0, 5.0), 2.0);
+  EXPECT_EQ(s.mechanism_counters().progress_unqueued, 1u);
   EXPECT_EQ(s.dequeue(2).op_id, 2u);
 }
 
@@ -187,6 +194,8 @@ TEST(Das, ProgressForUnknownRequestIgnored) {
   auto s = make_das();
   s.enqueue(OpBuilder{1}.request(1).build(), 0);
   s.on_request_progress(999, progress(1, 0, 1), 1.0);
+  EXPECT_EQ(s.mechanism_counters().progress_unqueued, 1u);
+  EXPECT_EQ(s.mechanism_counters().progress_rekeyed, 0u);
   EXPECT_EQ(s.dequeue(1).op_id, 1u);
 }
 

@@ -55,6 +55,11 @@ struct TestCorruptor {
   }
 
   static void lose_fifo_entry(DasScheduler& s) { s.fifo_.pop_front(); }
+  /// Points a request's chain tail back at its head.
+  static void stale_chain_tail(DasScheduler& s, RequestId request) {
+    DasScheduler::Chain& chain = s.by_request_.at(request);
+    chain.tail = chain.head;
+  }
   static std::size_t fifo_size(const DasScheduler& s) { return s.fifo_.size(); }
   static DasScheduler::Queue& queue(DasScheduler& s) { return s.queue_; }
   static void negate_remaining(DasScheduler& s) {
@@ -236,6 +241,21 @@ TEST(InvariantAudit, DasStaleOrderingKeyThrows) {
   fill(s, 4);
   TestCorruptor::lower_front_key(TestCorruptor::queue(s));
   EXPECT_NO_THROW(TestCorruptor::queue(s).check_invariants());
+  EXPECT_THROW(s.check_invariants(), AuditError);
+}
+
+TEST(InvariantAudit, DasStaleRequestChainThrows) {
+  // Progress reaches a request's queued ops through a chain in arrival
+  // order; a tail that is not the chain's last op would append the next
+  // sibling in the wrong place.
+  DasScheduler s{{}};
+  for (OperationId id = 1; id <= 3; ++id) {
+    s.enqueue(OpBuilder{id}.request(7).total(10.0 * static_cast<double>(id)).build(),
+              0.0);
+  }
+  s.enqueue(OpBuilder{4}.request(8).total(5.0).build(), 0.0);
+  EXPECT_NO_THROW(s.check_invariants());
+  TestCorruptor::stale_chain_tail(s, 7);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 

@@ -6,6 +6,7 @@
 
 #include <utility>
 
+#include "closure_sink.hpp"
 #include "common/invariant.hpp"
 #include "sim/simulator.hpp"
 
@@ -19,7 +20,8 @@ struct TestCorruptor {
   static void swap_lane_entries(Simulator& sim) {
     std::swap(lane_entry(sim, 0), lane_entry(sim, 1));
   }
-  static void kill_lane_front(Simulator& sim) { ++lane_entry(sim, 0).seq; }
+  /// Turns the lane front into a timer entry naming a free slab slot.
+  static void kill_lane_front(Simulator& sim) { lane_entry(sim, 0).slot = 0; }
   static void backdate_lane_back(Simulator& sim, SimTime t) {
     lane_entry(sim, sim.lane_size_ - 1).t = t;
   }
@@ -113,40 +115,46 @@ TEST(SimulatorAudit, CadenceAppliesToRunUntil) {
 
 /// Two deliveries in the lane and one timer in the heap, with the clock
 /// moved to 1 so an entry can be backdated into the past.
-void fill_lane(Simulator& sim) {
+void fill_lane(Simulator& sim, ClosureSink& sink) {
   sim.schedule_at(1.0, [] {});
   sim.step();
-  sim.schedule_delivery(2.0, [] {});
-  sim.schedule_delivery(3.0, [] {});
+  sim.schedule_delivery(2.0, sink([] {}));
+  sim.schedule_delivery(3.0, sink([] {}));
   sim.schedule_at(2.5, [] {});
   ASSERT_NO_THROW(sim.check_invariants());
 }
 
 TEST(SimulatorAudit, LaneOutOfOrderIsCaught) {
   Simulator sim;
-  fill_lane(sim);
+  ClosureSink sink{sim};
+  fill_lane(sim, sink);
   TestCorruptor::swap_lane_entries(sim);
   EXPECT_THROW(sim.check_invariants(), AuditError);
 }
 
 TEST(SimulatorAudit, DeadLaneEntryIsCaught) {
   Simulator sim;
-  fill_lane(sim);
+  ClosureSink sink{sim};
+  fill_lane(sim, sink);
   TestCorruptor::kill_lane_front(sim);
   EXPECT_THROW(sim.check_invariants(), AuditError);
 }
 
 TEST(SimulatorAudit, LaneEntryInThePastIsCaught) {
   Simulator sim;
-  fill_lane(sim);
+  ClosureSink sink{sim};
+  fill_lane(sim, sink);
   TestCorruptor::backdate_lane_back(sim, 0.5);
   EXPECT_THROW(sim.check_invariants(), AuditError);
 }
 
 TEST(SimulatorAudit, LiveCountCoversHeapAndLane) {
   Simulator sim;
-  fill_lane(sim);
+  ClosureSink sink{sim};
+  fill_lane(sim, sink);
   EXPECT_EQ(sim.pending(), 3u);
+  // One timer holds a slab slot; the two deliveries hold none.
+  EXPECT_EQ(sim.slab_slots(), 1u);
   TestCorruptor::drop_live_count(sim);
   EXPECT_THROW(sim.check_invariants(), AuditError);
 }

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_sink.hpp"
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -23,11 +24,12 @@ namespace {
 
 TEST(DeliveryLane, EqualTimesInterleaveWithTimersInScheduleOrder) {
   Simulator sim;
+  ClosureSink sink{sim};
   std::vector<int> order;
   sim.schedule_at(5.0, [&] { order.push_back(0); });
-  sim.schedule_delivery(5.0, [&] { order.push_back(1); });
+  sim.schedule_delivery(5.0, sink([&] { order.push_back(1); }));
   sim.schedule_at(5.0, [&] { order.push_back(2); });
-  sim.schedule_delivery(5.0, [&] { order.push_back(3); });
+  sim.schedule_delivery(5.0, sink([&] { order.push_back(3); }));
   sim.schedule_at(4.0, [&] { order.push_back(-1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
@@ -37,35 +39,41 @@ TEST(DeliveryLane, EqualTimesInterleaveWithTimersInScheduleOrder) {
 
 TEST(DeliveryLane, DeliveryBeforeTheLaneTailFallsBackToTheHeap) {
   Simulator sim;
+  ClosureSink sink{sim};
   std::vector<int> order;
-  sim.schedule_delivery(10.0, [&] { order.push_back(10); });
-  sim.schedule_delivery(5.0, [&] { order.push_back(5); });   // jittered early
-  sim.schedule_delivery(10.0, [&] { order.push_back(11); });  // equal to tail
+  sim.schedule_delivery(10.0, sink([&] { order.push_back(10); }));
+  sim.schedule_delivery(5.0, sink([&] { order.push_back(5); }));   // jittered early
+  sim.schedule_delivery(10.0, sink([&] { order.push_back(11); }));  // equal to tail
   EXPECT_EQ(sim.pending(), 3u);
   EXPECT_EQ(sim.queued_nodes(), 3u);
   EXPECT_NO_THROW(sim.check_invariants());
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{5, 10, 11}));
   EXPECT_EQ(sim.lane_events(), 2u);
+  // The fallback is still a delivery: it holds no timer slot.
+  EXPECT_EQ(sim.slab_slots(), 0u);
 }
 
 TEST(DeliveryLane, RunUntilLeavesLaterDeliveriesQueued) {
   Simulator sim;
+  ClosureSink sink{sim};
   int fired = 0;
-  sim.schedule_delivery(3.0, [&] { ++fired; });
-  sim.schedule_delivery(7.0, [&] { ++fired; });
+  sim.schedule_delivery(3.0, sink([&] { ++fired; }));
+  sim.schedule_delivery(7.0, sink([&] { ++fired; }));
   sim.run_until(5.0);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
   EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_THROW(sim.schedule_delivery(4.0, [] {}), std::logic_error);
+  EXPECT_THROW(sim.schedule_delivery(4.0, sink([] {})), std::logic_error);
   sim.run();
   EXPECT_EQ(fired, 2);
 }
 
+// A delivery with nowhere to go is refused at scheduling time.
 TEST(DeliveryLane, NullDeliveryThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.schedule_delivery(1.0, EventFn{}), std::logic_error);
+  EXPECT_THROW(sim.schedule_delivery(1.0, 0), std::logic_error);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 /// Drives one Simulator + Network through a seeded random interleaving of
@@ -80,7 +88,7 @@ class Interleaving {
   static constexpr std::uint64_t kNetSeed = 0x5EED;
 
   explicit Interleaving(net::LatencyPtr latency, std::uint64_t seed)
-      : latency_(std::move(latency)), mirror_(kNetSeed), driver_(seed) {
+      : sink_(sim_), latency_(std::move(latency)), mirror_(kNetSeed), driver_(seed) {
     net::Network::Config cfg;
     cfg.latency = latency_;
     cfg.num_nodes = kNodes;
@@ -159,10 +167,10 @@ class Interleaving {
     last = std::max(sim_.now() + latency_->sample(mirror_), last);
     const Key key{last, next_order_++};
     pending_.insert(key);
-    net_->send(from, to, 64, [this, key] {
+    net_->send(from, to, 64, sink_([this, key] {
       ++deliveries_;
       fire(key);
-    });
+    }));
   }
 
   void cancel() {
@@ -193,6 +201,7 @@ class Interleaving {
   }
 
   Simulator sim_;
+  ClosureSink sink_;
   net::LatencyPtr latency_;
   std::unique_ptr<net::Network> net_;
   Rng mirror_;
@@ -246,13 +255,14 @@ TEST(DeliveryLane, StorageStaysBoundedOnANeverDrainingStream) {
   cfg.latency = net::make_constant_latency(3.0);
   cfg.num_nodes = 32;
   net::Network net{sim, cfg, Rng{7}};
+  ClosureSink sink{sim};
   std::uint64_t remaining = 300000;
   std::size_t peak = 0;
   std::function<void(net::NodeId)> pump = [&](net::NodeId node) {
     if (remaining == 0) return;
     --remaining;
     const auto next = static_cast<net::NodeId>((node + 1) % cfg.num_nodes);
-    net.send(node, next, 64, [&pump, next] { pump(next); });
+    net.send(node, next, 64, sink([&pump, next] { pump(next); }));
     peak = std::max(peak, sim.pending());
   };
   const auto wave = [&](int senders) {

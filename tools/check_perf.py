@@ -5,11 +5,13 @@ Usage:
     tools/check_perf.py MEASURED.json bench/perf_baseline.json
 
 Two checks per point:
-  1. Determinism: the dispatched-event count and the delivery-lane event
-     count must each equal the baseline count bit-for-bit (both are
-     deterministic for a fixed --scale, so any drift means the engine's
-     behaviour changed, not just its speed; a change that routes network
-     deliveries back through the event heap moves `lane_events`).
+  1. Determinism: every count in EXACT_COUNTS must equal the baseline count
+     bit-for-bit (all are deterministic for a fixed --scale, so any drift
+     means the engine's behaviour changed, not just its speed): dispatched
+     events, delivery-lane events (a change that routes network deliveries
+     back through the event heap moves them), dispatches per kind (op,
+     response and progress deliveries, everything else) and the progress
+     outcome split (re-keyed a queued op, found none queued).
   2. Throughput: events/sec must stay >= baseline * (1 - tolerance).  The
      baseline values are deliberately conservative (see the comment field in
      bench/perf_baseline.json) so shared CI runners pass with headroom while
@@ -22,10 +24,21 @@ schema errors.  Stdlib only -- no third-party imports.
 import json
 import sys
 
+# Deterministic counts, gated exactly against the baseline.
+EXACT_COUNTS = (
+    "events",
+    "lane_events",
+    "op_deliveries",
+    "response_deliveries",
+    "progress_deliveries",
+    "other_events",
+    "progress_rekeyed",
+    "progress_unqueued",
+)
+
 REQUIRED_POINT_KEYS = {
     "point": str,
-    "events": int,
-    "lane_events": int,
+    **{key: int for key in EXACT_COUNTS},
     "wall_seconds": float,
     "events_per_sec": float,
     "sim_time_us": float,
@@ -46,8 +59,8 @@ def load_json(path):
 
 
 def validate_measured_schema(doc, path):
-    if doc.get("schema_version") != 3:
-        fail_usage(f"{path}: schema_version must be 3, got {doc.get('schema_version')!r}")
+    if doc.get("schema_version") != 4:
+        fail_usage(f"{path}: schema_version must be 4, got {doc.get('schema_version')!r}")
     if doc.get("experiment") != "perf_throughput":
         fail_usage(f"{path}: experiment must be 'perf_throughput', got {doc.get('experiment')!r}")
     points = doc.get("points")
@@ -68,6 +81,14 @@ def validate_measured_schema(doc, path):
             fail_usage(f"{path}: points[{i}] ({p['point']}) has a non-positive measurement")
         if not 0 <= p["lane_events"] <= p["events"]:
             fail_usage(f"{path}: points[{i}] ({p['point']}) has lane_events outside [0, events]")
+        kinds = (p["op_deliveries"] + p["response_deliveries"] + p["progress_deliveries"] +
+                 p["other_events"])
+        if kinds != p["events"]:
+            fail_usage(f"{path}: points[{i}] ({p['point']}) per-kind counts sum to {kinds}, "
+                       f"not events {p['events']}")
+        if p["progress_rekeyed"] + p["progress_unqueued"] > p["progress_deliveries"]:
+            fail_usage(f"{path}: points[{i}] ({p['point']}) has more progress outcomes "
+                       "than progress deliveries")
 
 
 def main(argv):
@@ -91,11 +112,9 @@ def main(argv):
         p = measured[name]
         floor = base["events_per_sec"] * (1.0 - tolerance)
         verdicts = []
-        if p["events"] != base["events"]:
-            verdicts.append(f"events {p['events']} != baseline {base['events']} (determinism drift)")
-        if p["lane_events"] != base["lane_events"]:
-            verdicts.append(f"lane_events {p['lane_events']} != baseline {base['lane_events']} "
-                            "(deliveries moved between the delivery lane and the event heap)")
+        for key in EXACT_COUNTS:
+            if p[key] != base[key]:
+                verdicts.append(f"{key} {p[key]} != baseline {base[key]} (determinism drift)")
         if p["events_per_sec"] < floor:
             verdicts.append(f"events/sec {p['events_per_sec']:.0f} below floor {floor:.0f}")
         status = "OK" if not verdicts else "FAIL"
