@@ -105,7 +105,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
   selector_ = select::make_selector(params_.replica_selection);
   rto_strikes_.assign(params_.num_servers, 0);
   suspected_.assign(params_.num_servers, 0);
-  progress_entry_.assign(params_.num_servers, kNoEntry);
+  server_entry_.assign(params_.num_servers, kNoEntry);
 }
 
 void Client::start(SimTime horizon) {
@@ -210,6 +210,12 @@ void Client::generate_request(std::size_t tenant) {
   } else {
     const workload::MultigetSpec spec = stream.generator->generate(rng, now);
     DAS_CHECK(!spec.keys.empty());
+    // Touch every key's size first: the catalogue outgrows the cache at
+    // scale, and this way the k misses overlap instead of each one stalling
+    // its own plan step.
+    for (const KeyId key : spec.keys) {
+      if (key < catalogue_.size()) __builtin_prefetch(&catalogue_[key]);
+    }
     plan.reserve(spec.keys.size());
     for (const KeyId key : spec.keys) plan_read(plan, key);
   }
@@ -299,37 +305,27 @@ void Client::dispatch_plan(std::size_t tenant, std::vector<PendingOp> plan) {
 
   // Per-server aggregates: (op count, demand sum) for the Rein bottleneck
   // tags, plus the per-server max full-completion estimate for the DAS
-  // deferral bounds.
-  struct ServerAgg {
-    std::uint32_t ops = 0;
-    double demand = 0;
-    SimTime max_full_estimate = 0;
-  };
-  // FlatMap, not unordered_map: only max/sum aggregation below, so iteration
-  // order cannot leak into results — but FlatMap's order is at least
-  // deterministic across standard libraries.
-  FlatMap<ServerId, ServerAgg> per_server;
+  // deferral bounds. Only sums in op order and maxima are taken, so the
+  // entries' order cannot leak into the tags.
+  server_aggs_.clear();
   double total_demand = 0;
   double critical_us = 0;
   for (PendingOp& op : pending.ops) {
     const double demand = op.ctx.demand_us;
     const double service = service_estimate_us(op.server, demand);
-    auto& agg = per_server[op.server];
-    ++agg.ops;
-    agg.demand += demand;
-    agg.max_full_estimate =
-        std::max(agg.max_full_estimate, full_estimate(now, op.server, service));
+    add_to_server_agg(op.server, demand, full_estimate(now, op.server, service));
     total_demand += demand;
     critical_us = std::max(critical_us, service);
     op.ctx.op_id = (static_cast<OperationId>(params_.id) << 48) | next_op_seq_++;
   }
+  unindex_server_aggs();
   std::uint32_t bottleneck_ops = 0;
   double bottleneck_demand = 0;
   TopTwo full_estimates;
-  for (const auto& [server, agg] : per_server) {
+  for (const ServerAgg& agg : server_aggs_) {
     bottleneck_ops = std::max(bottleneck_ops, agg.ops);
     bottleneck_demand = std::max(bottleneck_demand, agg.demand);
-    full_estimates.add(server, agg.max_full_estimate);
+    full_estimates.add(agg.server, agg.max_full_estimate);
   }
 
   pending.remaining = pending.ops.size();
@@ -633,14 +629,10 @@ void Client::on_response(const OpResponse& resp) {
   // enough to change scheduling decisions.
   double new_critical = 0;
   double remaining_demand = 0;
-  // Iteration order below decides the order progress updates hit the
-  // network (event sequence numbers!), so this must NOT be an unordered
-  // container: libstdc++ and libc++ would send in different orders and
-  // produce different results. First-touch order — the order ops appear in
-  // the request — is deterministic everywhere. progress_entry_ finds a
-  // server's entry in O(1), so the scan is linear in the request's ops.
-  std::vector<std::pair<ServerId, SimTime>>& server_max_full = progress_servers_;
-  server_max_full.clear();
+  // Entry order below decides the order progress updates hit the network
+  // (event sequence numbers!), so it is first-touch order — the order ops
+  // appear in the request — which is deterministic everywhere.
+  server_aggs_.clear();
   for (const PendingOp& op : req.ops) {
     if (op.done) continue;
     const double demand = op.ctx.demand_us;
@@ -648,20 +640,9 @@ void Client::on_response(const OpResponse& resp) {
     // One division serves both estimates.
     const double service = service_estimate_us(op.server, demand);
     new_critical = std::max(new_critical, service);
-    const SimTime est = full_estimate(now, op.server, service);
-    std::uint32_t& entry = progress_entry_[op.server];
-    if (entry == kNoEntry) {
-      entry = static_cast<std::uint32_t>(server_max_full.size());
-      server_max_full.emplace_back(op.server, est);
-    } else {
-      SimTime& max_est = server_max_full[entry].second;
-      max_est = std::max(max_est, est);
-    }
+    add_to_server_agg(op.server, demand, full_estimate(now, op.server, service));
   }
-  for (const auto& [server, unused] : server_max_full) {
-    (void)unused;
-    progress_entry_[server] = kNoEntry;
-  }
+  unindex_server_aggs();
   // Send when either the critical path (das-crit's key) or the total
   // remaining (the SRPT-first key of das and req-srpt) moved by more than the
   // threshold, relative to its last sent value.
@@ -677,16 +658,34 @@ void Client::on_response(const OpResponse& resp) {
   // One update per distinct server still holding pending ops; the deferral
   // bound is per destination (max full estimate over the OTHER servers).
   TopTwo full_estimates;
-  for (const auto& [server, est] : server_max_full) full_estimates.add(server, est);
-  for (const auto& [server, unused] : server_max_full) {
-    (void)unused;
+  for (const ServerAgg& agg : server_aggs_) {
+    full_estimates.add(agg.server, agg.max_full_estimate);
+  }
+  for (const ServerAgg& agg : server_aggs_) {
     sched::ProgressUpdate update;
     update.remaining_critical_us = new_critical;
-    update.est_other_completion = full_estimates.max_excluding(server);
+    update.est_other_completion = full_estimates.max_excluding(agg.server);
     update.remaining_total_us = remaining_demand;
-    transport_.send_progress(params_.id, server, rid, update);
+    transport_.send_progress(params_.id, agg.server, rid, update);
     ++progress_sent_;
   }
+}
+
+void Client::add_to_server_agg(ServerId server, double demand,
+                               SimTime full_estimate) {
+  std::uint32_t& entry = server_entry_[server];
+  if (entry == kNoEntry) {
+    entry = static_cast<std::uint32_t>(server_aggs_.size());
+    server_aggs_.push_back({server, 0, 0, 0});
+  }
+  ServerAgg& agg = server_aggs_[entry];
+  ++agg.ops;
+  agg.demand += demand;
+  agg.max_full_estimate = std::max(agg.max_full_estimate, full_estimate);
+}
+
+void Client::unindex_server_aggs() {
+  for (const ServerAgg& agg : server_aggs_) server_entry_[agg.server] = kNoEntry;
 }
 
 }  // namespace das::core

@@ -284,14 +284,24 @@ class Client {
   /// suspicion flags (failure detection).
   std::vector<std::uint32_t> rto_strikes_;
   std::vector<char> suspected_;
-  /// on_response scratch: (server, max full estimate) per server still
-  /// holding ops of the request, in first-touch order, and each server's
-  /// index in it (kNoEntry when absent; every touched entry is reset before
-  /// on_response returns). Members so a response allocates nothing once
-  /// they have grown to the widest request.
-  std::vector<std::pair<ServerId, SimTime>> progress_servers_;
+  /// One server's share of a request's (live) ops.
+  struct ServerAgg {
+    ServerId server = 0;
+    std::uint32_t ops = 0;
+    /// Demand summed in op order.
+    double demand = 0;
+    /// Largest full-completion estimate; 0 stands in for "none" because
+    /// TopTwo never lets a non-positive estimate win.
+    SimTime max_full_estimate = 0;
+  };
+  /// dispatch_plan / on_response scratch: one ServerAgg per server the
+  /// request touches, in first-touch order, and each server's index in it
+  /// (kNoEntry when absent; unindex_server_aggs resets every touched entry
+  /// before the caller reads the aggregates). Members so a request or a
+  /// response allocates nothing once they have grown to the widest request.
+  std::vector<ServerAgg> server_aggs_;
   static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> progress_entry_;
+  std::vector<std::uint32_t> server_entry_;
 
   std::uint64_t next_request_seq_ = 0;
   std::uint64_t next_op_seq_ = 0;
@@ -306,6 +316,11 @@ class Client {
   std::uint64_t ops_abandoned_ = 0;
   std::uint64_t suspicions_raised_ = 0;
 
+  /// Folds one op into its server's entry of server_aggs_, appending the
+  /// entry on the server's first touch.
+  void add_to_server_agg(ServerId server, double demand, SimTime full_estimate);
+  /// Resets server_entry_ for every entry of server_aggs_.
+  void unindex_server_aggs();
   /// Arms (or re-arms) the retransmission timer for an op of `rid`.
   void arm_retry(RequestId rid, PendingOp& op);
   /// Arms the one-shot hedge timer for an op of `rid`.

@@ -13,6 +13,7 @@ class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(Duration d) : d_(d) { DAS_CHECK(d >= 0); }
   Duration sample(Rng&) const override { return d_; }
+  bool can_reorder() const override { return false; }
 
  private:
   Duration d_;
@@ -60,14 +61,19 @@ Network::Network(sim::Simulator& sim, Config config, Rng rng)
   DAS_CHECK(config_.latency != nullptr);
   DAS_CHECK(config_.loss_probability >= 0 && config_.loss_probability < 1);
   DAS_CHECK_MSG(config_.num_nodes > 0, "Config::num_nodes must be > 0");
-  link_last_.assign(
-      static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0.0);
+  if (config_.latency->can_reorder()) {
+    link_last_.assign(
+        static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0.0);
+  }
 }
 
 void Network::set_partitioned(NodeId a, NodeId b, bool cut) {
   DAS_CHECK_MSG(a < config_.num_nodes && b < config_.num_nodes,
                 "node id beyond Config::num_nodes");
-  if (partition_.empty()) partition_.assign(link_last_.size(), 0);
+  if (partition_.empty()) {
+    partition_.assign(
+        static_cast<std::size_t>(config_.num_nodes) * config_.num_nodes, 0);
+  }
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     char& slot = partition_[link_index(from, to)];
     if (slot == (cut ? 1 : 0)) continue;
@@ -107,8 +113,13 @@ bool Network::send(NodeId from, NodeId to, Bytes size, sim::Ticket ticket) {
     ++stats_.messages_dropped;
     return false;
   }
+  const SimTime due = sim_.now() + config_.latency->sample(rng_);
+  if (link_last_.empty()) {
+    sim_.schedule_delivery(due, ticket);
+    return true;
+  }
   SimTime& last = link_last_[link];
-  last = std::max(sim_.now() + config_.latency->sample(rng_), last);
+  last = std::max(due, last);
   sim_.schedule_delivery(last, ticket);
   return true;
 }

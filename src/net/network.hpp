@@ -7,7 +7,12 @@
 // and schedules the ticket's delivery; the size only feeds the byte
 // counters. Per-link FIFO ordering is unconditional — jitter never reorders
 // messages on the same (src, dst) pair, matching a TCP connection — because
-// schedulers downstream rely on feedback arriving in causal order.
+// schedulers downstream rely on feedback arriving in causal order. Only a
+// latency model that can reorder needs help keeping it: for one, the
+// network holds a dense (nodes)² table of each link's last delivery time and
+// clamps every delivery to it. A constant delay cannot reorder (the clock
+// never runs back and rounding is monotone, so now + L never falls below the
+// previous message's due time), and then no table exists.
 //
 // Deliveries go through the simulator's delivery lane
 // (Simulator::schedule_delivery), not its timer heap: a message is never
@@ -36,6 +41,10 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   virtual Duration sample(Rng& rng) const = 0;
+  /// Whether a later send on a link can draw an earlier due time than the
+  /// one before it. False only when no draw can: the network then keeps no
+  /// per-link clamp.
+  virtual bool can_reorder() const { return true; }
 };
 
 using LatencyPtr = std::shared_ptr<const LatencyModel>;
@@ -103,6 +112,7 @@ class Network {
   NetworkStats stats_;
   /// Last scheduled delivery time per directed link, for FIFO clamping,
   /// indexed by link_index (the initial 0.0 is the clamp's identity).
+  /// Allocated only for a latency model that can reorder; empty otherwise.
   std::vector<SimTime> link_last_;
   /// Directed partition state, same indexing, allocated on the first cut.
   /// `partitions_active_` counts cut directed links so the fault-free send

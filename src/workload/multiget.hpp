@@ -110,18 +110,36 @@ class MultigetGenerator {
   static constexpr std::size_t kNoStorm = static_cast<std::size_t>(-1);
   std::size_t active_storm(SimTime now) const;
   /// The pre-sampled hot set of storm `index` (final key ids, key_base
-  /// applied).
-  const std::vector<KeyId>& storm_keys(std::size_t index) const;
+  /// applied), in draw order.
+  std::vector<KeyId> storm_keys(std::size_t index) const;
 
  private:
+  /// Ranks the rotation active at `now` adds (mod the universe); 0 at epoch 0.
+  std::uint64_t rotation_shift(SimTime now) const;
+  /// Rank `rank` moved on by `shift` ranks, wrapping; both below the universe.
+  std::uint64_t rotated(std::uint64_t rank, std::uint64_t shift) const {
+    const std::uint64_t position = rank + shift;
+    return position < config_.key_universe ? position
+                                           : position - config_.key_universe;
+  }
+  /// One draw from the popularity law as a position in rank_to_key_: a slot
+  /// of storm `storm`'s hot set with its share, else the Zipf rank rotated
+  /// by `shift`. At a fixed time the position -> key map is a bijection, so
+  /// two draws name the same key iff they name the same position.
+  std::uint64_t draw_position(Rng& rng, std::size_t storm,
+                              std::uint64_t shift) const;
+  KeyId key_at(std::uint64_t position) const {
+    return config_.key_base + rank_to_key_[position];
+  }
+
   Config config_;
   ZipfGenerator zipf_;
   /// rank -> key permutation (Fisher-Yates from rank_permutation_seed), so
   /// hot keys scatter uniformly over the keyspace and hence over servers.
   /// Holds offsets from key_base; the Zipf universe bound keeps them 32-bit.
   std::vector<std::uint32_t> rank_to_key_;
-  /// Per-storm pre-sampled hot sets (final key ids).
-  std::vector<std::vector<KeyId>> storm_sets_;
+  /// Per-storm pre-sampled hot sets, as positions in rank_to_key_.
+  std::vector<std::vector<std::uint32_t>> storm_positions_;
 };
 
 /// A recorded request stream: arrival times plus key sets. Traces decouple

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "closure_sink.hpp"
@@ -213,6 +214,38 @@ TEST(Network, ZeroLatencyDeliversImmediatelyInOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST(Network, ConstantLatencyDeliversEverySendAtNowPlusLatency) {
+  // No per-link clamp exists under a constant delay; a random stream over
+  // random links at an advancing clock must still land at exactly now + L.
+  constexpr Duration kLatency = 3.7;
+  sim::Simulator sim;
+  Network net = make_net(sim, make_constant_latency(kLatency));
+  ClosureSink sink{sim};
+  Rng rng{21};
+  int delivered = 0;
+  int wrong = 0;
+  const std::function<void(int)> send_burst = [&](int left) {
+    const int burst = 1 + static_cast<int>(rng.next_below(5));
+    for (int i = 0; i < burst; ++i) {
+      const auto from = static_cast<NodeId>(rng.next_below(16));
+      const auto to = static_cast<NodeId>(rng.next_below(16));
+      const SimTime due = sim.now() + kLatency;
+      net.send(from, to, 1, sink([&, due] {
+        ++delivered;
+        if (sim.now() != due) ++wrong;
+      }));
+    }
+    if (left > 0) {
+      sim.schedule_after(rng.uniform(0.0, 2.0), [&, left] { send_burst(left - 1); });
+    }
+  };
+  send_burst(500);
+  sim.run();
+  EXPECT_GT(delivered, 500);
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(net.stats().messages_sent, static_cast<std::uint64_t>(delivered));
 }
 
 }  // namespace
