@@ -396,10 +396,11 @@ void Client::expire_request(RequestId rid) {
 }
 
 Client::PendingOp& Client::find_op(PendingRequest& req, OperationId op_id) {
-  const auto it = std::ranges::find(
-      req.ops, op_id, [](const PendingOp& op) { return op.ctx.op_id; });
-  DAS_CHECK_MSG(it != req.ops.end(), "op id outside its pending request");
-  return *it;
+  // dispatch_plan numbers a request's ops consecutively; an id below the
+  // first wraps to a huge index.
+  const OperationId index = op_id - req.ops.front().ctx.op_id;
+  DAS_CHECK_MSG(index < req.ops.size(), "op id outside its pending request");
+  return req.ops[index];
 }
 
 void Client::send(const PendingOp& op, ServerId server, bool resend) {

@@ -325,7 +325,8 @@ class Client {
   void arm_retry(RequestId rid, PendingOp& op);
   /// Arms the one-shot hedge timer for an op of `rid`.
   void arm_hedge(RequestId rid, PendingOp& op);
-  /// The op `op_id` of `req`; an id outside the request is a protocol bug.
+  /// The op `op_id` of `req`, indexed by its offset from the first op's id;
+  /// an id outside the request is a protocol bug.
   static PendingOp& find_op(PendingRequest& req, OperationId op_id);
   /// Sends `op` to `server` (first send, hedge or retransmission) and
   /// traces it.

@@ -4,7 +4,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -232,5 +234,72 @@ struct ExperimentResult {
   double sim_duration_us = 0;
   double wall_seconds = 0;
 };
+
+// --- Reported fields ---------------------------------------------------------
+//
+// Every reported result field, declared once: where a BENCH JSON point writes
+// it (its block), its JSON name, whether it is a count (printed as an
+// integer) or a real (printed with round-trip precision), how to read it and,
+// for the fields experiment tables print, a title with unit, a precision and
+// which way is better. render_bench_json, the experiment tables and dassim's
+// block tables read these rows; none of them lists fields by hand.
+
+/// Where a field sits in a BENCH JSON point. The rows are in writing order;
+/// a nested block's rows are contiguous.
+enum class Block : std::uint8_t {
+  kNone,         ///< not written to the JSON
+  kTop,          ///< on the point object
+  kMechanism,    ///< on the point object: scheduler mechanism counters
+  kBreakdown,    ///< "breakdown": exact mean RCT decomposition
+  kDegradation,  ///< "degradation": fault-layer accounting
+  kOverload,     ///< "overload": overload-layer accounting
+  kStorage,      ///< "storage": store-model counters
+  kLast,         ///< on the point object, after "tenants" and the FCFS gain
+};
+
+/// The JSON object a block's fields nest in; nullptr for the blocks written
+/// on the point object itself.
+const char* json_object(Block block);
+
+/// Which way a field improves; kNone (counters, utilisation) has no gain.
+enum class Better : std::uint8_t { kNone, kLower, kHigher };
+
+template <class Record>
+struct Field {
+  using Count = std::uint64_t (*)(const Record&);
+  using Real = double (*)(const Record&);
+
+  constexpr Field(Block where, const char* json_name,
+                  std::variant<Count, Real> reader, const char* heading = nullptr,
+                  int decimals = 1, Better direction = Better::kNone)
+      : block(where), name(json_name), read(reader), title(heading),
+        precision(decimals), better(direction) {}
+
+  Block block;
+  const char* name;  ///< the JSON name
+  std::variant<Count, Real> read;
+  /// Experiment-table title with unit; nullptr for a field no table prints.
+  const char* title;
+  int precision;  ///< decimals of a real's table cell
+  Better better;
+
+  bool is_count() const { return std::holds_alternative<Count>(read); }
+  /// A count field's exact value.
+  std::uint64_t count(const Record& r) const { return std::get<Count>(read)(r); }
+  /// Any field's value as a double (a count above 2^53 rounds).
+  double value(const Record& r) const {
+    return is_count() ? static_cast<double>(count(r)) : std::get<Real>(read)(r);
+  }
+};
+
+using ResultField = Field<ExperimentResult>;
+using TenantField = Field<TenantOutcome>;
+
+/// The fields of an ExperimentResult, in JSON writing order.
+std::span<const ResultField> result_fields();
+
+/// The fields of a TenantOutcome's JSON object, in writing order (its
+/// "name" label is written first, beside them).
+std::span<const TenantField> tenant_fields();
 
 }  // namespace das::core

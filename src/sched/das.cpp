@@ -7,7 +7,6 @@ namespace das::sched {
 DasScheduler::DasScheduler(Options options) : options_(options) {
   DAS_CHECK(options_.max_wait_us > 0);
   DAS_CHECK(options_.defer_margin > 0);
-  DAS_CHECK_MSG(options_.retag || !options_.defer, "deferral needs retagging");
 }
 
 void DasScheduler::check_policy_invariants() const {
@@ -16,8 +15,7 @@ void DasScheduler::check_policy_invariants() const {
   queue_.check_invariants();
   queue_.for_each([this](std::size_t lane, double key, const Queued& q) {
     DAS_AUDIT(key >= 0, "negative DAS lane key");
-    DAS_AUDIT(!options_.retag || key == lane_key(q.op, static_cast<Lane>(lane)),
-              "stale DAS lane key");
+    DAS_AUDIT(key == lane_key(q.op, static_cast<Lane>(lane)), "stale DAS lane key");
     DAS_AUDIT(q.op.remaining_critical_us >= 0,
               "negative critical-path remaining time");
     DAS_AUDIT(q.op.total_demand_us >= 0, "negative total remaining demand");
@@ -215,24 +213,18 @@ void DasScheduler::on_request_progress(RequestId request, const ProgressUpdate& 
     const Handle h = next;
     Queued& q = queue_.at(h);
     next = q.next;
-    // Without retagging an op is always runnable, keyed apart from its tags.
-    const double old_key = options_.retag ? active_key(q.op) : queue_.key(h);
-    if (options_.retag) {
-      if (q.op.remaining_critical_us == update.remaining_critical_us &&
-          q.op.est_other_completion == update.est_other_completion &&
-          q.op.total_demand_us == update.remaining_total_us) {
-        continue;
-      }
-      close_deferral(h, now);
-      q.op.remaining_critical_us = update.remaining_critical_us;
-      q.op.est_other_completion = update.est_other_completion;
-      q.op.total_demand_us = update.remaining_total_us;
-      const Lane lane = place(q, now);
-      queue_.move(h, lane, lane_key(q.op, lane));
-    } else {
-      if (old_key == active_key(update)) continue;
-      queue_.update(h, active_key(update));
+    if (q.op.remaining_critical_us == update.remaining_critical_us &&
+        q.op.est_other_completion == update.est_other_completion &&
+        q.op.total_demand_us == update.remaining_total_us) {
+      continue;
     }
+    const double old_key = active_key(q.op);
+    close_deferral(h, now);
+    q.op.remaining_critical_us = update.remaining_critical_us;
+    q.op.est_other_completion = update.est_other_completion;
+    q.op.total_demand_us = update.remaining_total_us;
+    const Lane lane = place(q, now);
+    queue_.move(h, lane, lane_key(q.op, lane));
     ++reranks_;
     rekeyed = true;
     if (tracer_ != nullptr) {

@@ -33,8 +33,8 @@
 // Each mechanism switches off independently for the ablation study, and the
 // primary key can be switched to the request's critical-path remaining time
 // (max instead of sum) to quantify why total remaining is the right notion.
-// With deferral, aging and retagging off, what remains is request-level SRPT,
-// the `req-srpt` baseline.
+// With deferral and aging off, what remains is request-level SRPT, the
+// `req-srpt` baseline.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +71,6 @@ class DasScheduler final : public SchedulerBase {
     /// Margin multiplier on the safe-deferral test; > 1 defers less.
     double defer_margin = 2.0;
     PrimaryKey primary_key = PrimaryKey::kTotalRemaining;
-    /// Progress rewrites a queued op's tags. false = progress moves only its
-    /// ordering key and the op leaves with the tags it arrived with, which a
-    /// preempt-resume server then compares and re-enqueues on (req-srpt's
-    /// rule). Requires defer off: deferral reads the tags.
-    bool retag = true;
   };
 
   explicit DasScheduler(Options options);

@@ -47,11 +47,10 @@ void critical_path(DasOptions& opt) {
   opt.primary_key = DasScheduler::PrimaryKey::kCriticalPath;
 }
 /// Request-level SRPT, the strongest request-aware baseline: DAS's
-/// SRPT-first half alone, ops keeping the tags they arrived with.
+/// SRPT-first half alone.
 void srpt_first(DasOptions& opt) {
   no_defer(opt);
   no_aging(opt);
-  opt.retag = false;
 }
 
 /// A policy's name, construction, progress use and client learning, each

@@ -108,8 +108,8 @@ class Scheduler : public Auditable {
 using SchedulerPtr = std::unique_ptr<Scheduler>;
 
 /// The policies under study, each one row of the table in scheduler.cpp.
-/// `kDas*` variants are ablations of kDas; kReqSrpt is DAS minus deferral, aging
-/// and retagging.
+/// `kDas*` variants are ablations of kDas; kReqSrpt is DAS minus deferral and
+/// aging.
 enum class Policy {
   kFcfs,
   kRandom,

@@ -490,6 +490,9 @@ TEST_F(ClientFixture, ResponseForAnOpOutsideItsPendingRequestThrows) {
   SentOp stray = sent_ops[0];
   stray.ctx.op_id = std::max(sent_ops[0].ctx.op_id, sent_ops[1].ctx.op_id) + 1000;
   EXPECT_THROW(respond(stray), std::logic_error);
+  // An id below the request's first op wraps to a huge offset.
+  stray.ctx.op_id = std::min(sent_ops[0].ctx.op_id, sent_ops[1].ctx.op_id) - 1;
+  EXPECT_THROW(respond(stray), std::logic_error);
 }
 
 }  // namespace

@@ -307,7 +307,9 @@ const VariantGoldenRow kVariantGolden[] = {
     {"das-crit", 409u, 173.98772962868534, 1428.8968933635158, 6428u, 556u, 0u, 11191u},
     {"rein-sbf/wait-1ms", 409u, 180.85666284645743, 1147.9703437292508, 0u, 0u, 52u, 0u},
     {"das/wait-1ms", 409u, 172.96419953747863, 1171.0445476382081, 6122u, 585u, 57u, 11808u},
-    {"req-srpt/preemptive", 409u, 182.41842049109465, 1850.7877245664019, 0u, 0u, 0u, 11151u},
+    // Re-pinned when req-srpt started retagging on progress: a preempt-resume
+    // server now compares and re-enqueues on an op's current total.
+    {"req-srpt/preemptive", 409u, 154.25617656352296, 818.47225146931123, 0u, 0u, 0u, 11347u},
     {"das/preemptive", 409u, 158.80518409123403, 1319.5623076783043, 6670u, 676u, 0u, 11762u},
     // clang-format on
 };

@@ -282,7 +282,7 @@ TEST(InvariantAudit, ReinNegativeThresholdThrows) {
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 
-// req-srpt is the DAS option set with deferral, aging and retagging off.
+// req-srpt is the DAS option set with deferral and aging off.
 DasScheduler& as_das(const SchedulerPtr& s) { return dynamic_cast<DasScheduler&>(*s); }
 
 TEST(InvariantAudit, SrptHeapPositionMismatchThrows) {

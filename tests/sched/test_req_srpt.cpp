@@ -1,6 +1,6 @@
-// req-srpt is an option set of DAS (deferral, aging and retagging off),
-// reached only through the policy factory; these tests pin its
-// request-level SRPT order and what sets it apart from das-nd.
+// req-srpt is an option set of DAS (deferral and aging off), reached only
+// through the policy factory; these tests pin its request-level SRPT order
+// and what sets it apart from das-nd.
 #include <gtest/gtest.h>
 
 #include "sched/scheduler.hpp"
@@ -82,10 +82,10 @@ TEST(ReqSrpt, BacklogAccountingSurvivesProgress) {
   EXPECT_DOUBLE_EQ(s->backlog_demand_us(), 0.0);
 }
 
-TEST(ReqSrpt, ProgressMovesTheKeyButNotTheTags) {
-  // req-srpt re-keys a queued op without retagging it: the op leaves with the
-  // total it arrived with (what a preempt-resume server compares and
-  // re-enqueues on), while das-nd hands out the updated total.
+TEST(ReqSrpt, ProgressMovesTheKeyAndTheTags) {
+  // Progress rewrites a queued op's tags as well as its key: the op leaves
+  // with the updated total (what a preempt-resume server compares and
+  // re-enqueues on), exactly as under das-nd.
   const SchedulerPtr srpt = make_scheduler(Policy::kReqSrpt);
   const SchedulerPtr nd = make_scheduler(Policy::kDasNoDefer);
   for (Scheduler* s : {srpt.get(), nd.get()}) {
@@ -93,13 +93,10 @@ TEST(ReqSrpt, ProgressMovesTheKeyButNotTheTags) {
     s->enqueue(OpBuilder{2}.request(2).total(100).build(), 0);
     s->on_request_progress(1, progress(20.0), 1.0);
     EXPECT_EQ(s->mechanism_counters().reranks_applied, 1u);
+    const OpContext retagged = s->dequeue(2);
+    EXPECT_EQ(retagged.op_id, 1u);
+    EXPECT_DOUBLE_EQ(retagged.total_demand_us, 20.0);
   }
-  const OpContext frozen = srpt->dequeue(2);
-  EXPECT_EQ(frozen.op_id, 1u);
-  EXPECT_DOUBLE_EQ(frozen.total_demand_us, 300.0);
-  const OpContext retagged = nd->dequeue(2);
-  EXPECT_EQ(retagged.op_id, 1u);
-  EXPECT_DOUBLE_EQ(retagged.total_demand_us, 20.0);
 }
 
 TEST(ReqSrpt, NeverAgesUnlikeDasNd) {

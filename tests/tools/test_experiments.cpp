@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/bench_json.hpp"
+#include "core/metrics.hpp"
 #include "core/sweep.hpp"
 #include "experiments.hpp"
 
@@ -88,14 +89,13 @@ TEST(ExperimentRegistry, NoPointPolicyPairRepeats) {
 }
 
 TEST(ExperimentRegistry, TablesPrintKnownMetricsAgainstAnFcfsBaseline) {
-  const core::ExperimentResult empty;
   for (const Experiment& e : all_experiments()) {
     for (const TableSpec& table : e.tables) {
       if (table.metric.empty()) {
         // One row per policy: only meaningful for a single-point grid.
         EXPECT_EQ(e.points.size(), 1u) << e.name;
       } else {
-        EXPECT_NO_THROW(metric_value(empty, table.metric))
+        EXPECT_NE(find_table_field(table.metric), nullptr)
             << e.name << " " << table.metric;
       }
     }
@@ -129,29 +129,98 @@ std::string one_point_table(const std::string& metric, double fcfs_mean,
 
 TEST(ExperimentTables, GainIsPositiveWhenDasIsBetterInEitherDirection) {
   // Lower is better for RCT: 200 -> 150 is a 25% gain.
-  EXPECT_NE(one_point_table("mean", 200, 150, 0, 0).find("25.0%"),
+  EXPECT_NE(one_point_table("mean_rct_us", 200, 150, 0, 0).find("25.0%"),
             std::string::npos);
   // Higher is better for goodput: 27,525 -> 42,425 is a 54.1% gain, not a
   // loss.
-  const std::string goodput = one_point_table("goodput", 0, 0, 27525, 42425);
+  const std::string goodput = one_point_table("goodput_rps", 0, 0, 27525, 42425);
   EXPECT_NE(goodput.find("54.1%"), std::string::npos) << goodput;
   EXPECT_EQ(goodput.find("-54.1%"), std::string::npos) << goodput;
-  EXPECT_NE(one_point_table("goodput", 0, 0, 200, 100).find("-50.0%"),
+  EXPECT_NE(one_point_table("goodput_rps", 0, 0, 200, 100).find("-50.0%"),
             std::string::npos);
 }
 
 TEST(ExperimentTables, TitlesNameTheMetricAndItsUnit) {
-  const std::string mean = one_point_table("mean", 200, 150, 0, 0);
+  const std::string mean = one_point_table("mean_rct_us", 200, 150, 0, 0);
   EXPECT_EQ(mean.rfind("== gain — RCT mean (us) ==\n", 0), 0u) << mean;
-  const std::string goodput = one_point_table("goodput", 0, 0, 1, 2);
+  const std::string goodput = one_point_table("goodput_rps", 0, 0, 1, 2);
   EXPECT_EQ(goodput.find("RCT"), std::string::npos) << goodput;
   EXPECT_NE(goodput.find("goodput (completed requests/s)"), std::string::npos)
       << goodput;
   // A counter has no better direction, so its gain cell is "-".
-  std::istringstream lines{one_point_table("reranks", 0, 0, 0, 0)};
+  std::istringstream lines{one_point_table("reranks_applied", 0, 0, 0, 0)};
   std::string row;
   for (int i = 0; i < 4; ++i) std::getline(lines, row);  // title, header, rule
   EXPECT_EQ(row.back(), '-') << row;
+}
+
+TEST(ResultFields, NamesAreUniqueWithinEachJsonObject) {
+  std::set<std::pair<core::Block, std::string>> seen;
+  for (const core::ResultField& field : core::result_fields()) {
+    // kMechanism and kLast are written on the point object, like kTop.
+    const core::Block object =
+        core::json_object(field.block) == nullptr ? core::Block::kTop
+                                                  : field.block;
+    EXPECT_TRUE(seen.emplace(object, field.name).second) << field.name;
+  }
+  std::set<std::string> tenant;
+  for (const core::TenantField& field : core::tenant_fields())
+    EXPECT_TRUE(tenant.emplace(field.name).second) << field.name;
+  EXPECT_FALSE(tenant.contains("name"));  // the tenant's label, written first
+}
+
+TEST(ResultFields, EveryTableMetricIsATitledFieldOfItsOwnName) {
+  std::set<std::string> titled;
+  for (const core::ResultField& field : core::result_fields()) {
+    if (field.title == nullptr) continue;
+    EXPECT_TRUE(titled.emplace(field.name).second) << field.name;
+    EXPECT_EQ(find_table_field(field.name), &field) << field.name;
+  }
+  EXPECT_EQ(find_table_field("p50_us"), nullptr);  // untitled
+  EXPECT_EQ(find_table_field("nope"), nullptr);
+  // A table-only field stays out of the JSON.
+  const core::ResultField* progress = find_table_field("progress_messages");
+  ASSERT_NE(progress, nullptr);
+  EXPECT_EQ(progress->block, core::Block::kNone);
+}
+
+// The header row of print_block's table for `block`, split on blanks.
+std::vector<std::string> block_headers(core::Block block,
+                                       const std::vector<core::PolicyRun>& runs) {
+  std::ostringstream os;
+  print_block(os, "heading", runs, block);
+  std::istringstream lines{os.str()};
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "== heading ==");
+  std::getline(lines, line);
+  std::istringstream words{line};
+  std::vector<std::string> headers;
+  for (std::string word; words >> word;) headers.push_back(word);
+  return headers;
+}
+
+TEST(BlockTables, PrintOneColumnPerFieldOfTheBlock) {
+  std::vector<core::PolicyRun> runs(2);
+  runs[0].policy = sched::Policy::kFcfs;
+  runs[1].policy = sched::Policy::kDas;
+  runs[1].result.ops_failed_over = 42;
+  runs[1].result.availability = 0.5;
+  for (const core::Block block :
+       {core::Block::kMechanism, core::Block::kBreakdown, core::Block::kDegradation,
+        core::Block::kOverload, core::Block::kStorage}) {
+    std::vector<std::string> want{"policy"};
+    for (const core::ResultField& field : core::result_fields())
+      if (field.block == block) want.emplace_back(field.name);
+    EXPECT_GT(want.size(), 1u);
+    EXPECT_EQ(block_headers(block, runs), want);
+  }
+  std::ostringstream os;
+  print_block(os, "degradation", runs, core::Block::kDegradation);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("0.5000"), std::string::npos) << out;  // its precision
+  EXPECT_NE(out.find(" 42 "), std::string::npos) << out;     // a count
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5) << out;
 }
 
 // The JSON rendering of a run with the one non-deterministic field dropped.

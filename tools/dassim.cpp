@@ -60,7 +60,7 @@ experiments::Experiment sweep_grid(const core::ClusterConfig& base,
                                    const core::RunWindow& window,
                                    const std::vector<sched::Policy>& policies,
                                    const Flags& flags) {
-  experiments::Experiment grid{"sweep", {}, policies, {{"Mean RCT", "mean"}}};
+  experiments::Experiment grid{"sweep", {}, policies, {{"Mean RCT", "mean_rct_us"}}};
   // Optional third grid dimension: replica-selection modes. Empty keeps the
   // single mode of --selection and the plain "load=X" point labels.
   std::vector<core::ReplicaSelection> selections;
@@ -536,32 +536,32 @@ int run(int argc, char** argv) {
     runs = core::compare_policies(cfg, policies, window);
   }
   const std::string format = flags.get_string("format");
+  if (format == "csv") {
+    std::cout << "policy," << kCsvColumns;
+    for (const auto& [policy, r] : runs) {
+      std::cout << sched::to_string(policy) << ',';
+      print_csv_cells(r);
+    }
+  } else if (format == "table") {
+    print_policy_table(runs);
+  } else {
+    std::cerr << "unknown --format: " << format << "\n";
+    return 2;
+  }
 
   // Exact RCT attribution: component means over the measurement window plus
   // the mechanism-activation counters (what the scheduler actually did).
-  const auto print_breakdown = [&runs] {
-    Table table{{"policy", "requests", "mean RCT", "network", "runnable wait",
-                 "deferred wait", "service", "straggler slack", "deferred",
-                 "resumed", "aged", "reranks"}};
-    for (const auto& [policy, r] : runs) {
-      const auto& b = r.breakdown;
-      table.add_row({sched::to_string(policy), std::to_string(b.requests),
-                     Table::fmt(b.mean_rct_us, 1), Table::fmt(b.mean_network_us, 1),
-                     Table::fmt(b.mean_runnable_wait_us, 1),
-                     Table::fmt(b.mean_deferred_wait_us, 1),
-                     Table::fmt(b.mean_service_us, 1),
-                     Table::fmt(b.mean_straggler_slack_us, 1),
-                     std::to_string(r.ops_deferred), std::to_string(r.ops_resumed),
-                     std::to_string(r.ops_aged), std::to_string(r.reranks_applied)});
-    }
-    std::cout << "== RCT breakdown (component means, us) ==\n";
-    table.print(std::cout);
-  };
+  if (flags.get_bool("breakdown")) {
+    experiments::print_block(std::cout, "RCT breakdown (component means, us)",
+                             runs, core::Block::kBreakdown);
+    experiments::print_block(std::cout, "mechanism counters", runs,
+                             core::Block::kMechanism);
+  }
 
   // Per-tenant accounting and fairness, shown whenever tenants are
   // configured. The Jain index is a per-run scalar; it appears on the first
   // tenant row of each policy.
-  const auto print_tenants = [&runs] {
+  if (!runs.empty() && !runs.front().result.tenants.empty()) {
     Table table{{"policy", "tenant", "share", "generated", "completed",
                  "failed", "measured", "mean RCT", "p99", "jain"}};
     for (const auto& [policy, r] : runs) {
@@ -579,70 +579,17 @@ int run(int argc, char** argv) {
     }
     std::cout << "== per-tenant RCT ==\n";
     table.print(std::cout);
-  };
-  const bool have_tenants = !runs.empty() && !runs.front().result.tenants.empty();
-
-  // Graceful-degradation accounting, shown whenever a fault plan ran.
-  const auto print_degradation = [&runs] {
-    Table table{{"policy", "availability", "completed", "failed", "failover ok",
-                 "ops failed-over", "abandoned", "suspicions", "crash-dropped"}};
-    for (const auto& [policy, r] : runs) {
-      table.add_row({sched::to_string(policy), Table::fmt(r.availability, 4),
-                     std::to_string(r.requests_completed),
-                     std::to_string(r.requests_failed),
-                     std::to_string(r.requests_completed_after_failover),
-                     std::to_string(r.ops_failed_over),
-                     std::to_string(r.ops_abandoned),
-                     std::to_string(r.suspicions_raised),
-                     std::to_string(r.ops_dropped_crashed)});
-    }
-    std::cout << "== graceful degradation ==\n";
-    table.print(std::cout);
-  };
-
-  // Overload-layer accounting, shown whenever any protection is on. Goodput
-  // vs throughput is the headline: how much of the settled work completed
-  // in time, and how much capacity went to shedding/waste instead.
-  const auto print_overload = [&runs] {
-    Table table{{"policy", "goodput rps", "throughput rps", "shed", "admission",
-                 "expired", "busy", "sojourn", "op-expired", "wasted (ms)"}};
-    for (const auto& [policy, r] : runs) {
-      table.add_row({sched::to_string(policy), Table::fmt(r.goodput_rps, 0),
-                     Table::fmt(r.throughput_rps, 0),
-                     std::to_string(r.requests_shed),
-                     std::to_string(r.requests_shed_admission),
-                     std::to_string(r.requests_expired),
-                     std::to_string(r.ops_rejected_busy),
-                     std::to_string(r.ops_shed_sojourn),
-                     std::to_string(r.ops_expired_dropped),
-                     Table::fmt(r.wasted_service_us / 1000.0, 1)});
-    }
-    std::cout << "== overload control ==\n";
-    table.print(std::cout);
-  };
-
-  if (format == "csv") {
-    std::cout << "policy," << kCsvColumns;
-    for (const auto& [policy, r] : runs) {
-      std::cout << sched::to_string(policy) << ',';
-      print_csv_cells(r);
-    }
-    if (flags.get_bool("breakdown")) print_breakdown();
-    if (have_tenants) print_tenants();
-    if (!cfg.fault_plan.empty()) print_degradation();
-    if (cfg.overload.enabled()) print_overload();
-    return 0;
-  }
-  if (format != "table") {
-    std::cerr << "unknown --format: " << format << "\n";
-    return 2;
   }
 
-  print_policy_table(runs);
-  if (flags.get_bool("breakdown")) print_breakdown();
-  if (have_tenants) print_tenants();
-  if (!cfg.fault_plan.empty()) print_degradation();
-  if (cfg.overload.enabled()) print_overload();
+  // Graceful-degradation accounting whenever a fault plan ran; overload
+  // accounting whenever any protection is on (goodput vs throughput is the
+  // headline: how much settled work completed in time).
+  if (!cfg.fault_plan.empty())
+    experiments::print_block(std::cout, "graceful degradation", runs,
+                             core::Block::kDegradation);
+  if (cfg.overload.enabled())
+    experiments::print_block(std::cout, "overload control", runs,
+                             core::Block::kOverload);
   return 0;
 }
 

@@ -59,7 +59,7 @@ std::vector<Policy> fcfs_rein_das() {
 // figure). DAS should sit 15-50% below FCFS and below Rein-SBF throughout.
 Experiment e1_load_mean() {
   Experiment e{"E1_load_mean", {}, headline_policies(),
-               {{"Mean RCT vs load", "mean"}}};
+               {{"Mean RCT vs load", "mean_rct_us"}}};
   auto cfg = eval_config();
   for (const double load : {0.3, 0.5, 0.6, 0.7, 0.8, 0.9}) {
     cfg.target_load = load;
@@ -73,7 +73,7 @@ Experiment e1_load_mean() {
 // DAS tail close to FCFS.
 Experiment e2_load_tail() {
   Experiment e{"E2_load_tail", {}, headline_policies(),
-               {{"p99 RCT vs load", "p99"}, {"p999 RCT vs load", "p999"}}};
+               {{"p99 RCT vs load", "p99_us"}, {"p999 RCT vs load", "p999_us"}}};
   auto cfg = eval_config();
   for (const double load : {0.5, 0.7, 0.9}) {
     cfg.target_load = load;
@@ -86,7 +86,7 @@ Experiment e2_load_tail() {
 // The fork-join penalty grows with k; request-aware policies claw it back.
 Experiment e3_fanout() {
   Experiment e{"E3_fanout", {}, headline_policies(),
-               {{"Mean RCT vs fan-out", "mean"}}};
+               {{"Mean RCT vs fan-out", "mean_rct_us"}}};
   auto cfg = eval_config();
   for (const std::uint32_t k : {1u, 2u, 4u, 8u, 16u, 32u}) {
     cfg.fanout = make_fixed_int(k);
@@ -100,8 +100,8 @@ Experiment e3_fanout() {
 // request-aware scheduling grows with fan-out variance.
 Experiment e4_fanout_dist() {
   Experiment e{"E4_fanout_dist", {}, headline_policies(),
-               {{"Mean RCT by fan-out family", "mean"},
-                {"p99 RCT by fan-out family", "p99"}}};
+               {{"Mean RCT by fan-out family", "mean_rct_us"},
+                {"p99 RCT by fan-out family", "p99_us"}}};
   auto cfg = eval_config();
   const std::pair<const char*, IntDistPtr> families[] = {
       {"fixed8", make_fixed_int(8)},
@@ -122,8 +122,8 @@ Experiment e4_fanout_dist() {
 // queueing on hot servers, where scheduling matters most.
 Experiment e5_skew() {
   Experiment e{"E5_skew", {}, headline_policies(),
-               {{"Mean RCT vs key skew (hottest-server load 0.75)", "mean"},
-                {"Mean server utilisation (load concentrates)", "util"}}};
+               {{"Mean RCT vs key skew (hottest-server load 0.75)", "mean_rct_us"},
+                {"Mean server utilisation (load concentrates)", "mean_util"}}};
   auto cfg = eval_config();
   cfg.load_calibration = core::LoadCalibration::kHottestServer;
   cfg.target_load = 0.75;
@@ -139,8 +139,8 @@ Experiment e5_skew() {
 // adaptive per-server speed estimates can (compare das vs das-na).
 Experiment e6_hetero() {
   Experiment e{"E6_hetero", {}, headline_policies(),
-               {{"Mean RCT vs straggler fraction", "mean"},
-                {"p99 RCT vs straggler fraction", "p99"}}};
+               {{"Mean RCT vs straggler fraction", "mean_rct_us"},
+                {"p99 RCT vs straggler fraction", "p99_us"}}};
   e.policies.push_back(Policy::kDasNoAdapt);
   auto cfg = eval_config();
   cfg.load_calibration = core::LoadCalibration::kHottestServer;
@@ -163,8 +163,8 @@ Experiment e7_timevary() {
   Experiment e{"E7_timevary", {},
                {Policy::kFcfs, Policy::kReinSbf, Policy::kDas,
                 Policy::kDasNoAdapt, Policy::kDasNoDefer},
-               {{"Mean RCT under time-varying conditions", "mean"},
-                {"p99 RCT under time-varying conditions", "p99"}}};
+               {{"Mean RCT under time-varying conditions", "mean_rct_us"},
+                {"p99 RCT under time-varying conditions", "p99_us"}}};
   const auto window = eval_window();
   {
     auto cfg = eval_config();
@@ -196,7 +196,7 @@ Experiment e7_timevary() {
 // the number of servers.
 Experiment e8_scale() {
   Experiment e{"E8_scale", {}, headline_policies(),
-               {{"Mean RCT vs cluster size", "mean"}}};
+               {{"Mean RCT vs cluster size", "mean_rct_us"}}};
   auto cfg = eval_config();
   auto window = eval_window();
   window.measure_us = 120.0 * kMillisecond;  // larger clusters, same events
@@ -213,8 +213,8 @@ Experiment e8_scale() {
 // the demand tags. Per-op overhead is reduced so transfer time dominates.
 Experiment e9_valuesize() {
   Experiment e{"E9_valuesize", {}, headline_policies(),
-               {{"Mean RCT by value-size family", "mean"},
-                {"p99 RCT by value-size family", "p99"}}};
+               {{"Mean RCT by value-size family", "mean_rct_us"},
+                {"p99 RCT by value-size family", "p99_us"}}};
   auto cfg = eval_config();
   cfg.per_op_overhead_us = 5.0;
   const std::pair<const char*, RealDistPtr> families[] = {
@@ -251,16 +251,16 @@ Experiment e11_ablation() {
                {Policy::kFcfs, Policy::kDas, Policy::kDasNoAdapt,
                 Policy::kDasNoDefer, Policy::kDasNoAging, Policy::kDasCritical,
                 Policy::kReqSrpt},
-               {{"Ablations — mean RCT", "mean"},
-                {"Ablations — p99 RCT", "p99"},
-                {"Ablations — progress messages", "progress_msgs"},
+               {{"Ablations — mean RCT", "mean_rct_us"},
+                {"Ablations — p99 RCT", "p99_us"},
+                {"Ablations — progress messages", "progress_messages"},
                 {"Ablations — ops deferred (LRPT-last activations)",
                  "ops_deferred"},
                 {"Ablations — ops aged (starvation-bound activations)",
                  "ops_aged"},
-                {"Ablations — reranks applied (progress re-keying)", "reranks"},
+                {"Ablations — reranks applied (progress re-keying)", "reranks_applied"},
                 {"Ablations — mean deferred wait (us, RCT breakdown)",
-                 "bd_deferred_wait"}}};
+                 "deferred_wait_us"}}};
   auto cfg = eval_config();
   for (const double load : {0.5, 0.7, 0.85}) {
     cfg.target_load = load;
@@ -276,8 +276,8 @@ Experiment e11_ablation() {
 // and DAS, with skewed popularity so replica choice actually matters.
 Experiment e13_replication() {
   Experiment e{"E13_replication", {}, {Policy::kFcfs, Policy::kDas},
-               {{"Mean RCT by replication scheme", "mean"},
-                {"p99 RCT by replication scheme", "p99"},
+               {{"Mean RCT by replication scheme", "mean_rct_us"},
+                {"p99 RCT by replication scheme", "p99_us"},
                 {"Max server utilisation", "max_util"}}};
   auto cfg = eval_config();
   cfg.zipf_theta = 0.9;
@@ -311,8 +311,8 @@ Experiment e13_replication() {
 // gain in the mean is expected to survive loss intact.
 Experiment e14_loss() {
   Experiment e{"E14_loss", {}, fcfs_rein_das(),
-               {{"Mean RCT vs message-loss rate", "mean"},
-                {"p999 RCT vs message-loss rate", "p999"}}};
+               {{"Mean RCT vs message-loss rate", "mean_rct_us"},
+                {"p999 RCT vs message-loss rate", "p999_us"}}};
   auto cfg = eval_config();
   cfg.retry_timeout_us = 2.0 * kMillisecond;
   for (const double loss : {0.0, 0.001, 0.01, 0.05}) {
@@ -331,8 +331,8 @@ Experiment e14_loss() {
 Experiment e15_preemption() {
   Experiment e{"E15_preemption", {},
                {Policy::kFcfs, Policy::kReqSrpt, Policy::kDas},
-               {{"Mean RCT: preemption ablation", "mean"},
-                {"p99 RCT: preemption ablation", "p99"}}};
+               {{"Mean RCT: preemption ablation", "mean_rct_us"},
+                {"p99 RCT: preemption ablation", "p99_us"}}};
   const auto window = eval_window();
   {
     // Classic M/G/1-flavoured point: fan-out 1, heavy-tailed sizes.
@@ -364,9 +364,9 @@ Experiment e15_preemption() {
 // The interesting question is whether they are substitutes or complements.
 Experiment e16_hedging() {
   Experiment e{"E16_hedging", {}, {Policy::kFcfs, Policy::kDas},
-               {{"Mean RCT with hedged reads", "mean"},
-                {"p99 RCT with hedged reads", "p99"},
-                {"p999 RCT with hedged reads", "p999"}}};
+               {{"Mean RCT with hedged reads", "mean_rct_us"},
+                {"p99 RCT with hedged reads", "p99_us"},
+                {"p999 RCT with hedged reads", "p999_us"}}};
   auto cfg = eval_config();
   cfg.ring_vnodes = 128;
   cfg.replication = 2;
@@ -391,8 +391,8 @@ Experiment e16_hedging() {
 // multiget RCT gain survives write traffic in the queues.
 Experiment e17_write_mix() {
   Experiment e{"E17_write_mix", {}, headline_policies(),
-               {{"Mean RCT vs write fraction", "mean"},
-                {"p99 RCT vs write fraction", "p99"}}};
+               {{"Mean RCT vs write fraction", "mean_rct_us"},
+                {"p99 RCT vs write fraction", "p99_us"}}};
   auto cfg = eval_config();
   cfg.ring_vnodes = 128;
   cfg.replication = 2;
@@ -412,8 +412,8 @@ Experiment e17_write_mix() {
 // scheduling gain survives each fault shape.
 Experiment e18_faults() {
   Experiment e{"E18_faults", {}, fcfs_rein_das(),
-               {{"Mean RCT vs fault scenario", "mean"},
-                {"p999 RCT vs fault scenario", "p999"},
+               {{"Mean RCT vs fault scenario", "mean_rct_us"},
+                {"p999 RCT vs fault scenario", "p999_us"},
                 {"Availability vs fault scenario", "availability"},
                 {"Ops failed over vs fault scenario", "ops_failed_over"}}};
   auto cfg = eval_config();
@@ -463,8 +463,8 @@ Experiment e18_faults() {
 // popularity plus a straggler replica gives both axes something to exploit.
 Experiment e19_selection() {
   Experiment e{"E19_selection", {}, fcfs_rein_das(),
-               {{"Mean RCT by selection mode", "mean"},
-                {"p99 RCT by selection mode", "p99"},
+               {{"Mean RCT by selection mode", "mean_rct_us"},
+                {"p99 RCT by selection mode", "p99_us"},
                 {"Max server utilisation", "max_util"}}};
   auto cfg = eval_config();
   cfg.zipf_theta = 0.9;
@@ -508,8 +508,8 @@ Experiment e19_selection() {
 // gain should widen in the lsm arm and revert toward baseline in lsm-quiet.
 Experiment e20_storage() {
   Experiment e{"E20_storage", {}, fcfs_rein_das(),
-               {{"Mean RCT by store model", "mean"},
-                {"p99 RCT by store model", "p99"},
+               {{"Mean RCT by store model", "mean_rct_us"},
+                {"p99 RCT by store model", "p99_us"},
                 {"Max server utilisation", "max_util"}}};
   auto cfg = eval_config();
   cfg.replication = 2;
@@ -570,9 +570,9 @@ Experiment e20_storage() {
 // is how much unfairness remains (see EXPERIMENTS.md E21).
 Experiment e21_tenants() {
   Experiment e{"E21_tenants", {}, fcfs_rein_das(),
-               {{"Mean RCT by tenant mix", "mean"},
-                {"p99 RCT by tenant mix", "p99"},
-                {"Jain fairness over per-tenant mean RCT", "jain"}}};
+               {{"Mean RCT by tenant mix", "mean_rct_us"},
+                {"p99 RCT by tenant mix", "p99_us"},
+                {"Jain fairness over per-tenant mean RCT", "jain_fairness"}}};
   auto cfg = eval_config();
   cfg.zipf_theta = 0.9;
   // Skewed tenants need the exact hottest-server calibration: at theta 0.9
@@ -647,13 +647,13 @@ overload::OverloadConfig overload_for(const Protection& p) {
 
 Experiment e22_overload() {
   Experiment e{"E22_overload", {}, fcfs_rein_das(),
-               {{"Mean RCT by protection", "mean"},
-                {"p99 RCT by protection", "p99"},
-                {"Goodput (completed/s, measured arrivals)", "goodput"},
-                {"Throughput incl. degraded (settled/s)", "throughput"},
+               {{"Mean RCT by protection", "mean_rct_us"},
+                {"p99 RCT by protection", "p99_us"},
+                {"Goodput (completed/s, measured arrivals)", "goodput_rps"},
+                {"Throughput incl. degraded (settled/s)", "throughput_rps"},
                 {"Requests shed (BUSY give-up + admission)", "requests_shed"},
                 {"Requests expired (deadline)", "requests_expired"},
-                {"Wasted service (ms past expiry)", "wasted_ms"}}};
+                {"Wasted service (ms past expiry)", "wasted_service_us"}}};
   auto cfg = eval_config();
   for (const double load : {0.7, 0.9, 1.1, 1.3}) {
     for (const Protection& protection : kProtections) {
@@ -733,88 +733,36 @@ std::vector<core::SweepPoint> sweep_points(const Experiment& experiment) {
   return out;
 }
 
+const core::ResultField* find_table_field(std::string_view metric) {
+  for (const core::ResultField& field : core::result_fields())
+    if (field.title != nullptr && metric == field.name) return &field;
+  return nullptr;
+}
+
 namespace {
 
-/// Which way a metric improves; kNone (counters, utilisation) prints no gain.
-enum class Better { kLower, kHigher, kNone };
-
-/// One table metric: its TableSpec key, its title with unit, the decimals
-/// of its cells, which way it improves and how to read it from a result.
-struct Metric {
-  const char* key;
-  const char* title;
-  int precision;
-  Better better;
-  double (*value)(const core::ExperimentResult& r);
-};
-
-using Result = core::ExperimentResult;
-
-constexpr Metric kMetrics[] = {
-    {"mean", "RCT mean (us)", 1, Better::kLower,
-     [](const Result& r) { return r.rct.mean; }},
-    {"p99", "RCT p99 (us)", 1, Better::kLower,
-     [](const Result& r) { return r.rct.p99; }},
-    {"p999", "RCT p999 (us)", 1, Better::kLower,
-     [](const Result& r) { return r.rct.p999; }},
-    {"util", "mean server utilisation", 3, Better::kNone,
-     [](const Result& r) { return r.mean_server_utilization; }},
-    {"max_util", "max server utilisation", 3, Better::kNone,
-     [](const Result& r) { return r.max_server_utilization; }},
-    {"progress_msgs", "progress messages", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.progress_messages); }},
-    {"ops_deferred", "ops deferred", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.ops_deferred); }},
-    {"ops_aged", "ops aged", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.ops_aged); }},
-    {"reranks", "reranks applied", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.reranks_applied); }},
-    {"bd_deferred_wait", "mean deferred wait (us)", 1, Better::kNone,
-     [](const Result& r) { return r.breakdown.mean_deferred_wait_us; }},
-    {"availability", "availability (completed / settled)", 4, Better::kHigher,
-     [](const Result& r) { return r.availability; }},
-    {"ops_failed_over", "ops failed over", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.ops_failed_over); }},
-    {"jain", "Jain index over per-tenant mean RCT", 4, Better::kHigher,
-     [](const Result& r) { return r.jain_fairness; }},
-    {"goodput", "goodput (completed requests/s)", 1, Better::kHigher,
-     [](const Result& r) { return r.goodput_rps; }},
-    {"throughput", "throughput (settled requests/s)", 1, Better::kNone,
-     [](const Result& r) { return r.throughput_rps; }},
-    {"requests_shed", "requests shed", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.requests_shed); }},
-    {"requests_expired", "requests expired", 0, Better::kNone,
-     [](const Result& r) { return static_cast<double>(r.requests_expired); }},
-    {"wasted_ms", "wasted service (ms)", 1, Better::kLower,
-     [](const Result& r) { return r.wasted_service_us / 1e3; }},
-};
-
-const Metric& find_metric(const std::string& key) {
-  for (const Metric& metric : kMetrics)
-    if (key == metric.key) return metric;
-  DAS_CHECK_MSG(false, "unknown metric: " + key);
-  return kMetrics[0];
+/// A table cell: a count as an integer, a real at the field's precision.
+std::string cell(const core::ResultField& field, const core::ExperimentResult& r) {
+  return field.is_count() ? std::to_string(field.count(r))
+                          : Table::fmt(field.value(r), field.precision);
 }
 
 /// DAS's gain over FCFS as a signed percentage, positive when DAS is
 /// better; "-" without a direction or an FCFS value to compare against.
-std::string gain(const Metric& metric, double fcfs, double das) {
-  if (metric.better == Better::kNone || fcfs <= 0) return "-";
+std::string gain(const core::ResultField& field, double fcfs, double das) {
+  if (field.better == core::Better::kNone || fcfs <= 0) return "-";
   const double ratio = das / fcfs;
-  return Table::fmt_percent(metric.better == Better::kLower ? 1.0 - ratio
-                                                            : ratio - 1.0);
+  return Table::fmt_percent(field.better == core::Better::kLower ? 1.0 - ratio
+                                                                 : ratio - 1.0);
 }
 
 }  // namespace
 
-double metric_value(const core::ExperimentResult& r, const std::string& metric) {
-  return find_metric(metric).value(r);
-}
-
 void print_table(std::ostream& os, const Experiment& experiment,
                  const std::vector<core::SweepOutcome>& outcomes,
                  const std::string& metric) {
-  const Metric& spec = find_metric(metric);
+  const core::ResultField* field = find_table_field(metric);
+  DAS_CHECK_MSG(field != nullptr, "unknown metric: " + metric);
   const std::vector<sched::Policy>& policies = experiment.policies;
   const std::size_t n = policies.size();
   DAS_CHECK(outcomes.size() == experiment.points.size() * n);
@@ -833,18 +781,35 @@ void print_table(std::ostream& os, const Experiment& experiment,
   Table table{headers};
   for (std::size_t i = 0; i < experiment.points.size(); ++i) {
     // Outcomes are point-major (sweep_points order).
-    const auto value = [&](std::size_t j) {
-      return spec.value(outcomes[i * n + j].result);
+    const auto result = [&](std::size_t j) -> const core::ExperimentResult& {
+      return outcomes[i * n + j].result;
     };
     std::vector<std::string> cells{experiment.points[i].label};
-    for (std::size_t j = 0; j < n; ++j)
-      cells.push_back(Table::fmt(value(j), spec.precision));
-    if (has_gain) cells.push_back(gain(spec, value(fcfs_at), value(das_at)));
+    for (std::size_t j = 0; j < n; ++j) cells.push_back(cell(*field, result(j)));
+    if (has_gain)
+      cells.push_back(gain(*field, field->value(result(fcfs_at)),
+                           field->value(result(das_at))));
     table.add_row(std::move(cells));
   }
-  os << "== " << experiment.name << " — " << spec.title << " ==\n";
+  os << "== " << experiment.name << " — " << field->title << " ==\n";
   table.print(os);
   os << '\n';
+}
+
+void print_block(std::ostream& os, const std::string& heading,
+                 const std::vector<core::PolicyRun>& runs, core::Block block) {
+  std::vector<std::string> headers{"policy"};
+  for (const core::ResultField& field : core::result_fields())
+    if (field.block == block) headers.emplace_back(field.name);
+  Table table{headers};
+  for (const auto& [policy, r] : runs) {
+    std::vector<std::string> cells{sched::to_string(policy)};
+    for (const core::ResultField& field : core::result_fields())
+      if (field.block == block) cells.push_back(cell(field, r));
+    table.add_row(std::move(cells));
+  }
+  os << "== " << heading << " ==\n";
+  table.print(os);
 }
 
 }  // namespace das::experiments

@@ -14,10 +14,12 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/experiment.hpp"
+#include "core/metrics.hpp"
 #include "core/sweep.hpp"
 
 namespace das::experiments {
@@ -30,8 +32,9 @@ struct GridPoint {
 };
 
 /// One printed table: a "### heading" line and a point × policy grid of
-/// `metric` (a metric_value key). An empty metric prints one row per policy
-/// instead (percentiles, gain and utilisation of a single-point grid).
+/// `metric`, the JSON name of a titled result field (core/metrics.hpp).
+/// An empty metric prints one row per policy instead (percentiles, gain and
+/// utilisation of a single-point grid).
 struct TableSpec {
   std::string heading;
   std::string metric;
@@ -55,16 +58,21 @@ Experiment build_experiment(const std::string& name);
 /// order of the tables and of the JSON.
 std::vector<core::SweepPoint> sweep_points(const Experiment& experiment);
 
-/// The cell value of `metric` ("mean", "p99", "util", "jain", …) in a
-/// result; DAS_CHECK on an unknown key.
-double metric_value(const core::ExperimentResult& r, const std::string& metric);
+/// The field tables print as `metric`: the first titled result field of that
+/// JSON name, or nullptr.
+const core::ResultField* find_table_field(std::string_view metric);
 
 /// Prints one point × policy table of `metric` over `outcomes`, which are in
-/// sweep_points order, titled with the metric and its unit. Adds a "das vs
-/// fcfs" gain column when both policies are in the grid: positive when DAS
-/// is better in the metric's direction, "-" for metrics without one.
+/// sweep_points order, under the field's title. Adds a "das vs fcfs" gain
+/// column when both policies are in the grid: positive when DAS is better in
+/// the field's direction, "-" for fields without one.
 void print_table(std::ostream& os, const Experiment& experiment,
                  const std::vector<core::SweepOutcome>& outcomes,
                  const std::string& metric);
+
+/// Prints "== heading ==" and one row per run with a column per result field
+/// of `block`, headed by the field's JSON name.
+void print_block(std::ostream& os, const std::string& heading,
+                 const std::vector<core::PolicyRun>& runs, core::Block block);
 
 }  // namespace das::experiments
