@@ -6,8 +6,8 @@
 // operations by sizes that no longer reflect reality; DAS's EWMA estimators
 // re-learn each server's effective speed within a few requests.
 //
-// The demo also shows the trace API: the exact same recorded request stream
-// is replayed under each scheduler, so differences are scheduling-only.
+// Every scheduler sees the same seeded request stream, so differences are
+// scheduling-only.
 //
 //   ./build/examples/adaptive_demo
 #include <iostream>
@@ -87,19 +87,5 @@ int main() {
     timeline.print(std::cout);
   }
 
-  // Bonus: record a workload trace and replay-check determinism.
-  workload::MultigetGenerator::Config gen_cfg;
-  gen_cfg.key_universe = 1000;
-  gen_cfg.zipf_theta = 0.9;
-  gen_cfg.fanout = make_geometric(0.25, 64);
-  const workload::MultigetGenerator gen{gen_cfg};
-  Rng rng{7};
-  const workload::Trace trace = workload::Trace::generate(gen, 0.01, 1000, rng);
-  const std::string path = "/tmp/das_adaptive_demo_trace.txt";
-  trace.save(path);
-  const workload::Trace replay = workload::Trace::load(path);
-  std::cout << "\ntrace API: saved and reloaded " << replay.requests.size()
-            << " requests (" << replay.total_operations() << " operations) via "
-            << path << "\n";
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace das {
 
@@ -80,31 +81,28 @@ std::string Flags::get_string(const std::string& name) const {
 
 namespace {
 
-/// Parses all of `flag`'s value with `parse` (std::stoll / std::stod), turning
-/// the standard library's unnamed errors into ones that name the flag.
-template <typename Parse>
-auto parse_number(const std::string& flag, const std::string& value,
-                  const char* kind, Parse parse) {
-  const std::string bad = "flag --" + flag + " is not " + kind + ": " + value;
-  std::size_t pos = 0;
-  try {
-    const auto out = parse(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(bad);
-    return out;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("flag --" + flag + " is out of range: " + value);
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(bad);
+/// `flag`'s value read as a number token, or a usage error naming the flag.
+template <class T>
+T flag_number(const std::string& flag, const std::string& value, const char* kind,
+              const parse::Number<T>& n) {
+  switch (n.error) {
+    case parse::Error::kNone:
+      return n.value;
+    case parse::Error::kOutOfRange:
+      throw std::invalid_argument("flag --" + flag + " is out of range: " + value);
+    case parse::Error::kNonFinite:
+      throw std::invalid_argument("flag --" + flag + " is not finite: " + value);
+    default:
+      throw std::invalid_argument("flag --" + flag + " is not " + kind + ": " +
+                                  value);
   }
 }
 
 }  // namespace
 
 std::int64_t Flags::get_int(const std::string& name) const {
-  return parse_number(name, get_string(name), "an integer",
-                      [](const std::string& v, std::size_t* pos) {
-                        return std::stoll(v, pos);
-                      });
+  const std::string value = get_string(name);
+  return flag_number(name, value, "an integer", parse::whole(value));
 }
 
 std::uint64_t Flags::get_count(const std::string& name) const {
@@ -117,10 +115,8 @@ std::uint64_t Flags::get_count(const std::string& name) const {
 }
 
 double Flags::get_double(const std::string& name) const {
-  return parse_number(name, get_string(name), "a number",
-                      [](const std::string& v, std::size_t* pos) {
-                        return std::stod(v, pos);
-                      });
+  const std::string value = get_string(name);
+  return flag_number(name, value, "a number", parse::real(value));
 }
 
 bool Flags::get_bool(const std::string& name) const {

@@ -34,10 +34,12 @@ class Flags {
   bool set_on_command_line(const std::string& name) const;
 
   std::string get_string(const std::string& name) const;
-  /// Typed accessors; throw std::invalid_argument naming the flag on a
-  /// malformed value (not a number, trailing junk, out of range) so a bad
+  /// Typed accessors; values are number tokens (common/parse.hpp). They
+  /// throw std::invalid_argument naming the flag on a malformed value (not a
+  /// number, whitespace, trailing junk, inf/nan, out of range) so a bad
   /// experiment spec never runs: "flag --x is not an integer: 12x",
-  /// "flag --x is out of range: 1e999".
+  /// "flag --x is not finite: nan", "flag --x is out of range: 1e999".
+  /// get_int also reads an integral real ("1e3").
   std::int64_t get_int(const std::string& name) const;
   /// get_int for counts and sizes: also rejects negative values, which a
   /// cast to an unsigned type would wrap to a huge count

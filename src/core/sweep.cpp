@@ -2,51 +2,37 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <exception>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace das::core {
 
 std::vector<double> parse_load_list(const std::string& spec) {
+  if (spec.empty()) throw std::invalid_argument("empty load list");
   std::vector<double> out;
-  std::istringstream is{spec};
-  std::string token;
-  while (std::getline(is, token, ',')) {
+  for (const std::string& token : parse::split(spec, ',')) {
     if (token.empty()) {
       throw std::invalid_argument("empty element in load list: '" + spec + "'");
     }
-    double load = 0;
-    std::size_t pos = 0;
-    try {
-      load = std::stod(token, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed load '" + token + "' in load list");
-    }
-    if (pos != token.size() || !std::isfinite(load)) {
+    const parse::Number<double> load = parse::real(token);
+    if (!load.ok()) {
       throw std::invalid_argument("malformed load '" + token + "' in load list");
     }
     // Loads above 1 are deliberate overload points (E22); the config-level
     // bound (< 10) still catches typos like "12" for "1.2".
-    if (load <= 0.0 || load >= 10.0) {
+    if (load.value <= 0.0 || load.value >= 10.0) {
       throw std::invalid_argument("load '" + token +
                                   "' outside (0, 10) in load list");
     }
-    out.push_back(load);
+    out.push_back(load.value);
   }
-  // getline never yields a token after a trailing comma; catch it explicitly
-  // so "0.5," fails like ",0.5" does.
-  if (!spec.empty() && spec.back() == ',') {
-    throw std::invalid_argument("empty element in load list: '" + spec + "'");
-  }
-  if (out.empty()) throw std::invalid_argument("empty load list");
   return out;
 }
 

@@ -1,12 +1,13 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace das::fault {
@@ -18,58 +19,48 @@ namespace {
                               "'");
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t end = s.find(sep, start);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
 /// Parses a time literal: bare number = microseconds, `us`/`ms` suffixes
 /// accepted ("50ms", "250us", "80.5ms").
 double parse_time(const std::string& text, const std::string& token) {
   if (text.empty()) spec_error("empty time", token);
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  std::string suffix(end);
+  std::string_view number = text;
   double scale = 1.0;
-  if (suffix == "ms") {
+  if (number.ends_with("ms")) {
     scale = kMillisecond;
-  } else if (!suffix.empty() && suffix != "us") {
-    spec_error("malformed time '" + text + "'", token);
+    number.remove_suffix(2);
+  } else if (number.ends_with("us")) {
+    number.remove_suffix(2);
   }
-  if (end == text.c_str()) spec_error("malformed time '" + text + "'", token);
-  if (!(value >= 0)) spec_error("negative time '" + text + "'", token);
-  return value * scale;
+  const parse::Number<double> n = parse::real(number);
+  if (!n.ok()) spec_error("malformed time '" + text + "'", token);
+  if (n.value < 0) spec_error("negative time '" + text + "'", token);
+  return n.value * scale;
+}
+
+/// The N of a server "sN" or client "cN"; the largest 32-bit value is
+/// reserved (kInvalidServer, kAllClients).
+std::uint32_t parse_index(const std::string& text, const char* what,
+                          const std::string& token) {
+  const parse::Number<std::int64_t> n =
+      parse::whole(std::string_view{text}.substr(1));
+  if (!n.ok() || n.value < 0 ||
+      n.value >= std::numeric_limits<std::uint32_t>::max()) {
+    spec_error(std::string("malformed ") + what + " id '" + text + "'", token);
+  }
+  return static_cast<std::uint32_t>(n.value);
 }
 
 ServerId parse_server(const std::string& text, const std::string& token) {
   if (text.size() < 2 || text[0] != 's')
     spec_error("expected server 'sN', got '" + text + "'", token);
-  char* end = nullptr;
-  const unsigned long id = std::strtoul(text.c_str() + 1, &end, 10);
-  if (*end != '\0')
-    spec_error("malformed server id '" + text + "'", token);
-  return static_cast<ServerId>(id);
+  return parse_index(text, "server", token);
 }
 
 ClientId parse_client(const std::string& text, const std::string& token) {
   if (text == "*") return kAllClients;
   if (text.size() < 2 || text[0] != 'c')
     spec_error("expected client 'cN' or '*', got '" + text + "'", token);
-  char* end = nullptr;
-  const unsigned long id = std::strtoul(text.c_str() + 1, &end, 10);
-  if (*end != '\0')
-    spec_error("malformed client id '" + text + "'", token);
-  return static_cast<ClientId>(id);
+  return parse_index(text, "client", token);
 }
 
 double parse_factor(const std::string& text, char prefix,
@@ -78,11 +69,9 @@ double parse_factor(const std::string& text, char prefix,
     spec_error(std::string("expected '") + prefix + "<value>', got '" + text +
                    "'",
                token);
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str() + 1, &end);
-  if (*end != '\0' || end == text.c_str() + 1)
-    spec_error("malformed factor '" + text + "'", token);
-  return value;
+  const parse::Number<double> n = parse::real(std::string_view{text}.substr(1));
+  if (!n.ok()) spec_error("malformed factor '" + text + "'", token);
+  return n.value;
 }
 
 /// Splits "T1-T2" into a (start, end) window.
@@ -239,14 +228,14 @@ void FaultPlan::validate(std::uint32_t num_servers,
 FaultPlan parse_fault_plan(const std::string& spec) {
   FaultPlan plan;
   if (spec.empty()) return plan;
-  for (const std::string& token : split(spec, ',')) {
+  for (const std::string& token : parse::split(spec, ',')) {
     if (token.empty()) spec_error("empty event", spec);
     const std::size_t at_pos = token.find('@');
     if (at_pos == std::string::npos)
       spec_error("missing '@'", token);
     const std::string name = token.substr(0, at_pos);
     const std::vector<std::string> fields =
-        split(token.substr(at_pos + 1), ':');
+        parse::split(std::string_view{token}.substr(at_pos + 1), ':');
     if (name == "crash" || name == "recover") {
       if (fields.size() != 2) spec_error("expected '" + name + "@T:sN'", token);
       FaultEvent ev;

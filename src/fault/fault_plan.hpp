@@ -78,6 +78,8 @@ struct FaultPlan {
 ///   partition@T:cA-sB     heal@T:cA-sB      (cA may be * for all clients)
 ///   lossburst@T1-T2:pP    (loss burst window with drop probability P)
 /// Times accept a `us` or `ms` suffix; a bare number means microseconds.
+/// Times, ids and factors are number tokens (common/parse.hpp): no
+/// whitespace, hex, sign on an id, inf or nan.
 /// Throws std::invalid_argument naming the malformed token. Window forms
 /// (slow, lossburst) expand to start/end event pairs.
 FaultPlan parse_fault_plan(const std::string& spec);

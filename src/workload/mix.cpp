@@ -3,8 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <vector>
 
-#include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace das::workload {
 
@@ -33,39 +34,32 @@ OpMix parse_mix(const std::string& spec) {
                            "'; expected ycsb-a|ycsb-b|ycsb-c|ycsb-f or "
                            "mix:READ:UPDATE:RMW");
   }
+  const std::vector<std::string> fields = parse::split(spec, ':');
+  if (fields.size() != 4) {
+    throw std::logic_error("malformed mix spec '" + spec +
+                           "'; expected mix:READ:UPDATE:RMW");
+  }
   double fractions[3] = {0, 0, 0};
-  std::size_t at = prefix.size();
   for (int i = 0; i < 3; ++i) {
-    const std::size_t end = spec.find(':', at);
-    const bool last = (i == 2);
-    if ((last && end != std::string::npos) ||
-        (!last && end == std::string::npos)) {
-      throw std::logic_error("malformed mix spec '" + spec +
-                             "'; expected mix:READ:UPDATE:RMW");
-    }
-    const std::string field =
-        spec.substr(at, last ? std::string::npos : end - at);
-    if (field.empty()) {
+    const std::string& field = fields[i + 1];
+    const parse::Number<double> n = parse::real(field);
+    if (n.error == parse::Error::kEmpty) {
       throw std::logic_error("empty argument in mix spec '" + spec + "'");
     }
-    if (field.find_first_of(" \t\n\r\f\v") != std::string::npos) {
+    if (n.error == parse::Error::kWhitespace) {
       throw std::logic_error("whitespace in argument '" + field +
                              "' of mix spec '" + spec + "'");
     }
-    try {
-      std::size_t pos = 0;
-      fractions[i] = std::stod(field, &pos);
-      DAS_CHECK(pos == field.size());
-    } catch (...) {
+    if (n.error == parse::Error::kMalformed || n.error == parse::Error::kOutOfRange) {
       throw std::logic_error("bad number '" + field + "' in mix spec '" + spec +
                              "'");
     }
-    if (!std::isfinite(fractions[i]) || fractions[i] < 0.0 ||
-        fractions[i] > 1.0) {
+    // inf and nan fall outside [0,1] too.
+    if (!n.ok() || n.value < 0.0 || n.value > 1.0) {
       throw std::logic_error("mix fraction '" + field + "' outside [0,1] in '" +
                              spec + "'");
     }
-    at = (end == std::string::npos) ? spec.size() : end + 1;
+    fractions[i] = n.value;
   }
   const double sum = fractions[0] + fractions[1] + fractions[2];
   if (std::abs(sum - 1.0) > 1e-9) {

@@ -1,7 +1,6 @@
 #include "workload/multiget.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 
@@ -183,60 +182,6 @@ std::string MultigetGenerator::describe() const {
   if (!config_.drift.storms.empty()) os << ", storms=" << config_.drift.storms.size();
   os << ")";
   return os.str();
-}
-
-Trace Trace::generate(const MultigetGenerator& gen, double arrival_rate,
-                      std::size_t count, Rng& rng) {
-  DAS_CHECK(arrival_rate > 0);
-  Trace trace;
-  trace.requests.reserve(count);
-  SimTime t = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    t += rng.exponential(1.0 / arrival_rate);
-    TraceRequest req;
-    req.arrival = t;
-    req.keys = gen.generate(rng).keys;
-    trace.requests.push_back(std::move(req));
-  }
-  return trace;
-}
-
-void Trace::save(const std::string& path) const {
-  std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open trace file for writing: " + path);
-  out.precision(17);
-  for (const auto& req : requests) {
-    out << req.arrival << ' ' << req.keys.size();
-    for (KeyId k : req.keys) out << ' ' << k;
-    out << '\n';
-  }
-  DAS_CHECK_MSG(out.good(), "short write to trace file: " + path);
-}
-
-Trace Trace::load(const std::string& path) {
-  std::ifstream in{path};
-  DAS_CHECK_MSG(in.good(), "cannot open trace file: " + path);
-  Trace trace;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls{line};
-    TraceRequest req;
-    std::size_t n = 0;
-    ls >> req.arrival >> n;
-    DAS_CHECK_MSG(!ls.fail(), "malformed trace line: " + line);
-    req.keys.resize(n);
-    for (auto& k : req.keys) ls >> k;
-    DAS_CHECK_MSG(!ls.fail(), "truncated trace line: " + line);
-    trace.requests.push_back(std::move(req));
-  }
-  return trace;
-}
-
-std::size_t Trace::total_operations() const {
-  std::size_t total = 0;
-  for (const auto& req : requests) total += req.keys.size();
-  return total;
 }
 
 }  // namespace das::workload

@@ -142,27 +142,4 @@ class MultigetGenerator {
   std::vector<std::vector<std::uint32_t>> storm_positions_;
 };
 
-/// A recorded request stream: arrival times plus key sets. Traces decouple
-/// workload generation from simulation (every policy replays the identical
-/// stream — paired comparison) and serialise to a plain text format.
-struct TraceRequest {
-  SimTime arrival = 0;
-  std::vector<KeyId> keys;
-};
-
-struct Trace {
-  std::vector<TraceRequest> requests;
-
-  /// Generates `count` requests with the given interarrival process.
-  static Trace generate(const MultigetGenerator& gen, double arrival_rate,
-                        std::size_t count, Rng& rng);
-
-  /// Plain-text round trip: one line per request, "arrival k key...".
-  void save(const std::string& path) const;
-  static Trace load(const std::string& path);
-
-  /// Total key accesses across all requests.
-  std::size_t total_operations() const;
-};
-
 }  // namespace das::workload

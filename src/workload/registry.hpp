@@ -1,4 +1,4 @@
-// Workload registry: named, composable workload families behind one factory.
+// Workload registry: named, composable workload families behind one parser.
 //
 // A *tenant spec* is a '+'-joined list of family clauses, each of which
 // mutates one aspect of a TenantSpec:
@@ -12,8 +12,8 @@
 //   name:LABEL                          tenant label for metrics/JSON
 //   drift:PERIOD_US:STRIDE              rotate the rank->key mapping
 //   storm:START_US:END_US:KEYS:SHARE:SEED   append a hot-key storm window
-//   replay:PATH                         replay a .csv/.jsonl trace instead
-//                                       of synthesizing traffic
+//   replay:PATH                         replay a .csv trace instead of
+//                                       synthesizing traffic
 //   legacy                              no-op: inherit all cluster defaults
 //
 // Example: "ycsb-b+zipf:1.1+share:3+name:heavy+drift:5000:37".
@@ -25,14 +25,11 @@
 // contiguous slice of the keyspace and an arrival-rate share proportional
 // to its weight.
 //
-// New families register through WorkloadFactory::register_workload (the
-// workload_factory pattern); parse errors throw std::logic_error naming the
-// clause and listing known families.
+// The families are one constant table in registry.cpp; parse errors throw
+// std::logic_error naming the clause and listing the known families.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -68,40 +65,11 @@ struct TenantSpec {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Registry mapping family names to builders that apply one clause to a
-/// TenantSpec under construction.
-class WorkloadFactory {
- public:
-  using Builder =
-      std::function<void(const std::vector<std::string>& args, TenantSpec& spec)>;
-
-  /// The process-wide factory, pre-loaded with the built-in families above.
-  static WorkloadFactory& instance();
-
-  /// Registers (or replaces) a family.
-  void register_workload(const std::string& family, Builder builder);
-
-  [[nodiscard]] bool has(const std::string& family) const;
-  /// Known family names, sorted (std::map order) for stable error messages.
-  [[nodiscard]] std::vector<std::string> known_families() const;
-
-  /// Parses one clause ("family[:arg...]") and applies it to `spec`.
-  void apply(const std::string& clause, TenantSpec& spec) const;
-
-  /// Parses a full '+'-joined tenant spec.
-  [[nodiscard]] TenantSpec parse_tenant(const std::string& spec) const;
-
-  /// Parses a ';'-separated multi-tenant spec; fills default names
-  /// ("t0", "t1", ...) for tenants that did not set one.
-  [[nodiscard]] std::vector<TenantSpec> parse_tenants(const std::string& spec) const;
-
- private:
-  WorkloadFactory();
-  std::map<std::string, Builder> builders_;
-};
-
-/// Convenience wrappers over WorkloadFactory::instance().
+/// Parses a full '+'-joined tenant spec.
 TenantSpec parse_tenant(const std::string& spec);
+
+/// Parses a ';'-separated multi-tenant spec; fills default names ("t0",
+/// "t1", ...) for tenants that did not set one.
 std::vector<TenantSpec> parse_tenants(const std::string& spec);
 
 }  // namespace das::workload

@@ -1,17 +1,19 @@
 #include "workload/replay.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace das::workload {
 
 namespace {
+
+constexpr const char* kHeader = "timestamp_us,op,key,size_bytes";
 
 [[noreturn]] void bad_line(const std::string& path, std::size_t line_no,
                            const std::string& why) {
@@ -19,26 +21,36 @@ namespace {
                          std::to_string(line_no) + ": " + why);
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+void expect_csv(const std::string& path) {
+  if (!path.ends_with(".csv")) {
+    throw std::logic_error("replay trace '" + path +
+                           "' has unknown extension (expected .csv)");
+  }
 }
 
 double parse_number(const std::string& path, std::size_t line_no,
-                    const std::string& field, const char* what) {
-  if (field.empty()) bad_line(path, line_no, std::string("empty ") + what);
-  double v = 0;
-  try {
-    std::size_t pos = 0;
-    v = std::stod(field, &pos);
-    DAS_CHECK(pos == field.size());
-  } catch (...) {
-    bad_line(path, line_no, std::string("bad ") + what + " '" + field + "'");
+                    const std::string& field, const std::string& what) {
+  const parse::Number<double> n = parse::real(field);
+  switch (n.error) {
+    case parse::Error::kNone:
+      return n.value;
+    case parse::Error::kEmpty:
+      bad_line(path, line_no, "empty " + what);
+    case parse::Error::kNonFinite:
+      bad_line(path, line_no, "non-finite " + what + " '" + field + "'");
+    default:
+      bad_line(path, line_no, "bad " + what + " '" + field + "'");
   }
-  if (!std::isfinite(v)) {
-    bad_line(path, line_no, std::string("non-finite ") + what + " '" + field + "'");
+}
+
+std::uint64_t parse_count(const std::string& path, std::size_t line_no,
+                          const std::string& field, const std::string& what) {
+  const double v = parse_number(path, line_no, field, what);
+  if (v < 0 || v != std::floor(v) || v >= 0x1p64) {
+    bad_line(path, line_no,
+             what + " '" + field + "' is not a non-negative integer");
   }
-  return v;
+  return static_cast<std::uint64_t>(v);
 }
 
 ReplayOp parse_op(const std::string& path, std::size_t line_no,
@@ -48,178 +60,60 @@ ReplayOp parse_op(const std::string& path, std::size_t line_no,
   bad_line(path, line_no, "unknown op '" + field + "' (expected read|write)");
 }
 
-ReplayRecord make_record(const std::string& path, std::size_t line_no,
-                         const std::string& ts, const std::string& op,
-                         const std::string& key, const std::string& size) {
-  ReplayRecord rec;
-  rec.timestamp_us = parse_number(path, line_no, ts, "timestamp_us");
-  if (rec.timestamp_us < 0) bad_line(path, line_no, "negative timestamp_us");
-  rec.op = parse_op(path, line_no, op);
-  const double key_v = parse_number(path, line_no, key, "key");
-  if (key_v < 0 || key_v != std::floor(key_v)) {
-    bad_line(path, line_no, "key '" + key + "' is not a non-negative integer");
-  }
-  rec.key = static_cast<KeyId>(key_v);
-  const double size_v = parse_number(path, line_no, size, "size_bytes");
-  if (size_v < 0 || size_v != std::floor(size_v)) {
-    bad_line(path, line_no,
-             "size_bytes '" + size + "' is not a non-negative integer");
-  }
-  rec.size_bytes = static_cast<Bytes>(size_v);
-  return rec;
-}
-
-void check_monotone(const std::string& path, std::size_t line_no,
-                    const ReplayTrace& trace, const ReplayRecord& rec) {
-  if (!trace.records.empty() && rec.timestamp_us < trace.records.back().timestamp_us) {
-    bad_line(path, line_no, "timestamps must be non-decreasing");
-  }
-}
-
-std::string strip_ws(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return s.substr(b, e - b);
-}
-
-/// Extracts the value token for `"name":` from a one-line JSON object.
-/// Handles numbers and quoted strings — the full trace grammar, nothing more.
-std::string json_field(const std::string& path, std::size_t line_no,
-                       const std::string& line, const std::string& name) {
-  const std::string needle = "\"" + name + "\"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) bad_line(path, line_no, "missing field " + needle);
-  std::size_t p = at + needle.size();
-  while (p < line.size() && std::isspace(static_cast<unsigned char>(line[p])) != 0) ++p;
-  if (p >= line.size() || line[p] != ':') {
-    bad_line(path, line_no, "expected ':' after " + needle);
-  }
-  ++p;
-  while (p < line.size() && std::isspace(static_cast<unsigned char>(line[p])) != 0) ++p;
-  if (p >= line.size()) bad_line(path, line_no, "missing value for " + needle);
-  if (line[p] == '"') {
-    const std::size_t close = line.find('"', p + 1);
-    if (close == std::string::npos) {
-      bad_line(path, line_no, "unterminated string for " + needle);
-    }
-    return line.substr(p + 1, close - p - 1);
-  }
-  std::size_t end = p;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return strip_ws(line.substr(p, end - p));
-}
-
 }  // namespace
 
 ReplayTrace ReplayTrace::load(const std::string& path) {
-  if (has_suffix(path, ".csv")) return load_csv(path);
-  if (has_suffix(path, ".jsonl")) return load_jsonl(path);
-  throw std::logic_error("replay trace '" + path +
-                         "' has unknown extension (expected .csv or .jsonl)");
-}
-
-ReplayTrace ReplayTrace::load_csv(const std::string& path) {
+  expect_csv(path);
   std::ifstream in{path};
   DAS_CHECK_MSG(in.good(), "cannot open replay trace: " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::vector<std::string> lines = parse::split(text.str(), '\n');
   ReplayTrace trace;
-  std::string line;
-  std::size_t line_no = 0;
   bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed = strip_ws(line);
-    if (trimmed.empty()) continue;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    const std::size_t line_no = i + 1;
+    if (line.empty()) continue;
     if (!saw_header) {
-      if (trimmed != "timestamp_us,op,key,size_bytes") {
+      if (line != kHeader) {
         bad_line(path, line_no,
-                 "expected header 'timestamp_us,op,key,size_bytes', got '" +
-                     trimmed + "'");
+                 std::string("expected header '") + kHeader + "', got '" + line +
+                     "'");
       }
       saw_header = true;
       continue;
     }
-    std::string fields[4];
-    std::size_t at = 0;
-    for (int i = 0; i < 4; ++i) {
-      const std::size_t comma = trimmed.find(',', at);
-      const bool last = (i == 3);
-      if ((last && comma != std::string::npos) ||
-          (!last && comma == std::string::npos)) {
-        bad_line(path, line_no, "expected 4 comma-separated fields");
-      }
-      fields[i] = trimmed.substr(at, last ? std::string::npos : comma - at);
-      at = (comma == std::string::npos) ? trimmed.size() : comma + 1;
+    const std::vector<std::string> fields = parse::split(line, ',');
+    if (fields.size() != 4) {
+      bad_line(path, line_no, "expected 4 comma-separated fields");
     }
-    const ReplayRecord rec =
-        make_record(path, line_no, fields[0], fields[1], fields[2], fields[3]);
-    check_monotone(path, line_no, trace, rec);
+    ReplayRecord rec;
+    rec.timestamp_us = parse_number(path, line_no, fields[0], "timestamp_us");
+    if (rec.timestamp_us < 0) bad_line(path, line_no, "negative timestamp_us");
+    rec.op = parse_op(path, line_no, fields[1]);
+    rec.key = parse_count(path, line_no, fields[2], "key");
+    rec.size_bytes = parse_count(path, line_no, fields[3], "size_bytes");
+    if (!trace.records.empty() &&
+        rec.timestamp_us < trace.records.back().timestamp_us) {
+      bad_line(path, line_no, "timestamps must be non-decreasing");
+    }
     trace.records.push_back(rec);
   }
   DAS_CHECK_MSG(saw_header, "replay trace " + path + " is empty (no header)");
   return trace;
 }
 
-ReplayTrace ReplayTrace::load_jsonl(const std::string& path) {
-  std::ifstream in{path};
-  DAS_CHECK_MSG(in.good(), "cannot open replay trace: " + path);
-  ReplayTrace trace;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed = strip_ws(line);
-    if (trimmed.empty()) continue;
-    if (trimmed.front() != '{' || trimmed.back() != '}') {
-      bad_line(path, line_no, "expected one JSON object per line");
-    }
-    const ReplayRecord rec = make_record(
-        path, line_no, json_field(path, line_no, trimmed, "timestamp_us"),
-        json_field(path, line_no, trimmed, "op"),
-        json_field(path, line_no, trimmed, "key"),
-        json_field(path, line_no, trimmed, "size_bytes"));
-    check_monotone(path, line_no, trace, rec);
-    trace.records.push_back(rec);
-  }
-  return trace;
-}
-
 void ReplayTrace::save(const std::string& path) const {
-  if (has_suffix(path, ".csv")) {
-    save_csv(path);
-    return;
-  }
-  if (has_suffix(path, ".jsonl")) {
-    save_jsonl(path);
-    return;
-  }
-  throw std::logic_error("replay trace '" + path +
-                         "' has unknown extension (expected .csv or .jsonl)");
-}
-
-void ReplayTrace::save_csv(const std::string& path) const {
+  expect_csv(path);
   std::ofstream out{path};
   DAS_CHECK_MSG(out.good(), "cannot open replay trace for writing: " + path);
   out.precision(17);
-  out << "timestamp_us,op,key,size_bytes\n";
+  out << kHeader << '\n';
   for (const ReplayRecord& rec : records) {
     out << rec.timestamp_us << ','
         << (rec.op == ReplayOp::kRead ? "read" : "write") << ',' << rec.key
         << ',' << rec.size_bytes << '\n';
-  }
-  DAS_CHECK_MSG(out.good(), "short write to replay trace: " + path);
-}
-
-void ReplayTrace::save_jsonl(const std::string& path) const {
-  std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open replay trace for writing: " + path);
-  out.precision(17);
-  for (const ReplayRecord& rec : records) {
-    out << "{\"timestamp_us\": " << rec.timestamp_us << ", \"op\": \""
-        << (rec.op == ReplayOp::kRead ? "read" : "write")
-        << "\", \"key\": " << rec.key << ", \"size_bytes\": " << rec.size_bytes
-        << "}\n";
   }
   DAS_CHECK_MSG(out.good(), "short write to replay trace: " + path);
 }

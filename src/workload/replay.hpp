@@ -1,19 +1,16 @@
 // Trace replay: file-backed request streams.
 //
-// A replay trace is a flat list of timestamped single-key operations in one
-// of two self-describing text formats, autodetected by file extension:
-//
-//   CSV  (.csv)    header `timestamp_us,op,key,size_bytes`, then one row per
-//                  operation, e.g. `12.5,read,1042,512`
-//   JSONL (.jsonl) one object per line:
-//                  {"timestamp_us": 12.5, "op": "read", "key": 1042,
-//                   "size_bytes": 512}
+// A replay trace is a flat list of timestamped single-key operations in a
+// CSV file (`.csv`): the header `timestamp_us,op,key,size_bytes`, then one
+// row per operation, e.g. `12.5,read,1042,512`.
 //
 // `op` is `read` or `write`; `size_bytes` is the value size (used as the
 // write payload for writes and as the clients' size estimate for reads).
-// Timestamps must be non-negative and non-decreasing. Loading is strict:
-// any malformed line throws std::logic_error naming the line number —
-// a corrupt trace must never silently run a different experiment.
+// Timestamps must be non-negative and non-decreasing; numeric fields are
+// number tokens (common/parse.hpp), so one with whitespace is malformed.
+// Loading is strict: any malformed line throws std::logic_error naming the
+// line number — a corrupt trace must never silently run a different
+// experiment.
 //
 // Iteration is deterministic and file-order: clients shard the record list
 // by index stride, so the same trace file always produces the same
@@ -40,16 +37,12 @@ struct ReplayRecord {
 struct ReplayTrace {
   std::vector<ReplayRecord> records;
 
-  /// Loads a trace, dispatching on extension (.csv / .jsonl). Throws
-  /// std::logic_error on unknown extensions or malformed content.
+  /// Loads a trace. Throws std::logic_error on a path without the .csv
+  /// extension or on malformed content.
   static ReplayTrace load(const std::string& path);
-  static ReplayTrace load_csv(const std::string& path);
-  static ReplayTrace load_jsonl(const std::string& path);
 
-  /// Writes the trace in the format matching the extension.
+  /// Writes the trace; the path must end in .csv.
   void save(const std::string& path) const;
-  void save_csv(const std::string& path) const;
-  void save_jsonl(const std::string& path) const;
 
   /// Largest key id referenced, or 0 for an empty trace.
   [[nodiscard]] KeyId max_key() const;

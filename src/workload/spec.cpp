@@ -1,55 +1,38 @@
 #include "workload/spec.hpp"
 
 #include <cmath>
-#include <sstream>
-#include <vector>
+#include <cstdint>
+#include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace das::workload {
 
 namespace {
 
-std::vector<std::string> split(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::istringstream is{spec};
-  std::string part;
-  while (std::getline(is, part, ':')) parts.push_back(part);
-  // getline drops a trailing empty field ("fixed:" splits to one part);
-  // reinstate it so arity checks see the dangling colon.
-  if (!spec.empty() && spec.back() == ':') parts.emplace_back();
-  return parts;
-}
-
 double to_double(const std::string& spec, const std::string& field) {
-  if (field.empty()) {
-    throw std::logic_error("empty argument in distribution spec '" + spec + "'");
+  const parse::Number<double> n = parse::real(field);
+  switch (n.error) {
+    case parse::Error::kNone:
+      return n.value;
+    case parse::Error::kEmpty:
+      throw std::logic_error("empty argument in distribution spec '" + spec + "'");
+    case parse::Error::kWhitespace:
+      throw std::logic_error("whitespace in argument '" + field +
+                             "' of distribution spec '" + spec + "'");
+    case parse::Error::kNonFinite:
+      throw std::logic_error("non-finite number '" + field +
+                             "' in distribution spec '" + spec + "'");
+    default:
+      throw std::logic_error("bad number '" + field + "' in distribution spec '" +
+                             spec + "'");
   }
-  // std::stod skips leading whitespace and accepts "nan"/"inf"; a spec is a
-  // machine-written token, so both indicate a typo and must be rejected.
-  if (field.find_first_of(" \t\n\r\f\v") != std::string::npos) {
-    throw std::logic_error("whitespace in argument '" + field +
-                           "' of distribution spec '" + spec + "'");
-  }
-  double v = 0;
-  try {
-    std::size_t pos = 0;
-    v = std::stod(field, &pos);
-    DAS_CHECK(pos == field.size());
-  } catch (...) {
-    throw std::logic_error("bad number '" + field + "' in distribution spec '" +
-                           spec + "'");
-  }
-  if (!std::isfinite(v)) {
-    throw std::logic_error("non-finite number '" + field +
-                           "' in distribution spec '" + spec + "'");
-  }
-  return v;
 }
 
 std::uint32_t to_u32(const std::string& spec, const std::string& field) {
   const double v = to_double(spec, field);
-  DAS_CHECK_MSG(v >= 0 && v == static_cast<std::uint32_t>(v),
+  DAS_CHECK_MSG(v >= 0 && v <= UINT32_MAX && v == std::floor(v),
                 "expected non-negative integer in spec '" + spec + "'");
   return static_cast<std::uint32_t>(v);
 }
@@ -62,8 +45,8 @@ std::uint32_t to_u32(const std::string& spec, const std::string& field) {
 }  // namespace
 
 IntDistPtr parse_int_dist(const std::string& spec) {
-  const auto parts = split(spec);
-  DAS_CHECK_MSG(!parts.empty(), "empty distribution spec");
+  DAS_CHECK_MSG(!spec.empty(), "empty distribution spec");
+  const auto parts = parse::split(spec, ':');
   const std::string& family = parts[0];
   if (family == "fixed") {
     if (parts.size() != 2) bad_arity(spec, "fixed:K");
@@ -91,8 +74,8 @@ IntDistPtr parse_int_dist(const std::string& spec) {
 }
 
 RealDistPtr parse_real_dist(const std::string& spec) {
-  const auto parts = split(spec);
-  DAS_CHECK_MSG(!parts.empty(), "empty distribution spec");
+  DAS_CHECK_MSG(!spec.empty(), "empty distribution spec");
+  const auto parts = parse::split(spec, ':');
   const std::string& family = parts[0];
   if (family == "constant") {
     if (parts.size() != 2) bad_arity(spec, "constant:V");

@@ -62,6 +62,21 @@ TEST(FaultPlanParse, MalformedTokensThrow) {
   EXPECT_THROW(parse_fault_plan("partition@1ms:s1-s2"), std::invalid_argument);
 }
 
+// Times, ids and factors are number tokens (common/parse.hpp): an infinite
+// slowdown factor once reached the server's DAS_CHECK(elapsed > 0) abort,
+// and an infinite time, a hex time or a signed id once ran.
+TEST(FaultPlanParse, NumbersFollowTheSharedTokenRule) {
+  EXPECT_THROW(parse_fault_plan("slow@1ms-2ms:s1:xinf"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("crash@inf:s0"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("crash@0x10:s1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("crash@5ms:s+1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("crash@5ms:s-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("crash@5ms:s4294967296"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("heal@5ms:c+0-s1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_plan("lossburst@1ms-2ms:pnan"), std::invalid_argument);
+  EXPECT_EQ(parse_fault_plan("crash@1e3:s1e1").events.front().server, 10u);
+}
+
 TEST(FaultPlanValidate, RejectsOutOfRangeTargets) {
   const FaultPlan plan = parse_fault_plan("crash@50ms:s3,recover@80ms:s3");
   EXPECT_NO_THROW(plan.validate(4, 1));

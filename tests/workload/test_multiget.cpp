@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <numeric>
 #include <set>
@@ -102,37 +100,6 @@ TEST(MultigetGenerator, RankPermutationScattersHotKeys) {
 TEST(MultigetGenerator, MeanFanoutDelegates) {
   auto gen = make_gen(100, 0.0, make_fixed_int(7));
   EXPECT_DOUBLE_EQ(gen.mean_fanout(), 7.0);
-}
-
-TEST(Trace, GenerateProducesSortedArrivals) {
-  auto gen = make_gen(1000, 0.9, make_geometric(0.25, 64));
-  Rng rng{7};
-  const Trace trace = Trace::generate(gen, 0.01, 5000, rng);
-  ASSERT_EQ(trace.requests.size(), 5000u);
-  for (std::size_t i = 1; i < trace.requests.size(); ++i)
-    ASSERT_GT(trace.requests[i].arrival, trace.requests[i - 1].arrival);
-  EXPECT_GT(trace.total_operations(), 5000u);
-}
-
-TEST(Trace, SaveLoadRoundTrip) {
-  auto gen = make_gen(500, 0.8, make_uniform_int(1, 12));
-  Rng rng{8};
-  const Trace trace = Trace::generate(gen, 0.05, 300, rng);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "das_trace_test.txt").string();
-  trace.save(path);
-  const Trace loaded = Trace::load(path);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(loaded.requests.size(), trace.requests.size());
-  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-    ASSERT_DOUBLE_EQ(loaded.requests[i].arrival, trace.requests[i].arrival);
-    ASSERT_EQ(loaded.requests[i].keys, trace.requests[i].keys);
-  }
-}
-
-TEST(Trace, LoadMissingFileThrows) {
-  EXPECT_THROW(Trace::load("/nonexistent/path/trace.txt"), std::logic_error);
 }
 
 TEST(MultigetGenerator, DeterministicForSameRngSeed) {

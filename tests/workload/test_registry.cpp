@@ -76,24 +76,13 @@ TEST(Registry, DescribeRoundTripsTheInterestingFields) {
   EXPECT_NE(d.find("rotate=5000"), std::string::npos);
 }
 
-TEST(Registry, FactoryKnowsBuiltinsAndAcceptsNewFamilies) {
-  WorkloadFactory& factory = WorkloadFactory::instance();
-  for (const char* family : {"legacy", "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-f",
-                             "mix", "zipf", "fanout", "size", "share", "name",
-                             "drift", "storm", "replay"}) {
-    EXPECT_TRUE(factory.has(family)) << family;
+TEST(Registry, EveryBuiltinFamilyParses) {
+  for (const char* clause :
+       {"legacy", "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-f", "mix:0.5:0.25:0.25",
+        "zipf:0.9", "fanout:fixed:4", "size:constant:64", "share:2", "name:x",
+        "drift:5000:3", "storm:1000:2000:4:0.5:7", "replay:/tmp/t.csv"}) {
+    EXPECT_NO_THROW(parse_tenant(clause)) << clause;
   }
-  // workload_factory extension point: a new family composes like built-ins.
-  factory.register_workload(
-      "test-double-share",
-      [](const std::vector<std::string>& args, TenantSpec& spec) {
-        if (!args.empty()) {
-          throw std::logic_error("test-double-share takes no arguments");
-        }
-        spec.share *= 2;
-      });
-  EXPECT_TRUE(factory.has("test-double-share"));
-  EXPECT_DOUBLE_EQ(parse_tenant("share:3+test-double-share").share, 6.0);
 }
 
 // --- negative grammar ------------------------------------------------------

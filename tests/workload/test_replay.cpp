@@ -44,24 +44,6 @@ TEST(ReplayTrace, CsvRoundTrip) {
   expect_equal(trace, ReplayTrace::load(path));
 }
 
-TEST(ReplayTrace, JsonlRoundTrip) {
-  const std::string path = temp_path("round_trip.jsonl");
-  const ReplayTrace trace = sample_trace();
-  trace.save(path);
-  expect_equal(trace, ReplayTrace::load(path));
-}
-
-TEST(ReplayTrace, FormatsAgree) {
-  // The same trace through either serialisation loads back identically, so a
-  // CSV recording can be converted to JSONL without changing the experiment.
-  const std::string csv = temp_path("agree.csv");
-  const std::string jsonl = temp_path("agree.jsonl");
-  const ReplayTrace trace = sample_trace();
-  trace.save(csv);
-  trace.save(jsonl);
-  expect_equal(ReplayTrace::load(csv), ReplayTrace::load(jsonl));
-}
-
 TEST(ReplayTrace, MaxKey) {
   EXPECT_EQ(sample_trace().max_key(), 1042u);
   EXPECT_EQ(ReplayTrace{}.max_key(), 0u);
@@ -130,20 +112,6 @@ TEST(ReplayTrace, RejectsDecreasingTimestamps) {
   const std::string ties = temp_path("ties.csv");
   write_file(ties, "timestamp_us,op,key,size_bytes\n5,read,1,1\n5,read,2,1\n");
   EXPECT_EQ(ReplayTrace::load(ties).size(), 2u);
-}
-
-TEST(ReplayTrace, JsonlMalformedLinesThrow) {
-  const char* rows[] = {
-      "not json",
-      "{\"timestamp_us\": 1, \"op\": \"read\", \"key\": 2}",
-      "{\"timestamp_us\": 1, \"op\": \"scan\", \"key\": 2, \"size_bytes\": 3}",
-      "{\"timestamp_us\": -1, \"op\": \"read\", \"key\": 2, \"size_bytes\": 3}",
-  };
-  for (const char* row : rows) {
-    const std::string path = temp_path("malformed.jsonl");
-    write_file(path, std::string(row) + "\n");
-    EXPECT_THROW(ReplayTrace::load(path), std::logic_error) << row;
-  }
 }
 
 }  // namespace

@@ -20,11 +20,11 @@
 #include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "common/flags.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/bench_json.hpp"
 #include "core/cluster.hpp"
@@ -47,10 +47,8 @@ using namespace das;
 std::vector<sched::Policy> parse_policies(const std::string& spec) {
   if (spec == "all") return sched::all_policies();
   std::vector<sched::Policy> out;
-  std::istringstream is{spec};
-  std::string name;
-  while (std::getline(is, name, ',')) out.push_back(sched::policy_from_string(name));
-  DAS_CHECK_MSG(!out.empty(), "no policies given");
+  for (const std::string& name : parse::split(spec, ','))
+    out.push_back(sched::policy_from_string(name));
   return out;
 }
 
@@ -64,12 +62,14 @@ experiments::Experiment sweep_grid(const core::ClusterConfig& base,
   // Optional third grid dimension: replica-selection modes. Empty keeps the
   // single mode of --selection and the plain "load=X" point labels.
   std::vector<core::ReplicaSelection> selections;
-  std::istringstream is{flags.get_string("sweep-selections")};
-  for (std::string token; std::getline(is, token, ',');) {
-    core::ReplicaSelection mode = core::ReplicaSelection::kPrimary;
-    if (!select::mode_from_string(token, mode))
-      throw std::invalid_argument("unknown --sweep-selections mode: " + token);
-    selections.push_back(mode);
+  const std::string modes = flags.get_string("sweep-selections");
+  if (!modes.empty()) {
+    for (const std::string& token : parse::split(modes, ',')) {
+      core::ReplicaSelection mode = core::ReplicaSelection::kPrimary;
+      if (!select::mode_from_string(token, mode))
+        throw std::invalid_argument("unknown --sweep-selections mode: " + token);
+      selections.push_back(mode);
+    }
   }
   for (const double load : core::parse_load_list(flags.get_string("sweep-loads"))) {
     for (const core::ReplicaSelection sel :
@@ -251,8 +251,8 @@ int run(int argc, char** argv) {
                "replay a recorded trace file (shorthand for "
                "--workload=replay:FILE)");
   flags.define("record", "",
-               "record every generated operation as a replay trace (CSV or "
-               "JSONL by extension) to this path; single --policy, no --sweep");
+               "record every generated operation as a CSV replay trace to this "
+               "path (.csv); single --policy, no --sweep");
   flags.define("store", "synthetic",
                "service-time model: 'synthetic' (client-computed demand) or "
                "'lsm' (memtable/flush/compaction storage engine)");
@@ -431,6 +431,10 @@ int run(int argc, char** argv) {
   core::RunWindow window;
   window.warmup_us = flags.get_double("warmup-ms") * kMillisecond;
   window.measure_us = flags.get_double("measure-ms") * kMillisecond;
+  if (window.warmup_us < 0)
+    throw std::invalid_argument("flag --warmup-ms must be >= 0");
+  if (window.measure_us <= 0)
+    throw std::invalid_argument("flag --measure-ms must be > 0");
 
   // Fault timeline: scripted spec and/or seeded chaos windows (appended, then
   // re-sorted so the combined plan stays time-ordered).
@@ -465,12 +469,14 @@ int run(int argc, char** argv) {
   try {
     policies = parse_policies(flags.get_string("policy"));
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
+    std::cerr << "flag --policy: " << e.what() << "\n";
     return 2;
   }
 
   const std::string trace_path = flags.get_string("trace");
   const std::string record_path = flags.get_string("record");
+  if (!record_path.empty() && !record_path.ends_with(".csv"))
+    throw std::invalid_argument("flag --record: the trace path must end in .csv");
 
   // A grid: the ad-hoc --sweep over the cluster flags, or a registered
   // experiment whose builder sets every knob itself.
@@ -512,6 +518,7 @@ int run(int argc, char** argv) {
     }
     trace::Tracer::Config trace_cfg;
     trace_cfg.cap = static_cast<std::size_t>(flags.get_count("trace-cap"));
+    if (trace_cfg.cap == 0) throw std::invalid_argument("flag --trace-cap must be > 0");
     trace::Tracer tracer{trace_cfg};
     cfg.policy = policies.front();
     runs.push_back({policies.front(), core::run_experiment(cfg, window, &tracer)});
@@ -549,46 +556,31 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  // The blocks below are aligned tables, not CSV rows: under --format=csv
+  // they go to stderr so stdout stays machine-readable.
+  std::ostream& blocks = format == "csv" ? std::cerr : std::cout;
+
   // Exact RCT attribution: component means over the measurement window plus
   // the mechanism-activation counters (what the scheduler actually did).
   if (flags.get_bool("breakdown")) {
-    experiments::print_block(std::cout, "RCT breakdown (component means, us)",
-                             runs, core::Block::kBreakdown);
-    experiments::print_block(std::cout, "mechanism counters", runs,
+    experiments::print_block(blocks, "RCT breakdown (component means, us)", runs,
+                             core::Block::kBreakdown);
+    experiments::print_block(blocks, "mechanism counters", runs,
                              core::Block::kMechanism);
   }
 
-  // Per-tenant accounting and fairness, shown whenever tenants are
-  // configured. The Jain index is a per-run scalar; it appears on the first
-  // tenant row of each policy.
-  if (!runs.empty() && !runs.front().result.tenants.empty()) {
-    Table table{{"policy", "tenant", "share", "generated", "completed",
-                 "failed", "measured", "mean RCT", "p99", "jain"}};
-    for (const auto& [policy, r] : runs) {
-      bool first_row = true;
-      for (const auto& t : r.tenants) {
-        table.add_row({sched::to_string(policy), t.name, Table::fmt(t.share, 2),
-                       std::to_string(t.requests_generated),
-                       std::to_string(t.requests_completed),
-                       std::to_string(t.requests_failed),
-                       std::to_string(t.requests_measured),
-                       Table::fmt(t.rct.mean, 1), Table::fmt(t.rct.p99, 1),
-                       first_row ? Table::fmt(r.jain_fairness, 4) : ""});
-        first_row = false;
-      }
-    }
-    std::cout << "== per-tenant RCT ==\n";
-    table.print(std::cout);
-  }
+  // Per-tenant accounting, shown whenever tenants are configured.
+  if (!runs.empty() && !runs.front().result.tenants.empty())
+    experiments::print_tenant_block(blocks, "per-tenant RCT", runs);
 
   // Graceful-degradation accounting whenever a fault plan ran; overload
   // accounting whenever any protection is on (goodput vs throughput is the
   // headline: how much settled work completed in time).
   if (!cfg.fault_plan.empty())
-    experiments::print_block(std::cout, "graceful degradation", runs,
+    experiments::print_block(blocks, "graceful degradation", runs,
                              core::Block::kDegradation);
   if (cfg.overload.enabled())
-    experiments::print_block(std::cout, "overload control", runs,
+    experiments::print_block(blocks, "overload control", runs,
                              core::Block::kOverload);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -742,7 +743,8 @@ const core::ResultField* find_table_field(std::string_view metric) {
 namespace {
 
 /// A table cell: a count as an integer, a real at the field's precision.
-std::string cell(const core::ResultField& field, const core::ExperimentResult& r) {
+template <class Record>
+std::string cell(const core::Field<Record>& field, const Record& r) {
   return field.is_count() ? std::to_string(field.count(r))
                           : Table::fmt(field.value(r), field.precision);
 }
@@ -754,6 +756,29 @@ std::string gain(const core::ResultField& field, double fcfs, double das) {
   const double ratio = das / fcfs;
   return Table::fmt_percent(field.better == core::Better::kLower ? 1.0 - ratio
                                                                  : ratio - 1.0);
+}
+
+/// Labelled rows of one record type: the row's label cells and its record.
+template <class Record>
+using Rows = std::vector<std::pair<std::vector<std::string>, const Record*>>;
+
+/// Prints "== heading ==" and a table of `rows`: `headers` over the label
+/// cells, then a column per field of `block`, headed by its JSON name.
+template <class Record>
+void print_fields(std::ostream& os, const std::string& heading,
+                  std::vector<std::string> headers,
+                  std::span<const core::Field<Record>> fields, core::Block block,
+                  const Rows<Record>& rows) {
+  for (const core::Field<Record>& field : fields)
+    if (field.block == block) headers.emplace_back(field.name);
+  Table table{headers};
+  for (auto [cells, record] : rows) {
+    for (const core::Field<Record>& field : fields)
+      if (field.block == block) cells.push_back(cell(field, *record));
+    table.add_row(std::move(cells));
+  }
+  os << "== " << heading << " ==\n";
+  table.print(os);
 }
 
 }  // namespace
@@ -798,18 +823,20 @@ void print_table(std::ostream& os, const Experiment& experiment,
 
 void print_block(std::ostream& os, const std::string& heading,
                  const std::vector<core::PolicyRun>& runs, core::Block block) {
-  std::vector<std::string> headers{"policy"};
-  for (const core::ResultField& field : core::result_fields())
-    if (field.block == block) headers.emplace_back(field.name);
-  Table table{headers};
+  Rows<core::ExperimentResult> rows;
+  for (const auto& [policy, r] : runs) rows.push_back({{sched::to_string(policy)}, &r});
+  print_fields(os, heading, {"policy"}, core::result_fields(), block, rows);
+}
+
+void print_tenant_block(std::ostream& os, const std::string& heading,
+                        const std::vector<core::PolicyRun>& runs) {
+  Rows<core::TenantOutcome> rows;
   for (const auto& [policy, r] : runs) {
-    std::vector<std::string> cells{sched::to_string(policy)};
-    for (const core::ResultField& field : core::result_fields())
-      if (field.block == block) cells.push_back(cell(field, r));
-    table.add_row(std::move(cells));
+    for (const core::TenantOutcome& t : r.tenants)
+      rows.push_back({{sched::to_string(policy), t.name}, &t});
   }
-  os << "== " << heading << " ==\n";
-  table.print(os);
+  print_fields(os, heading, {"policy", "tenant"}, core::tenant_fields(),
+               core::Block::kTop, rows);
 }
 
 }  // namespace das::experiments

@@ -75,4 +75,9 @@ void print_table(std::ostream& os, const Experiment& experiment,
 void print_block(std::ostream& os, const std::string& heading,
                  const std::vector<core::PolicyRun>& runs, core::Block block);
 
+/// Prints "== heading ==" and one row per (run, tenant) with a column per
+/// tenant field, headed by the field's JSON name.
+void print_tenant_block(std::ostream& os, const std::string& heading,
+                        const std::vector<core::PolicyRun>& runs);
+
 }  // namespace das::experiments
