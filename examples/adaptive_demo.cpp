@@ -11,6 +11,7 @@
 //
 //   ./build/examples/adaptive_demo
 #include <iostream>
+#include <vector>
 
 #include "das.hpp"
 
@@ -54,9 +55,10 @@ int main() {
 
   // Transient view: every server drops to 0.7x speed at t=100ms and
   // recovers at t=200ms (the slow phase stays inside the stable region, so
-  // this isolates ADAPTATION rather than overload drain). The 10ms-bucket
-  // timeline shows das settling to a much lower plateau during the slow
-  // phase than its frozen-estimator ablation.
+  // this isolates ADAPTATION rather than overload drain). Mean RCT per 10ms
+  // bucket of request arrival, read off the per-request breakdown rows,
+  // shows das settling to a much lower plateau during the slow phase than
+  // its frozen-estimator ablation.
   {
     core::ClusterConfig step_cfg;
     step_cfg.num_servers = 32;
@@ -64,25 +66,34 @@ int main() {
     step_cfg.zipf_theta = 0.0;
     step_cfg.load_calibration = core::LoadCalibration::kHottestServer;
     step_cfg.target_load = 0.6;
-    step_cfg.timeline_bucket_us = 10 * kMillisecond;
+    step_cfg.breakdown_retain_requests = 1'000'000;
     step_cfg.speed_profiles = {workload::make_step_rate(
         {100.0 * kMillisecond, 200.0 * kMillisecond}, {1.0, 0.7, 1.0})};
     core::RunWindow step_window;
     step_window.warmup_us = 0;
     step_window.measure_us = 300 * kMillisecond;
+    const Duration bucket_us = 10 * kMillisecond;
+    const auto bucket_means = [&](sched::Policy policy) {
+      step_cfg.policy = policy;
+      core::Cluster cluster{step_cfg, step_window};
+      cluster.run();
+      std::vector<StreamingStats> buckets(30);
+      for (const trace::RequestBreakdown& row : cluster.breakdown().rows()) {
+        const auto b = static_cast<std::size_t>(row.arrival / bucket_us);
+        if (b < buckets.size()) buckets[b].add(row.rct_us);
+      }
+      return buckets;
+    };
 
     std::cout << "\nmean RCT per 10ms bucket (speed drops to 0.7x in "
                  "[100ms, 200ms)):\n\n";
-    step_cfg.policy = sched::Policy::kDas;
-    const auto das_run = core::run_experiment(step_cfg, step_window);
-    step_cfg.policy = sched::Policy::kDasNoAdapt;
-    const auto na_run = core::run_experiment(step_cfg, step_window);
+    const auto das_run = bucket_means(sched::Policy::kDas);
+    const auto na_run = bucket_means(sched::Policy::kDasNoAdapt);
     Table timeline{{"t (ms)", "das mean RCT", "das-na mean RCT"}};
-    for (std::size_t i = 0; i < das_run.timeline.size() && i < na_run.timeline.size();
-         ++i) {
-      timeline.add_row({Table::fmt(das_run.timeline[i].bucket_start / kMillisecond, 0),
-                        Table::fmt(das_run.timeline[i].mean_rct, 1),
-                        Table::fmt(na_run.timeline[i].mean_rct, 1)});
+    for (std::size_t i = 0; i < das_run.size(); ++i) {
+      const double start_ms = static_cast<double>(i) * bucket_us / kMillisecond;
+      timeline.add_row({Table::fmt(start_ms, 0), Table::fmt(das_run[i].mean(), 1),
+                        Table::fmt(na_run[i].mean(), 1)});
     }
     timeline.print(std::cout);
   }

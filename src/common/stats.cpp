@@ -130,10 +130,15 @@ LatencySummary LatencyRecorder::summary() const {
   s.count = stats_.count();
   if (s.count == 0) return s;
   s.mean = stats_.mean();
-  s.p50 = hist_.p50();
-  s.p95 = hist_.p95();
-  s.p99 = hist_.p99();
-  s.p999 = hist_.p999();
+  // A quantile is a bucket midpoint; clamped to the observed range, it can
+  // never read above the largest (or below the smallest) sample.
+  const auto observed = [this](double q) {
+    return std::clamp(hist_.quantile(q), stats_.min(), stats_.max());
+  };
+  s.p50 = observed(0.50);
+  s.p95 = observed(0.95);
+  s.p99 = observed(0.99);
+  s.p999 = observed(0.999);
   s.max = stats_.max();
   return s;
 }

@@ -98,9 +98,9 @@ class LatencyRecorder {
   explicit LatencyRecorder(double hi = 1e9);
   void add(double value);
   void merge(const LatencyRecorder& other);
-  /// With no samples recorded, every field is zero (count included) — the
-  /// pinned empty-input behavior; quantiles are never queried on an empty
-  /// histogram.
+  /// Quantiles are clamped to the observed [min, max]. With no samples
+  /// recorded, every field is zero (count included) — the pinned empty-input
+  /// behavior; quantiles are never queried on an empty histogram.
   LatencySummary summary() const;
   const StreamingStats& moments() const { return stats_; }
   const LogHistogram& histogram() const { return hist_; }

@@ -6,8 +6,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
-#include "common/check.hpp"
 #include "core/metrics.hpp"
 
 namespace das::core {
@@ -139,10 +139,10 @@ std::string bench_json_string(const std::string& experiment,
 void write_bench_json(const std::string& path, const std::string& experiment,
                       const std::vector<SweepOutcome>& rows) {
   std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open JSON output file: " + path);
+  if (!out.good()) throw std::runtime_error("cannot open JSON output file: " + path);
   render_bench_json(out, experiment, rows);
   out.flush();
-  DAS_CHECK_MSG(out.good(), "failed writing JSON output file: " + path);
+  if (!out.good()) throw std::runtime_error("failed writing JSON output file: " + path);
 }
 
 void render_perf_json(std::ostream& os, const std::string& experiment,
@@ -177,10 +177,10 @@ void render_perf_json(std::ostream& os, const std::string& experiment,
 void write_perf_json(const std::string& path, const std::string& experiment,
                      const std::vector<PerfPoint>& points) {
   std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open JSON output file: " + path);
+  if (!out.good()) throw std::runtime_error("cannot open JSON output file: " + path);
   render_perf_json(out, experiment, points);
   out.flush();
-  DAS_CHECK_MSG(out.good(), "failed writing JSON output file: " + path);
+  if (!out.good()) throw std::runtime_error("failed writing JSON output file: " + path);
 }
 
 }  // namespace das::core

@@ -193,12 +193,8 @@ void Client::generate_request(std::size_t tenant) {
   if (kind != workload::OpKind::kRead) {
     const KeyId key = stream.generator->sample_key(rng, now);
     const Bytes old_size = size_of(key);
-    const RealDistPtr& write_dist =
-        stream.write_size_bytes ? stream.write_size_bytes : params_.write_size_bytes;
-    const Bytes new_size =
-        write_dist ? static_cast<Bytes>(
-                         std::max(1.0, std::round(write_dist->sample(rng))))
-                   : old_size;
+    const Bytes new_size = static_cast<Bytes>(
+        std::max(1.0, std::round(stream.value_size->sample(rng))));
     const double demand =
         kind == workload::OpKind::kRmw
             ? 2.0 * params_.per_op_overhead_us +

@@ -82,8 +82,6 @@ class Client {
     /// to a different replica (first response wins, the loser is
     /// discarded). Requires replication >= 2; 0 disables. Fires once.
     Duration hedge_delay_us = 0;
-    /// Sizes of written values; nullptr falls back to existing key size.
-    RealDistPtr write_size_bytes;
     /// Overload protection (deadlines, admission control, BUSY handling).
     /// All defaults off: the client is bit-identical to pre-layer builds.
     overload::OverloadConfig overload;
@@ -97,13 +95,14 @@ class Client {
     workload::ArrivalPtr arrivals;
     /// Read / update / read-modify-write split of this tenant's requests.
     workload::OpMix mix{};
-    /// Write sizes for this tenant; nullptr falls back to the cluster-wide
-    /// Params::write_size_bytes (then to the key's existing size).
-    RealDistPtr write_size_bytes;
+    /// The tenant's value-size distribution: every write draws its size
+    /// from it (needed only when the mix writes).
+    RealDistPtr value_size;
     const workload::ReplayTrace* replay = nullptr;
   };
 
-  /// One TenantStream per tenant (a legacy run is one synthetic tenant).
+  /// One TenantStream per tenant (a run without tenants is one synthetic
+  /// tenant).
   /// `catalogue` is the size drawn for every key, frozen at construction.
   /// `issued` is the overlay all clients share: a writer publishes the size
   /// it issued there (the writer knows it; other clients' estimates converge

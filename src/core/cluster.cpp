@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "core/wire.hpp"
 #include "workload/arrival.hpp"
-#include "workload/spec.hpp"
 
 namespace das::core {
 
@@ -68,44 +67,56 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                         config_.ring_vnodes)
                      : store::make_modulo_partitioner(config_.num_servers);
 
-  // A legacy run is the one `legacy` tenant, which inherits every
-  // cluster-level workload setting, the write fraction included.
-  tenants_ = config_.tenants.empty() ? workload::parse_tenants("legacy")
-                                     : config_.tenants;
-  for (workload::TenantSpec& tenant : tenants_) {
-    if (!tenant.has_mix) {
-      tenant.mix = {1.0 - config_.write_fraction, config_.write_fraction, 0.0};
-    }
-  }
-  const std::size_t tenant_count = tenants_.size();
-
-  // Key catalogue: sizes drawn once, each key from its owning tenant's
-  // value-size distribution (the cluster's when the tenant sets none), in key
-  // order from one sequential stream, and never mutated. Servers serve it
-  // under their own overlay of completed writes; clients estimate demand
-  // from it under the shared overlay of issued writes.
+  // Every tenant resolved once: its spec's setting where it has one, the
+  // cluster's otherwise. A run without tenants is one default TenantSpec{},
+  // which inherits every cluster-level workload setting.
+  const workload::TenantSpec inherit_all{};
+  const std::size_t tenant_count = std::max<std::size_t>(config_.tenants.size(), 1);
   const std::uint64_t universe =
       config_.num_servers * config_.keys_per_server;
-  tenant_value_dists_.resize(tenant_count);
   key_sizes_.resize(universe);
   Rng size_rng = master.fork(0x512E);
+  tenants_.resize(tenant_count);
   for (std::size_t t = 0; t < tenant_count; ++t) {
-    tenant_value_dists_[t] =
-        tenants_[t].value_size_spec.empty()
-            ? config_.value_size_bytes
-            : workload::parse_real_dist(tenants_[t].value_size_spec);
-    const auto& dist = *tenant_value_dists_[t];
+    const workload::TenantSpec& spec =
+        config_.tenants.empty() ? inherit_all : config_.tenants[t];
+    Tenant& tenant = tenants_[t];
+    tenant.share = spec.share;
+    tenant.value_size = spec.value_size ? spec.value_size : config_.value_size_bytes;
+    tenant.own_value_size = spec.value_size != nullptr;
+    tenant.mix = spec.mix.value_or(
+        workload::OpMix{1.0 - config_.write_fraction, config_.write_fraction, 0.0});
+    tenant.replay = spec.replay.get();
+
+    // Key catalogue: sizes drawn once, each key from its owning tenant's
+    // value-size distribution, in key order from one sequential stream, and
+    // never mutated. Servers serve it under their own overlay of completed
+    // writes; clients estimate demand from it under the shared overlay of
+    // issued writes.
     const TenantSlice slice = tenant_slice(universe, tenant_count, t);
+    const RealDistribution& dist = *tenant.value_size;
     for (std::uint64_t key = slice.base; key < slice.base + slice.size; ++key) {
       key_sizes_[key] =
           static_cast<Bytes>(std::max(1.0, std::round(dist.sample(size_rng))));
     }
+
+    // A synthetic tenant's generator draws over its contiguous slice.
+    if (tenant.replay != nullptr) continue;
+    workload::MultigetGenerator::Config gen_cfg;
+    gen_cfg.key_universe = slice.size;
+    gen_cfg.key_base = slice.base;
+    gen_cfg.zipf_theta = spec.zipf_theta >= 0 ? spec.zipf_theta : config_.zipf_theta;
+    gen_cfg.fanout = spec.fanout ? spec.fanout : config_.fanout;
+    // Distinct permutation per tenant so tenants' hot keys land on
+    // different servers instead of colliding rank-for-rank.
+    gen_cfg.rank_permutation_seed =
+        0x9E3779B9ull + 0xD1B54A32D192ED03ull * static_cast<std::uint64_t>(t);
+    gen_cfg.drift = spec.drift;
+    tenant.generator = std::make_unique<workload::MultigetGenerator>(gen_cfg);
   }
 
   // Servers.
   metrics_.set_window(window_.warmup_us, window_.horizon());
-  if (config_.timeline_bucket_us > 0)
-    metrics_.enable_timeline(config_.timeline_bucket_us);
   servers_.reserve(config_.num_servers);
   for (std::size_t s = 0; s < config_.num_servers; ++s) {
     Server::Params params;
@@ -155,43 +166,10 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   for (auto& server : servers_) server->set_transport(*this);
   sim_.set_message_sink(this);
 
-  // Workload generators: one per tenant over its contiguous slice (replay
-  // tenants load their trace instead).
-  tenant_generators_.resize(tenant_count);
-  replay_traces_.resize(tenant_count);
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    const workload::TenantSpec& tenant = tenants_[t];
-    if (!tenant.replay_path.empty()) {
-      replay_traces_[t] = workload::ReplayTrace::load(tenant.replay_path);
-      DAS_CHECK_MSG(replay_traces_[t].empty() ||
-                        replay_traces_[t].max_key() < universe,
-                    "replay trace '" + tenant.replay_path +
-                        "' references keys outside the keyspace");
-      continue;
-    }
-    const TenantSlice slice = tenant_slice(universe, tenant_count, t);
-    workload::MultigetGenerator::Config gen_cfg;
-    gen_cfg.key_universe = slice.size;
-    gen_cfg.key_base = slice.base;
-    gen_cfg.zipf_theta =
-        tenant.zipf_theta >= 0 ? tenant.zipf_theta : config_.zipf_theta;
-    gen_cfg.fanout = tenant.fanout_spec.empty()
-                         ? config_.fanout
-                         : workload::parse_int_dist(tenant.fanout_spec);
-    // Distinct permutation per tenant so tenants' hot keys land on
-    // different servers instead of colliding rank-for-rank.
-    gen_cfg.rank_permutation_seed =
-        0x9E3779B9ull + 0xD1B54A32D192ED03ull * static_cast<std::uint64_t>(t);
-    gen_cfg.drift = tenant.drift;
-    tenant_generators_[t] = std::make_unique<workload::MultigetGenerator>(gen_cfg);
-  }
   metrics_.enable_tenants(tenant_count);
 
   // Clients.
-  double share_sum = 0;
-  for (const workload::TenantSpec& tenant : tenants_) {
-    if (tenant.replay_path.empty()) share_sum += tenant.share;
-  }
+  const double share_sum = synthetic_share_sum();
   request_rate_ = derived_request_rate();
   const double per_client_rate =
       request_rate_ / static_cast<double>(config_.num_clients);
@@ -219,19 +197,17 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     params.retry_max_attempts = config_.retry_max_attempts;
     params.suspicion_rto_threshold = config_.suspicion_rto_threshold;
     params.hedge_delay_us = config_.hedge_delay_us;
-    params.write_size_bytes = config_.write_size_bytes ? config_.write_size_bytes
-                                                       : config_.value_size_bytes;
     params.overload = config_.overload;
 
     std::vector<Client::TenantStream> streams(tenant_count);
     for (std::size_t t = 0; t < tenant_count; ++t) {
-      const workload::TenantSpec& tenant = tenants_[t];
+      const Tenant& tenant = tenants_[t];
       Client::TenantStream& stream = streams[t];
-      if (!tenant.replay_path.empty()) {
-        stream.replay = &replay_traces_[t];
+      if (tenant.replay != nullptr) {
+        stream.replay = tenant.replay;
         continue;
       }
-      stream.generator = tenant_generators_[t].get();
+      stream.generator = tenant.generator.get();
       // The cluster rate splits across synthetic tenants by share, then
       // across clients evenly.
       const double rate = per_client_rate * tenant.share / share_sum;
@@ -241,9 +217,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                                  window_.horizon())
               : workload::make_poisson_arrivals(rate);
       stream.mix = tenant.mix;
-      if (!tenant.value_size_spec.empty()) {
-        stream.write_size_bytes = tenant_value_dists_[t];
-      }
+      stream.value_size = tenant.value_size;
     }
     clients_.push_back(std::make_unique<Client>(
         sim_, params, master.fork(0xC11E47 + c), std::move(streams),
@@ -258,12 +232,20 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
   breakdown_.set_retain_cap(config_.breakdown_retain_requests);
 }
 
+double Cluster::synthetic_share_sum() const {
+  double sum = 0;
+  for (const Tenant& tenant : tenants_) {
+    if (tenant.replay == nullptr) sum += tenant.share;
+  }
+  return sum;
+}
+
 double Cluster::derived_request_rate() const {
   // The expected demand of one request is the share-weighted average across
   // SYNTHETIC tenants of their mix-weighted read / update / read-modify-write
   // work. Replay tenants contribute no derived load — their rate comes
-  // verbatim from the trace timestamps. A legacy run is the one-tenant case:
-  // weight 1 and the write_fraction mix (resolved at construction).
+  // verbatim from the trace timestamps. A run without tenants is the
+  // one-tenant case: weight 1 and the write_fraction mix.
   const std::size_t tenant_count = tenants_.size();
   const std::uint64_t universe = key_sizes_.size();
   const std::size_t replication =
@@ -272,27 +254,8 @@ double Cluster::derived_request_rate() const {
   const double rate = config_.service_bytes_per_us;
   const double overhead = config_.per_op_overhead_us;
 
-  double share_sum = 0;
-  for (const workload::TenantSpec& tenant : tenants_) {
-    if (tenant.replay_path.empty()) share_sum += tenant.share;
-  }
+  const double share_sum = synthetic_share_sum();
   if (share_sum == 0) return 0.0;
-
-  // Per-tenant written-value mean. A tenant without any write-size
-  // distribution keeps the key's existing size on writes, so its write
-  // demand is per-key.
-  const auto write_mean_of = [&](std::size_t t, bool& has_dist) -> double {
-    if (!tenants_[t].value_size_spec.empty()) {
-      has_dist = true;
-      return tenant_value_dists_[t]->mean();
-    }
-    if (config_.write_size_bytes != nullptr) {
-      has_dist = true;
-      return config_.write_size_bytes->mean();
-    }
-    has_dist = false;
-    return 0.0;
-  };
 
   const double load_profile_mean =
       config_.load_profile != nullptr
@@ -302,20 +265,16 @@ double Cluster::derived_request_rate() const {
 
   if (config_.load_calibration == LoadCalibration::kAverageCapacity) {
     double work_per_request = 0;
-    for (std::size_t t = 0; t < tenant_count; ++t) {
-      const workload::TenantSpec& tenant = tenants_[t];
-      if (!tenant.replay_path.empty()) continue;
+    for (const Tenant& tenant : tenants_) {
+      if (tenant.replay != nullptr) continue;
       const double weight = tenant.share / share_sum;
       const workload::OpMix& mix = tenant.mix;
-      const double value_mean = tenant_value_dists_[t]->mean();
-      bool has_wdist = false;
-      const double write_mean_or = write_mean_of(t, has_wdist);
-      const double write_mean = has_wdist ? write_mean_or : value_mean;
-      const double read_work = tenant_generators_[t]->mean_fanout() *
+      // Reads, writes and the catalogue all draw from one distribution.
+      const double value_mean = tenant.value_size->mean();
+      const double read_work = tenant.generator->mean_fanout() *
                                (overhead + value_mean / rate);
-      const double update_work = replicas * (overhead + write_mean / rate);
-      const double rmw_work =
-          replicas * (2.0 * overhead + (value_mean + write_mean) / rate);
+      const double update_work = replicas * (overhead + value_mean / rate);
+      const double rmw_work = replicas * (2.0 * overhead + 2.0 * value_mean / rate);
       work_per_request += weight * (mix.read * read_work +
                                     mix.update * update_work +
                                     mix.rmw * rmw_work);
@@ -332,12 +291,11 @@ double Cluster::derived_request_rate() const {
   // and the request rate is L over the mean ops per request (a read fans out
   // to its keys, a write to every replica).
   double ops_per_request = 0;
-  for (std::size_t t = 0; t < tenant_count; ++t) {
-    const workload::TenantSpec& tenant = tenants_[t];
-    if (!tenant.replay_path.empty()) continue;
+  for (const Tenant& tenant : tenants_) {
+    if (tenant.replay != nullptr) continue;
     const workload::OpMix& mix = tenant.mix;
     ops_per_request += tenant.share / share_sum *
-                       (mix.read * tenant_generators_[t]->mean_fanout() +
+                       (mix.read * tenant.generator->mean_fanout() +
                         (mix.update + mix.rmw) * replicas);
   }
   // Reads follow the selection-aware share model (src/select): modes that
@@ -352,13 +310,16 @@ double Cluster::derived_request_rate() const {
                              select::LoadShareModel::kAllOnPrimary;
   std::vector<double> share(config_.num_servers, 0.0);
   for (std::size_t t = 0; t < tenant_count; ++t) {
-    const workload::TenantSpec& tenant = tenants_[t];
-    if (!tenant.replay_path.empty()) continue;
-    const workload::MultigetGenerator& gen = *tenant_generators_[t];
+    const Tenant& tenant = tenants_[t];
+    if (tenant.replay != nullptr) continue;
+    const workload::MultigetGenerator& gen = *tenant.generator;
     const double weight = tenant.share / share_sum;
     const workload::OpMix& mix = tenant.mix;
-    bool has_wdist = false;
-    const double write_mean = write_mean_of(t, has_wdist);
+    // A tenant without `size:` is priced as if a write kept the key's
+    // current size, although it writes a fresh draw from the cluster
+    // value-size distribution.
+    const double write_mean =
+        tenant.own_value_size ? tenant.value_size->mean() : 0.0;
     const double read_scale =
         weight * mix.read * gen.mean_fanout() / ops_per_request;
     const double write_scale = weight / ops_per_request;
@@ -379,7 +340,7 @@ double Cluster::derived_request_rate() const {
         }
       }
       if (write_frac > 0) {
-        const double new_bytes = has_wdist ? write_mean : key_bytes;
+        const double new_bytes = tenant.own_value_size ? write_mean : key_bytes;
         const double update_demand = overhead + new_bytes / rate;
         const double rmw_demand =
             2.0 * overhead + (key_bytes + new_bytes) / rate;
@@ -558,7 +519,7 @@ ExperimentResult Cluster::run() {
   const RequestCounts counts = metrics_.counts();
   const RequestCounts measured = metrics_.measured();
   fill_request_counts(result, counts, measured);
-  // Only declared tenants are reported; the implicit legacy tenant is the
+  // Only declared tenants are reported; the implicit default tenant is the
   // cluster total itself.
   if (!config_.tenants.empty()) {
     result.tenants.resize(config_.tenants.size());
@@ -656,7 +617,6 @@ ExperimentResult Cluster::run() {
       net_->stats().messages_dropped_partition;
   result.net_bytes = net_->stats().bytes_sent;
   result.sim_duration_us = sim_.now();
-  result.timeline = metrics_.timeline();
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
   return result;

@@ -154,6 +154,27 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   // MessageSink: a delivered ticket becomes its receiver's handler call.
   void deliver(sim::Ticket ticket) override;
 
+  /// A tenant with everything it inherits resolved: its spec's setting where
+  /// it has one, the cluster-level setting otherwise.
+  struct Tenant {
+    double share = 1.0;
+    /// Draws the tenant's key sizes and the sizes it writes.
+    RealDistPtr value_size;
+    /// The spec set `size:` (the hottest-server calibration prices a write
+    /// of any other tenant at the key's current size).
+    bool own_value_size = false;
+    workload::OpMix mix{};
+    /// The spec's loaded trace (owned by config_), or nullptr: synthetic.
+    const workload::ReplayTrace* replay = nullptr;
+    /// A synthetic tenant's requests over its keyspace slice (its theta,
+    /// fan-out and drift); nullptr for a replay tenant.
+    std::unique_ptr<workload::MultigetGenerator> generator;
+  };
+
+  /// Sum of the synthetic tenants' shares; replay tenants take none of the
+  /// derived arrival rate.
+  double synthetic_share_sum() const;
+
   /// Request arrival rate per the calibration mode: a share-weighted,
   /// mix-aware demand model over the synthetic tenants (replay tenants pace
   /// themselves off their trace).
@@ -180,16 +201,9 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   /// Sizes clients have issued writes with, shared by every client. The
   /// client-side mirror of each server's overlay of completed writes.
   FlatMap<KeyId, Bytes> issued_sizes_;
-  /// The tenants the workload runs: config_.tenants, or the one `legacy`
-  /// tenant when the config declares none; every tenant's mix is
-  /// resolved (a tenant without `mix:` runs the cluster write_fraction).
-  std::vector<workload::TenantSpec> tenants_;
-  /// One generator per tenant over its keyspace slice (nullptr entries for
-  /// replay tenants) plus the loaded traces and the parsed per-tenant
-  /// value-size distributions.
-  std::vector<std::unique_ptr<workload::MultigetGenerator>> tenant_generators_;
-  std::vector<workload::ReplayTrace> replay_traces_;
-  std::vector<RealDistPtr> tenant_value_dists_;
+  /// The tenants the workload runs, resolved: config_.tenants, or one
+  /// default tenant when the config declares none.
+  std::vector<Tenant> tenants_;
   Metrics metrics_;
   trace::Tracer* tracer_ = nullptr;
   trace::BreakdownCollector breakdown_;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "workload/spec.hpp"
 
 namespace das::core {
 
@@ -140,30 +139,21 @@ void ClusterConfig::validate() const {
         "end-to-end deadline can never retry before expiring, so the retry "
         "machinery is dead weight that only delays the expiry accounting");
   }
-  if (tenants.size() > num_servers * keys_per_server) {
+  const std::uint64_t universe = num_servers * keys_per_server;
+  if (tenants.size() > universe) {
     reject("tenants: more tenants than keys — every tenant needs a "
            "non-empty keyspace slice");
   }
-  // An empty list runs the one synthetic legacy tenant.
+  // An empty list runs one synthetic default tenant.
   bool any_synthetic = tenants.empty();
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     const workload::TenantSpec& tenant = tenants[t];
     const std::string where = "tenants[" + std::to_string(t) + "] ('" +
                               tenant.name + "')";
     if (!(tenant.share > 0)) reject(where + ": share must be > 0");
-    if (tenant.replay_path.empty()) any_synthetic = true;
-    // Spec strings may come from code rather than the registry (which
-    // validates eagerly); parse them here so a typo fails before any
-    // simulation state exists. parse_* throw std::logic_error; translate.
-    try {
-      if (!tenant.fanout_spec.empty()) workload::parse_int_dist(tenant.fanout_spec);
-      if (!tenant.value_size_spec.empty())
-        workload::parse_real_dist(tenant.value_size_spec);
-    } catch (const std::logic_error& e) {
-      reject(where + ": " + e.what());
-    }
-    if (tenant.has_mix) {
-      const workload::OpMix& mix = tenant.mix;
+    if (!tenant.replay) any_synthetic = true;
+    if (tenant.mix) {
+      const workload::OpMix& mix = *tenant.mix;
       const double sum = mix.read + mix.update + mix.rmw;
       if (mix.read < 0 || mix.update < 0 || mix.rmw < 0 ||
           sum < 1.0 - 1e-9 || sum > 1.0 + 1e-9) {
@@ -185,8 +175,13 @@ void ClusterConfig::validate() const {
       }
       if (storm.keys < 1) reject(where + ": storm keys must be >= 1");
     }
-    if (!tenant.replay_path.empty() && tenant.drift.enabled()) {
+    if (tenant.replay && tenant.drift.enabled()) {
       reject(where + ": a replay tenant cannot also configure drift");
+    }
+    const KeyId max_key = tenant.replay ? tenant.replay->max_key() : 0;
+    if (max_key >= universe) {
+      reject(where + ": replay trace references key " + std::to_string(max_key) +
+             " outside the keyspace of " + std::to_string(universe) + " keys");
     }
   }
   if (!any_synthetic && write_fraction > 0) {

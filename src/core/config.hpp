@@ -85,15 +85,13 @@ struct ClusterConfig {
   /// multigets), for tenants without their own operation mix. Both
   /// calibrations count a PUT once per replica it is written to.
   double write_fraction = 0.0;
-  /// Sizes written by PUTs; nullptr reuses value_size_bytes.
-  RealDistPtr write_size_bytes;
   /// Optional arrival-rate modulation (multiplier, mean should be ~1).
   workload::RatePtr load_profile;
   /// Multi-tenant workload (workload registry): each tenant generates its
   /// own stream (mix/popularity/drift/replay per its spec) against an equal
   /// contiguous slice of the keyspace, with the cluster arrival rate split
   /// by tenant share. Unset tenant fields inherit the cluster-level workload
-  /// settings above. Empty runs the one `legacy` tenant, which inherits all
+  /// settings above. Empty runs one default TenantSpec{}, which inherits all
   /// of them; results then carry no per-tenant breakdown.
   std::vector<workload::TenantSpec> tenants;
 
@@ -170,9 +168,6 @@ struct ClusterConfig {
   /// time this many events have been dispatched; 0 disables. Audits throw
   /// AuditError on any violated invariant, independent of build type.
   std::uint64_t audit_every_events = 0;
-  /// Collect a mean-RCT-per-bucket timeline (plotting adaptation
-  /// transients); 0 disables.
-  Duration timeline_bucket_us = 0;
   /// Retain up to this many per-request RCT-breakdown rows (beyond the
   /// always-on aggregate summary) for tests and offline analysis; 0 keeps
   /// only the aggregate.

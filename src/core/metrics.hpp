@@ -1,7 +1,6 @@
 // Measurement collection for one simulation run.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -50,14 +49,9 @@ class Metrics {
     return arrival >= window_begin_ && arrival < window_end_;
   }
 
-  /// Additionally aggregates mean RCT into fixed buckets of request
-  /// COMPLETION time (bucketed over the whole run, warmup included), for
-  /// plotting adaptation transients. 0 disables.
-  void enable_timeline(Duration bucket_us);
-
   /// Keeps a ledger and an RCT recorder for `count` tenants; record calls
   /// attribute to their tenant index. Every owner that records requests calls
-  /// it first (a legacy run has one tenant).
+  /// it first (a run without tenants has one).
   void enable_tenants(std::size_t count);
 
   /// A request arrived at its client (counted whether or not it is admitted).
@@ -67,8 +61,7 @@ class Metrics {
                       std::uint32_t tenant = 0);
   /// A request settled without completing. Unserved requests never enter the
   /// RCT population — mixing give-up times into a latency distribution would
-  /// reward abandoning early — but they are counted, both in the ledger and
-  /// on the degradation timeline.
+  /// reward abandoning early — but they are counted in the ledger.
   void record_unserved(Settled how, SimTime arrival, SimTime at,
                        std::uint32_t tenant = 0);
   void record_operation(SimTime server_arrival, SimTime completion, Duration wait);
@@ -93,23 +86,6 @@ class Metrics {
   RequestCounts counts() const;
   RequestCounts measured() const;
 
-  /// One point per non-empty bucket: bucket start time, mean and p99 RCT
-  /// (p99 from the log-bucketed histogram, so ±0.5% relative), completion
-  /// count, and failed-request count (degradation timeline; a bucket with
-  /// only failures still yields a point, with zeroed latency stats).
-  struct TimelinePoint {
-    SimTime bucket_start = 0;
-    double mean_rct = 0;
-    double p99_rct = 0;
-    std::size_t count = 0;
-    std::size_t failed = 0;
-    /// Overload-layer outcomes in this bucket (metastability studies read
-    /// recovery — or its absence — off these two columns plus `count`).
-    std::size_t shed = 0;
-    std::size_t expired = 0;
-  };
-  std::vector<TimelinePoint> timeline() const;
-
  private:
   SimTime window_begin_ = 0;
   SimTime window_end_ = kTimeInfinity;
@@ -120,11 +96,6 @@ class Metrics {
   std::vector<LatencyRecorder> tenant_rct_;
   std::vector<RequestCounts> tenant_counts_;
   std::vector<RequestCounts> tenant_measured_;
-  Duration timeline_bucket_us_ = 0;
-  std::vector<LatencyRecorder> timeline_buckets_;
-  /// Unserved-request counts per timeline bucket, one column per Settled
-  /// kind (indexed like the latency buckets; grown on demand).
-  std::array<std::vector<std::size_t>, 3> timeline_unserved_;
 };
 
 /// One tenant's slice of a multi-tenant run, read from its Metrics ledger.
@@ -222,9 +193,6 @@ struct ExperimentResult {
   /// Per-request RCT decomposition aggregated over the measurement window
   /// (always collected; pure arithmetic on existing timestamps).
   trace::BreakdownSummary breakdown;
-  /// Mean RCT per completion-time bucket; empty unless the config enabled
-  /// timeline collection.
-  std::vector<Metrics::TimelinePoint> timeline;
   /// Per-tenant outcomes; empty when the config declares no tenants.
   std::vector<TenantOutcome> tenants;
   /// Jain fairness index over the per-tenant mean RCTs, (0, 1]; 1.0 means

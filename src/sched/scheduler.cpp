@@ -1,5 +1,7 @@
 #include "sched/scheduler.hpp"
 
+#include <stdexcept>
+
 #include "common/check.hpp"
 #include "sched/basic_policies.hpp"
 #include "sched/das.hpp"
@@ -92,10 +94,13 @@ const PolicyInfo& info(Policy policy) {
 std::string to_string(Policy policy) { return info(policy).name; }
 
 Policy policy_from_string(const std::string& name) {
-  for (const PolicyInfo& row : kPolicies)
+  std::string known;
+  for (const PolicyInfo& row : kPolicies) {
     if (name == row.name) return row.policy;
-  DAS_CHECK_MSG(false, "unknown policy name: " + name);
-  return Policy::kFcfs;
+    known.append(" ").append(row.name);
+  }
+  throw std::invalid_argument("unknown policy '" + name + "'; known policies:" +
+                              known);
 }
 
 const std::vector<Policy>& all_policies() {

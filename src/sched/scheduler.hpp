@@ -126,7 +126,8 @@ enum class Policy {
 
 /// Stable lower-case identifier, e.g. "fcfs", "rein-sbf", "das".
 std::string to_string(Policy policy);
-/// Inverse of to_string; throws on unknown names.
+/// Inverse of to_string; throws std::invalid_argument naming the known
+/// policies on an unknown name.
 Policy policy_from_string(const std::string& name);
 /// All policies in presentation order.
 const std::vector<Policy>& all_policies();

@@ -6,8 +6,8 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
-#include "common/check.hpp"
 #include "common/flat_map.hpp"
 
 namespace das::trace {
@@ -324,10 +324,12 @@ std::string chrome_trace_string(const Tracer& tracer) {
 
 void write_chrome_trace(const std::string& path, const Tracer& tracer) {
   std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open trace output file: " + path);
+  if (!out.good()) throw std::runtime_error("cannot open trace output file: " + path);
   render_chrome_trace(out, tracer);
   out.flush();
-  DAS_CHECK_MSG(out.good(), "failed writing trace output file: " + path);
+  if (!out.good()) {
+    throw std::runtime_error("failed writing trace output file: " + path);
+  }
 }
 
 }  // namespace das::trace

@@ -1,7 +1,6 @@
 #include "workload/registry.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/parse.hpp"
@@ -13,6 +12,14 @@ namespace {
 
 /// A clause's fields after its family name.
 using Args = std::vector<std::string>;
+
+/// A tenant while its clauses apply. The trace is loaded only after every
+/// clause has parsed, so a spec that mixes replay with synthetic clauses is
+/// rejected without reading the file.
+struct Draft {
+  TenantSpec tenant;
+  std::string replay_path;
+};
 
 double clause_number(const std::string& clause, const std::string& field,
                      const char* what) {
@@ -61,22 +68,21 @@ std::string rest_of(const std::string& clause, const char* usage) {
   return clause.substr(colon + 1);
 }
 
-void apply_ycsb(const std::string& clause, const Args& args, TenantSpec& spec) {
+void apply_ycsb(const std::string& clause, const Args& args, Draft& d) {
   expect_no_args(clause, args);
-  spec.mix = parse_mix(clause);
-  spec.has_mix = true;
+  d.tenant.mix = parse_mix(clause);
 }
 
 /// One row per clause family, sorted by name so error messages list them in
 /// a stable order.
 struct Family {
   const char* name;
-  void (*apply)(const std::string& clause, const Args& args, TenantSpec& spec);
+  void (*apply)(const std::string& clause, const Args& args, Draft& d);
 };
 
 constexpr Family kFamilies[] = {
     {"drift",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 2, "drift:PERIOD_US:STRIDE");
        const double period = clause_number(clause, args[0], "period_us");
        const double stride = clause_number(clause, args[1], "stride");
@@ -89,55 +95,47 @@ constexpr Family kFamilies[] = {
              "drift stride must be a positive integer in workload clause '" +
              clause + "'");
        }
-       spec.drift.rotate_period_us = period;
-       spec.drift.rotate_stride = static_cast<std::uint64_t>(stride);
+       d.tenant.drift.rotate_period_us = period;
+       d.tenant.drift.rotate_stride = static_cast<std::uint64_t>(stride);
      }},
     {"fanout",
-     [](const std::string& clause, const Args&, TenantSpec& spec) {
-       const std::string dist = rest_of(clause, "fanout:<int dist spec>");
-       parse_int_dist(dist);  // validate eagerly; a typo must fail at parse time
-       spec.fanout_spec = dist;
-     }},
-    {"legacy",
-     [](const std::string& clause, const Args& args, TenantSpec&) {
-       expect_no_args(clause, args);
+     [](const std::string& clause, const Args&, Draft& d) {
+       d.tenant.fanout = parse_int_dist(rest_of(clause, "fanout:<int dist spec>"));
      }},
     {"mix",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 3, "mix:READ:UPDATE:RMW");
-       spec.mix = parse_mix(clause);
-       spec.has_mix = true;
+       d.tenant.mix = parse_mix(clause);
      }},
     {"name",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 1, "name:LABEL");
        if (args[0].empty()) {
          throw std::logic_error("empty label in workload clause 'name:'");
        }
-       spec.name = args[0];
+       d.tenant.name = args[0];
      }},
     {"replay",
-     [](const std::string& clause, const Args&, TenantSpec& spec) {
-       spec.replay_path = rest_of(clause, "replay:PATH");
+     [](const std::string& clause, const Args&, Draft& d) {
+       d.replay_path = rest_of(clause, "replay:PATH");
      }},
     {"share",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 1, "share:WEIGHT");
        const double share = clause_number(clause, args[0], "weight");
        if (share <= 0) {
          throw std::logic_error("share weight must be > 0 in workload clause '" +
                                 clause + "'");
        }
-       spec.share = share;
+       d.tenant.share = share;
      }},
     {"size",
-     [](const std::string& clause, const Args&, TenantSpec& spec) {
-       const std::string dist = rest_of(clause, "size:<real dist spec>");
-       parse_real_dist(dist);  // validate eagerly
-       spec.value_size_spec = dist;
+     [](const std::string& clause, const Args&, Draft& d) {
+       d.tenant.value_size =
+           parse_real_dist(rest_of(clause, "size:<real dist spec>"));
      }},
     {"storm",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 5, "storm:START_US:END_US:KEYS:SHARE:SEED");
        StormWindow storm;
        storm.start = clause_number(clause, args[0], "start_us");
@@ -166,26 +164,26 @@ constexpr Family kFamilies[] = {
        }
        storm.keys = static_cast<std::uint64_t>(keys);
        storm.seed = static_cast<std::uint64_t>(seed);
-       spec.drift.storms.push_back(storm);
+       d.tenant.drift.storms.push_back(storm);
      }},
     {"ycsb-a", apply_ycsb},
     {"ycsb-b", apply_ycsb},
     {"ycsb-c", apply_ycsb},
     {"ycsb-f", apply_ycsb},
     {"zipf",
-     [](const std::string& clause, const Args& args, TenantSpec& spec) {
+     [](const std::string& clause, const Args& args, Draft& d) {
        expect_arity(clause, args, 1, "zipf:THETA");
        const double theta = clause_number(clause, args[0], "theta");
        if (theta < 0) {
          throw std::logic_error("zipf theta must be >= 0 in workload clause '" +
                                 clause + "'");
        }
-       spec.zipf_theta = theta;
+       d.tenant.zipf_theta = theta;
      }},
 };
 
-/// Parses one clause ("family[:arg...]") and applies it to `spec`.
-void apply(const std::string& clause, TenantSpec& spec) {
+/// Parses one clause ("family[:arg...]") and applies it to `d`.
+void apply(const std::string& clause, Draft& d) {
   if (clause.empty()) {
     throw std::logic_error("empty clause in workload spec");
   }
@@ -193,7 +191,7 @@ void apply(const std::string& clause, TenantSpec& spec) {
   const std::string family = args.front();
   args.erase(args.begin());
   for (const Family& row : kFamilies) {
-    if (family == row.name) return row.apply(clause, args, spec);
+    if (family == row.name) return row.apply(clause, args, d);
   }
   std::string message = "unknown workload family '" + family + "' in clause '" +
                         clause + "'; known families:";
@@ -203,37 +201,21 @@ void apply(const std::string& clause, TenantSpec& spec) {
 
 }  // namespace
 
-std::string TenantSpec::describe() const {
-  std::ostringstream os;
-  os << (name.empty() ? std::string{"tenant"} : name) << "(share=" << share;
-  if (!replay_path.empty()) {
-    os << ", replay=" << replay_path << ")";
-    return os.str();
-  }
-  if (zipf_theta >= 0) os << ", theta=" << zipf_theta;
-  if (!fanout_spec.empty()) os << ", fanout=" << fanout_spec;
-  if (!value_size_spec.empty()) os << ", size=" << value_size_spec;
-  if (has_mix) os << ", " << mix.describe();
-  if (drift.rotate_period_us > 0) {
-    os << ", rotate=" << drift.rotate_period_us << "us/" << drift.rotate_stride;
-  }
-  if (!drift.storms.empty()) os << ", storms=" << drift.storms.size();
-  os << ")";
-  return os.str();
-}
-
 TenantSpec parse_tenant(const std::string& spec) {
   if (spec.empty()) throw std::logic_error("empty workload spec");
-  TenantSpec tenant;
-  for (const std::string& clause : parse::split(spec, '+')) apply(clause, tenant);
-  if (!tenant.replay_path.empty() &&
-      (tenant.has_mix || tenant.zipf_theta >= 0 || !tenant.fanout_spec.empty() ||
-       tenant.drift.enabled())) {
+  Draft d;
+  for (const std::string& clause : parse::split(spec, '+')) apply(clause, d);
+  TenantSpec& tenant = d.tenant;
+  if (d.replay_path.empty()) return tenant;
+  if (tenant.mix || tenant.zipf_theta >= 0 || tenant.fanout ||
+      tenant.drift.enabled()) {
     throw std::logic_error(
         "workload spec '" + spec +
         "' combines replay with synthetic clauses (mix/zipf/fanout/drift); a "
         "replay tenant takes its operations verbatim from the trace");
   }
+  tenant.replay =
+      std::make_shared<const ReplayTrace>(ReplayTrace::load(d.replay_path));
   return tenant;
 }
 

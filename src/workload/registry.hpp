@@ -14,11 +14,12 @@
 //   storm:START_US:END_US:KEYS:SHARE:SEED   append a hot-key storm window
 //   replay:PATH                         replay a .csv trace instead of
 //                                       synthesizing traffic
-//   legacy                              no-op: inherit all cluster defaults
 //
 // Example: "ycsb-b+zipf:1.1+share:3+name:heavy+drift:5000:37".
-// Unset aspects inherit the cluster-level configuration, so "legacy" (or the
-// empty registry) reproduces the pre-registry workload bit-for-bit.
+// Each clause is decoded once, here: `fanout:` and `size:` become
+// distribution objects and `replay:` loads its trace. Unset aspects (a
+// negative theta, a null pointer, no mix) inherit the cluster-level
+// configuration, so a default TenantSpec{} is the cluster's own workload.
 //
 // Multiple tenants share one cluster via a ';'-separated list of tenant
 // specs ("ycsb-c+share:1;ycsb-a+share:4"). Each tenant owns an equal
@@ -26,20 +27,24 @@
 // to its weight.
 //
 // The families are one constant table in registry.cpp; parse errors throw
-// std::logic_error naming the clause and listing the known families.
+// std::logic_error naming the clause (an unknown family lists the known
+// ones), and a trace that cannot be loaded throws one naming the file.
 #pragma once
 
-#include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/distributions.hpp"
 #include "workload/mix.hpp"
 #include "workload/multiget.hpp"
+#include "workload/replay.hpp"
 
 namespace das::workload {
 
 /// Everything one tenant needs to generate traffic. Unset fields (negative
-/// theta, empty spec strings) inherit the cluster-level defaults.
+/// theta, null pointers, no mix) inherit the cluster-level defaults.
 struct TenantSpec {
   /// Label used in per-tenant metrics and bench JSON; parse_tenants fills
   /// "t<index>" when a spec does not name itself.
@@ -49,20 +54,17 @@ struct TenantSpec {
   double share = 1.0;
   /// Key-popularity skew; < 0 inherits the cluster zipf_theta.
   double zipf_theta = -1.0;
-  /// Multiget fan-out distribution spec; empty inherits the cluster fanout.
-  std::string fanout_spec;
-  /// Value-size distribution spec; empty inherits the cluster value size.
-  std::string value_size_spec;
-  /// Operation mix; has_mix=false inherits the cluster write_fraction
-  /// behaviour (reads + legacy write path).
-  bool has_mix = false;
-  OpMix mix{};
+  /// Multiget fan-out distribution; nullptr inherits the cluster fanout.
+  IntDistPtr fanout;
+  /// Value-size distribution, for the tenant's keys and its writes; nullptr
+  /// inherits the cluster value size.
+  RealDistPtr value_size;
+  /// Operation mix; unset inherits the cluster write_fraction.
+  std::optional<OpMix> mix;
   /// Popularity drift (rotation + storms); default stationary.
   DriftOptions drift{};
-  /// Non-empty: replay this trace file instead of synthesizing traffic.
-  std::string replay_path;
-
-  [[nodiscard]] std::string describe() const;
+  /// Set: replay this loaded trace instead of synthesizing traffic.
+  std::shared_ptr<const ReplayTrace> replay;
 };
 
 /// Parses a full '+'-joined tenant spec.

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/check.hpp"
 #include "common/parse.hpp"
 
 namespace das::workload {
@@ -65,7 +64,7 @@ ReplayOp parse_op(const std::string& path, std::size_t line_no,
 ReplayTrace ReplayTrace::load(const std::string& path) {
   expect_csv(path);
   std::ifstream in{path};
-  DAS_CHECK_MSG(in.good(), "cannot open replay trace: " + path);
+  if (!in.good()) throw std::logic_error("cannot open replay trace " + path);
   std::ostringstream text;
   text << in.rdbuf();
   const std::vector<std::string> lines = parse::split(text.str(), '\n');
@@ -100,14 +99,18 @@ ReplayTrace ReplayTrace::load(const std::string& path) {
     }
     trace.records.push_back(rec);
   }
-  DAS_CHECK_MSG(saw_header, "replay trace " + path + " is empty (no header)");
+  if (!saw_header) {
+    throw std::logic_error("replay trace " + path + " is empty (no header)");
+  }
   return trace;
 }
 
 void ReplayTrace::save(const std::string& path) const {
   expect_csv(path);
   std::ofstream out{path};
-  DAS_CHECK_MSG(out.good(), "cannot open replay trace for writing: " + path);
+  if (!out.good()) {
+    throw std::runtime_error("cannot open replay trace for writing: " + path);
+  }
   out.precision(17);
   out << kHeader << '\n';
   for (const ReplayRecord& rec : records) {
@@ -115,7 +118,7 @@ void ReplayTrace::save(const std::string& path) const {
         << (rec.op == ReplayOp::kRead ? "read" : "write") << ',' << rec.key
         << ',' << rec.size_bytes << '\n';
   }
-  DAS_CHECK_MSG(out.good(), "short write to replay trace: " + path);
+  if (!out.good()) throw std::runtime_error("short write to replay trace: " + path);
 }
 
 KeyId ReplayTrace::max_key() const {

@@ -211,6 +211,26 @@ TEST(LatencyRecorder, SummaryFieldsConsistent) {
   EXPECT_LE(s.p999, s.max * 1.02);
 }
 
+TEST(LatencyRecorder, QuantilesStayWithinTheObservedRange) {
+  // A value in the lower half of its bucket: the bucket's midpoint, which
+  // the histogram reports as a quantile, lies above it.
+  double top = 1000.0;
+  for (;; top += 1.0) {
+    ASSERT_LT(top, 1100.0);
+    LatencyRecorder probe;
+    probe.add(top);
+    if (probe.histogram().p999() > top + 0.01) break;
+  }
+  LatencyRecorder rec;
+  for (int i = 0; i < 990; ++i) rec.add(10.0);
+  for (int i = 0; i < 10; ++i) rec.add(top + 0.001 * i);  // one bucket
+  const LatencySummary s = rec.summary();
+  ASSERT_GT(rec.histogram().p999(), s.max);  // the raw quantile overshoots
+  EXPECT_LE(s.p999, s.max);
+  EXPECT_LE(s.p99, s.max);
+  EXPECT_GE(s.p50, 10.0);  // and never reads below the minimum
+}
+
 TEST(LatencyRecorder, EmptySummaryIsZeroed) {
   LatencyRecorder rec;
   const LatencySummary s = rec.summary();

@@ -216,8 +216,8 @@ TEST(Cluster, LegacyConfigHasNoTenantBreakdown) {
 }
 
 TEST(ClusterTenants, LegacySpecMatchesEmptyTenantList) {
-  // An empty tenant list runs the one `legacy` tenant, so spelling that
-  // tenant out changes nothing but the per-tenant report.
+  // An empty tenant list runs one default tenant, so spelling that tenant
+  // out changes nothing but the per-tenant report.
   for (const LoadCalibration calibration :
        {LoadCalibration::kAverageCapacity, LoadCalibration::kHottestServer}) {
     auto cfg = small_config(sched::Policy::kDas);
@@ -226,7 +226,9 @@ TEST(ClusterTenants, LegacySpecMatchesEmptyTenantList) {
     cfg.replication = 2;
     cfg.write_fraction = 0.2;
     const ExperimentResult legacy = run_experiment(cfg, small_window());
-    cfg.tenants = workload::parse_tenants("legacy");
+    workload::TenantSpec inherit_all;
+    inherit_all.name = "t0";
+    cfg.tenants = {inherit_all};
     const ExperimentResult spelled = run_experiment(cfg, small_window());
     EXPECT_TRUE(legacy.tenants.empty());
     ASSERT_EQ(spelled.tenants.size(), 1u);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -189,6 +190,22 @@ TEST(ConfigValidate, KeysPerServerMustBePositive) {
   ClusterConfig cfg;
   cfg.keys_per_server = 0;
   EXPECT_TRUE(rejects_naming(cfg, "keys_per_server"));
+}
+
+TEST(ConfigValidate, ReplayTraceKeysMustFitTheKeyspace) {
+  ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.keys_per_server = 10;
+  auto trace = std::make_shared<workload::ReplayTrace>();
+  trace->records.push_back({0.0, workload::ReplayOp::kRead, 39, 64});
+  workload::TenantSpec tenant;
+  tenant.name = "cam";
+  tenant.replay = trace;
+  cfg.tenants = {tenant};
+  EXPECT_EQ(validation_error(cfg), "");
+  trace->records.push_back({1.0, workload::ReplayOp::kWrite, 40, 64});
+  EXPECT_TRUE(rejects_naming(cfg, "tenants[0] ('cam'): replay trace references "
+                                  "key 40 outside the keyspace of 40 keys"));
 }
 
 TEST(ConfigValidate, UniverseMustFitThirtyTwoBitRanks) {

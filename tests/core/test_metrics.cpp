@@ -41,7 +41,6 @@ void expect_same(const RequestCounts& a, const RequestCounts& b) {
 TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   Metrics m;
   m.set_window(100.0, 200.0);
-  m.enable_timeline(50.0);
   m.enable_tenants(2);
 
   // Tenant 0: three in-window arrivals (completed, failed, shed at admission)
@@ -88,27 +87,6 @@ TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   EXPECT_EQ(m.rct().moments().count(), m.measured().completed);
   EXPECT_EQ(m.tenant_rct(0).moments().count(), 1u);
   EXPECT_EQ(m.tenant_rct(1).moments().count(), 1u);
-
-  // The timeline buckets every settle by its settle time, window or not.
-  const std::vector<Metrics::TimelinePoint> points = m.timeline();
-  ASSERT_EQ(points.size(), 5u);
-  const auto expect_point = [&points](std::size_t i, double start,
-                                      std::size_t count, std::size_t failed,
-                                      std::size_t shed, std::size_t expired) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(points[i].bucket_start, start);
-    EXPECT_EQ(points[i].count, count);
-    EXPECT_EQ(points[i].failed, failed);
-    EXPECT_EQ(points[i].shed, shed);
-    EXPECT_EQ(points[i].expired, expired);
-  };
-  expect_point(0, 50.0, 0, 0, 1, 1);
-  expect_point(1, 100.0, 2, 0, 1, 0);
-  expect_point(2, 150.0, 0, 1, 0, 0);
-  expect_point(3, 250.0, 0, 1, 0, 1);
-  expect_point(4, 300.0, 1, 0, 0, 0);
-  EXPECT_EQ(points[0].mean_rct, 0.0);  // a bucket without completions
-  EXPECT_EQ(points[1].mean_rct, 25.0);  // (10 + 40) / 2
 }
 
 TEST(RequestLedger, RejectsAnUnknownTenant) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sched_test_util.hpp"
@@ -104,7 +106,17 @@ TEST(Factory, PolicyStringRoundTrip) {
 }
 
 TEST(Factory, UnknownPolicyNameThrows) {
-  EXPECT_THROW(policy_from_string("no-such-policy"), std::logic_error);
+  try {
+    (void)policy_from_string("no-such-policy");
+    ADD_FAILURE() << "accepted no-such-policy";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown policy 'no-such-policy'"), std::string::npos) << msg;
+    for (const Policy p : all_policies()) {
+      EXPECT_NE(msg.find(to_string(p)), std::string::npos) << msg;
+    }
+    EXPECT_EQ(msg.find("DAS_CHECK"), std::string::npos) << msg;
+  }
 }
 
 // Property: every policy is conserving — n enqueues yield exactly the same n

@@ -2,11 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
+#include "workload/replay.hpp"
+
 namespace das::workload {
 namespace {
+
+/// A two-record trace on disk; returns its path.
+std::string write_trace(const std::string& name) {
+  ReplayTrace trace;
+  trace.records.push_back({0.0, ReplayOp::kRead, 3, 64});
+  trace.records.push_back({5.0, ReplayOp::kWrite, 9, 128});
+  const std::string path = ::testing::TempDir() + name;
+  trace.save(path);
+  return path;
+}
+
+/// A path no test writes: a spec naming it must fail before any load.
+std::string missing_trace() { return ::testing::TempDir() + "never_written.csv"; }
 
 TEST(Registry, SingleTenantComposesClauses) {
   const TenantSpec t =
@@ -14,30 +30,32 @@ TEST(Registry, SingleTenantComposesClauses) {
   EXPECT_EQ(t.name, "heavy");
   EXPECT_DOUBLE_EQ(t.share, 3.0);
   EXPECT_DOUBLE_EQ(t.zipf_theta, 1.1);
-  EXPECT_TRUE(t.has_mix);
-  EXPECT_DOUBLE_EQ(t.mix.read, 0.95);
+  ASSERT_TRUE(t.mix.has_value());
+  EXPECT_DOUBLE_EQ(t.mix->read, 0.95);
   EXPECT_DOUBLE_EQ(t.drift.rotate_period_us, 5000.0);
   EXPECT_EQ(t.drift.rotate_stride, 37u);
   EXPECT_TRUE(t.drift.enabled());
-  EXPECT_TRUE(t.replay_path.empty());
+  EXPECT_EQ(t.replay, nullptr);
 }
 
-TEST(Registry, LegacyIsANoOp) {
-  const TenantSpec t = parse_tenant("legacy");
-  EXPECT_TRUE(t.name.empty());
+TEST(Registry, UnsetAspectsInherit) {
+  const TenantSpec t = parse_tenant("name:x");
   EXPECT_DOUBLE_EQ(t.share, 1.0);
   EXPECT_LT(t.zipf_theta, 0.0);  // inherit cluster theta
-  EXPECT_FALSE(t.has_mix);
-  EXPECT_TRUE(t.fanout_spec.empty());
-  EXPECT_TRUE(t.value_size_spec.empty());
+  EXPECT_FALSE(t.mix.has_value());
+  EXPECT_EQ(t.fanout, nullptr);
+  EXPECT_EQ(t.value_size, nullptr);
   EXPECT_FALSE(t.drift.enabled());
+  EXPECT_EQ(t.replay, nullptr);
 }
 
 TEST(Registry, FanoutAndSizeKeepColonsInDistSpec) {
   // The clause splitter must not eat the ':' inside the nested dist spec.
   const TenantSpec t = parse_tenant("fanout:uniform:1:15+size:lognormal:385:1.5");
-  EXPECT_EQ(t.fanout_spec, "uniform:1:15");
-  EXPECT_EQ(t.value_size_spec, "lognormal:385:1.5");
+  ASSERT_NE(t.fanout, nullptr);
+  ASSERT_NE(t.value_size, nullptr);
+  EXPECT_DOUBLE_EQ(t.fanout->mean(), 8.0);
+  EXPECT_NEAR(t.value_size->mean(), 385.0, 1e-6);
 }
 
 TEST(Registry, StormClausesAccumulate) {
@@ -62,25 +80,21 @@ TEST(Registry, MultiTenantFillsDefaultNames) {
 }
 
 TEST(Registry, ReplayTenantParses) {
-  const TenantSpec t = parse_tenant("replay:/tmp/trace.csv+share:2+name:cam");
-  EXPECT_EQ(t.replay_path, "/tmp/trace.csv");
+  const std::string path = write_trace("registry_replay.csv");
+  const TenantSpec t = parse_tenant("replay:" + path + "+share:2+name:cam");
+  ASSERT_NE(t.replay, nullptr);
+  EXPECT_EQ(t.replay->size(), 2u);
+  EXPECT_EQ(t.replay->max_key(), 9u);
   EXPECT_DOUBLE_EQ(t.share, 2.0);
   EXPECT_EQ(t.name, "cam");
 }
 
-TEST(Registry, DescribeRoundTripsTheInterestingFields) {
-  const std::string d =
-      parse_tenant("ycsb-a+zipf:1.2+name:hot+drift:5000:3").describe();
-  EXPECT_NE(d.find("hot"), std::string::npos);
-  EXPECT_NE(d.find("1.2"), std::string::npos);
-  EXPECT_NE(d.find("rotate=5000"), std::string::npos);
-}
-
 TEST(Registry, EveryBuiltinFamilyParses) {
-  for (const char* clause :
-       {"legacy", "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-f", "mix:0.5:0.25:0.25",
-        "zipf:0.9", "fanout:fixed:4", "size:constant:64", "share:2", "name:x",
-        "drift:5000:3", "storm:1000:2000:4:0.5:7", "replay:/tmp/t.csv"}) {
+  const std::string replay = "replay:" + write_trace("registry_families.csv");
+  for (const std::string clause :
+       {"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-f", "mix:0.5:0.25:0.25", "zipf:0.9",
+        "fanout:fixed:4", "size:constant:64", "share:2", "name:x", "drift:5000:3",
+        "storm:1000:2000:4:0.5:7", replay.c_str()}) {
     EXPECT_NO_THROW(parse_tenant(clause)) << clause;
   }
 }
@@ -128,7 +142,6 @@ TEST(RegistryNegative, EmptyAndMalformedSpecs) {
 TEST(RegistryNegative, ClauseArgumentValidation) {
   // Wrong arity.
   expect_message("ycsb-a:1", "takes no arguments");
-  expect_message("legacy:x", "takes no arguments");
   expect_message("zipf", "zipf:THETA");
   expect_message("zipf:1:2", "zipf:THETA");
   expect_message("share", "share:WEIGHT");
@@ -162,14 +175,25 @@ TEST(RegistryNegative, ClauseArgumentValidation) {
 }
 
 TEST(RegistryNegative, ReplayExcludesSyntheticClauses) {
-  for (const char* spec :
-       {"replay:/tmp/t.csv+ycsb-a", "replay:/tmp/t.csv+zipf:0.9",
-        "replay:/tmp/t.csv+fanout:fixed:8", "replay:/tmp/t.csv+drift:5000:3",
-        "ycsb-a+replay:/tmp/t.csv"}) {
+  // The trace does not exist: the combination is rejected before any load.
+  const std::string replay = "replay:" + missing_trace();
+  for (const std::string& spec :
+       {replay + "+ycsb-a", replay + "+zipf:0.9", replay + "+fanout:fixed:8",
+        replay + "+drift:5000:3", "ycsb-a+" + replay}) {
     expect_message(spec, "combines replay with synthetic clauses");
   }
   // share/name/size are still fine on a replay tenant.
-  EXPECT_NO_THROW(parse_tenant("replay:/tmp/t.jsonl+share:2+name:cam"));
+  EXPECT_NO_THROW(parse_tenant("replay:" + write_trace("registry_excludes.csv") +
+                               "+share:2+name:cam+size:constant:64"));
+}
+
+TEST(RegistryNegative, UnloadableTraceIsAParseError) {
+  expect_message("replay:" + missing_trace(), "cannot open replay trace");
+  const std::string headerless = ::testing::TempDir() + "registry_headerless.csv";
+  {
+    std::ofstream out{headerless};
+  }
+  expect_message("replay:" + headerless, "is empty (no header)");
 }
 
 TEST(RegistryNegative, DuplicateTenantNames) {

@@ -19,6 +19,8 @@
 // attribution.
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <vector>
@@ -50,6 +52,17 @@ std::vector<sched::Policy> parse_policies(const std::string& spec) {
   for (const std::string& name : parse::split(spec, ','))
     out.push_back(sched::policy_from_string(name));
   return out;
+}
+
+/// Whether `path` can be opened for writing. Checked before anything runs,
+/// so a mistyped output path cannot throw a finished run away; the probe
+/// leaves no file behind.
+bool writable(const std::string& path) {
+  std::error_code ignored;
+  const bool existed = std::filesystem::exists(path, ignored);
+  const bool ok = std::ofstream{path, std::ios::app}.good();
+  if (ok && !existed) std::filesystem::remove(path, ignored);
+  return ok;
 }
 
 /// --sweep: the ad-hoc (load [x selection] x policy) grid from the cluster
@@ -194,8 +207,6 @@ int run(int argc, char** argv) {
   flags.define("selection", "primary",
                "replica selection: primary | random | least-delay | tars | "
                "power-of-d | c3");
-  flags.define("replica-selection", "",
-               "alias of --selection (takes precedence when set)");
   flags.define("stragglers", "0", "fraction of servers at reduced speed");
   flags.define("straggler-speed", "0.5", "speed factor of straggler servers");
   flags.define("ring-vnodes", "0", "consistent-hash vnodes (0 = modulo)");
@@ -342,9 +353,7 @@ int run(int argc, char** argv) {
   cfg.service_bytes_per_us = flags.get_double("bytes-per-us");
   cfg.net_latency_us = flags.get_double("net-latency-us");
   cfg.replication = static_cast<std::size_t>(flags.get_count("replication"));
-  std::string selection = flags.get_string("selection");
-  if (!flags.get_string("replica-selection").empty())
-    selection = flags.get_string("replica-selection");
+  const std::string selection = flags.get_string("selection");
   if (!select::mode_from_string(selection, cfg.replica_selection)) {
     std::cerr << "unknown --selection: " << selection << "\n";
     return 2;
@@ -477,6 +486,13 @@ int run(int argc, char** argv) {
   const std::string record_path = flags.get_string("record");
   if (!record_path.empty() && !record_path.ends_with(".csv"))
     throw std::invalid_argument("flag --record: the trace path must end in .csv");
+  for (const char* flag : {"json", "trace", "record"}) {
+    const std::string path = flags.get_string(flag);
+    if (!path.empty() && !writable(path)) {
+      std::cerr << "flag --" << flag << ": cannot write " << path << "\n";
+      return 2;
+    }
+  }
 
   // A grid: the ad-hoc --sweep over the cluster flags, or a registered
   // experiment whose builder sets every knob itself.
@@ -594,5 +610,8 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::cerr << e.what() << "\n";
     return 2;
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
 }
