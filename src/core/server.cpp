@@ -162,7 +162,7 @@ void Server::receive_op(const sched::OpContext& op) {
     // Sampled queue-state counters piggyback on arrivals — rejected ones
     // included: the gauges matter most exactly when the queue is full. No
     // extra simulator events, so tracing cannot perturb the event schedule.
-    if (ops_received_ % tracer_->counter_stride() == 0) {
+    if (ops_received_ % trace::Tracer::kCounterStride == 0) {
       tracer_->counter_sample(now, params_.id, scheduler_->backlog_demand_us(),
                               mu_hat_,
                               scheduler_->size() - scheduler_->deferred_size(),

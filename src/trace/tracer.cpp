@@ -1,43 +1,55 @@
 #include "trace/tracer.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <ostream>
+#include <stdexcept>
+
 #include "common/check.hpp"
 
 namespace das::trace {
 
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kRequestArrival: return "request_arrival";
-    case EventKind::kOpSend: return "op_send";
-    case EventKind::kServerEnqueue: return "server_enqueue";
-    case EventKind::kOpDefer: return "op_defer";
-    case EventKind::kOpResume: return "op_resume";
-    case EventKind::kOpRerank: return "op_rerank";
-    case EventKind::kAgingPromotion: return "aging_promotion";
-    case EventKind::kServiceStart: return "service_start";
-    case EventKind::kServiceEnd: return "service_end";
-    case EventKind::kResponse: return "response";
-    case EventKind::kRequestComplete: return "request_complete";
-    case EventKind::kCounterSample: return "counter_sample";
-    case EventKind::kFaultEvent: return "fault_event";
-    case EventKind::kStoreEvent: return "store_event";
-    case EventKind::kStoreCounterSample: return "store_counter_sample";
-    case EventKind::kOpShed: return "op_shed";
-    case EventKind::kRequestShed: return "request_shed";
-    case EventKind::kRequestExpired: return "request_expired";
-  }
-  DAS_CHECK_MSG(false, "unknown trace event kind");
-  return "?";
+namespace {
+
+// Process ids: servers first, clients in a disjoint range. Perfetto groups
+// tracks by pid, so this yields one lane per simulated machine.
+std::uint64_t server_pid(ServerId s) { return 1 + static_cast<std::uint64_t>(s); }
+std::uint64_t client_pid(ClientId c) {
+  return 1'000'000 + static_cast<std::uint64_t>(c);
+}
+/// Lane for cluster-wide fault instants (loss bursts) that target no server.
+constexpr std::uint64_t kClusterPid = 2'000'000;
+
+// Threads of a server process.
+constexpr std::uint64_t kServiceTid = 0;    // service slices, spans, counters
+constexpr std::uint64_t kSchedulerTid = 1;  // mechanism instants
+constexpr std::uint64_t kStorageTid = 2;    // store-model windows
+
+constexpr std::uint8_t kProcessNamed = 1;
+constexpr std::uint8_t kStorageNamed = 2;
+
+/// Round-trip double formatting; ts values are already in microseconds, the
+/// trace-event native unit.
+struct Num {
+  double v;
+};
+std::ostream& operator<<(std::ostream& os, Num n) {
+  if (!std::isfinite(n.v)) return os << "null";
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", n.v);
+  return os << buf;
 }
 
-const char* to_string(OpShedReason reason) {
-  switch (reason) {
-    case OpShedReason::kQueueFull: return "queue_full";
-    case OpShedReason::kSojourn: return "sojourn";
-    case OpShedReason::kExpired: return "expired";
-  }
-  DAS_CHECK_MSG(false, "unknown op shed reason");
-  return "?";
+/// Ids are written as decimal strings: request/op ids pack the client id in
+/// the top bits and can exceed 2^53, where JSON numbers lose precision.
+struct Id {
+  std::uint64_t v;
+};
+std::ostream& operator<<(std::ostream& os, Id id) {
+  return os << '"' << id.v << '"';
 }
+
+const char* flag(bool b) { return b ? "true" : "false"; }
 
 const char* to_string(FaultTraceKind kind) {
   switch (kind) {
@@ -54,247 +66,286 @@ const char* to_string(FaultTraceKind kind) {
   return "?";
 }
 
-const char* to_string(StoreTraceKind kind) {
-  switch (kind) {
-    case StoreTraceKind::kCompactionStart: return "compaction_start";
-    case StoreTraceKind::kCompactionEnd: return "compaction_end";
-    case StoreTraceKind::kWriteStallStart: return "write_stall_start";
-    case StoreTraceKind::kWriteStallEnd: return "write_stall_end";
-    case StoreTraceKind::kFlush: return "flush";
+const char* to_string(OpShedReason reason) {
+  switch (reason) {
+    case OpShedReason::kQueueFull: return "queue_full";
+    case OpShedReason::kSojourn: return "sojourn";
+    case OpShedReason::kExpired: return "expired";
   }
-  DAS_CHECK_MSG(false, "unknown store trace kind");
+  DAS_CHECK_MSG(false, "unknown op shed reason");
   return "?";
 }
 
-Tracer::Tracer() : Tracer(Config{}) {}
+}  // namespace
 
-Tracer::Tracer(Config config) : config_(config) {
-  DAS_CHECK(config_.cap > 0);
-  DAS_CHECK(config_.counter_stride > 0);
+Tracer::Tracer(std::ostream& out, std::size_t cap) : out_(out), cap_(cap) {
+  DAS_CHECK(cap_ > 0);
+  out_ << "{\n  \"traceEvents\": [";
 }
 
-void Tracer::record(const TraceEvent& event) {
-  if (events_.size() >= config_.cap) {
+bool Tracer::admit() {
+  if (retained_ >= cap_) {
     ++dropped_;
-    return;
+    return false;
   }
-  events_.push_back(event);
+  ++retained_;
+  return true;
+}
+
+std::ostream& Tracer::event(const char* ph, std::uint64_t pid,
+                            std::uint64_t tid, SimTime ts) {
+  out_ << (first_event_ ? "\n" : ",\n") << R"(    {"ph": ")" << ph
+       << R"(", "pid": )" << pid << R"(, "tid": )" << tid << R"(, "ts": )"
+       << Num{ts};
+  first_event_ = false;
+  return out_;
+}
+
+void Tracer::name_lane(const char* what, std::uint64_t pid, std::uint64_t tid,
+                       const std::string& name) {
+  event("M", pid, tid, 0) << R"(, "name": ")" << what
+                          << R"(", "args": {"name": ")" << name << R"("}})";
+}
+
+std::uint64_t Tracer::server_lane(ServerId server) {
+  if (server >= server_named_.size()) server_named_.resize(server + 1, 0);
+  const std::uint64_t pid = server_pid(server);
+  if ((server_named_[server] & kProcessNamed) == 0) {
+    server_named_[server] |= kProcessNamed;
+    name_lane("process_name", pid, 0, "server " + std::to_string(server));
+    name_lane("thread_name", pid, kServiceTid, "service");
+    name_lane("thread_name", pid, kSchedulerTid, "scheduler");
+  }
+  return pid;
+}
+
+std::uint64_t Tracer::storage_lane(ServerId server) {
+  const std::uint64_t pid = server_lane(server);
+  if ((server_named_[server] & kStorageNamed) == 0) {
+    server_named_[server] |= kStorageNamed;
+    name_lane("thread_name", pid, kStorageTid, "storage");
+  }
+  return pid;
+}
+
+std::uint64_t Tracer::client_lane(ClientId client) {
+  if (client >= client_named_.size()) client_named_.resize(client + 1, false);
+  const std::uint64_t pid = client_pid(client);
+  if (!client_named_[client]) {
+    client_named_[client] = true;
+    name_lane("process_name", pid, 0, "client " + std::to_string(client));
+    name_lane("thread_name", pid, 0, "requests");
+  }
+  return pid;
+}
+
+std::uint64_t Tracer::cluster_lane() {
+  if (!cluster_named_) {
+    cluster_named_ = true;
+    name_lane("process_name", kClusterPid, 0, "cluster");
+  }
+  return kClusterPid;
+}
+
+void Tracer::counter(SimTime t, ServerId server, const char* name,
+                     double value) {
+  event("C", server_lane(server), kServiceTid, t)
+      << R"(, "name": ")" << name << R"(", "args": {")" << name << R"(": )"
+      << Num{value} << "}}";
+}
+
+void Tracer::close_deferred(SimTime t, OperationId op, ServerId server) {
+  if (deferred_open_.erase(op) == 0) return;
+  event("e", server_lane(server), kServiceTid, t)
+      << R"(, "cat": "deferred", "name": "deferred", "id": )" << Id{op} << "}";
 }
 
 void Tracer::request_arrival(SimTime t, RequestId request, ClientId client,
                              std::size_t fanout) {
-  TraceEvent ev;
-  ev.kind = EventKind::kRequestArrival;
-  ev.t = t;
-  ev.request = request;
-  ev.client = client;
-  ev.a = static_cast<double>(fanout);
-  record(ev);
+  if (!admit()) return;
+  event("b", client_lane(client), 0, t)
+      << R"(, "cat": "request", "name": "request", "id": )" << Id{request}
+      << R"(, "args": {"fanout": )" << Num{static_cast<double>(fanout)}
+      << "}}";
 }
 
 void Tracer::op_send(SimTime t, OperationId op, RequestId request,
                      ClientId client, ServerId server, double demand_us,
                      bool resend) {
-  TraceEvent ev;
-  ev.kind = EventKind::kOpSend;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.client = client;
-  ev.server = server;
-  ev.a = demand_us;
-  ev.b = resend ? 1 : 0;
-  record(ev);
+  if (!admit()) return;
+  event("s", client_lane(client), 0, t)
+      << R"(, "cat": "op", "name": "op", "id": )" << Id{op}
+      << R"(, "args": {"request": )" << Id{request} << R"(, "server": )"
+      << server << R"(, "demand_us": )" << Num{demand_us}
+      << R"(, "resend": )" << flag(resend) << "}}";
 }
 
 void Tracer::server_enqueue(SimTime t, OperationId op, RequestId request,
                             ServerId server) {
-  TraceEvent ev;
-  ev.kind = EventKind::kServerEnqueue;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  record(ev);
+  if (!admit()) return;
+  event("t", server_lane(server), kServiceTid, t)
+      << R"(, "cat": "op", "name": "op", "id": )" << Id{op}
+      << R"(, "args": {"request": )" << Id{request} << "}}";
 }
 
 void Tracer::op_defer(SimTime t, OperationId op, RequestId request,
                       ServerId server, SimTime est_other_completion) {
-  TraceEvent ev;
-  ev.kind = EventKind::kOpDefer;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  ev.a = est_other_completion;
-  record(ev);
+  if (!admit() || !deferred_open_.insert(op)) return;
+  event("b", server_lane(server), kServiceTid, t)
+      << R"(, "cat": "deferred", "name": "deferred", "id": )" << Id{op}
+      << R"(, "args": {"request": )" << Id{request}
+      << R"(, "est_other_completion": )" << Num{est_other_completion} << "}}";
 }
 
-void Tracer::op_resume(SimTime t, OperationId op, RequestId request,
+void Tracer::op_resume(SimTime t, OperationId op, RequestId /*request*/,
                        ServerId server) {
-  TraceEvent ev;
-  ev.kind = EventKind::kOpResume;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  record(ev);
+  if (!admit()) return;
+  close_deferred(t, op, server);
 }
 
-void Tracer::op_rerank(SimTime t, OperationId op, RequestId request,
+void Tracer::op_rerank(SimTime t, OperationId op, RequestId /*request*/,
                        ServerId server, double old_key, double new_key) {
-  TraceEvent ev;
-  ev.kind = EventKind::kOpRerank;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  ev.a = old_key;
-  ev.b = new_key;
-  record(ev);
+  if (!admit()) return;
+  event("i", server_lane(server), kSchedulerTid, t)
+      << R"(, "s": "t", "name": "rerank", "args": {"op": )" << Id{op}
+      << R"(, "old_key": )" << Num{old_key} << R"(, "new_key": )"
+      << Num{new_key} << "}}";
 }
 
-void Tracer::aging_promotion(SimTime t, OperationId op, RequestId request,
+void Tracer::aging_promotion(SimTime t, OperationId op, RequestId /*request*/,
                              ServerId server, Duration waited_us) {
-  TraceEvent ev;
-  ev.kind = EventKind::kAgingPromotion;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  ev.a = waited_us;
-  record(ev);
+  if (!admit()) return;
+  event("i", server_lane(server), kSchedulerTid, t)
+      << R"(, "s": "t", "name": "aging_promotion", "args": {"op": )" << Id{op}
+      << R"(, "waited_us": )" << Num{waited_us} << "}}";
 }
 
 void Tracer::service_start(SimTime t, OperationId op, RequestId request,
                            ServerId server, double demand_us) {
-  TraceEvent ev;
-  ev.kind = EventKind::kServiceStart;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  ev.a = demand_us;
-  record(ev);
+  if (!admit()) return;
+  close_deferred(t, op, server);
+  event("B", server_lane(server), kServiceTid, t)
+      << R"(, "name": "serve", "args": {"op": )" << Id{op}
+      << R"(, "request": )" << Id{request} << R"(, "demand_us": )"
+      << Num{demand_us} << "}}";
 }
 
-void Tracer::service_end(SimTime t, OperationId op, RequestId request,
+void Tracer::service_end(SimTime t, OperationId /*op*/, RequestId /*request*/,
                          ServerId server) {
-  TraceEvent ev;
-  ev.kind = EventKind::kServiceEnd;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  record(ev);
+  if (!admit()) return;
+  event("E", server_lane(server), kServiceTid, t) << R"(, "name": "serve"})";
 }
 
-void Tracer::response(SimTime t, OperationId op, RequestId request,
-                      ClientId client, ServerId server) {
-  TraceEvent ev;
-  ev.kind = EventKind::kResponse;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.client = client;
-  ev.server = server;
-  record(ev);
+void Tracer::response(SimTime t, OperationId op, RequestId /*request*/,
+                      ClientId client, ServerId /*server*/) {
+  if (!admit()) return;
+  event("f", client_lane(client), 0, t)
+      << R"(, "cat": "op", "name": "op", "bp": "e", "id": )" << Id{op} << "}";
 }
 
 void Tracer::request_complete(SimTime t, RequestId request, ClientId client,
                               double rct_us) {
-  TraceEvent ev;
-  ev.kind = EventKind::kRequestComplete;
-  ev.t = t;
-  ev.request = request;
-  ev.client = client;
-  ev.a = rct_us;
-  record(ev);
+  if (!admit()) return;
+  event("e", client_lane(client), 0, t)
+      << R"(, "cat": "request", "name": "request", "id": )" << Id{request}
+      << R"(, "args": {"rct_us": )" << Num{rct_us} << "}}";
 }
 
 void Tracer::counter_sample(SimTime t, ServerId server, double backlog_us,
                             double mu_hat, std::size_t runnable,
                             std::size_t deferred) {
-  TraceEvent ev;
-  ev.kind = EventKind::kCounterSample;
-  ev.t = t;
-  ev.server = server;
-  ev.a = backlog_us;
-  ev.b = mu_hat;
-  ev.c = static_cast<double>(runnable);
-  ev.d = static_cast<double>(deferred);
-  record(ev);
+  if (!admit()) return;
+  counter(t, server, "backlog_us", backlog_us);
+  counter(t, server, "mu_hat", mu_hat);
+  counter(t, server, "runnable", static_cast<double>(runnable));
+  counter(t, server, "deferred", static_cast<double>(deferred));
 }
 
 void Tracer::fault_event(SimTime t, FaultTraceKind fault, ServerId server,
                          double factor) {
-  TraceEvent ev;
-  ev.kind = EventKind::kFaultEvent;
-  ev.t = t;
-  ev.server = server;
-  ev.a = static_cast<double>(fault);
-  ev.b = factor;
-  record(ev);
+  if (!admit()) return;
+  const std::uint64_t pid =
+      server != kInvalidServer ? server_lane(server) : cluster_lane();
+  event("i", pid, 0, t) << R"(, "s": "p", "cat": "fault", "name": "fault:)"
+                        << to_string(fault) << R"(", "args": {"factor": )"
+                        << Num{factor} << "}}";
 }
 
 void Tracer::store_transition(SimTime t, StoreTraceKind kind, ServerId server,
                               double debt_bytes) {
-  TraceEvent ev;
-  ev.kind = EventKind::kStoreEvent;
-  ev.t = t;
-  ev.server = server;
-  ev.a = static_cast<double>(kind);
-  ev.b = debt_bytes;
-  record(ev);
+  if (!admit()) return;
+  const std::uint64_t pid = storage_lane(server);
+  // Compaction and write-stall window edges render as async spans on the
+  // storage lane; one id per (category, server) suffices because a model
+  // never overlaps two windows of the same kind.
+  const auto span = [&](const char* cat, bool begin) {
+    std::ostream& os = event(begin ? "b" : "e", pid, kStorageTid, t)
+                       << R"(, "cat": ")" << cat << R"(", "name": ")" << cat
+                       << R"(", "id": )" << Id{server};
+    if (begin) os << R"(, "args": {"debt_bytes": )" << Num{debt_bytes} << "}";
+    os << "}";
+  };
+  switch (kind) {
+    case StoreTraceKind::kCompactionStart: span("compaction", true); break;
+    case StoreTraceKind::kCompactionEnd: span("compaction", false); break;
+    case StoreTraceKind::kWriteStallStart: span("write_stall", true); break;
+    case StoreTraceKind::kWriteStallEnd: span("write_stall", false); break;
+    case StoreTraceKind::kFlush:
+      event("i", pid, kStorageTid, t)
+          << R"(, "s": "t", "name": "flush", "args": {"debt_bytes": )"
+          << Num{debt_bytes} << "}}";
+      break;
+  }
 }
 
 void Tracer::store_counter_sample(SimTime t, ServerId server,
                                   double memtable_fill_bytes,
                                   double compaction_debt_bytes,
                                   std::size_t l0_runs) {
-  TraceEvent ev;
-  ev.kind = EventKind::kStoreCounterSample;
-  ev.t = t;
-  ev.server = server;
-  ev.a = memtable_fill_bytes;
-  ev.b = compaction_debt_bytes;
-  ev.c = static_cast<double>(l0_runs);
-  record(ev);
+  if (!admit()) return;
+  storage_lane(server);
+  counter(t, server, "memtable_fill_bytes", memtable_fill_bytes);
+  counter(t, server, "compaction_debt_bytes", compaction_debt_bytes);
+  counter(t, server, "l0_runs", static_cast<double>(l0_runs));
 }
 
 void Tracer::op_shed(SimTime t, OperationId op, RequestId request,
                      ServerId server, OpShedReason reason) {
-  TraceEvent ev;
-  ev.kind = EventKind::kOpShed;
-  ev.t = t;
-  ev.request = request;
-  ev.op = op;
-  ev.server = server;
-  ev.a = static_cast<double>(reason);
-  record(ev);
+  if (!admit()) return;
+  // An op shed at dequeue may still be inside a "deferred" span.
+  close_deferred(t, op, server);
+  event("i", server_lane(server), kServiceTid, t)
+      << R"(, "s": "t", "cat": "overload", "name": "shed:)" << to_string(reason)
+      << R"(", "args": {"op": )" << Id{op} << R"(, "request": )"
+      << Id{request} << "}}";
 }
 
 void Tracer::request_shed(SimTime t, RequestId request, ClientId client,
                           double age_us, bool at_admission) {
-  TraceEvent ev;
-  ev.kind = EventKind::kRequestShed;
-  ev.t = t;
-  ev.request = request;
-  ev.client = client;
-  ev.a = age_us;
-  ev.b = at_admission ? 1 : 0;
-  record(ev);
+  if (!admit()) return;
+  // Shedding closes the request's async span, like completion.
+  event("e", client_lane(client), 0, t)
+      << R"(, "cat": "request", "name": "request", "id": )" << Id{request}
+      << R"(, "args": {"outcome": "shed", "age_us": )" << Num{age_us}
+      << R"(, "at_admission": )" << flag(at_admission) << "}}";
 }
 
 void Tracer::request_expired(SimTime t, RequestId request, ClientId client,
                              double age_us) {
-  TraceEvent ev;
-  ev.kind = EventKind::kRequestExpired;
-  ev.t = t;
-  ev.request = request;
-  ev.client = client;
-  ev.a = age_us;
-  record(ev);
+  if (!admit()) return;
+  event("e", client_lane(client), 0, t)
+      << R"(, "cat": "request", "name": "request", "id": )" << Id{request}
+      << R"(, "args": {"outcome": "expired", "age_us": )" << Num{age_us}
+      << "}}";
+}
+
+void Tracer::finish() {
+  out_ << (first_event_ ? "]" : "\n  ]") << ",\n  \"displayTimeUnit\": \"ms\",\n"
+       << "  \"otherData\": {\"tool\": \"dassim\", \"event_cap\": "
+       << cap_ << ", \"dropped_events\": " << dropped_
+       << ", \"counter_stride\": " << kCounterStride << "}\n}\n";
+  out_.flush();
+  if (!out_) throw std::runtime_error("failed writing the Chrome trace");
 }
 
 }  // namespace das::trace

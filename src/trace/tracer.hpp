@@ -1,4 +1,5 @@
-// Deterministic event recorder for the full operation lifecycle.
+// Chrome trace-event writer for the full operation lifecycle (the output
+// loads directly in Perfetto / chrome://tracing).
 //
 // The tracer answers "where did this request's time go, mechanically" at
 // event granularity: request arrival, per-op send, server enqueue, the DAS
@@ -6,56 +7,40 @@
 // start/end, response and request completion, plus sampled per-server
 // counters (backlog, mu_hat, runnable/deferred queue depths).
 //
+// Layout: one "process" per server (service slices on thread 0, scheduler
+// mechanism instants on thread 1, store-model windows on thread 2, counter
+// tracks) and one per client (async request-lifetime spans). Flow events
+// stitch a request's operations across processes: op send (client) -> server
+// enqueue -> response delivery (client), so the fan-out and the critical path
+// are visible as arrows.
+//
 // Design constraints, in order:
 //   * Zero overhead when disabled. Every producer holds a nullable
 //     `Tracer*`; a null pointer means not a single instruction beyond the
 //     branch runs. No simulator events, no RNG draws, no message-size
 //     changes ever originate here, so a traced run is bit-identical (all
 //     ExperimentResult fields) to an untraced one.
-//   * Deterministic. Events are recorded in dispatch order with simulation
-//     timestamps only; two traced runs with the same seed produce identical
-//     event sequences (and byte-identical exported JSON, see
-//     chrome_trace.hpp).
-//   * Bounded. A configurable cap stops retention; overflow is counted
-//     explicitly (dropped()) instead of silently truncating.
+//   * Streamed. Each emitter renders its event object straight to the output
+//     stream, one event per line; a lane's name metadata is written just
+//     before its first event. Memory stays flat however long the run.
+//   * Deterministic. Events are written in dispatch order with simulation
+//     timestamps only, doubles with round-trip precision; two traced runs
+//     with the same seed produce byte-identical files.
+//   * Bounded. A configurable cap stops writing; overflow is counted
+//     explicitly (dropped()) and reported in the footer instead of silently
+//     truncating.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <string>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace das::trace {
-
-/// What happened. Payload fields a/b of TraceEvent are per-kind (documented
-/// at each typed emitter below).
-enum class EventKind : std::uint8_t {
-  kRequestArrival,   // client: a new request entered the system
-  kOpSend,           // client -> server op message (a=demand_us, b=resend)
-  kServerEnqueue,    // op joined a server's scheduler queue
-  kOpDefer,          // DAS parked the op in the deferred set (a=est_other)
-  kOpResume,         // deferral window closed; op back in the runnable set
-  kOpRerank,         // progress message re-keyed the op (a=old, b=new key)
-  kAgingPromotion,   // starvation bound served the oldest op (a=waited_us)
-  kServiceStart,     // op entered service (a=demand_us)
-  kServiceEnd,       // op left service (completion or preemption)
-  kResponse,         // client accepted the op's response
-  kRequestComplete,  // last response arrived (a=rct_us)
-  kCounterSample,    // per-server gauges (a=backlog_us, b=mu_hat,
-                     //   c=runnable depth, d=deferred depth)
-  kFaultEvent,       // fault-plan instant (a=FaultTraceKind, b=factor)
-  kStoreEvent,       // store-model transition (a=StoreTraceKind, b=debt_bytes)
-  kStoreCounterSample,  // store gauges (a=memtable_fill_bytes,
-                        //   b=compaction_debt_bytes, c=l0 run count)
-  kOpShed,            // overload layer shed the op (a=OpShedReason)
-  kRequestShed,       // request shed: admission refusal / BUSY give-up
-                      //   (a=age_us, b=1 when refused at admission)
-  kRequestExpired,    // end-to-end deadline passed (a=age_us)
-};
-
-/// Stable lower-snake identifier, e.g. "op_defer", "service_start".
-const char* to_string(EventKind kind);
 
 /// Mirror of fault::FaultKind so the trace layer stays independent of the
 /// fault library; the Cluster maps between the two when it executes a plan.
@@ -70,9 +55,6 @@ enum class FaultTraceKind : std::uint8_t {
   kLossEnd,
 };
 
-/// Stable lower-snake identifier, e.g. "crash", "slow_start".
-const char* to_string(FaultTraceKind kind);
-
 /// Mirror of store::StoreTransitionKind so the trace layer stays independent
 /// of the store library; the Server maps between the two when it forwards a
 /// model transition.
@@ -84,50 +66,27 @@ enum class StoreTraceKind : std::uint8_t {
   kFlush,
 };
 
-/// Stable lower-snake identifier, e.g. "compaction_start", "flush".
-const char* to_string(StoreTraceKind kind);
-
-/// Why the overload layer shed an op (payload `a` of kOpShed).
+/// Why the overload layer shed an op.
 enum class OpShedReason : std::uint8_t {
   kQueueFull,     // bounded queue at cap: arrival rejected BUSY
   kSojourn,       // sojourn-drop policy: waited past the threshold
   kExpired,       // end-to-end deadline passed before dispatch
 };
 
-/// Stable lower-snake identifier, e.g. "queue_full", "sojourn".
-const char* to_string(OpShedReason reason);
-
-/// One recorded event. Fixed-size so the ring stays cache-friendly; ids not
-/// meaningful for a kind are left at their defaults (kInvalidServer etc.).
-struct TraceEvent {
-  EventKind kind = EventKind::kRequestArrival;
-  SimTime t = 0;
-  RequestId request = 0;
-  OperationId op = 0;
-  ClientId client = 0;
-  ServerId server = kInvalidServer;
-  /// Kind-specific payload; see EventKind.
-  double a = 0;
-  double b = 0;
-  double c = 0;
-  double d = 0;
-};
-
 class Tracer {
  public:
-  struct Config {
-    /// Maximum retained events; later events are counted as dropped.
-    std::size_t cap = 1u << 20;
-    /// Servers emit one counter sample every `counter_stride` received ops.
-    std::size_t counter_stride = 16;
-  };
+  static constexpr std::size_t kDefaultCap = 1u << 20;
+  /// Servers emit one counter sample every kCounterStride received ops.
+  static constexpr std::size_t kCounterStride = 16;
 
-  Tracer();
-  explicit Tracer(Config config);
+  /// Writes the trace header to `out`, which must outlive the tracer. At
+  /// most `cap` events are written; later ones are counted as dropped.
+  explicit Tracer(std::ostream& out, std::size_t cap = kDefaultCap);
 
-  void record(const TraceEvent& event);
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
-  // --- typed emitters (thin wrappers building the payload layout) ---------
+  // --- typed emitters: each renders one event kind ------------------------
   void request_arrival(SimTime t, RequestId request, ClientId client,
                        std::size_t fanout);
   /// `resend` marks retransmissions and hedge copies.
@@ -135,6 +94,8 @@ class Tracer {
                ServerId server, double demand_us, bool resend);
   void server_enqueue(SimTime t, OperationId op, RequestId request,
                       ServerId server);
+  /// Opens the op's "deferred" span (a repeat defer of an open span writes
+  /// nothing); resume, service start or a shed closes it.
   void op_defer(SimTime t, OperationId op, RequestId request, ServerId server,
                 SimTime est_other_completion);
   void op_resume(SimTime t, OperationId op, RequestId request, ServerId server);
@@ -151,8 +112,9 @@ class Tracer {
                         double rct_us);
   void counter_sample(SimTime t, ServerId server, double backlog_us,
                       double mu_hat, std::size_t runnable, std::size_t deferred);
-  /// `server` is kInvalidServer for cluster-wide faults (loss bursts);
-  /// `factor` carries the slowdown multiplier or burst loss probability.
+  /// `server` is kInvalidServer for cluster-wide faults (loss bursts), which
+  /// land on a "cluster" lane; `factor` carries the slowdown multiplier or
+  /// burst loss probability.
   void fault_event(SimTime t, FaultTraceKind fault, ServerId server,
                    double factor);
   /// Store-model transition (compaction/stall window edge, memtable flush);
@@ -176,20 +138,50 @@ class Tracer {
   void request_expired(SimTime t, RequestId request, ClientId client,
                        double age_us);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// Closes the event array and writes the `otherData` footer (cap, drop
+  /// count, counter stride). Call once, after the run; throws
+  /// std::runtime_error if the stream failed at any point.
+  void finish();
+
+  /// Events written (each emitter call is one event, whatever it renders).
+  std::uint64_t retained() const { return retained_; }
   /// Events rejected by the cap (explicit drop accounting: retained +
   /// dropped = offered).
   std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t offered() const {
-    return static_cast<std::uint64_t>(events_.size()) + dropped_;
-  }
-  std::size_t cap() const { return config_.cap; }
-  std::size_t counter_stride() const { return config_.counter_stride; }
+  std::uint64_t offered() const { return retained_ + dropped_; }
+  std::size_t cap() const { return cap_; }
 
  private:
-  Config config_;
-  std::vector<TraceEvent> events_;
+  /// Counts one offered event; false once the cap is reached.
+  bool admit();
+  /// Starts one event line: `{"ph": .., "pid": .., "tid": .., "ts": ..`. The
+  /// caller appends its fields and the closing brace.
+  std::ostream& event(const char* ph, std::uint64_t pid, std::uint64_t tid,
+                      SimTime ts);
+  /// Lane pids; each names its lane the first time it is asked for.
+  std::uint64_t server_lane(ServerId server);
+  std::uint64_t storage_lane(ServerId server);
+  std::uint64_t client_lane(ClientId client);
+  std::uint64_t cluster_lane();
+  void name_lane(const char* what, std::uint64_t pid, std::uint64_t tid,
+                 const std::string& name);
+  void counter(SimTime t, ServerId server, const char* name, double value);
+  /// Ends the op's "deferred" span if one is open.
+  void close_deferred(SimTime t, OperationId op, ServerId server);
+
+  std::ostream& out_;
+  std::size_t cap_;
+  std::uint64_t retained_ = 0;
   std::uint64_t dropped_ = 0;
+  bool first_event_ = true;
+  /// Per server: bit 0 = process named, bit 1 = storage thread named.
+  std::vector<std::uint8_t> server_named_;
+  std::vector<bool> client_named_;
+  bool cluster_named_ = false;
+  /// Ops inside an open "deferred" span; lets the writer close spans for ops
+  /// served straight out of the deferred set (no resume) and keep begin/end
+  /// balanced. Membership only, never iterated.
+  FlatSet<OperationId> deferred_open_;
 };
 
 }  // namespace das::trace

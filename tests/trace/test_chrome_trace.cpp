@@ -1,17 +1,27 @@
-// End-to-end tracing: a traced cluster run produces a well-formed Chrome
+// End-to-end tracing: a traced cluster run streams a well-formed Chrome
 // trace-event JSON, tracing is an observation-only side channel (bit-identical
 // ExperimentResult with and without it), and traced runs are themselves
 // deterministic (byte-identical JSON for the same seed).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
-#include "trace/chrome_trace.hpp"
+#include "fault/fault_plan.hpp"
 #include "trace/tracer.hpp"
+#include "trace_lines.hpp"
 
 namespace das::trace {
 namespace {
+
+using testing::event_lines;
+using testing::field;
+using testing::has;
 
 core::ClusterConfig traced_config() {
   core::ClusterConfig cfg;
@@ -31,6 +41,26 @@ core::RunWindow short_window() {
   w.warmup_us = 2.0 * kMillisecond;
   w.measure_us = 15.0 * kMillisecond;
   return w;
+}
+
+struct TracedRun {
+  core::ExperimentResult result;
+  std::string json;
+  std::uint64_t retained = 0;
+  std::uint64_t dropped = 0;
+};
+
+TracedRun traced_run(const core::ClusterConfig& cfg,
+                     std::size_t cap = Tracer::kDefaultCap) {
+  std::ostringstream os;
+  Tracer tracer{os, cap};
+  TracedRun run;
+  run.result = core::run_experiment(cfg, short_window(), &tracer);
+  tracer.finish();
+  run.json = os.str();
+  run.retained = tracer.retained();
+  run.dropped = tracer.dropped();
+  return run;
 }
 
 std::size_t count_of(const std::string& hay, const std::string& needle) {
@@ -71,72 +101,113 @@ TEST(ChromeTrace, TracingIsObservationOnly) {
   // events, no RNG draws, no wire-size changes.
   const auto cfg = traced_config();
   const core::ExperimentResult plain = core::run_experiment(cfg, short_window());
-  Tracer tracer;
-  const core::ExperimentResult traced =
-      core::run_experiment(cfg, short_window(), &tracer);
-  EXPECT_GT(tracer.events().size(), 0u);
-  expect_bit_identical(plain, traced);
+  const TracedRun traced = traced_run(cfg);
+  EXPECT_GT(traced.retained, 0u);
+  expect_bit_identical(plain, traced.result);
 }
 
 TEST(ChromeTrace, SameSeedProducesByteIdenticalJson) {
   const auto cfg = traced_config();
-  Tracer a;
-  core::run_experiment(cfg, short_window(), &a);
-  Tracer b;
-  core::run_experiment(cfg, short_window(), &b);
-  ASSERT_EQ(a.events().size(), b.events().size());
-  EXPECT_EQ(chrome_trace_string(a), chrome_trace_string(b));
+  const TracedRun a = traced_run(cfg);
+  const TracedRun b = traced_run(cfg);
+  ASSERT_EQ(a.retained, b.retained);
+  EXPECT_EQ(a.json, b.json);
 }
 
 TEST(ChromeTrace, CoversTheOpLifecycle) {
-  const auto cfg = traced_config();
-  Tracer tracer;
-  const core::ExperimentResult r =
-      core::run_experiment(cfg, short_window(), &tracer);
+  const TracedRun run = traced_run(traced_config());
+  const core::ExperimentResult& r = run.result;
 
-  std::size_t arrivals = 0, sends = 0, enqueues = 0, starts = 0, ends = 0,
-              responses = 0, completes = 0, defers = 0, resumes = 0,
-              samples = 0;
-  for (const TraceEvent& ev : tracer.events()) {
-    switch (ev.kind) {
-      case EventKind::kRequestArrival: ++arrivals; break;
-      case EventKind::kOpSend: ++sends; break;
-      case EventKind::kServerEnqueue: ++enqueues; break;
-      case EventKind::kServiceStart: ++starts; break;
-      case EventKind::kServiceEnd: ++ends; break;
-      case EventKind::kResponse: ++responses; break;
-      case EventKind::kRequestComplete: ++completes; break;
-      case EventKind::kOpDefer: ++defers; break;
-      case EventKind::kOpResume: ++resumes; break;
-      case EventKind::kCounterSample: ++samples; break;
-      default: break;
+  std::map<std::string, std::size_t> count;  // "<ph> <cat or name>" -> lines
+  double last_ts = 0;
+  for (const std::string& line : event_lines(run.json)) {
+    const std::string ph = field(line, "ph");
+    if (ph == "\"M\"") continue;
+    const std::string cat = field(line, "cat");
+    ++count[ph + " " + (cat.empty() ? field(line, "name") : cat)];
+    // The writer preserves simulator dispatch order, so the timestamps are
+    // non-decreasing.
+    const double ts = std::stod(field(line, "ts"));
+    EXPECT_GE(ts, last_ts) << line;
+    last_ts = ts;
+  }
+  EXPECT_EQ(count[R"("b" "request")"], r.requests_generated);
+  EXPECT_EQ(count[R"("e" "request")"], r.requests_completed);
+  EXPECT_EQ(count[R"("s" "op")"], r.ops_generated);
+  EXPECT_EQ(count[R"("t" "op")"], r.ops_generated);
+  EXPECT_EQ(count[R"("f" "op")"], r.ops_completed);
+  // Non-preemptive run: every op has exactly one service slice.
+  EXPECT_EQ(count[R"("B" "serve")"], r.ops_completed);
+  EXPECT_EQ(count[R"("E" "serve")"], r.ops_completed);
+  // DAS under load exercises its deferral machinery. A deferral opens a span
+  // (re-deferring an op already inside one adds nothing); a resume, or
+  // service straight out of the deferred set, closes it.
+  EXPECT_GT(count[R"("b" "deferred")"], 0u);
+  EXPECT_LE(count[R"("b" "deferred")"], r.ops_deferred);
+  EXPECT_EQ(count[R"("e" "deferred")"], count[R"("b" "deferred")"]);
+  EXPECT_GE(count[R"("e" "deferred")"], r.ops_resumed);
+  // Each counter sample writes its four gauges.
+  EXPECT_GT(count[R"("C" "backlog_us")"], 0u);
+  for (const char* gauge : {"mu_hat", "runnable", "deferred"})
+    EXPECT_EQ(count[std::string(R"("C" ")") + gauge + "\""],
+              count[R"("C" "backlog_us")"])
+        << gauge;
+}
+
+TEST(ChromeTrace, EveryLaneIsNamedBeforeUse) {
+  // One run per lane family: servers and clients (plain), storage threads
+  // (LSM store), the cluster lane (a loss burst), and shed instants.
+  auto plain = traced_config();
+  auto lsm = traced_config();
+  lsm.store_model = core::StoreModel::kLsm;
+  lsm.write_fraction = 0.3;
+  lsm.lsm.memtable_bytes = 8.0 * 1024.0;
+  lsm.lsm.compaction_bytes_per_us = 1.0;
+  lsm.lsm.stall_debt_bytes = 16.0 * 1024.0;
+  auto faults = traced_config();
+  faults.replication = 2;
+  faults.retry_timeout_us = 2.0 * kMillisecond;
+  faults.fault_plan =
+      fault::parse_fault_plan("crash@8ms:s3,recover@12ms:s3,lossburst@4ms-6ms:p0.3");
+  auto overload = traced_config();
+  overload.target_load = 1.2;
+  overload.overload.queue_cap = 24;
+  overload.overload.deadline_budget_us = 4.0 * kMillisecond;
+
+  std::set<std::string> seen;  // lane families that carried events
+  for (const auto& cfg : {plain, lsm, faults, overload}) {
+    const TracedRun run = traced_run(cfg);
+    std::set<std::string> processes;  // pid
+    std::set<std::pair<std::string, std::string>> threads;  // (pid, tid)
+    std::set<std::string> single_lane;  // processes with one unnamed thread
+    for (const std::string& line : event_lines(run.json)) {
+      const std::string pid = field(line, "pid");
+      const std::string tid = field(line, "tid");
+      if (field(line, "ph") == "\"M\"") {
+        if (has(line, R"("name": "process_name")")) {
+          EXPECT_TRUE(processes.insert(pid).second) << "named twice: " << line;
+          // The cluster lane is a process with one thread and no thread name.
+          if (has(line, R"({"name": "cluster"})")) single_lane.insert(pid);
+        } else {
+          EXPECT_TRUE(threads.insert({pid, tid}).second)
+              << "named twice: " << line;
+        }
+        continue;
+      }
+      EXPECT_EQ(processes.count(pid), 1u) << "unnamed process: " << line;
+      if (single_lane.count(pid) == 0) {
+        EXPECT_EQ(threads.count({pid, tid}), 1u) << "unnamed thread: " << line;
+      }
+      if (tid == "2") seen.insert("storage");
+      if (single_lane.count(pid) != 0) seen.insert("cluster");
+      if (has(line, R"("cat": "overload")")) seen.insert("shed");
     }
   }
-  EXPECT_EQ(arrivals, r.requests_generated);
-  EXPECT_EQ(completes, r.requests_completed);
-  EXPECT_EQ(sends, r.ops_generated);
-  EXPECT_EQ(enqueues, r.ops_generated);
-  EXPECT_EQ(responses, r.ops_completed);
-  // Non-preemptive run: every op has exactly one service slice.
-  EXPECT_EQ(starts, r.ops_completed);
-  EXPECT_EQ(ends, r.ops_completed);
-  // DAS under load exercises its deferral machinery.
-  EXPECT_EQ(static_cast<std::uint64_t>(defers), r.ops_deferred);
-  EXPECT_EQ(static_cast<std::uint64_t>(resumes), r.ops_resumed);
-  EXPECT_GT(samples, 0u);
-
-  // Timestamps are monotone in dispatch order within each producer; globally
-  // the recorder preserves simulator dispatch order, so the sequence is
-  // non-decreasing.
-  for (std::size_t i = 1; i < tracer.events().size(); ++i)
-    EXPECT_GE(tracer.events()[i].t, tracer.events()[i - 1].t);
+  EXPECT_EQ(seen, (std::set<std::string>{"cluster", "shed", "storage"}));
 }
 
 TEST(ChromeTrace, JsonShapeAndBalance) {
-  const auto cfg = traced_config();
-  Tracer tracer;
-  core::run_experiment(cfg, short_window(), &tracer);
-  const std::string json = chrome_trace_string(tracer);
+  const std::string json = traced_run(traced_config()).json;
 
   EXPECT_EQ(json.rfind("{", 0), 0u);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -169,14 +240,12 @@ TEST(ChromeTrace, JsonShapeAndBalance) {
 }
 
 TEST(ChromeTrace, DropCountSurfacesInTheFooter) {
-  const auto cfg = traced_config();
-  Tracer tracer{Tracer::Config{500, 16}};
-  core::run_experiment(cfg, short_window(), &tracer);
-  EXPECT_EQ(tracer.events().size(), 500u);
-  EXPECT_GT(tracer.dropped(), 0u);
-  const std::string json = chrome_trace_string(tracer);
-  EXPECT_NE(json.find("\"event_cap\": 500"), std::string::npos);
-  EXPECT_EQ(json.find("\"dropped_events\": 0,"), std::string::npos);
+  const TracedRun run = traced_run(traced_config(), /*cap=*/500);
+  EXPECT_EQ(run.retained, 500u);
+  EXPECT_GT(run.dropped, 0u);
+  EXPECT_NE(run.json.find("\"event_cap\": 500"), std::string::npos);
+  EXPECT_NE(run.json.find("\"dropped_events\": " + std::to_string(run.dropped)),
+            std::string::npos);
 }
 
 }  // namespace

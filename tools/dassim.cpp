@@ -14,14 +14,15 @@
 // --experiment one of the registered paper grids (tools/experiments.hpp),
 // both across a thread pool (--jobs) with bit-identical-to-serial results;
 // --json persists them in the BENCH_<experiment>.json schema. --trace
-// records the full op lifecycle of a single-policy run as Chrome trace-event
-// JSON (open in Perfetto); --breakdown prints the exact per-component RCT
-// attribution.
+// streams the full op lifecycle of a single-policy run as Chrome trace-event
+// JSON (open in Perfetto), alone or alongside --record; --breakdown prints
+// the exact per-component RCT attribution.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -36,7 +37,6 @@
 #include "fault/fault_plan.hpp"
 #include "overload/overload.hpp"
 #include "select/selector.hpp"
-#include "trace/chrome_trace.hpp"
 #include "trace/tracer.hpp"
 #include "workload/registry.hpp"
 #include "workload/replay.hpp"
@@ -305,10 +305,10 @@ int run(int argc, char** argv) {
                "write --sweep / --experiment results as BENCH-schema JSON to "
                "this path");
   flags.define("trace", "",
-               "write a Chrome trace-event JSON (Perfetto-loadable) of the "
+               "stream a Chrome trace-event JSON (Perfetto-loadable) of the "
                "run to this path; requires exactly one --policy, no --sweep");
   flags.define("trace-cap", "1000000",
-               "maximum retained trace events (overflow counted, not kept)");
+               "maximum trace events written (overflow counted, not kept)");
   flags.define("breakdown", "false",
                "print the exact per-component RCT attribution per policy");
   flags.define("help", "false", "show this help");
@@ -525,36 +525,45 @@ int run(int argc, char** argv) {
       return 1;
     }
   }
+  if (!flags.get_string("json").empty()) {
+    std::cerr << "flag --json: only --sweep and --experiment write JSON\n";
+    return 2;
+  }
 
   std::vector<core::PolicyRun> runs;
-  if (!trace_path.empty()) {
+  if (!trace_path.empty() || !record_path.empty()) {
+    // One observed run: the Chrome trace and the workload recording are
+    // both observation-only, so either, or both, ride on the same cluster.
     if (policies.size() != 1) {
-      std::cerr << "--trace requires exactly one --policy\n";
-      return 2;
-    }
-    trace::Tracer::Config trace_cfg;
-    trace_cfg.cap = static_cast<std::size_t>(flags.get_count("trace-cap"));
-    if (trace_cfg.cap == 0) throw std::invalid_argument("flag --trace-cap must be > 0");
-    trace::Tracer tracer{trace_cfg};
-    cfg.policy = policies.front();
-    runs.push_back({policies.front(), core::run_experiment(cfg, window, &tracer)});
-    trace::write_chrome_trace(trace_path, tracer);
-    std::cerr << "trace: " << tracer.events().size() << " events retained, "
-              << tracer.dropped() << " dropped (cap " << tracer.cap()
-              << ") -> " << trace_path << "\n";
-  } else if (!record_path.empty()) {
-    if (policies.size() != 1) {
-      std::cerr << "--record requires exactly one --policy\n";
+      std::cerr << (trace_path.empty() ? "--record" : "--trace")
+                << " requires exactly one --policy\n";
       return 2;
     }
     cfg.policy = policies.front();
+    std::ofstream trace_file;
+    std::optional<trace::Tracer> tracer;
+    if (!trace_path.empty()) {
+      const auto cap = static_cast<std::size_t>(flags.get_count("trace-cap"));
+      if (cap == 0) throw std::invalid_argument("flag --trace-cap must be > 0");
+      trace_file.open(trace_path);
+      if (!trace_file) throw std::runtime_error("cannot open trace output file: " + trace_path);
+      tracer.emplace(trace_file, cap);
+    }
     workload::ReplayTrace recorded;
-    core::Cluster cluster{cfg, window};
-    cluster.set_workload_recorder(&recorded);
+    core::Cluster cluster{cfg, window, tracer ? &*tracer : nullptr};
+    if (!record_path.empty()) cluster.set_workload_recorder(&recorded);
     runs.push_back({policies.front(), cluster.run()});
-    recorded.save(record_path);
-    std::cerr << "recorded " << recorded.size() << " ops -> " << record_path
-              << "\n";
+    if (tracer) {
+      tracer->finish();
+      std::cerr << "trace: " << tracer->retained() << " events retained, "
+                << tracer->dropped() << " dropped (cap " << tracer->cap()
+                << ") -> " << trace_path << "\n";
+    }
+    if (!record_path.empty()) {
+      recorded.save(record_path);
+      std::cerr << "recorded " << recorded.size() << " ops -> " << record_path
+                << "\n";
+    }
   } else {
     runs = core::compare_policies(cfg, policies, window);
   }
