@@ -69,8 +69,6 @@ class LogHistogram {
   double p99() const { return quantile(0.99); }
   double p999() const { return quantile(0.999); }
 
-  std::size_t bucket_count() const { return counts_.size(); }
-
  private:
   std::size_t bucket_for(double value) const;
   double bucket_mid(std::size_t b) const;

@@ -12,9 +12,9 @@ namespace das::core {
 
 namespace {
 
-/// Every server answers reads from the shared size catalogue, so a selector
-/// answer outside the key's replica set would not miss: it would silently
-/// serve a size that the replicas' completed writes have replaced.
+/// Every op carries its key's catalogue size, so a selector answer outside
+/// the key's replica set would not miss: it would silently serve a size that
+/// the replicas' completed writes have replaced.
 ServerId checked_pick(const std::vector<ServerId>& replicas, ServerId picked) {
   DAS_CHECK_MSG(std::find(replicas.begin(), replicas.end(), picked) != replicas.end(),
                 "replica selector picked a server outside the key's replica set");
@@ -53,7 +53,7 @@ class TopTwo {
 Client::Client(sim::Simulator& sim, Params params, Rng rng,
                std::vector<TenantStream> tenants,
                const store::Partitioner& partitioner,
-               const std::vector<Bytes>& catalogue,
+               const std::vector<std::uint32_t>& catalogue,
                FlatMap<KeyId, Bytes>& issued, Metrics& metrics,
                Transport& transport)
     : sim_(sim),
@@ -231,7 +231,7 @@ void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
   } else {
     // The trace's size is authoritative for the client's demand estimate:
     // the replayed store served that size when the trace was taken. Servers
-    // keep serving their own catalogue and completed writes.
+    // keep serving the catalogue size on the op and their completed writes.
     if (rec.size_bytes > 0) issued_[rec.key] = rec.size_bytes;
     plan_read(plan, rec.key);
   }
@@ -251,6 +251,7 @@ void Client::plan_write(std::vector<PendingOp>& plan, KeyId key, Bytes size,
     PendingOp& op = plan.emplace_back();
     op.server = server;
     op.ctx.key = key;
+    op.ctx.catalogue_bytes = catalogue_[key];
     op.ctx.demand_us = demand;
     op.ctx.is_write = true;
     op.ctx.write_size = size;
@@ -267,6 +268,7 @@ void Client::plan_read(std::vector<PendingOp>& plan, KeyId key) {
   PendingOp& op = plan.emplace_back();
   op.server = pick_server(key, demand);
   op.ctx.key = key;
+  op.ctx.catalogue_bytes = catalogue_[key];
   op.ctx.demand_us = demand;
 }
 

@@ -103,14 +103,14 @@ class Client {
 
   /// One TenantStream per tenant (a run without tenants is one synthetic
   /// tenant).
-  /// `catalogue` is the size drawn for every key, frozen at construction.
+  /// `catalogue` is every key's frozen size draw, stamped on each of its ops.
   /// `issued` is the overlay all clients share: a writer publishes the size
   /// it issued there (the writer knows it; other clients' estimates converge
   /// on their next access). Ops and progress updates leave through
   /// `transport`. All three must outlive the client.
   Client(sim::Simulator& sim, Params params, Rng rng,
          std::vector<TenantStream> tenants, const store::Partitioner& partitioner,
-         const std::vector<Bytes>& catalogue, FlatMap<KeyId, Bytes>& issued,
+         const std::vector<std::uint32_t>& catalogue, FlatMap<KeyId, Bytes>& issued,
          Metrics& metrics, Transport& transport);
 
   Client(const Client&) = delete;
@@ -127,10 +127,6 @@ class Client {
   /// Shed requests refused at admission (no op ever sent).
   std::uint64_t requests_shed_admission() const {
     return requests_shed_admission_;
-  }
-  /// Current AIMD admit probability for tenant `t` (1.0 with admission off).
-  double admission_rate(std::size_t t) const {
-    return admission_ != nullptr ? admission_->rate(t) : 1.0;
   }
   std::uint64_t requests_completed_after_failover() const {
     return requests_completed_failover_;
@@ -223,8 +219,8 @@ class Client {
   /// selector picks.
   void plan_read(std::vector<PendingOp>& plan, KeyId key);
   /// Tags, accounts and sends a planned request (shared by the synthetic and
-  /// replay paths). Each planned op carries its server, key, demand and
-  /// write payload; the rest of its context is filled here.
+  /// replay paths). Each planned op carries its server, key, catalogue size,
+  /// demand and write payload; the rest of its context is filled here.
   void dispatch_plan(std::size_t tenant, std::vector<PendingOp> plan);
   /// The RNG stream backing tenant `t`'s workload draws. Tenant 0 IS the
   /// client stream (bit-identity with single-tenant builds); later tenants
@@ -247,7 +243,7 @@ class Client {
   Rng rng_;
   std::vector<TenantStream> tenants_;
   const store::Partitioner& partitioner_;
-  const std::vector<Bytes>& catalogue_;
+  const std::vector<std::uint32_t>& catalogue_;
   FlatMap<KeyId, Bytes>& issued_;
   Metrics& metrics_;
   Transport& transport_;

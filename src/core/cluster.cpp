@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 #include "core/wire.hpp"
@@ -90,14 +92,21 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
 
     // Key catalogue: sizes drawn once, each key from its owning tenant's
     // value-size distribution, in key order from one sequential stream, and
-    // never mutated. Servers serve it under their own overlay of completed
-    // writes; clients estimate demand from it under the shared overlay of
-    // issued writes.
+    // never mutated. Clients read it under the shared overlay of issued
+    // writes and stamp it on every op; servers serve it under their own PUTs.
     const TenantSlice slice = tenant_slice(universe, tenant_count, t);
     const RealDistribution& dist = *tenant.value_size;
     for (std::uint64_t key = slice.base; key < slice.base + slice.size; ++key) {
-      key_sizes_[key] =
-          static_cast<Bytes>(std::max(1.0, std::round(dist.sample(size_rng))));
+      const double size = std::max(1.0, std::round(dist.sample(size_rng)));
+      if (!(size < 0x1p32)) {
+        throw std::invalid_argument(
+            "ClusterConfig: " +
+            (tenant.own_value_size
+                 ? "tenants[" + std::to_string(t) + "] ('" + spec.name + "') size:"
+                 : std::string{"value_size_bytes (--value-size)"}) +
+            " drew a size of 2^32 B or more; the size catalogue is 32-bit");
+      }
+      key_sizes_[key] = static_cast<std::uint32_t>(size);
     }
 
     // A synthetic tenant's generator draws over its contiguous slice.
@@ -129,7 +138,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
                                  : config_.speed_profiles[s];
     }
     params.preemptive = config_.preemptive_service;
-    params.catalogue = key_sizes_;
     params.overload = config_.overload;
     if (config_.store_model == StoreModel::kLsm) {
       store::LsmOptions lsm_opt = config_.lsm;

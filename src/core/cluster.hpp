@@ -60,10 +60,11 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   Server& server(std::size_t i) { return *servers_.at(i); }
   Client& client(std::size_t i) { return *clients_.at(i); }
   std::size_t server_count() const { return servers_.size(); }
-  std::size_t client_count() const { return clients_.size(); }
   const store::Partitioner& partitioner() const { return *partitioner_; }
-  /// Value size of every key as drawn at construction; never mutated.
-  const std::vector<Bytes>& key_sizes() const { return key_sizes_; }
+  /// A copy of every key's size as drawn at construction, widened to Bytes.
+  std::vector<Bytes> key_sizes() const {
+    return {key_sizes_.begin(), key_sizes_.end()};
+  }
   /// Size of `key` as clients see it: the last write any client issued (or
   /// a replayed read's recorded size), else the construction-time draw.
   /// Every client reads the same catalogue and overlay.
@@ -194,10 +195,9 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
   store::PartitionerPtr partitioner_;
-  /// The size catalogue: drawn at construction, read-only after. Servers
-  /// and clients read through it. Declared before servers_ and clients_ so
-  /// it outlives them.
-  std::vector<Bytes> key_sizes_;
+  /// The size catalogue, 4 B per key, drawn at construction and read only by
+  /// clients (each op carries its key's entry). Declared before clients_.
+  std::vector<std::uint32_t> key_sizes_;
   /// Sizes clients have issued writes with, shared by every client. The
   /// client-side mirror of each server's overlay of completed writes.
   FlatMap<KeyId, Bytes> issued_sizes_;

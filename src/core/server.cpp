@@ -46,9 +46,8 @@ Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler
   scheduler_->on_speed_estimate(mu_hat_);
 }
 
-std::optional<Bytes> Server::stored_size(KeyId key) const {
+std::optional<Bytes> Server::written_size(KeyId key) const {
   if (const auto it = written_.find(key); it != written_.end()) return it->second;
-  if (key < params_.catalogue.size()) return params_.catalogue[key];
   return std::nullopt;
 }
 
@@ -90,7 +89,8 @@ store::OpCostQuery Server::cost_query(const sched::OpContext& op) const {
   q.key = op.key;
   q.is_write = op.is_write;
   q.nominal_demand_us = op.demand_us;
-  q.size_bytes = op.is_write ? op.write_size : stored_size(op.key).value_or(0);
+  q.size_bytes =
+      op.is_write ? op.write_size : written_size(op.key).value_or(op.catalogue_bytes);
   return q;
 }
 
@@ -369,7 +369,7 @@ void Server::complete_current() {
   completion_event_ = sim::EventHandle{};
 
   if (current_op_.is_write) written_[current_op_.key] = current_op_.write_size;
-  const std::optional<Bytes> size = stored_size(current_op_.key);
+  const auto size = written_size(current_op_.key).value_or(current_op_.catalogue_bytes);
   if (service_model_ != nullptr) {
     // A completed write lands in the model's memtable and may trigger a
     // flush / compaction / stall transition.
@@ -392,8 +392,8 @@ void Server::complete_current() {
   // Built before maybe_start(): d_hat must describe the backlog this op
   // leaves behind, not the next op's.
   OpResponse resp = make_response(current_op_, OpStatus::kOk);
-  resp.hit = size.has_value();
-  resp.value_size = size.value_or(0);
+  resp.hit = size > 0;
+  resp.value_size = size;
   // Timing echo for the client-side RCT breakdown. Under preempt-resume the
   // cut points describe the FINAL service slice (the remainder's re-enqueue
   // and dispatch), so earlier slices fold into the "network" residual.

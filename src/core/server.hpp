@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "common/flat_map.hpp"
 #include "common/invariant.hpp"
@@ -41,11 +40,6 @@ class Server : public Auditable {
     /// remaining demand is requeued. An oracle-style upper bound; real
     /// stores (and the paper) serve operations to completion.
     bool preemptive = false;
-    /// Value size of every key, indexed by key, as drawn at cluster
-    /// construction. The cluster's one catalogue, shared read-only by all
-    /// servers and clients; the owner must outlive the server. Keys past
-    /// its end are misses until written.
-    std::span<const Bytes> catalogue;
     /// Storage-aware service-time model. nullptr = synthetic mode: every op
     /// costs its client-tagged demand and storage never dents capacity.
     /// Owning a provider makes Params move-only.
@@ -96,9 +90,9 @@ class Server : public Auditable {
   std::size_t queue_length() const { return scheduler_->size(); }
 
   const sched::Scheduler& scheduler() const { return *scheduler_; }
-  /// Size of `key` as this server serves it: the last size a completed PUT
-  /// wrote here, else the catalogue's; nullopt is a miss.
-  std::optional<Bytes> stored_size(KeyId key) const;
+  /// The size the last PUT completed here wrote to `key`, if any; else an op
+  /// is served at the size it carries (catalogue_bytes, 0 = a miss).
+  std::optional<Bytes> written_size(KeyId key) const;
   /// The storage service-time model, or nullptr in synthetic mode.
   const store::ServiceTimeProvider* service_model() const {
     return service_model_.get();
@@ -130,7 +124,6 @@ class Server : public Auditable {
   std::uint64_t recoveries() const { return recoveries_; }
 
   /// Overload-layer shed counters (all zero with the layer off).
-  const overload::QueueGuard& queue_guard() const { return guard_; }
   std::uint64_t ops_rejected_busy() const { return guard_.rejected_busy(); }
   std::uint64_t ops_shed_sojourn() const { return guard_.dropped_sojourn(); }
   std::uint64_t ops_expired() const { return guard_.expired(); }
@@ -151,8 +144,8 @@ class Server : public Auditable {
   /// positive. Non-const because sampling the storage factor advances the
   /// store model's lazy clock.
   double effective_speed(SimTime now);
-  /// Builds the store-model cost query for `op`; a read's size comes from
-  /// stored_size(), not the client's estimate.
+  /// Builds the store-model cost query for `op`; a read's size is the one
+  /// served: written_size(), else the op's catalogue_bytes.
   store::OpCostQuery cost_query(const sched::OpContext& op) const;
   /// Remaining scheduler-visible demand of the in-service op given its
   /// unserved base cost. Preserves the exact legacy subtraction in synthetic

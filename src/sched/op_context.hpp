@@ -43,6 +43,10 @@ struct OpContext {
   /// Bottleneck size of the request: max per-server aggregate of the
   /// request's operations, in ops and in demand-µs.
   std::uint32_t bottleneck_ops = 1;
+  /// The key's catalogue size (0 = none: a miss), served unless a completed
+  /// PUT overwrote the key on the server. Stamped by the client; bookkeeping
+  /// in bottleneck_ops' padding that, like enqueued_at, is not on the wire.
+  std::uint32_t catalogue_bytes = 0;
   double bottleneck_demand_us = 0;
 
   /// --- Request-SRPT tag ---------------------------------------------------

@@ -203,7 +203,6 @@ class LsmModel final : public ServiceTimeProvider {
   double memtable_fill_bytes() const { return memtable_fill_; }
   std::size_t l0_runs() const { return l0_runs_; }
   double compaction_debt_bytes() const { return debt_bytes_; }
-  double total_bytes() const { return total_bytes_; }
   bool compacting() const { return compacting_; }
   bool stalled() const { return stalled_; }
   /// Runs/levels a non-memtable read searches right now.

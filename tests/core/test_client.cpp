@@ -52,13 +52,18 @@ struct ClientFixture : ::testing::Test {
   sim::Simulator sim;
   Metrics metrics;
   store::PartitionerPtr partitioner = store::make_modulo_partitioner(kServers);
-  std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);  // demand 10+100/50=12us
+  // Demand 10+100/50 = 12us.
+  std::vector<std::uint32_t> key_sizes = std::vector<std::uint32_t>(64, 100);
   FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<SentOp> sent_ops;
   std::vector<SentProgress> sent_progress;
   RecordingTransport transport{sent_ops, sent_progress};
   std::unique_ptr<workload::MultigetGenerator> generator;
   std::unique_ptr<Client> client;
+  /// The tenant's read/write split and the size law its writes draw from
+  /// (plain reads unless a test sets them before build()).
+  workload::OpMix mix{};
+  RealDistPtr value_size;
 
   void build(std::uint32_t fanout, Client::Params overrides = {}) {
     workload::MultigetGenerator::Config gen_cfg;
@@ -75,11 +80,13 @@ struct ClientFixture : ::testing::Test {
     params.est_rtt_us = 10.0;
 
     metrics.enable_tenants(1);
-    client = std::make_unique<Client>(
-        sim, params, Rng{42},
-        one_stream(*generator,
-                   workload::make_deterministic_arrivals(0.001)),  // every 1000us
-        *partitioner, key_sizes, issued_sizes, metrics, transport);
+    std::vector<Client::TenantStream> streams = one_stream(
+        *generator, workload::make_deterministic_arrivals(0.001));  // every 1000us
+    streams[0].mix = mix;
+    streams[0].value_size = value_size;
+    client = std::make_unique<Client>(sim, params, Rng{42}, std::move(streams),
+                                      *partitioner, key_sizes, issued_sizes,
+                                      metrics, transport);
   }
 
   /// Completes one sent op and feeds the response back.
@@ -386,6 +393,49 @@ TEST_F(ClientFixture, FailedOverOpNeverHedgesBackToSuspectedOrigin) {
   EXPECT_NE(failover_target, origin);
   EXPECT_NE(hedge_target, origin);
   EXPECT_NE(hedge_target, failover_target);
+}
+
+// Servers keep no catalogue: they serve the size each op carries. So every
+// op a client sends, resends, hedges or fails over must carry its key's
+// catalogue entry, for reads and for each replica's copy of a write alike.
+TEST_F(ClientFixture, EveryOpSentCarriesItsKeysCatalogueSize) {
+  static_assert(sizeof(sched::OpContext) == 136,
+                "catalogue_bytes rides in padding; OpContext must not grow");
+  // Eight keys, so reads revisit keys that writes have resized.
+  key_sizes.resize(8);
+  for (std::size_t k = 0; k < key_sizes.size(); ++k) {
+    key_sizes[k] = static_cast<std::uint32_t>(100 + 7 * k);
+  }
+  mix = workload::OpMix{0.5, 0.25, 0.25};
+  value_size = make_constant(5000.0);
+  Client::Params p;
+  p.replication = 3;
+  p.retry_timeout_us = 100.0;
+  p.hedge_delay_us = 150.0;
+  p.suspicion_rto_threshold = 6;
+  build(4, p);
+  client->start(20000.0);
+  // Nothing answers, so every op keeps retransmitting; reads hedge while
+  // their replicas are trusted and fail over once their server is suspected.
+  sim.run_until(20000.0);
+  EXPECT_GT(client->ops_retransmitted(), 0u);
+  EXPECT_GT(client->ops_hedged(), 0u);
+  EXPECT_GT(client->ops_failed_over(), 0u);
+  // The stamp is the catalogue's, never the size a write issued since.
+  std::vector<bool> written(key_sizes.size(), false);
+  std::size_t writes = 0, reads_of_written_keys = 0;
+  for (const SentOp& op : sent_ops) {
+    if (op.ctx.is_write) {
+      ++writes;
+      written[op.ctx.key] = true;
+    } else if (written[op.ctx.key]) {
+      ++reads_of_written_keys;
+    }
+    EXPECT_EQ(op.ctx.catalogue_bytes, key_sizes[op.ctx.key])
+        << "op " << op.ctx.op_id << " of key " << op.ctx.key;
+  }
+  EXPECT_GT(writes, 0u);
+  EXPECT_GT(reads_of_written_keys, 0u);
 }
 
 TEST_F(ClientFixture, LateDuplicateClearsSuspicionButNotTheView) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "workload/registry.hpp"
 #include "workload/replay.hpp"
@@ -70,6 +73,33 @@ TEST(Cluster, DeliveriesAreCountedByKind) {
       EXPECT_EQ(rekeyed + unqueued, 0u);
     }
   }
+}
+
+// The size catalogue holds 32-bit sizes: a draw of 2^32 B or more is a
+// configuration error naming its source, never a silent wrap.
+TEST(Cluster, CatalogueDrawsMustStayBelowFourGiB) {
+  const auto construction_error = [](const ClusterConfig& cfg) -> std::string {
+    try {
+      Cluster cluster{cfg, small_window()};
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ClusterConfig cfg = small_config();
+  cfg.value_size_bytes = make_constant(4294967295.0);  // 2^32 - 1 fits
+  EXPECT_EQ(construction_error(cfg), "");
+  EXPECT_EQ(Cluster(cfg, small_window()).key_sizes().front(), 4294967295u);
+  cfg.value_size_bytes = make_constant(4294967296.0);
+  EXPECT_NE(construction_error(cfg).find("value_size_bytes (--value-size)"),
+            std::string::npos);
+  cfg.value_size_bytes = make_constant(5e9);
+  EXPECT_NE(construction_error(cfg).find("--value-size"), std::string::npos);
+
+  cfg = small_config();
+  cfg.tenants = workload::parse_tenants("ycsb-c+name:a;ycsb-c+name:hog+size:constant:5e9");
+  EXPECT_NE(construction_error(cfg).find("tenants[1] ('hog') size:"),
+            std::string::npos);
 }
 
 TEST(Cluster, RunIsSingleShot) {

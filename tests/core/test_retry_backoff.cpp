@@ -48,7 +48,7 @@ struct RetryFixture : ::testing::Test {
   sim::Simulator sim;
   Metrics metrics;
   store::PartitionerPtr partitioner = store::make_modulo_partitioner(kServers);
-  std::vector<Bytes> key_sizes = std::vector<Bytes>(64, 100);
+  std::vector<std::uint32_t> key_sizes = std::vector<std::uint32_t>(64, 100);
   FlatMap<KeyId, Bytes> issued_sizes;
   std::vector<TimedSend> sends;
   TimedTransport transport{sim, sends};
@@ -152,7 +152,7 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
     Metrics metrics;
     metrics.enable_tenants(1);
     const store::PartitionerPtr partitioner = store::make_modulo_partitioner(4);
-    const std::vector<Bytes> key_sizes(64, 100);
+    const std::vector<std::uint32_t> key_sizes(64, 100);
     FlatMap<KeyId, Bytes> issued_sizes;
     workload::MultigetGenerator::Config gen_cfg;
     gen_cfg.key_universe = key_sizes.size();

@@ -36,22 +36,23 @@ struct ServerFixture : ::testing::Test {
     return server;
   }
 
-  static sched::OpContext op(OperationId id, KeyId key, double demand) {
+  /// An op of `key` that carries the key's catalogue size (0 = the key is
+  /// not in the catalogue).
+  static sched::OpContext op(OperationId id, KeyId key, double demand,
+                             std::uint32_t catalogue_bytes = 0) {
     sched::OpContext ctx;
     ctx.op_id = id;
     ctx.request_id = id;
     ctx.key = key;
+    ctx.catalogue_bytes = catalogue_bytes;
     ctx.demand_us = demand;
     return ctx;
   }
 };
 
 TEST_F(ServerFixture, ServesOpAfterServiceTime) {
-  const std::vector<Bytes> catalogue(6, 100);
-  Server::Params params;
-  params.catalogue = catalogue;
-  auto server = make_server(std::move(params));
-  server->receive_op(op(1, 5, 40.0));
+  auto server = make_server({});
+  server->receive_op(op(1, 5, 40.0, 100));
   sim.run();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_DOUBLE_EQ(responses[0].completed_at, 40.0);
@@ -61,40 +62,42 @@ TEST_F(ServerFixture, ServesOpAfterServiceTime) {
 
 TEST_F(ServerFixture, MissOnUnknownKey) {
   auto server = make_server({});
-  server->receive_op(op(1, 42, 10.0));
+  server->receive_op(op(1, 42, 10.0, /*catalogue_bytes=*/0));
   sim.run();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_FALSE(responses[0].hit);
   EXPECT_EQ(responses[0].value_size, 0u);
 }
 
-// Two replicas of key 3 share one catalogue. A write-all PUT completes on
-// one replica first; until the other completes its copy, it keeps serving
-// the catalogue size, exactly as a per-replica store would.
+// Two replicas of key 3; every op carries the key's catalogue size. A
+// write-all PUT completes on one replica first; until the other completes its
+// copy, it keeps serving the catalogue size, exactly as a per-replica store
+// would.
 TEST_F(ServerFixture, LaggingReplicaServesOldSizeUntilItsWriteCompletes) {
-  const std::vector<Bytes> catalogue{10, 20, 30, 40};
+  const std::vector<std::uint32_t> catalogue{10, 20, 30, 40};
+  const auto served = [&](const Server& server, KeyId key) {
+    return server.written_size(key).value_or(catalogue[key]);
+  };
   Server::Params first_params;
   first_params.id = 0;
-  first_params.catalogue = catalogue;
   Server::Params lagging_params;
   lagging_params.id = 1;
-  lagging_params.catalogue = catalogue;
   auto first = make_server(std::move(first_params));
   auto lagging = make_server(std::move(lagging_params));
 
-  sched::OpContext put = op(1, 3, 10.0);
+  sched::OpContext put = op(1, 3, 10.0, catalogue[3]);
   put.is_write = true;
   put.write_size = 900;
-  first->receive_op(put);                // PUT done at t=10
-  lagging->receive_op(op(2, 0, 100.0));  // busy until t=100
-  lagging->receive_op(op(3, 3, 10.0));   // GET of key 3 at t=100..110
+  first->receive_op(put);                              // PUT done at t=10
+  lagging->receive_op(op(2, 0, 100.0, catalogue[0]));  // busy until t=100
+  lagging->receive_op(op(3, 3, 10.0, catalogue[3]));   // GET of key 3, t=100..110
   put.op_id = 4;
-  lagging->receive_op(put);              // its PUT copy done at t=120
+  lagging->receive_op(put);  // its PUT copy done at t=120
 
   sim.run_until(50.0);
-  EXPECT_EQ(first->stored_size(3), std::optional<Bytes>{900});
-  EXPECT_EQ(lagging->stored_size(3), std::optional<Bytes>{40});
-  first->receive_op(op(5, 3, 10.0));  // GET of key 3 at t=50..60
+  EXPECT_EQ(served(*first, 3), 900u);
+  EXPECT_EQ(served(*lagging, 3), 40u);
+  first->receive_op(op(5, 3, 10.0, catalogue[3]));  // GET of key 3 at t=50..60
   sim.run();
 
   ASSERT_EQ(responses.size(), 5u);
@@ -107,10 +110,10 @@ TEST_F(ServerFixture, LaggingReplicaServesOldSizeUntilItsWriteCompletes) {
   EXPECT_EQ(response_for(5).value_size, 900u);
   EXPECT_EQ(response_for(3).value_size, 40u);
   EXPECT_TRUE(response_for(3).hit);
-  EXPECT_EQ(lagging->stored_size(3), std::optional<Bytes>{900});
-  // Keys no PUT touched still answer from the catalogue.
-  EXPECT_EQ(first->stored_size(1), std::optional<Bytes>{20});
-  EXPECT_EQ(first->stored_size(4), std::nullopt);
+  EXPECT_EQ(served(*lagging, 3), 900u);
+  // Keys no PUT touched still answer from the catalogue size on the op.
+  EXPECT_EQ(served(*first, 1), 20u);
+  EXPECT_EQ(first->written_size(1), std::nullopt);
 }
 
 TEST_F(ServerFixture, HalfSpeedDoublesServiceTime) {

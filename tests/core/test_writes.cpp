@@ -78,8 +78,8 @@ TEST(Writes, WriteAllTouchesEveryReplica) {
     for (std::size_t s = 0; s < cluster.server_count(); ++s) {
       const bool replica =
           std::find(replicas.begin(), replicas.end(), s) != replicas.end();
-      EXPECT_EQ(cluster.server(s).stored_size(key),
-                std::optional<Bytes>{replica ? *last[key] : drawn[key]})
+      EXPECT_EQ(cluster.server(s).written_size(key).value_or(drawn[key]),
+                replica ? *last[key] : drawn[key])
           << "key " << key << " on server " << s;
     }
   }
@@ -117,7 +117,7 @@ TEST(Writes, CatalogueTracksWrittenSizes) {
   // After an all-write run, plenty of keys were rewritten, and clients see
   // each at the size last written to it.
   std::size_t written = 0, scanned = 0;
-  for (KeyId key = 0; key < cluster.key_sizes().size(); ++key) {
+  for (KeyId key = 0; key < last.size(); ++key) {
     ++scanned;
     if (last[key] && cluster.client_size(key) == *last[key]) ++written;
   }
@@ -141,10 +141,11 @@ TEST(Writes, ClientSizeIsTheLastIssuedWrite) {
   Cluster cluster{rw_config(0.5, 2), window()};
   std::vector<std::optional<Bytes>> last;
   run_recording_writes(cluster, last);
+  const std::vector<Bytes> drawn = cluster.key_sizes();
   std::size_t written = 0;
   for (KeyId key = 0; key < last.size(); ++key) {
     written += last[key].has_value() ? 1 : 0;
-    EXPECT_EQ(cluster.client_size(key), last[key].value_or(cluster.key_sizes()[key]))
+    EXPECT_EQ(cluster.client_size(key), last[key].value_or(drawn[key]))
         << "key " << key;
   }
   EXPECT_GT(written, 100u);
@@ -165,10 +166,11 @@ TEST(Writes, ReplayedReadSizeMovesClientDemandNotServers) {
   auto cfg = rw_config(0.0);
   cfg.tenants = workload::parse_tenants("replay:" + path);
   Cluster cluster{cfg, window()};
-  ASSERT_NE(cluster.key_sizes()[kKey], kRecorded);
-  std::vector<std::optional<Bytes>> before;
+  const Bytes drawn = cluster.key_sizes()[kKey];
+  ASSERT_NE(drawn, kRecorded);
+  std::vector<Bytes> before;
   for (std::size_t s = 0; s < cluster.server_count(); ++s) {
-    before.push_back(cluster.server(s).stored_size(kKey));
+    before.push_back(cluster.server(s).written_size(kKey).value_or(drawn));
   }
   const ExperimentResult r = cluster.run();
   ASSERT_EQ(r.ops_completed, 1u);
@@ -178,7 +180,8 @@ TEST(Writes, ReplayedReadSizeMovesClientDemandNotServers) {
   double busy = 0;
   for (std::size_t s = 0; s < cluster.server_count(); ++s) {
     busy += cluster.server(s).busy_time_in_window();
-    EXPECT_EQ(cluster.server(s).stored_size(kKey), before[s]) << "server " << s;
+    EXPECT_EQ(cluster.server(s).written_size(kKey).value_or(drawn), before[s])
+        << "server " << s;
   }
   // Busy time is a difference of simulated instants, so allow rounding.
   EXPECT_NEAR(busy,

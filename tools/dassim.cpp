@@ -308,7 +308,8 @@ int run(int argc, char** argv) {
                "stream a Chrome trace-event JSON (Perfetto-loadable) of the "
                "run to this path; requires exactly one --policy, no --sweep");
   flags.define("trace-cap", "1000000",
-               "maximum trace events written (overflow counted, not kept)");
+               "maximum trace events written (overflow counted, not kept); "
+               "needs --trace");
   flags.define("breakdown", "false",
                "print the exact per-component RCT attribution per policy");
   flags.define("help", "false", "show this help");
@@ -484,6 +485,8 @@ int run(int argc, char** argv) {
 
   const std::string trace_path = flags.get_string("trace");
   const std::string record_path = flags.get_string("record");
+  if (trace_path.empty() && flags.set_on_command_line("trace-cap"))
+    throw std::invalid_argument("flag --trace-cap: only --trace writes a trace");
   if (!record_path.empty() && !record_path.ends_with(".csv"))
     throw std::invalid_argument("flag --record: the trace path must end in .csv");
   for (const char* flag : {"json", "trace", "record"}) {
