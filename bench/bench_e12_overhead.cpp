@@ -119,7 +119,7 @@ void print_metadata_table() {
   fields.add_row({"sjf", "demand", "8"});
   fields.add_row({"edf", "deadline", "8"});
   fields.add_row({"req-srpt", "request id + total remaining", "16"});
-  fields.add_row({"rein-sbf", "request id + bottleneck (ops, demand)", "20"});
+  fields.add_row({"rein-sbf", "request id + bottleneck demand", "16"});
   fields.add_row({"das",
                   "request id + total remaining + critical + other-completion",
                   "32"});

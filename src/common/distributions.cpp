@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/invariant.hpp"
@@ -18,11 +17,6 @@ class ConstantDist final : public RealDistribution {
   explicit ConstantDist(double v) : v_(v) { DAS_CHECK(v >= 0); }
   double sample(Rng&) const override { return v_; }
   double mean() const override { return v_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "constant(" << v_ << ")";
-    return os.str();
-  }
 
  private:
   double v_;
@@ -33,11 +27,6 @@ class UniformRealDist final : public RealDistribution {
   UniformRealDist(double lo, double hi) : lo_(lo), hi_(hi) { DAS_CHECK(lo <= hi); }
   double sample(Rng& rng) const override { return rng.uniform(lo_, hi_); }
   double mean() const override { return 0.5 * (lo_ + hi_); }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "uniform(" << lo_ << ", " << hi_ << ")";
-    return os.str();
-  }
 
  private:
   double lo_, hi_;
@@ -48,11 +37,6 @@ class ExponentialDist final : public RealDistribution {
   explicit ExponentialDist(double mean) : mean_(mean) { DAS_CHECK(mean > 0); }
   double sample(Rng& rng) const override { return rng.exponential(mean_); }
   double mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "exp(mean=" << mean_ << ")";
-    return os.str();
-  }
 
  private:
   double mean_;
@@ -68,11 +52,6 @@ class LognormalDist final : public RealDistribution {
   }
   double sample(Rng& rng) const override { return rng.lognormal(mu_, sigma_); }
   double mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "lognormal(mean=" << mean_ << ", sigma=" << sigma_ << ")";
-    return os.str();
-  }
 
  private:
   double mean_, sigma_, mu_;
@@ -107,12 +86,6 @@ class GeneralizedParetoDist final : public RealDistribution {
     return std::min(x, cap_);
   }
   double mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "gpareto(loc=" << loc_ << ", scale=" << scale_ << ", shape=" << shape_
-       << ", cap=" << cap_ << ")";
-    return os.str();
-  }
 
  private:
   double loc_, scale_, shape_, cap_, mean_;
@@ -123,7 +96,6 @@ class FixedInt final : public IntDistribution {
   explicit FixedInt(std::uint32_t k) : k_(k) { DAS_CHECK(k >= 1); }
   std::uint32_t sample(Rng&) const override { return k_; }
   double mean() const override { return k_; }
-  std::string describe() const override { return "fixed(" + std::to_string(k_) + ")"; }
 
  private:
   std::uint32_t k_;
@@ -139,9 +111,6 @@ class UniformInt final : public IntDistribution {
     return lo_ + static_cast<std::uint32_t>(rng.next_below(hi_ - lo_ + 1));
   }
   double mean() const override { return 0.5 * (lo_ + hi_); }
-  std::string describe() const override {
-    return "uniform_int(" + std::to_string(lo_) + ", " + std::to_string(hi_) + ")";
-  }
 
  private:
   std::uint32_t lo_, hi_;
@@ -165,11 +134,6 @@ class GeometricInt final : public IntDistribution {
     return static_cast<std::uint32_t>(std::min<double>(g, cap_));
   }
   double mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "geometric(p=" << p_ << ", cap=" << cap_ << ")";
-    return os.str();
-  }
 
  private:
   double p_;
@@ -188,11 +152,6 @@ class ZipfInt final : public IntDistribution {
     return static_cast<std::uint32_t>(gen_.sample(rng) + 1);
   }
   double mean() const override { return mean_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "zipf_int(n=" << gen_.universe() << ", theta=" << gen_.theta() << ")";
-    return os.str();
-  }
 
  private:
   ZipfGenerator gen_;
@@ -209,11 +168,6 @@ class BimodalInt final : public IntDistribution {
   }
   std::uint32_t sample(Rng& rng) const override { return rng.chance(p_) ? large_ : small_; }
   double mean() const override { return p_ * large_ + (1 - p_) * small_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "bimodal(" << small_ << "/" << large_ << ", p_large=" << p_ << ")";
-    return os.str();
-  }
 
  private:
   std::uint32_t small_, large_;
@@ -232,53 +186,10 @@ class BimodalReal final : public RealDistribution {
   }
   double sample(Rng& rng) const override { return rng.chance(p_) ? large_ : small_; }
   double mean() const override { return p_ * large_ + (1 - p_) * small_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "bimodal_real(" << small_ << "/" << large_ << ", p_large=" << p_ << ")";
-    return os.str();
-  }
 
  private:
   double small_, large_;
   double p_;
-};
-
-class DiscreteInt final : public IntDistribution {
- public:
-  DiscreteInt(std::vector<std::uint32_t> values, std::vector<double> weights)
-      : values_(std::move(values)) {
-    DAS_CHECK(!values_.empty());
-    DAS_CHECK(values_.size() == weights.size());
-    double total = 0;
-    for (double w : weights) {
-      DAS_CHECK(w >= 0);
-      total += w;
-    }
-    DAS_CHECK(total > 0);
-    cdf_.reserve(weights.size());
-    double acc = 0, m = 0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i] / total;
-      cdf_.push_back(acc);
-      m += values_[i] * weights[i] / total;
-    }
-    cdf_.back() = 1.0;
-    mean_ = m;
-  }
-  std::uint32_t sample(Rng& rng) const override {
-    const double u = rng.next_double();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return values_[static_cast<std::size_t>(it - cdf_.begin())];
-  }
-  double mean() const override { return mean_; }
-  std::string describe() const override {
-    return "discrete(" + std::to_string(values_.size()) + " points)";
-  }
-
- private:
-  std::vector<std::uint32_t> values_;
-  std::vector<double> cdf_;
-  double mean_;
 };
 
 }  // namespace
@@ -311,9 +222,6 @@ IntDistPtr make_zipf_int(std::uint32_t n, double theta) {
 }
 IntDistPtr make_bimodal(std::uint32_t small, std::uint32_t large, double p_large) {
   return std::make_shared<BimodalInt>(small, large, p_large);
-}
-IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> weights) {
-  return std::make_shared<DiscreteInt>(std::move(values), std::move(weights));
 }
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta) : n_(n), theta_(theta) {

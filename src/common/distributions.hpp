@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,8 +25,6 @@ class RealDistribution {
   virtual double sample(Rng& rng) const = 0;
   /// Exact expected value.
   virtual double mean() const = 0;
-  /// Human-readable description for bench/report labels.
-  virtual std::string describe() const = 0;
 };
 
 using RealDistPtr = std::shared_ptr<const RealDistribution>;
@@ -56,7 +53,6 @@ class IntDistribution {
   virtual ~IntDistribution() = default;
   virtual std::uint32_t sample(Rng& rng) const = 0;
   virtual double mean() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 using IntDistPtr = std::shared_ptr<const IntDistribution>;
@@ -73,8 +69,6 @@ IntDistPtr make_geometric(double p, std::uint32_t cap);
 IntDistPtr make_zipf_int(std::uint32_t n, double theta);
 /// Two-point mixture: `small` w.p. (1-p_large), else `large`.
 IntDistPtr make_bimodal(std::uint32_t small, std::uint32_t large, double p_large);
-/// Arbitrary finite support with weights (need not be normalised).
-IntDistPtr make_discrete(std::vector<std::uint32_t> values, std::vector<double> weights);
 
 /// Zipf sampler over ranks {0..n-1}: rank 0 is the most popular. Exact
 /// inverse-CDF sampling: a draw u maps to the first rank whose CDF is >= u.

@@ -85,7 +85,6 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
       DAS_CHECK(tenant.arrivals != nullptr);
     }
   }
-  DAS_CHECK(params_.ewma_alpha > 0 && params_.ewma_alpha <= 1);
   // Tenants past the first get their own workload streams, forked off COPIES
   // so neither rng_ nor the single-tenant draw sequence is perturbed.
   extra_tenant_rngs_.reserve(tenants_.size() - 1);
@@ -94,11 +93,7 @@ Client::Client(sim::Simulator& sim, Params params, Rng rng,
         Rng{rng_}.fork(0x7E4A0000ull + t * 0x10001ull + params_.id));
   }
   if (params_.overload.admission) {
-    admission_ = std::make_unique<overload::AdmissionController>(
-        tenants_.size(),
-        overload::AdmissionController::Params{params_.overload.admission_floor,
-                                              params_.overload.admission_increase,
-                                              params_.overload.admission_decrease});
+    admission_ = std::make_unique<overload::AdmissionController>(tenants_.size());
   }
   d_est_.assign(params_.num_servers, 0.0);
   mu_est_.assign(params_.num_servers, 1.0);
@@ -559,10 +554,8 @@ void Client::on_response(const OpResponse& resp) {
     // Applies to BUSY responses too: the piggybacked d_hat/mu_hat are real —
     // explicit rejection feeding the learned view is what steers subsequent
     // picks away from the saturated server.
-    d_est_[resp.server] +=
-        params_.ewma_alpha * (resp.d_hat_us - d_est_[resp.server]);
-    mu_est_[resp.server] +=
-        params_.ewma_alpha * (resp.mu_hat - mu_est_[resp.server]);
+    d_est_[resp.server] += kEwmaAlpha * (resp.d_hat_us - d_est_[resp.server]);
+    mu_est_[resp.server] += kEwmaAlpha * (resp.mu_hat - mu_est_[resp.server]);
   }
   PendingRequest& req = req_it->second;
   if (resp.status != OpStatus::kOk) {
@@ -601,7 +594,7 @@ void Client::on_response(const OpResponse& resp) {
     }
     sim_.cancel(req.deadline_timer);
     if (admission_ != nullptr) admission_->on_success(req.tenant);
-    metrics_.record_request(req.arrival, now, req.ops.size(), req.tenant);
+    metrics_.record_request(req.arrival, now, req.tenant);
     if (req.failed_over) ++requests_completed_failover_;
     if (tracer_ != nullptr) {
       tracer_->request_complete(now, rid, params_.id, now - req.arrival);
@@ -647,10 +640,10 @@ void Client::on_response(const OpResponse& resp) {
   // threshold, relative to its last sent value.
   const bool critical_moved =
       std::abs(new_critical - req.last_sent_critical) >=
-      params_.progress_threshold * std::max(req.last_sent_critical, 1.0);
+      kProgressThreshold * std::max(req.last_sent_critical, 1.0);
   const bool total_moved =
       std::abs(remaining_demand - req.last_sent_total) >=
-      params_.progress_threshold * std::max(req.last_sent_total, 1.0);
+      kProgressThreshold * std::max(req.last_sent_total, 1.0);
   if (!critical_moved && !total_moved) return;
   req.last_sent_critical = new_critical;
   req.last_sent_total = remaining_demand;

@@ -47,10 +47,6 @@ class Client {
     bool adaptive = true;
     /// Send sibling-progress updates to servers holding pending ops.
     bool progress_updates = true;
-    /// Suppress a progress update when the completion estimate moved by less
-    /// than this fraction of the remaining horizon (overhead control).
-    double progress_threshold = 0.05;
-    double ewma_alpha = 0.3;
     /// Round-trip allowance added to completion estimates at tag time.
     Duration est_rtt_us = 10.0;
     Duration edf_slo_us = 10.0 * kMillisecond;
@@ -159,6 +155,13 @@ class Client {
   /// (one record per read key, one per write) for later replay; nullptr
   /// detaches. Purely observational.
   void set_op_recorder(workload::ReplayTrace* sink) { recorder_ = sink; }
+
+  /// A progress update is sent only when the critical path or the total
+  /// remaining demand moved by at least this fraction of its last sent value
+  /// (overhead control).
+  static constexpr double kProgressThreshold = 0.05;
+  /// EWMA gain of the learned per-server delay and speed estimates.
+  static constexpr double kEwmaAlpha = 0.3;
 
  private:
   struct PendingOp {

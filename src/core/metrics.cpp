@@ -42,14 +42,13 @@ void Metrics::record_generated(SimTime arrival, std::uint32_t tenant) {
   if (in_window(arrival)) ++tenant_measured_.at(tenant).generated;
 }
 
-void Metrics::record_request(SimTime arrival, SimTime completion, std::size_t fan,
+void Metrics::record_request(SimTime arrival, SimTime completion,
                              std::uint32_t tenant) {
   DAS_CHECK(completion >= arrival);
   ++tenant_counts_.at(tenant).completed;
   if (!in_window(arrival)) return;
   ++tenant_measured_.at(tenant).completed;
   rct_.add(completion - arrival);
-  fanout_.add(static_cast<double>(fan));
   tenant_rct_.at(tenant).add(completion - arrival);
 }
 

@@ -57,7 +57,7 @@ class Metrics {
   /// A request arrived at its client (counted whether or not it is admitted).
   void record_generated(SimTime arrival, std::uint32_t tenant = 0);
   /// A request completed: every op answered.
-  void record_request(SimTime arrival, SimTime completion, std::size_t fanout,
+  void record_request(SimTime arrival, SimTime completion,
                       std::uint32_t tenant = 0);
   /// A request settled without completing. Unserved requests never enter the
   /// RCT population — mixing give-up times into a latency distribution would
@@ -69,7 +69,6 @@ class Metrics {
   const LatencyRecorder& rct() const { return rct_; }
   const LatencyRecorder& op_latency() const { return op_latency_; }
   const LatencyRecorder& op_wait() const { return op_wait_; }
-  const StreamingStats& fanout() const { return fanout_; }
 
   std::size_t tenant_count() const { return tenant_rct_.size(); }
   const LatencyRecorder& tenant_rct(std::size_t t) const {
@@ -92,7 +91,6 @@ class Metrics {
   LatencyRecorder rct_{1e9};
   LatencyRecorder op_latency_{1e9};
   LatencyRecorder op_wait_{1e9};
-  StreamingStats fanout_;
   std::vector<LatencyRecorder> tenant_rct_;
   std::vector<RequestCounts> tenant_counts_;
   std::vector<RequestCounts> tenant_measured_;

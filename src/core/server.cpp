@@ -39,7 +39,6 @@ Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler
   service_model_ = std::move(params_.service_model);
   DAS_CHECK(scheduler_ != nullptr);
   DAS_CHECK(params_.speed_factor > 0);
-  DAS_CHECK(params_.speed_alpha > 0 && params_.speed_alpha <= 1);
   // Start the speed estimate at the static factor: a server knows its own
   // hardware class; what it must *learn* is the time-varying component.
   mu_hat_ = params_.speed_factor;
@@ -362,7 +361,7 @@ void Server::complete_current() {
 
   // Adaptive service-speed estimate from the observed completion.
   const double observed_speed = current_op_.demand_us / elapsed;
-  mu_hat_ += params_.speed_alpha * (observed_speed - mu_hat_);
+  mu_hat_ += kSpeedAlpha * (observed_speed - mu_hat_);
   scheduler_->on_speed_estimate(mu_hat_);
 
   note_busy_interval(current_started_, now);

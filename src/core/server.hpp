@@ -33,8 +33,6 @@ class Server : public Auditable {
     double speed_factor = 1.0;
     /// Optional time-varying multiplier on top of speed_factor.
     workload::RatePtr speed_profile;  // nullptr = constant 1.0
-    /// EWMA smoothing for the service-speed estimate.
-    double speed_alpha = 0.1;
     /// Preempt-resume service: an arriving operation that the scheduler's
     /// preempts() hook prefers interrupts the one in service, whose
     /// remaining demand is requeued. An oracle-style upper bound; real
@@ -85,6 +83,8 @@ class Server : public Auditable {
   /// Advertised queueing-delay estimate: backlog over estimated speed.
   double d_hat_us() const;
   double mu_hat() const { return mu_hat_; }
+  /// EWMA gain of mu_hat over the speeds observed at completions.
+  static constexpr double kSpeedAlpha = 0.1;
   ServerId id() const { return params_.id; }
   bool busy() const { return busy_; }
   std::size_t queue_length() const { return scheduler_->size(); }

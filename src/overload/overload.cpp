@@ -47,15 +47,6 @@ void OverloadConfig::validate() const {
   if (!(deadline_budget_us >= 0 && std::isfinite(deadline_budget_us)))
     reject("deadline_budget_us must be finite and >= 0 (got " +
            std::to_string(deadline_budget_us) + ")");
-  if (admission_floor <= 0 || admission_floor > 1)
-    reject("admission_floor must be in (0, 1] (got " +
-           std::to_string(admission_floor) + ")");
-  if (admission_increase <= 0 || admission_increase > 1)
-    reject("admission_increase must be in (0, 1] (got " +
-           std::to_string(admission_increase) + ")");
-  if (admission_decrease <= 0 || admission_decrease >= 1)
-    reject("admission_decrease must be in (0, 1) (got " +
-           std::to_string(admission_decrease) + ")");
 }
 
 void QueueGuard::check_invariants() const {
@@ -74,20 +65,13 @@ void QueueGuard::check_invariants() const {
             "QueueGuard: shed counter overflow");
 }
 
-AdmissionController::AdmissionController(std::size_t tenant_count,
-                                         const Params& params)
-    : params_(params), rate_(tenant_count == 0 ? 1 : tenant_count, 1.0) {
-  DAS_CHECK_MSG(params.floor > 0 && params.floor <= 1,
-                "AdmissionController: floor out of (0, 1]");
-  DAS_CHECK_MSG(params.increase > 0, "AdmissionController: increase <= 0");
-  DAS_CHECK_MSG(params.decrease > 0 && params.decrease < 1,
-                "AdmissionController: decrease out of (0, 1)");
-}
+AdmissionController::AdmissionController(std::size_t tenant_count)
+    : rate_(tenant_count == 0 ? 1 : tenant_count, 1.0) {}
 
 bool AdmissionController::admit(std::size_t tenant, Rng& rng) {
   DAS_CHECK(tenant < rate_.size());
-  // Exactly one draw per call regardless of the rate, so the stream stays
-  // aligned across configs that only differ in AIMD parameters.
+  // Exactly one draw per call regardless of the rate, so the stream's
+  // position depends on the number of admits, never on the AIMD state.
   const bool ok = rng.chance(rate_[tenant]);
   if (ok)
     ++admitted_;
@@ -99,19 +83,18 @@ bool AdmissionController::admit(std::size_t tenant, Rng& rng) {
 void AdmissionController::on_success(std::size_t tenant) {
   DAS_CHECK(tenant < rate_.size());
   double& r = rate_[tenant];
-  r = r + params_.increase > 1.0 ? 1.0 : r + params_.increase;
+  r = r + kIncrease > 1.0 ? 1.0 : r + kIncrease;
 }
 
 void AdmissionController::on_overload(std::size_t tenant) {
   DAS_CHECK(tenant < rate_.size());
   double& r = rate_[tenant];
-  r = r * params_.decrease < params_.floor ? params_.floor
-                                           : r * params_.decrease;
+  r = r * kDecrease < kFloor ? kFloor : r * kDecrease;
 }
 
 void AdmissionController::check_invariants() const {
   for (std::size_t t = 0; t < rate_.size(); ++t)
-    DAS_AUDIT(rate_[t] >= params_.floor && rate_[t] <= 1.0,
+    DAS_AUDIT(rate_[t] >= kFloor && rate_[t] <= 1.0,
               "AdmissionController: rate outside [floor, 1] for tenant " +
                   std::to_string(t));
 }

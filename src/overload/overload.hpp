@@ -25,7 +25,7 @@
 //   AdmissionController (client side) — per-tenant AIMD throttle driven by
 //       the BUSY/expiry rate: each success additively raises the tenant's
 //       admit probability, each overload signal multiplicatively cuts it,
-//       clamped to a configurable floor so one storming tenant cannot be
+//       clamped to a fixed floor so one storming tenant cannot be
 //       starved to zero (nor starve the others — its own storm traffic is
 //       what gets shed).
 //
@@ -77,12 +77,6 @@ struct OverloadConfig {
   Duration deadline_budget_us = 0;
   /// Client-side AIMD admission control on/off.
   bool admission = false;
-  /// Admission probability never drops below this floor (per tenant).
-  double admission_floor = 0.05;
-  /// Additive increase per successfully completed request.
-  double admission_increase = 0.02;
-  /// Multiplicative decrease factor per overload signal (BUSY / expiry).
-  double admission_decrease = 0.5;
 
   bool bounded() const { return queue_cap > 0; }
   bool deadlines() const { return deadline_budget_us > 0; }
@@ -157,13 +151,14 @@ class QueueGuard final : public Auditable {
 /// paying network + queueing) to the client (free).
 class AdmissionController final : public Auditable {
  public:
-  struct Params {
-    double floor = 0.05;
-    double increase = 0.02;
-    double decrease = 0.5;
-  };
+  /// Admission probability never drops below this floor (per tenant).
+  static constexpr double kFloor = 0.05;
+  /// Additive increase per successfully completed request.
+  static constexpr double kIncrease = 0.02;
+  /// Multiplicative decrease factor per overload signal (BUSY / expiry).
+  static constexpr double kDecrease = 0.5;
 
-  AdmissionController(std::size_t tenant_count, const Params& params);
+  explicit AdmissionController(std::size_t tenant_count);
 
   /// One coin flip on `rng` (exactly one uniform draw per call).
   /// True = dispatch the request, false = shed it.
@@ -182,7 +177,6 @@ class AdmissionController final : public Auditable {
   void check_invariants() const override;
 
  private:
-  Params params_;
   std::vector<double> rate_;  ///< per-tenant admit probability
   std::uint64_t admitted_ = 0;
   std::uint64_t refused_ = 0;

@@ -41,7 +41,8 @@ struct OpContext {
 
   /// --- Rein-SBF tags ------------------------------------------------------
   /// Bottleneck size of the request: max per-server aggregate of the
-  /// request's operations, in ops and in demand-µs.
+  /// request's operations, in ops and in demand-µs. Rein ranks on the
+  /// demand; the op count is tagged and priced on the wire all the same.
   std::uint32_t bottleneck_ops = 1;
   /// The key's catalogue size (0 = none: a miss), served unless a completed
   /// PUT overwrote the key on the server. Stamped by the client; bookkeeping

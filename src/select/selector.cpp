@@ -91,8 +91,6 @@ ServerId LeastDelaySelector::pick(const std::vector<ServerId>& replicas,
                           /*honor_suspicion=*/false);
 }
 
-TarsSelector::TarsSelector() : TarsSelector(Params()) {}
-
 ServerId TarsSelector::pick(const std::vector<ServerId>& replicas,
                             const LearnedView& view, const SelectionContext& ctx,
                             Rng& /*rng*/) {
@@ -131,9 +129,8 @@ ServerId TarsSelector::pick(const std::vector<ServerId>& replicas,
       view.completion_estimate(state.current, ctx.demand_us);
   const double challenger_est =
       view.completion_estimate(challenger, ctx.demand_us);
-  const bool dwelled = ctx.now - state.last_switch >= params_.min_dwell_us;
-  const bool decisive =
-      challenger_est < incumbent_est * (1.0 - params_.hysteresis);
+  const bool dwelled = ctx.now - state.last_switch >= kMinDwellUs;
+  const bool decisive = challenger_est < incumbent_est * (1.0 - kHysteresis);
   if (dwelled && decisive) {
     state.current = challenger;
     state.last_switch = ctx.now;
@@ -155,7 +152,8 @@ ServerId PowerOfDSelector::pick(const std::vector<ServerId>& replicas,
   }
   // A forced pick consumes no randomness.
   if (eligible_.size() == 1) return eligible_[0];
-  const std::size_t samples = d_ < eligible_.size() ? d_ : eligible_.size();
+  const std::size_t samples =
+      kChoices < eligible_.size() ? kChoices : eligible_.size();
   // Partial Fisher-Yates: after k steps the first k slots hold a uniform
   // k-subset in sampled order; the estimate comparison below keeps the
   // first-sampled tie-break.

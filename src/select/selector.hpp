@@ -40,8 +40,8 @@ enum class Mode {
   /// estimated completion beats it by a hysteresis margin AND a minimum
   /// dwell time has passed (Tars-style, driven by the piggybacked feedback).
   kTars,
-  /// Power-of-d-choices: sample d (default 2) distinct replicas uniformly,
-  /// take the one with the lower estimated completion.
+  /// Power-of-two-choices: sample 2 distinct replicas uniformly, take the
+  /// one with the lower estimated completion.
   kPowerOfD,
   /// C3-style cubic replica ranking: like least-delay, but the learned
   /// queueing-delay term is expressed in units of the op's own service time
@@ -172,20 +172,16 @@ class LeastDelaySelector final : public ReplicaSelector {
 /// momentarily-fast replica herd onto it and oscillate. Tars damps that: per
 /// replica group (keyed by the primary) it remembers the current choice and
 /// only switches when the challenger's estimated completion undercuts the
-/// incumbent's by `hysteresis` AND the incumbent has been held for at least
-/// `min_dwell_us`. A suspected incumbent is abandoned immediately —
+/// incumbent's by `kHysteresis` AND the incumbent has been held for at least
+/// `kMinDwellUs`. A suspected incumbent is abandoned immediately —
 /// liveness beats rate-bounding.
 class TarsSelector final : public ReplicaSelector {
  public:
-  struct Params {
-    /// Required relative improvement before switching: the challenger must
-    /// beat the incumbent's estimate by this fraction.
-    double hysteresis = 0.1;
-    /// Minimum time between voluntary switches within one replica group.
-    Duration min_dwell_us = 500.0;
-  };
-  TarsSelector();
-  explicit TarsSelector(Params params) : params_(params) {}
+  /// Required relative improvement before switching: the challenger must
+  /// beat the incumbent's estimate by this fraction.
+  static constexpr double kHysteresis = 0.1;
+  /// Minimum time between voluntary switches within one replica group.
+  static constexpr Duration kMinDwellUs = 500.0;
 
   ServerId pick(const std::vector<ServerId>& replicas, const LearnedView& view,
                 const SelectionContext& ctx, Rng& rng) override;
@@ -197,25 +193,24 @@ class TarsSelector final : public ReplicaSelector {
     ServerId current = kInvalidServer;
     SimTime last_switch = 0;
   };
-  Params params_;
   /// Keyed by the group's primary replica — stable for a key across picks.
   FlatMap<ServerId, GroupState> state_;
   std::uint64_t switches_ = 0;
 };
 
-/// Power-of-d-choices: d distinct unsuspected replicas sampled uniformly
-/// (partial Fisher-Yates on the caller's stream), lowest completion estimate
-/// wins, ties to the first sampled. All-suspected falls back to the plain
-/// scan, like least-delay.
+/// Power-of-d-choices: kChoices distinct unsuspected replicas sampled
+/// uniformly (partial Fisher-Yates on the caller's stream), lowest completion
+/// estimate wins, ties to the first sampled. All-suspected falls back to the
+/// plain scan, like least-delay.
 class PowerOfDSelector final : public ReplicaSelector {
  public:
-  explicit PowerOfDSelector(std::size_t d = 2) : d_(d < 2 ? 2 : d) {}
+  /// Replicas sampled per pick (d).
+  static constexpr std::size_t kChoices = 2;
 
   ServerId pick(const std::vector<ServerId>& replicas, const LearnedView& view,
                 const SelectionContext& ctx, Rng& rng) override;
 
  private:
-  std::size_t d_;
   /// Scratch candidate indices, reused across picks (no per-pick allocation
   /// in steady state).
   std::vector<ServerId> eligible_;

@@ -37,11 +37,6 @@ void LsmOptions::validate() const {
   }
   if (stall_debt_bytes <= 0) reject("stall_debt_bytes must be > 0");
   if (stall_write_multiplier < 1.0) reject("stall_write_multiplier must be >= 1");
-  if (memtable_read_factor <= 0 || memtable_read_factor > 1.0) {
-    reject("memtable_read_factor must be in (0, 1]");
-  }
-  if (level_read_step < 0) reject("level_read_step must be >= 0");
-  if (max_read_levels == 0) reject("max_read_levels must be >= 1");
 }
 
 LsmModel::LsmModel(LsmOptions options, std::uint64_t seed)
@@ -59,7 +54,7 @@ std::size_t LsmModel::read_levels() const {
     sorted = 1 + static_cast<std::size_t>(tiers);
   }
   const std::size_t levels = l0_runs_ + sorted;
-  return levels < options_.max_read_levels ? levels : options_.max_read_levels;
+  return levels < kMaxReadLevels ? levels : kMaxReadLevels;
 }
 
 double LsmModel::base_cost_us(const OpCostQuery& q, SimTime now) {
@@ -79,11 +74,11 @@ double LsmModel::base_cost_us(const OpCostQuery& q, SimTime now) {
   if (memtable_keys_.contains(q.key)) {
     ++stats_.memtable_hits;
     return options_.per_op_overhead_us +
-           byte_cost * options_.memtable_read_factor;
+           byte_cost * kMemtableReadFactor;
   }
   ++stats_.level_reads;
   const double walk =
-      1.0 + options_.level_read_step * static_cast<double>(read_levels());
+      1.0 + kLevelReadStep * static_cast<double>(read_levels());
   return options_.per_op_overhead_us + byte_cost * walk;
 }
 

@@ -164,13 +164,6 @@ struct LsmOptions {
   double stall_debt_bytes = 256.0 * 1024.0;
   double stall_write_multiplier = 4.0;
 
-  /// Read pricing: a memtable hit pays this fraction of the byte cost; a
-  /// level walk pays (1 + level_read_step × runs/levels searched), capped at
-  /// `max_read_levels` levels.
-  double memtable_read_factor = 0.25;
-  double level_read_step = 0.3;
-  std::size_t max_read_levels = 8;
-
   /// false = the flush/compaction state machine still runs (reads stay
   /// size-dependent) but compaction windows cost nothing and writes never
   /// stall — the "compaction disabled" control arm of E20.
@@ -182,6 +175,13 @@ struct LsmOptions {
 
 class LsmModel final : public ServiceTimeProvider {
  public:
+  /// Read pricing: a memtable hit pays this fraction of the byte cost; a
+  /// level walk pays (1 + kLevelReadStep × runs/levels searched), capped at
+  /// kMaxReadLevels levels.
+  static constexpr double kMemtableReadFactor = 0.25;
+  static constexpr double kLevelReadStep = 0.3;
+  static constexpr std::size_t kMaxReadLevels = 8;
+
   /// `seed` feeds the jitter stream; two models with the same options, seed
   /// and op sequence produce bit-identical costs and windows.
   LsmModel(LsmOptions options, std::uint64_t seed);

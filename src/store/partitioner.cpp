@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/flat_map.hpp"
@@ -31,9 +30,6 @@ class ModuloPartitioner final : public Partitioner {
     return out;
   }
   std::size_t server_count() const override { return servers_; }
-  std::string describe() const override {
-    return "modulo(" + std::to_string(servers_) + ")";
-  }
 
  private:
   std::size_t servers_;
@@ -83,12 +79,6 @@ std::vector<ServerId> ConsistentHashRing::replicas_for(KeyId key,
     if (std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
   }
   return out;
-}
-
-std::string ConsistentHashRing::describe() const {
-  std::ostringstream os;
-  os << "ring(servers=" << servers_ << ", vnodes=" << vnodes_ << ")";
-  return os.str();
 }
 
 std::vector<double> ConsistentHashRing::ownership() const {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,7 +25,6 @@ class Partitioner {
   /// first). count is clamped to the cluster size.
   virtual std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const = 0;
   virtual std::size_t server_count() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 using PartitionerPtr = std::shared_ptr<const Partitioner>;
@@ -44,7 +42,6 @@ class ConsistentHashRing final : public Partitioner {
   ServerId server_for(KeyId key) const override;
   std::vector<ServerId> replicas_for(KeyId key, std::size_t count) const override;
   std::size_t server_count() const override { return servers_; }
-  std::string describe() const override;
 
   /// Fraction of the ring owned by each server (sums to 1); for balance tests.
   std::vector<double> ownership() const;

@@ -1,7 +1,5 @@
 #include "workload/arrival.hpp"
 
-#include <sstream>
-
 #include "common/check.hpp"
 
 namespace das::workload {
@@ -15,11 +13,6 @@ class PoissonArrivals final : public ArrivalProcess {
     return now + rng.exponential(1.0 / rate_);
   }
   double mean_rate() const override { return rate_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "poisson(rate=" << rate_ << "/us)";
-    return os.str();
-  }
 
  private:
   double rate_;
@@ -32,11 +25,6 @@ class DeterministicArrivals final : public ArrivalProcess {
     return now + 1.0 / rate_;
   }
   double mean_rate() const override { return rate_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "deterministic(rate=" << rate_ << "/us)";
-    return os.str();
-  }
 
  private:
   double rate_;
@@ -70,11 +58,6 @@ class ModulatedPoisson final : public ArrivalProcess {
     }
   }
   double mean_rate() const override { return mean_rate_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "modulated_poisson(base=" << base_ << "/us, " << mod_->describe() << ")";
-    return os.str();
-  }
 
  private:
   double base_;

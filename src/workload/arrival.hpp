@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -21,7 +20,6 @@ class ArrivalProcess {
   virtual SimTime next_arrival_after(SimTime now, Rng& rng) const = 0;
   /// Long-run average rate (arrivals per microsecond), for calibration.
   virtual double mean_rate() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 using ArrivalPtr = std::shared_ptr<const ArrivalProcess>;

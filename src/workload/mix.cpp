@@ -1,7 +1,6 @@
 #include "workload/mix.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -15,12 +14,6 @@ OpKind OpMix::sample(Rng& rng) const {
   if (u < update) return OpKind::kUpdate;
   if (u < update + rmw) return OpKind::kRmw;
   return OpKind::kRead;
-}
-
-std::string OpMix::describe() const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "mix:%g:%g:%g", read, update, rmw);
-  return buf;
 }
 
 OpMix parse_mix(const std::string& spec) {

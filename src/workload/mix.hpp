@@ -39,9 +39,6 @@ struct OpMix {
   /// any write component and zero draws when read-only, so read-only mixes
   /// stay bit-identical to the pre-mix workload path.
   [[nodiscard]] OpKind sample(Rng& rng) const;
-
-  /// Human-readable description, e.g. "mix:0.95:0.05:0".
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Parses a mix spec ("ycsb-a" | "mix:R:U:M"). Throws std::logic_error on

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/flat_map.hpp"
@@ -168,20 +167,6 @@ MultigetSpec MultigetGenerator::generate(Rng& rng, SimTime now) const {
   for (const KeyId position : drawn) __builtin_prefetch(&rank_to_key_[position]);
   for (KeyId& position : drawn) position = key_at(position);
   return spec;
-}
-
-std::string MultigetGenerator::describe() const {
-  std::ostringstream os;
-  os << "multiget(universe=" << config_.key_universe << ", theta=" << config_.zipf_theta
-     << ", fanout=" << config_.fanout->describe();
-  if (config_.key_base != 0) os << ", base=" << config_.key_base;
-  if (config_.drift.rotate_period_us > 0) {
-    os << ", rotate=" << config_.drift.rotate_period_us << "us/"
-       << config_.drift.rotate_stride;
-  }
-  if (!config_.drift.storms.empty()) os << ", storms=" << config_.drift.storms.size();
-  os << ")";
-  return os.str();
 }
 
 }  // namespace das::workload

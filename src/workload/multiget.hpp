@@ -88,7 +88,6 @@ class MultigetGenerator {
   std::uint64_t key_universe() const { return config_.key_universe; }
   std::uint64_t key_base() const { return config_.key_base; }
   const DriftOptions& drift() const { return config_.drift; }
-  std::string describe() const;
 
   /// Key id occupying popularity rank `rank` (0 = hottest) at epoch 0;
   /// exposed so load calibration can compute exact per-server demand shares.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -17,11 +16,6 @@ class ConstantRate final : public RateFunction {
   explicit ConstantRate(double v) : v_(v) { DAS_CHECK(v >= 0); }
   double value_at(SimTime) const override { return v_; }
   double max_value() const override { return v_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "constant(" << v_ << ")";
-    return os.str();
-  }
 
  private:
   double v_;
@@ -40,12 +34,6 @@ class SinusoidalRate final : public RateFunction {
     return base_ + amp_ * std::sin(2.0 * std::numbers::pi * t / period_);
   }
   double max_value() const override { return base_ + amp_; }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "sinusoid(base=" << base_ << ", amp=" << amp_ << ", period=" << period_
-       << "us)";
-    return os.str();
-  }
 
  private:
   double base_, amp_;
@@ -67,9 +55,6 @@ class StepRate final : public RateFunction {
   }
   double max_value() const override {
     return *std::max_element(levels_.begin(), levels_.end());
-  }
-  std::string describe() const override {
-    return "step(" + std::to_string(levels_.size()) + " levels)";
   }
 
  private:

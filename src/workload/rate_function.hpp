@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,7 +23,6 @@ class RateFunction {
   virtual double value_at(SimTime t) const = 0;
   /// Upper bound over all t; thinning samplers need it.
   virtual double max_value() const = 0;
-  virtual std::string describe() const = 0;
 };
 
 using RatePtr = std::shared_ptr<const RateFunction>;

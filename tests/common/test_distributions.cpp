@@ -159,24 +159,6 @@ TEST(BimodalReal, OnlyTwoValuesAndExactMean) {
   EXPECT_THROW(make_bimodal_real(10.0, 5.0, 0.5), std::logic_error);
 }
 
-TEST(Discrete, RespectsWeights) {
-  auto d = make_discrete({1, 5, 10}, {1.0, 2.0, 1.0});
-  Rng rng{16};
-  std::map<std::uint32_t, int> seen;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++seen[d->sample(rng)];
-  EXPECT_NEAR(static_cast<double>(seen[5]) / n, 0.5, 0.01);
-  EXPECT_DOUBLE_EQ(d->mean(), (1 + 2 * 5 + 10) / 4.0);
-}
-
-TEST(Discrete, RejectsMismatchedSizes) {
-  EXPECT_THROW(make_discrete({1, 2}, {1.0}), std::logic_error);
-}
-
-TEST(Discrete, RejectsZeroTotalWeight) {
-  EXPECT_THROW(make_discrete({1, 2}, {0.0, 0.0}), std::logic_error);
-}
-
 TEST(ZipfGenerator, PmfSumsToOne) {
   ZipfGenerator gen{1000, 0.99};
   double sum = 0;
@@ -319,8 +301,7 @@ INSTANTIATE_TEST_SUITE_P(
                       IntDistCase{"uniform", make_uniform_int(1, 31)},
                       IntDistCase{"geometric", make_geometric(0.125, 128)},
                       IntDistCase{"zipf", make_zipf_int(64, 1.1)},
-                      IntDistCase{"bimodal", make_bimodal(2, 64, 0.05)},
-                      IntDistCase{"discrete", make_discrete({1, 8, 32}, {4, 2, 1})}));
+                      IntDistCase{"bimodal", make_bimodal(2, 64, 0.05)}));
 
 }  // namespace
 }  // namespace das

@@ -197,10 +197,7 @@ TEST_F(ClientFixture, EstOtherCompletionTiedMaxReachesBothHolders) {
 }
 
 TEST_F(ClientFixture, FanoutOfOneCarriesNoDeferralBound) {
-  Client::Params p;
-  p.progress_updates = true;
-  p.progress_threshold = 0.0;
-  build(1, p);
+  build(1);
   client->start(1500.0);
   sim.run();
   ASSERT_EQ(sent_ops.size(), 1u);
@@ -211,14 +208,13 @@ TEST_F(ClientFixture, FanoutOfOneCarriesNoDeferralBound) {
 }
 
 TEST_F(ClientFixture, ProgressToTheLastRemainingServerHasBoundZero) {
-  // Threshold 0: every response re-sends progress to each server still
-  // holding ops. While two or more servers remain, each update carries the
-  // others' full estimate (now + rtt + 12us on a cold view); once a single
-  // server remains, nothing else bounds its deferral.
-  Client::Params p;
-  p.progress_updates = true;
-  p.progress_threshold = 0.0;
-  build(8, p);
+  // Each response removes 12us of at most 96us of remaining demand, a move
+  // of at least 12.5% (over the 5% threshold), so every response re-sends
+  // progress to each server still holding ops. While two or more servers
+  // remain, each update carries the others' full estimate (now + rtt + 12us
+  // on a cold view); once a single server remains, nothing else bounds its
+  // deferral.
+  build(8);
   client->start(1500.0);
   sim.run();
   sim.run_until(1600.0);
@@ -237,6 +233,7 @@ TEST_F(ClientFixture, ProgressToTheLastRemainingServerHasBoundZero) {
       const double expected = updates.size() == 1 ? 0.0 : 1600.0 + 10.0 + 12.0;
       EXPECT_DOUBLE_EQ(prog.update.est_other_completion, expected);
     }
+    ASSERT_FALSE(updates.empty());
     if (i + 1 == others.size()) {
       ASSERT_EQ(updates.size(), 1u);
       EXPECT_EQ(updates.begin()->first, last);
@@ -261,15 +258,14 @@ TEST_F(ClientFixture, RequestCompletesWhenAllOpsRespond) {
 TEST_F(ClientFixture, AdaptiveEstimatesLearnFromPiggybacks) {
   Client::Params p;
   p.adaptive = true;
-  p.ewma_alpha = 0.5;
   build(4, p);
   client->start(1500.0);
   sim.run();
   const ServerId s = sent_ops[0].server;
   EXPECT_DOUBLE_EQ(client->delay_estimate(s), 0.0);
   respond(sent_ops[0], /*d_hat=*/200.0, /*mu_hat=*/0.5);
-  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 100.0);   // 0 + 0.5*(200-0)
-  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.75);    // 1 + 0.5*(0.5-1)
+  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 60.0);    // 0 + 0.3*(200-0)
+  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.85);    // 1 + 0.3*(0.5-1)
 }
 
 TEST_F(ClientFixture, NonAdaptiveIgnoresPiggybacks) {
@@ -286,10 +282,7 @@ TEST_F(ClientFixture, NonAdaptiveIgnoresPiggybacks) {
 }
 
 TEST_F(ClientFixture, ProgressSentWhenCriticalPathShrinks) {
-  Client::Params p;
-  p.progress_updates = true;
-  p.progress_threshold = 0.05;
-  build(8, p);
+  build(8);
   client->start(1500.0);
   sim.run();
   sim.run_until(1600.0);
@@ -317,14 +310,29 @@ TEST_F(ClientFixture, ProgressSuppressedWhenDisabled) {
 }
 
 TEST_F(ClientFixture, ProgressGatedByThreshold) {
-  Client::Params p;
-  p.progress_updates = true;
-  p.progress_threshold = 10.0;  // absurdly high: never send
-  build(8, p);
+  // 32 ops of 12us: 384us of remaining demand, and a critical path (one op's
+  // 12us) that never moves. One response shrinks the total by 3.1%, under
+  // the 5% threshold; a second makes it 6.25% and sends. The next send then
+  // needs 5% of the 360us last sent: two more responses (6.7%), not one.
+  build(32);
   client->start(1500.0);
   sim.run();
-  respond(sent_ops[0]);
-  EXPECT_EQ(client->progress_sent(), 0u);
+  ASSERT_EQ(sent_ops.size(), 32u);
+  std::size_t updates_before = 0;
+  const auto respond_and_count = [&](std::size_t i) {
+    respond(sent_ops[i]);
+    const std::size_t sent = sent_progress.size() - updates_before;
+    updates_before = sent_progress.size();
+    return sent;
+  };
+  EXPECT_EQ(respond_and_count(0), 0u);
+  EXPECT_GT(respond_and_count(1), 0u);
+  for (const SentProgress& prog : sent_progress) {
+    EXPECT_DOUBLE_EQ(prog.update.remaining_total_us, 30 * 12.0);
+  }
+  EXPECT_EQ(respond_and_count(2), 0u);
+  EXPECT_GT(respond_and_count(3), 0u);
+  EXPECT_EQ(client->progress_sent(), sent_progress.size());
 }
 
 TEST_F(ClientFixture, OpenLoopKeepsGeneratingWithoutResponses) {
@@ -350,7 +358,6 @@ TEST_F(ClientFixture, DuplicateResponseNeverTouchesTheLearnedView) {
   // redundantly.
   Client::Params p;
   p.adaptive = true;
-  p.ewma_alpha = 0.5;
   p.retry_timeout_us = 10'000.0;  // legalises duplicates; never fires here
   build(2, p);
   client->start(1500.0);
@@ -359,14 +366,14 @@ TEST_F(ClientFixture, DuplicateResponseNeverTouchesTheLearnedView) {
 
   const ServerId s = sent_ops[0].server;
   respond(sent_ops[0], /*d_hat=*/200.0, /*mu_hat=*/0.5);
-  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 100.0);
-  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.75);
+  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 60.0);
+  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.85);
 
   // The same response delivered again (e.g. a served retransmission).
   respond(sent_ops[0], /*d_hat=*/200.0, /*mu_hat=*/0.5);
   EXPECT_EQ(client->duplicate_responses(), 1u);
-  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 100.0);  // NOT 150
-  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.75);   // NOT 0.625
+  EXPECT_DOUBLE_EQ(client->delay_estimate(s), 60.0);   // NOT 102
+  EXPECT_DOUBLE_EQ(client->speed_estimate(s), 0.85);   // NOT 0.745
 }
 
 TEST_F(ClientFixture, FailedOverOpNeverHedgesBackToSuspectedOrigin) {
@@ -446,7 +453,6 @@ TEST_F(ClientFixture, LateDuplicateClearsSuspicionButNotTheView) {
   // feedback sample: the learned view stays untouched.
   Client::Params p;
   p.adaptive = true;
-  p.ewma_alpha = 0.5;
   p.retry_timeout_us = 100.0;
   p.suspicion_rto_threshold = 2;
   p.replication = 2;

@@ -46,7 +46,7 @@ TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   // Tenant 0: three in-window arrivals (completed, failed, shed at admission)
   // and one warmup arrival that expires.
   m.record_generated(120.0, 0);
-  m.record_request(120.0, 130.0, 2, 0);
+  m.record_request(120.0, 130.0, 0);
   m.record_generated(150.0, 0);
   m.record_unserved(Settled::kFailed, 150.0, 160.0, 0);
   m.record_generated(110.0, 0);
@@ -58,7 +58,7 @@ TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   // instant, expired past its end) and three outside it (failed, shed, and
   // completed at the window's exclusive end).
   m.record_generated(100.0, 1);
-  m.record_request(100.0, 140.0, 1, 1);
+  m.record_request(100.0, 140.0, 1);
   m.record_generated(199.0, 1);
   m.record_unserved(Settled::kExpired, 199.0, 260.0, 1);
   m.record_generated(250.0, 1);
@@ -66,7 +66,7 @@ TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   m.record_generated(50.0, 1);
   m.record_unserved(Settled::kShed, 50.0, 55.0, 1);
   m.record_generated(200.0, 1);
-  m.record_request(200.0, 320.0, 3, 1);
+  m.record_request(200.0, 320.0, 1);
 
   expect_counts(m.tenant_counts(0), 4, 1, 1, 1, 1);
   expect_counts(m.tenant_measured(0), 3, 1, 1, 1, 0);

@@ -152,13 +152,17 @@ TEST_F(ServerFixture, QueueDrainsSequentially) {
 }
 
 TEST_F(ServerFixture, MuHatConvergesToTrueSpeed) {
+  // The estimate starts at the static factor (1.0); a speed profile halves
+  // the true speed, which the estimator (EWMA gain 0.1) has to learn.
   Server::Params params;
-  params.speed_factor = 0.25;
-  params.speed_alpha = 0.2;
+  params.speed_profile = workload::make_constant_rate(0.5);
   auto server = make_server(std::move(params));
-  for (OperationId i = 0; i < 100; ++i) server->receive_op(op(i, 1, 10.0));
+  server->receive_op(op(0, 1, 10.0));
   sim.run();
-  EXPECT_NEAR(server->mu_hat(), 0.25, 0.01);
+  EXPECT_DOUBLE_EQ(server->mu_hat(), 1.0 + 0.1 * (0.5 - 1.0));
+  for (OperationId i = 1; i < 100; ++i) server->receive_op(op(i, 1, 10.0));
+  sim.run();
+  EXPECT_NEAR(server->mu_hat(), 0.5, 0.001);
 }
 
 TEST_F(ServerFixture, DHatReflectsBacklog) {

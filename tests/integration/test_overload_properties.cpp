@@ -116,17 +116,14 @@ TEST(OverloadProperties, AdmissionStacksWithoutLeaks) {
   }
 }
 
-// An explicitly-constructed all-off OverloadConfig (even with non-default
-// AIMD tuning, which is inert while `admission` is false) must be
-// bit-identical to the default: the tuning knobs alone must not perturb a
+// An explicitly-constructed all-off OverloadConfig (even with a sojourn
+// threshold, which is inert while the queue is unbounded) must be
+// bit-identical to the default: the tuning knob alone must not perturb a
 // single RNG draw or wire byte.
 TEST(OverloadProperties, InertKnobsAreBitIdentical) {
   const ExperimentResult base =
       run_experiment(property_config(sched::Policy::kDas, 5), property_window());
   ClusterConfig cfg = property_config(sched::Policy::kDas, 5);
-  cfg.overload.admission_floor = 0.5;
-  cfg.overload.admission_increase = 0.9;
-  cfg.overload.admission_decrease = 0.1;
   cfg.overload.sojourn_threshold_us = 123.0;  // inert without queue_cap
   const ExperimentResult tuned = run_experiment(cfg, property_window());
   EXPECT_EQ(base.requests_generated, tuned.requests_generated);

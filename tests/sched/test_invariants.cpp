@@ -67,8 +67,8 @@ struct TestCorruptor {
         -1.0;
   }
 
-  static void reorder_level(ReinSbfScheduler& s) {
-    std::swap(s.levels_[0].front().arrival_seq, s.levels_[0].back().arrival_seq);
+  static void reorder_lane(ReinSbfScheduler& s) {
+    std::swap(s.lanes_[0].front().arrival_seq, s.lanes_[0].back().arrival_seq);
   }
   static void negate_threshold(ReinSbfScheduler& s) {
     s.ewma_bottleneck_ = -1.0;
@@ -271,7 +271,7 @@ TEST(InvariantAudit, DasNegativeRemainingThrows) {
 TEST(InvariantAudit, ReinLevelOutOfArrivalOrderThrows) {
   ReinSbfScheduler s{{}};
   fill(s, 4);
-  TestCorruptor::reorder_level(s);
+  TestCorruptor::reorder_lane(s);
   EXPECT_THROW(s.check_invariants(), AuditError);
 }
 

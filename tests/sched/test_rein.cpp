@@ -11,13 +11,9 @@ namespace {
 
 using testing::OpBuilder;
 
-ReinSbfScheduler make_rein(std::size_t levels = 2, bool use_bytes = true,
-                           Duration max_wait = 50000.0) {
+ReinSbfScheduler make_rein(Duration max_wait = 50000.0) {
   ReinSbfScheduler::Options opt;
-  opt.levels = levels;
-  opt.use_bytes = use_bytes;
   opt.max_wait_us = max_wait;
-  opt.threshold_alpha = 0.05;
   return ReinSbfScheduler{opt};
 }
 
@@ -47,19 +43,45 @@ TEST(Rein, ThresholdAdaptsToWorkload) {
     s.enqueue(OpBuilder{i}.bottleneck(1, 1000).build(), 0);
   // After many 1000us bottlenecks the EWMA sits near 1000.
   EXPECT_NEAR(s.current_threshold(), 1000.0, 50.0);
-  EXPECT_EQ(s.level_for(500.0), 0u);    // below mean -> high priority
-  EXPECT_GE(s.level_for(3000.0), 1u);   // well above mean -> low priority
+  EXPECT_EQ(s.lane_for(500.0), 0u);    // below mean -> high priority
+  EXPECT_EQ(s.lane_for(3000.0), 1u);   // well above mean -> low priority
 }
 
-TEST(Rein, OpCountMetricWhenConfigured) {
-  auto s = make_rein(2, /*use_bytes=*/false);
-  for (OperationId i = 0; i < 50; ++i)
-    s.enqueue(OpBuilder{i}.bottleneck(8, 1.0).build(), 0);
-  EXPECT_NEAR(s.current_threshold(), 8.0, 1.0);
+TEST(Rein, ThresholdIsAnEwmaWithGainFivePercent) {
+  auto s = make_rein();
+  s.enqueue(OpBuilder{1}.bottleneck(1, 100).build(), 0);
+  s.enqueue(OpBuilder{2}.bottleneck(1, 300).build(), 0);
+  EXPECT_DOUBLE_EQ(s.current_threshold(), 100.0 + 0.05 * (300.0 - 100.0));
+  // The ranking key is the demand-µs bottleneck, not the op count.
+  s.enqueue(OpBuilder{3}.bottleneck(50, 110).build(), 0);
+  EXPECT_DOUBLE_EQ(s.current_threshold(), 110.0);
+}
+
+TEST(Rein, TwoLanesSplitAtTheThreshold) {
+  auto s = make_rein();
+  for (OperationId i = 0; i < 100; ++i)
+    s.enqueue(OpBuilder{i}.bottleneck(1, 100).build(), 0);
+  while (!s.empty()) s.dequeue(1);
+  ASSERT_DOUBLE_EQ(s.current_threshold(), 100.0);
+  EXPECT_EQ(s.lane_for(50.0), 0u);
+  EXPECT_EQ(s.lane_for(100.0), 0u);   // at the threshold: the narrow lane
+  EXPECT_EQ(s.lane_for(101.0), 1u);
+  EXPECT_EQ(s.lane_for(1e9), 1u);     // no third lane, however wide
+  // Every wide op waits behind every narrow one, and each lane is FCFS: 150
+  // and 10000 share the wide lane (the threshold is ~100, then ~600), 20 and
+  // 30 the narrow one.
+  s.enqueue(OpBuilder{200}.bottleneck(1, 150).build(), 2);
+  s.enqueue(OpBuilder{201}.bottleneck(1, 10000).build(), 2);
+  s.enqueue(OpBuilder{202}.bottleneck(1, 20).build(), 2);
+  s.enqueue(OpBuilder{203}.bottleneck(1, 30).build(), 2);
+  EXPECT_EQ(s.dequeue(3).op_id, 202u);
+  EXPECT_EQ(s.dequeue(3).op_id, 203u);
+  EXPECT_EQ(s.dequeue(3).op_id, 200u);
+  EXPECT_EQ(s.dequeue(3).op_id, 201u);
 }
 
 TEST(Rein, AgingPromotesStarvedOp) {
-  auto s = make_rein(2, true, /*max_wait=*/100.0);
+  auto s = make_rein(/*max_wait=*/100.0);
   for (OperationId i = 0; i < 20; ++i)
     s.enqueue(OpBuilder{i}.bottleneck(1, 10).build(), 0);
   while (!s.empty()) s.dequeue(1);
@@ -74,28 +96,11 @@ TEST(Rein, AgingPromotesStarvedOp) {
   EXPECT_EQ(s.dequeue(200.0).op_id, 999u);
 }
 
-TEST(Rein, MoreLevelsSeparateFiner) {
-  auto s = make_rein(4);
-  for (OperationId i = 0; i < 100; ++i)
-    s.enqueue(OpBuilder{i}.bottleneck(1, 100).build(), 0);
-  while (!s.empty()) s.dequeue(1);
-  EXPECT_EQ(s.level_for(50.0), 0u);
-  EXPECT_EQ(s.level_for(150.0), 1u);
-  EXPECT_EQ(s.level_for(350.0), 2u);
-  EXPECT_EQ(s.level_for(10000.0), 3u);  // clamped to last level
-}
-
 TEST(Rein, FirstOpSeedsThreshold) {
   auto s = make_rein();
-  EXPECT_EQ(s.level_for(123.0), 0u);  // unseeded: everything high priority
+  EXPECT_EQ(s.lane_for(123.0), 0u);  // unseeded: everything high priority
   s.enqueue(OpBuilder{1}.bottleneck(1, 200).build(), 0);
   EXPECT_DOUBLE_EQ(s.current_threshold(), 200.0);
-}
-
-TEST(Rein, RejectsDegenerateOptions) {
-  ReinSbfScheduler::Options opt;
-  opt.levels = 1;
-  EXPECT_THROW(ReinSbfScheduler{opt}, std::logic_error);
 }
 
 TEST(Rein, BacklogAccounting) {

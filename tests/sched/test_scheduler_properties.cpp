@@ -137,7 +137,7 @@ TEST(PolicyProperties, PrioritiesNeverAffectWhatOnlyWhen) {
 }
 
 TEST(PolicyProperties, ReinDegradesToFcfsWithinOneLevel) {
-  // If every request has the same bottleneck, all ops land in level 0 and
+  // If every request has the same bottleneck, all ops land in lane 0 and
   // Rein is plain FCFS.
   ReinSbfScheduler::Options opt;
   ReinSbfScheduler rein{opt};

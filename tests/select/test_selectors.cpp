@@ -137,34 +137,31 @@ TEST(LeastDelaySelectorTest, SkipsSuspectsAndFallsBackWhenAllSuspected) {
 
 TEST(TarsSelectorTest, HysteresisDampsSwitching) {
   ViewFixture f(2);
-  TarsSelector::Params p;
-  p.hysteresis = 0.2;
-  p.min_dwell_us = 100.0;
-  TarsSelector sel{p};
+  TarsSelector sel;
   Rng rng{1};
   const std::vector<ServerId> replicas = {0, 1};
 
   SelectionContext ctx{40.0, 7, 0.0};
   EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 0u);  // first pick: best
 
-  // Replica 1 becomes mildly better — inside the 20% margin, no switch.
+  // The incumbent's estimate is 50; a challenger must come in under
+  // 50 * (1 - 0.1) = 45. At 46, and at exactly 45, there is no switch.
+  ctx.now = 1000.0;  // well past the dwell time
+  f.d_est[1] = -4.0;
+  EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 0u);
   f.d_est[1] = -5.0;
-  ctx.now = 1000.0;
   EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 0u);
   EXPECT_EQ(sel.switches(), 0u);
 
-  // Decisively better: estimate 20 vs the incumbent's 50 * (1 - 0.2) = 40.
-  f.d_est[1] = -30.0;
+  // Decisively better: 44 < 45.
+  f.d_est[1] = -6.0;
   EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 1u);
   EXPECT_EQ(sel.switches(), 1u);
 }
 
 TEST(TarsSelectorTest, DwellTimeRateBoundsSwitching) {
   ViewFixture f(2);
-  TarsSelector::Params p;
-  p.hysteresis = 0.1;
-  p.min_dwell_us = 500.0;
-  TarsSelector sel{p};
+  TarsSelector sel;  // 500us dwell
   Rng rng{1};
   const std::vector<ServerId> replicas = {0, 1};
 
@@ -175,9 +172,11 @@ TEST(TarsSelectorTest, DwellTimeRateBoundsSwitching) {
   f.d_est[1] = -30.0;
   ctx.now = 100.0;
   EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 0u);
+  ctx.now = 499.0;
+  EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 0u);
   EXPECT_EQ(sel.switches(), 0u);
-  // After the dwell window the same improvement is allowed through.
-  ctx.now = 600.0;
+  // Once the 500us dwell has passed the same improvement is allowed through.
+  ctx.now = 500.0;
   EXPECT_EQ(sel.pick(replicas, f.view(), ctx, rng), 1u);
   EXPECT_EQ(sel.switches(), 1u);
 }

@@ -77,7 +77,7 @@ TEST(LsmModelTest, MemtableHitIsCheaperThanLevelWalk) {
   // A miss (key never written) walks the levels of the same state.
   const double miss = m.base_cost_us(read_op(8, 100), 1.0);
   EXPECT_LT(hit, miss);
-  // hit = overhead + bytes/rate * memtable_read_factor.
+  // hit = overhead + bytes/rate * kMemtableReadFactor (0.25).
   EXPECT_DOUBLE_EQ(hit, 10.0 + (100.0 / 50.0) * 0.25);
   const StoreModelStats s = m.stats();
   EXPECT_EQ(s.memtable_hits, 1u);

@@ -75,10 +75,6 @@ TEST(OpMix, SampleProportionsMatchFractions) {
   EXPECT_NEAR(static_cast<double>(rmws) / n, 0.1, 0.01);
 }
 
-TEST(OpMix, DescribeNamesFractions) {
-  EXPECT_NE(parse_mix("ycsb-b").describe().find("0.95"), std::string::npos);
-}
-
 TEST(OpMixNegative, MalformedSpecsThrow) {
   for (const char* spec :
        {"ycsb-z", "mix", "mix:0.5:0.5", "mix:0.5:0.5:0:0", "mix:a:0.5:0.5",

@@ -83,6 +83,13 @@ experiments::Experiment sweep_grid(const core::ClusterConfig& base,
         throw std::invalid_argument("unknown --sweep-selections mode: " + token);
       selections.push_back(mode);
     }
+    // With one copy per key every mode reads the primary: the rows would be
+    // identical runs under different labels.
+    if (base.replication < 2) {
+      throw std::invalid_argument(
+          "flag --sweep-selections: replica selection needs --replication >= 2 "
+          "(got " + std::to_string(base.replication) + ")");
+    }
   }
   for (const double load : core::parse_load_list(flags.get_string("sweep-loads"))) {
     for (const core::ReplicaSelection sel :
@@ -150,15 +157,14 @@ int run_grid(const experiments::Experiment& grid, const Flags& flags) {
   std::cerr << grid.name << ": " << outcomes.size() << " points, jobs=" << jobs
             << ", " << wall_seconds << " s\n";
 
-  const std::string format = flags.get_string("format");
-  if (format == "csv") {
+  if (flags.get_string("format") == "csv") {
     std::cout << "experiment,point,policy," << kCsvColumns;
     for (const auto& o : outcomes) {
       std::cout << o.experiment << ',' << o.point << ','
                 << sched::to_string(o.policy) << ',';
       print_csv_cells(o.result);
     }
-  } else if (format == "table") {
+  } else {
     for (const experiments::TableSpec& table : grid.tables) {
       std::cout << "\n### " << table.heading << "\n\n";
       if (!table.metric.empty()) {
@@ -169,9 +175,6 @@ int run_grid(const experiments::Experiment& grid, const Flags& flags) {
       for (const auto& o : outcomes) runs.push_back({o.policy, o.result});
       print_policy_table(runs);
     }
-  } else {
-    std::cerr << "unknown --format: " << format << "\n";
-    return 2;
   }
 
   const std::string json_path = flags.get_string("json");
@@ -323,6 +326,12 @@ int run(int argc, char** argv) {
   if (flags.get_bool("help")) {
     flags.print_help(std::cout, "dassim");
     return 0;
+  }
+  // Checked before anything runs: a typo must not cost a whole grid.
+  const std::string format = flags.get_string("format");
+  if (format != "csv" && format != "table") {
+    std::cerr << "unknown --format: " << format << " (table | csv)\n";
+    return 2;
   }
 
   core::ClusterConfig cfg;
@@ -570,18 +579,14 @@ int run(int argc, char** argv) {
   } else {
     runs = core::compare_policies(cfg, policies, window);
   }
-  const std::string format = flags.get_string("format");
   if (format == "csv") {
     std::cout << "policy," << kCsvColumns;
     for (const auto& [policy, r] : runs) {
       std::cout << sched::to_string(policy) << ',';
       print_csv_cells(r);
     }
-  } else if (format == "table") {
-    print_policy_table(runs);
   } else {
-    std::cerr << "unknown --format: " << format << "\n";
-    return 2;
+    print_policy_table(runs);
   }
 
   // The blocks below are aligned tables, not CSV rows: under --format=csv
