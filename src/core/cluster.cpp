@@ -237,7 +237,8 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
 
   // The breakdown uses the same measurement window as the metrics.
   breakdown_.set_window(window_.warmup_us, window_.horizon());
-  breakdown_.set_retain_cap(config_.breakdown_retain_requests);
+  breakdown_.set_retain_cap(config_.breakdown_retain_requests,
+                            request_rate_ * window_.measure_us);
 }
 
 double Cluster::synthetic_share_sum() const {

@@ -75,6 +75,17 @@ RequestBreakdown make_request_breakdown(SimTime arrival, SimTime completion,
   return bd;
 }
 
+void BreakdownCollector::set_retain_cap(std::size_t cap, double expected_rows) {
+  DAS_CHECK(expected_rows >= 0);
+  retain_cap_ = cap;
+  // The margin covers the Poisson spread of a long window, the constant that
+  // of a short one. An untouched tail costs address space, not memory.
+  const double estimate = 1.05 * expected_rows + 1024;
+  rows_.reserve(estimate < static_cast<double>(cap)
+                    ? static_cast<std::size_t>(estimate)
+                    : cap);
+}
+
 void BreakdownCollector::record(const RequestBreakdown& breakdown) {
   if (breakdown.arrival < window_begin_ || breakdown.arrival >= window_end_)
     return;

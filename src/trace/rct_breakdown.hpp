@@ -89,8 +89,8 @@ struct BreakdownSummary {
 };
 
 /// Accumulates per-request breakdowns (window-filtered, like Metrics) into
-/// component means; optionally retains the raw rows up to a cap for tests
-/// and offline analysis.
+/// component means; optionally retains the raw rows up to a cap for tests,
+/// exact RCT quantiles and offline analysis.
 class BreakdownCollector {
  public:
   void set_window(SimTime begin, SimTime end) {
@@ -98,7 +98,10 @@ class BreakdownCollector {
     window_end_ = end;
   }
   /// Retain up to `cap` per-request rows (0 = aggregate only, the default).
-  void set_retain_cap(std::size_t cap) { retain_cap_ = cap; }
+  /// The rows are reserved once, for min(cap, 1.05 x `expected_rows` + 1024)
+  /// rows; past that they grow by doubling, so an estimate that falls short
+  /// costs copies, never rows.
+  void set_retain_cap(std::size_t cap, double expected_rows);
 
   void record(const RequestBreakdown& breakdown);
 

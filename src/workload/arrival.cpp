@@ -39,12 +39,7 @@ class ModulatedPoisson final : public ArrivalProcess {
     DAS_CHECK(horizon > 0);
     max_rate_ = base_ * mod_->max_value();
     DAS_CHECK_MSG(max_rate_ > 0, "modulation must be positive somewhere");
-    // Numerical long-run average of the modulation.
-    const Duration step = kMillisecond;
-    double acc = 0;
-    std::size_t n = 0;
-    for (SimTime t = 0; t < horizon; t += step, ++n) acc += mod_->value_at(t);
-    mean_rate_ = base_ * (n ? acc / static_cast<double>(n) : mod_->value_at(0));
+    mean_rate_ = base_ * time_average(*mod_, horizon);
   }
 
   SimTime next_arrival_after(SimTime now, Rng& rng) const override {

@@ -13,11 +13,14 @@ namespace {
 /// A clause's fields after its family name.
 using Args = std::vector<std::string>;
 
-/// A tenant while its clauses apply. The trace is loaded only after every
-/// clause has parsed, so a spec that mixes replay with synthetic clauses is
-/// rejected without reading the file.
+/// A tenant while its clauses apply. The distributions are decoded and the
+/// trace is loaded only after every clause has parsed: a bad distribution
+/// can then name its tenant, and a spec that mixes replay with synthetic
+/// clauses is rejected without reading the file.
 struct Draft {
   TenantSpec tenant;
+  std::string fanout_spec;
+  std::string size_spec;
   std::string replay_path;
 };
 
@@ -100,7 +103,7 @@ constexpr Family kFamilies[] = {
      }},
     {"fanout",
      [](const std::string& clause, const Args&, Draft& d) {
-       d.tenant.fanout = parse_int_dist(rest_of(clause, "fanout:<int dist spec>"));
+       d.fanout_spec = rest_of(clause, "fanout:<int dist spec>");
      }},
     {"mix",
      [](const std::string& clause, const Args& args, Draft& d) {
@@ -131,8 +134,7 @@ constexpr Family kFamilies[] = {
      }},
     {"size",
      [](const std::string& clause, const Args&, Draft& d) {
-       d.tenant.value_size =
-           parse_real_dist(rest_of(clause, "size:<real dist spec>"));
+       d.size_spec = rest_of(clause, "size:<real dist spec>");
      }},
     {"storm",
      [](const std::string& clause, const Args& args, Draft& d) {
@@ -199,13 +201,30 @@ void apply(const std::string& clause, Draft& d) {
   throw std::logic_error(message);
 }
 
-}  // namespace
-
-TenantSpec parse_tenant(const std::string& spec) {
+/// Decodes one tenant spec. `index` is its place in a multi-tenant spec, or
+/// npos for a lone spec; an indexed tenant without `name:` is "t<index>",
+/// and a bad distribution clause names the tenant.
+TenantSpec decode(const std::string& spec, std::size_t index) {
   if (spec.empty()) throw std::logic_error("empty workload spec");
   Draft d;
   for (const std::string& clause : parse::split(spec, '+')) apply(clause, d);
   TenantSpec& tenant = d.tenant;
+  if (index != std::string::npos && tenant.name.empty())
+    tenant.name.append("t").append(std::to_string(index));
+  const auto dist = [&](const char* family, const std::string& dist_spec,
+                        auto parse) {
+    try {
+      return parse(dist_spec);
+    } catch (const std::logic_error& e) {
+      if (index == std::string::npos) throw;
+      throw std::logic_error("tenants[" + std::to_string(index) + "] ('" +
+                             tenant.name + "') " + family + ": " + e.what());
+    }
+  };
+  if (!d.fanout_spec.empty())
+    tenant.fanout = dist("fanout", d.fanout_spec, parse_int_dist);
+  if (!d.size_spec.empty())
+    tenant.value_size = dist("size", d.size_spec, parse_real_dist);
   if (d.replay_path.empty()) return tenant;
   if (tenant.mix || tenant.zipf_theta >= 0 || tenant.fanout ||
       tenant.drift.enabled()) {
@@ -219,6 +238,12 @@ TenantSpec parse_tenant(const std::string& spec) {
   return tenant;
 }
 
+}  // namespace
+
+TenantSpec parse_tenant(const std::string& spec) {
+  return decode(spec, std::string::npos);
+}
+
 std::vector<TenantSpec> parse_tenants(const std::string& spec) {
   if (spec.empty()) throw std::logic_error("empty multi-tenant workload spec");
   std::vector<TenantSpec> tenants;
@@ -227,10 +252,7 @@ std::vector<TenantSpec> parse_tenants(const std::string& spec) {
       throw std::logic_error("empty tenant in multi-tenant workload spec '" +
                              spec + "'");
     }
-    tenants.push_back(parse_tenant(one));
-  }
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    if (tenants[i].name.empty()) tenants[i].name.append("t").append(std::to_string(i));
+    tenants.push_back(decode(one, tenants.size()));
   }
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     for (std::size_t j = i + 1; j < tenants.size(); ++j) {

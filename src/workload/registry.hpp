@@ -71,7 +71,8 @@ struct TenantSpec {
 TenantSpec parse_tenant(const std::string& spec);
 
 /// Parses a ';'-separated multi-tenant spec; fills default names ("t0",
-/// "t1", ...) for tenants that did not set one.
+/// "t1", ...) for tenants that did not set one. A bad `fanout:` or `size:`
+/// distribution names its tenant: "tenants[1] ('t1') fanout: ...".
 std::vector<TenantSpec> parse_tenants(const std::string& spec);
 
 }  // namespace das::workload

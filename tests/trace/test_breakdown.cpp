@@ -4,12 +4,15 @@
 // loads and policies.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
 #include "trace/rct_breakdown.hpp"
+#include "workload/replay.hpp"
 
 namespace das::trace {
 namespace {
@@ -97,7 +100,7 @@ TEST(BreakdownCollector, FiltersOnTheArrivalWindow) {
 
 TEST(BreakdownCollector, RetentionCapDropsRowsNotAggregates) {
   BreakdownCollector collector;
-  collector.set_retain_cap(2);
+  collector.set_retain_cap(2, 0);
   for (int i = 0; i < 5; ++i) {
     const SimTime arrival = 10.0 * i;
     collector.record(make_request_breakdown(arrival, arrival + 10.0,
@@ -113,6 +116,21 @@ TEST(BreakdownCollector, RetentionCapDropsRowsNotAggregates) {
   plain.record(make_request_breakdown(0.0, 10.0, timing(1.0, 4.0, 9.0), 0.0, 1));
   EXPECT_TRUE(plain.rows().empty());
   EXPECT_EQ(plain.rows_dropped(), 0u);
+}
+
+TEST(BreakdownCollector, ReservesTheEstimateOnceAndGrowsPastIt) {
+  BreakdownCollector collector;
+  collector.set_retain_cap(std::numeric_limits<std::size_t>::max(), 100.0);
+  EXPECT_EQ(collector.rows().capacity(), 1129u);  // 1.05 x 100 + 1024
+  for (int i = 0; i < 1500; ++i) {
+    const SimTime arrival = 10.0 * i;
+    collector.record(make_request_breakdown(arrival, arrival + 10.0,
+                                            timing(arrival + 1.0, arrival + 4.0,
+                                                   arrival + 9.0),
+                                            0.0, 1));
+  }
+  EXPECT_EQ(collector.rows().size(), 1500u);
+  EXPECT_EQ(collector.rows_dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,6 +215,75 @@ TEST(BreakdownEndToEnd, MechanismCountersMatchThePolicy) {
       grid_config(sched::Policy::kReqSrpt, 0.8), grid_window());
   EXPECT_GT(srpt.reranks_applied, 0u);
   EXPECT_EQ(srpt.ops_deferred, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Retained rows are reserved once from the derived request rate over the
+// measure window.
+
+/// ~4,800 measured requests at load 0.8: between two powers of two, far
+/// enough from both that a doubling buffer shows.
+core::ClusterConfig retention_config(double load) {
+  core::ClusterConfig cfg = grid_config(sched::Policy::kFcfs, load);
+  cfg.num_servers = 32;
+  cfg.num_clients = 4;
+  cfg.breakdown_retain_requests = std::numeric_limits<std::size_t>::max();
+  return cfg;
+}
+
+core::RunWindow retention_window() {
+  core::RunWindow w;
+  w.warmup_us = 2.0 * kMillisecond;
+  w.measure_us = 100.0 * kMillisecond;
+  return w;
+}
+
+TEST(BreakdownRetention, ReservesFromTheExpectedRequestCount) {
+  core::Cluster cluster{retention_config(0.8), retention_window()};
+  const core::ExperimentResult r = cluster.run();
+  const std::vector<RequestBreakdown>& rows = cluster.breakdown().rows();
+  ASSERT_EQ(rows.size(), r.rct.count);
+  EXPECT_EQ(cluster.breakdown().rows_dropped(), 0u);
+  // One reservation near the count, not a doubled buffer.
+  EXPECT_LE(static_cast<double>(rows.capacity()),
+            1.1 * static_cast<double>(rows.size()) + 1024);
+}
+
+TEST(BreakdownRetention, AnEstimateThatFallsShortStillRetainsEveryRow) {
+  // A replay-only run derives no request rate, so only the 1,024-row
+  // constant is reserved; its 2,000 requests in the window must grow past it.
+  workload::ReplayTrace trace;
+  for (int i = 0; i < 2000; ++i) {
+    trace.records.push_back({2.0 * kMillisecond + 40.0 * i,
+                             workload::ReplayOp::kRead,
+                             static_cast<KeyId>(i % 1000), 100});
+  }
+  core::ClusterConfig cfg = retention_config(0.8);
+  workload::TenantSpec replay;
+  replay.name = "r";
+  replay.replay = std::make_shared<const workload::ReplayTrace>(trace);
+  cfg.tenants = {replay};
+  core::Cluster cluster{cfg, retention_window()};
+  ASSERT_EQ(cluster.request_rate(), 0.0);
+  EXPECT_EQ(cluster.breakdown().rows().capacity(), 1024u);
+  const core::ExperimentResult r = cluster.run();
+  const std::vector<RequestBreakdown>& rows = cluster.breakdown().rows();
+  EXPECT_EQ(r.rct.count, 2000u);
+  EXPECT_EQ(rows.size(), r.rct.count);
+  EXPECT_EQ(cluster.breakdown().rows_dropped(), 0u);
+}
+
+TEST(BreakdownRetention, ACapBelowTheEstimateReservesOnlyTheCap) {
+  core::ClusterConfig cfg = retention_config(0.8);
+  cfg.breakdown_retain_requests = 1000;
+  const core::RunWindow window = retention_window();
+  core::Cluster cluster{cfg, window};
+  ASSERT_GT(cluster.request_rate() * window.measure_us, 1000.0);
+  const core::ExperimentResult r = cluster.run();
+  const BreakdownCollector& collector = cluster.breakdown();
+  EXPECT_EQ(collector.rows().capacity(), 1000u);
+  EXPECT_EQ(collector.rows().size(), 1000u);
+  EXPECT_EQ(collector.rows_dropped(), r.rct.count - 1000);
 }
 
 }  // namespace

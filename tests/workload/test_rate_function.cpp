@@ -50,6 +50,15 @@ TEST(StepRate, RejectsMismatchedSizes) {
   EXPECT_THROW(make_step_rate({2.0, 1.0}, {1.0, 2.0, 3.0}), std::logic_error);
 }
 
+TEST(TimeAverage, SamplesEachMillisecondOfTheHorizon) {
+  // 1 over the first 10 ms, 4 after it.
+  auto r = make_step_rate({10.0 * kMillisecond}, {1.0, 4.0});
+  EXPECT_DOUBLE_EQ(time_average(*r, 20.0 * kMillisecond), 2.5);
+  EXPECT_DOUBLE_EQ(time_average(*r, 40.0 * kMillisecond), 3.25);
+  // An empty horizon reads the value at 0.
+  EXPECT_DOUBLE_EQ(time_average(*r, 0), 1.0);
+}
+
 TEST(MarkovTwoState, ValuesAreOnlyHighOrLow) {
   auto r = make_markov_two_state(2.0, 0.5, 1000.0, 500.0, 100000.0, 42);
   for (SimTime t = 0; t < 100000.0; t += 37.0) {

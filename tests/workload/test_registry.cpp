@@ -196,6 +196,17 @@ TEST(RegistryNegative, UnloadableTraceIsAParseError) {
   expect_message("replay:" + headerless, "is empty (no header)");
 }
 
+TEST(RegistryNegative, BadDistributionNamesItsTenant) {
+  expect_message("ycsb-c;ycsb-a+fanout:fixed:0",
+                 "tenants[1] ('t1') fanout: out-of-range argument in "
+                 "distribution spec 'fixed:0'");
+  // The name is the tenant's own, even when `name:` follows the bad clause.
+  expect_message("size:constant:-5+name:hog;ycsb-c",
+                 "tenants[0] ('hog') size: out-of-range argument");
+  // A lone spec has no index to name.
+  expect_message("fanout:fixed:0", "out-of-range argument in distribution spec");
+}
+
 TEST(RegistryNegative, DuplicateTenantNames) {
   expect_message("ycsb-a+name:x;ycsb-b+name:x", "duplicate tenant name 'x'");
   // A default-assigned name colliding with an explicit one is also a dup.

@@ -496,6 +496,11 @@ int run(int argc, char** argv) {
   const std::string record_path = flags.get_string("record");
   if (trace_path.empty() && flags.set_on_command_line("trace-cap"))
     throw std::invalid_argument("flag --trace-cap: only --trace writes a trace");
+  for (const char* flag : {"sweep-loads", "sweep-selections"}) {
+    if (!flags.get_bool("sweep") && flags.set_on_command_line(flag))
+      throw std::invalid_argument(std::string("flag --") + flag +
+                                  ": only --sweep reads it");
+  }
   if (!record_path.empty() && !record_path.ends_with(".csv"))
     throw std::invalid_argument("flag --record: the trace path must end in .csv");
   for (const char* flag : {"json", "trace", "record"}) {
