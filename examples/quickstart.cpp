@@ -37,7 +37,8 @@ int main() {
                 result.rct.p99);
   }
 
-  const double gain = core::rct_improvement(runs.front().result, runs.back().result);
+  const double gain =
+      core::gain_over_fcfs(runs.front().result.rct.mean, runs.back().result.rct.mean);
   std::printf("\nDAS cuts mean request completion time by %.1f%% vs FCFS\n",
               gain * 100);
   return 0;

@@ -73,6 +73,13 @@ bool Flags::set_on_command_line(const std::string& name) const {
   return it != entries_.end() && it->second.explicitly_set;
 }
 
+std::vector<std::string> Flags::set_on_command_line() const {
+  std::vector<std::string> names;
+  for (const auto& [name, entry] : entries_)
+    if (entry.explicitly_set) names.push_back(name);
+  return names;
+}
+
 std::string Flags::get_string(const std::string& name) const {
   const auto it = entries_.find(name);
   DAS_CHECK_MSG(it != entries_.end(), "undeclared flag: " + name);

@@ -32,6 +32,8 @@ class Flags {
   bool has(const std::string& name) const;
   /// True if the flag was explicitly set on the command line.
   bool set_on_command_line(const std::string& name) const;
+  /// The names of every flag explicitly set on the command line, sorted.
+  std::vector<std::string> set_on_command_line() const;
 
   std::string get_string(const std::string& name) const;
   /// Typed accessors; values are number tokens (common/parse.hpp). They

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -112,10 +111,8 @@ void render_bench_json(std::ostream& os, const std::string& experiment,
         if (json_object(at) != nullptr) os << "\n      }";
         if (field.block == Block::kLast) {
           write_tenants(os, r.tenants);
-          const double fcfs = fcfs_mean(row.point);
           os << ",\n      \"gain_vs_fcfs_pct\": ";  // null without an FCFS row
-          json_double(os, fcfs > 0 ? 100.0 * (1.0 - r.rct.mean / fcfs)
-                                   : std::numeric_limits<double>::quiet_NaN());
+          json_double(os, 100.0 * gain_over_fcfs(fcfs_mean(row.point), r.rct.mean));
         }
         if (object != nullptr) os << ",\n      \"" << object << "\": {";
         at = field.block;

@@ -192,11 +192,8 @@ void Client::generate_request(std::size_t tenant) {
         std::max(1.0, std::round(stream.value_size->sample(rng))));
     const double demand =
         kind == workload::OpKind::kRmw
-            ? 2.0 * params_.per_op_overhead_us +
-                  static_cast<double>(old_size + new_size) /
-                      params_.service_bytes_per_us
-            : params_.per_op_overhead_us +
-                  static_cast<double>(new_size) / params_.service_bytes_per_us;
+            ? params_.cost.rmw_us(static_cast<double>(old_size + new_size))
+            : params_.cost.op_us(static_cast<double>(new_size));
     plan_write(plan, key, new_size, demand);
   } else {
     const workload::MultigetSpec spec = stream.generator->generate(rng, now);
@@ -221,8 +218,7 @@ void Client::generate_replay_request(std::size_t tenant, std::size_t index) {
   if (rec.op == workload::ReplayOp::kWrite) {
     const Bytes new_size = rec.size_bytes > 0 ? rec.size_bytes : size_of(rec.key);
     plan_write(plan, rec.key, new_size,
-               params_.per_op_overhead_us +
-                   static_cast<double>(new_size) / params_.service_bytes_per_us);
+               params_.cost.op_us(static_cast<double>(new_size)));
   } else {
     // The trace's size is authoritative for the client's demand estimate:
     // the replayed store served that size when the trace was taken. Servers
@@ -255,8 +251,7 @@ void Client::plan_write(std::vector<PendingOp>& plan, KeyId key, Bytes size,
 
 void Client::plan_read(std::vector<PendingOp>& plan, KeyId key) {
   const Bytes size = size_of(key);
-  const double demand = params_.per_op_overhead_us +
-                        static_cast<double>(size) / params_.service_bytes_per_us;
+  const double demand = params_.cost.op_us(static_cast<double>(size));
   if (recorder_ != nullptr) {
     recorder_->records.push_back({sim_.now(), workload::ReplayOp::kRead, key, size});
   }
@@ -601,13 +596,13 @@ void Client::on_response(const OpResponse& resp) {
     }
     // The critical op is the one whose response completed the request; its
     // siblings' idle tails since delivery form the straggler slack.
-    if (breakdown_ != nullptr && pop->timing.valid) {
+    if (pop->timing.valid) {
       double slack_sum = 0;
       for (const PendingOp& op : req.ops) {
         if (&op == pop) continue;
         slack_sum += now - op.delivered_at;
       }
-      breakdown_->record(trace::make_request_breakdown(
+      metrics_.record_breakdown(trace::make_request_breakdown(
           req.arrival, now, pop->timing, slack_sum, req.ops.size()));
     }
     pending_.erase(req_it);

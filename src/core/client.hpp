@@ -22,6 +22,7 @@
 #include "sched/op_context.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
+#include "store/service_cost.hpp"
 #include "trace/rct_breakdown.hpp"
 #include "trace/tracer.hpp"
 #include "workload/arrival.hpp"
@@ -39,9 +40,8 @@ class Client {
     /// Total clients in the cluster; replay tenants shard trace records
     /// across clients by index stride (client c takes records i ≡ c mod N).
     std::size_t num_clients = 1;
-    /// Per-op demand model (must match the servers' service model).
-    double per_op_overhead_us = 0;
-    double service_bytes_per_us = 1;
+    /// Prices every op's demand tag (the servers' LSM model prices in it too).
+    store::ServiceCost cost;
     /// Learn per-server d/mu estimates from piggybacks; false = static view
     /// (zero delay, nominal speed) — the client half of the DAS-NA ablation.
     bool adaptive = true;
@@ -147,10 +147,6 @@ class Client {
 
   /// Attaches a lifecycle tracer (nullptr detaches). Purely observational.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
-  /// Attaches the per-request RCT-breakdown sink (nullptr detaches).
-  void set_breakdown_collector(trace::BreakdownCollector* collector) {
-    breakdown_ = collector;
-  }
   /// Attaches a replay-trace sink that records every generated operation
   /// (one record per read key, one per write) for later replay; nullptr
   /// detaches. Purely observational.
@@ -251,7 +247,6 @@ class Client {
   Metrics& metrics_;
   Transport& transport_;
   trace::Tracer* tracer_ = nullptr;
-  trace::BreakdownCollector* breakdown_ = nullptr;
   workload::ReplayTrace* recorder_ = nullptr;
 
   std::vector<double> d_est_;

@@ -46,7 +46,10 @@ void fill_request_counts(Result& out, const RequestCounts& run,
 }  // namespace
 
 Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
-    : config_(std::move(config)), window_(window), tracer_(tracer) {
+    : config_(std::move(config)),
+      cost_{config_.per_op_overhead_us, config_.service_bytes_per_us},
+      window_(window),
+      tracer_(tracer) {
   DAS_CHECK(window_.measure_us > 0);
   config_.validate();
 
@@ -124,8 +127,11 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     tenant.generator = std::make_unique<workload::MultigetGenerator>(gen_cfg);
   }
 
-  // Servers.
+  // The one measurement window: request counts, latencies, the RCT
+  // breakdown and server busy time are all measured over it.
   metrics_.set_window(window_.warmup_us, window_.horizon());
+
+  // Servers.
   servers_.reserve(config_.num_servers);
   for (std::size_t s = 0; s < config_.num_servers; ++s) {
     Server::Params params;
@@ -140,15 +146,10 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     params.preemptive = config_.preemptive_service;
     params.overload = config_.overload;
     if (config_.store_model == StoreModel::kLsm) {
-      store::LsmOptions lsm_opt = config_.lsm;
-      // Costs are expressed in the same currency as the synthetic demand
-      // model: mirror the service-model anchors from the config.
-      lsm_opt.per_op_overhead_us = config_.per_op_overhead_us;
-      lsm_opt.service_bytes_per_us = config_.service_bytes_per_us;
       // Forked only in LSM mode so the synthetic fork sequence — and with it
       // every golden result — is untouched (Rng::fork consumes parent state).
-      params.service_model = std::make_unique<store::LsmModel>(
-          lsm_opt, master.fork(0x15A0D0 + s).next_u64());
+      params.lsm = std::make_unique<store::LsmModel>(
+          config_.lsm, cost_, master.fork(0x15A0D0 + s).next_u64());
     }
 
     sched::SchedulerConfig sched_cfg = config_.sched_config;
@@ -157,7 +158,6 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
 
     auto server = std::make_unique<Server>(sim_, std::move(params),
                                            std::move(scheduler), metrics_);
-    server->set_utilization_window(window_.warmup_us, window_.horizon());
     if (tracer_ != nullptr) server->set_tracer(tracer_);
     servers_.push_back(std::move(server));
   }
@@ -192,8 +192,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
     params.id = static_cast<ClientId>(c);
     params.num_servers = config_.num_servers;
     params.num_clients = config_.num_clients;
-    params.per_op_overhead_us = config_.per_op_overhead_us;
-    params.service_bytes_per_us = config_.service_bytes_per_us;
+    params.cost = cost_;
     params.adaptive = adaptive;
     params.progress_updates = progress;
     params.est_rtt_us = 2.0 * config_.net_latency_us;
@@ -221,8 +220,7 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
       const double rate = per_client_rate * tenant.share / share_sum;
       stream.arrivals =
           config_.load_profile
-              ? workload::make_modulated_poisson(rate, config_.load_profile,
-                                                 window_.horizon())
+              ? workload::make_modulated_poisson(rate, config_.load_profile)
               : workload::make_poisson_arrivals(rate);
       stream.mix = tenant.mix;
       stream.value_size = tenant.value_size;
@@ -232,13 +230,9 @@ Cluster::Cluster(ClusterConfig config, RunWindow window, trace::Tracer* tracer)
         *partitioner_, key_sizes_, issued_sizes_, metrics_,
         static_cast<Transport&>(*this)));
     if (tracer_ != nullptr) clients_.back()->set_tracer(tracer_);
-    clients_.back()->set_breakdown_collector(&breakdown_);
   }
-
-  // The breakdown uses the same measurement window as the metrics.
-  breakdown_.set_window(window_.warmup_us, window_.horizon());
-  breakdown_.set_retain_cap(config_.breakdown_retain_requests,
-                            request_rate_ * window_.measure_us);
+  metrics_.retain_breakdown_rows(config_.breakdown_retain_requests,
+                                 request_rate_ * window_.measure_us);
 }
 
 double Cluster::synthetic_share_sum() const {
@@ -260,8 +254,6 @@ double Cluster::derived_request_rate() const {
   const std::size_t replication =
       std::min(std::max<std::size_t>(config_.replication, 1), config_.num_servers);
   const auto replicas = static_cast<double>(replication);
-  const double rate = config_.service_bytes_per_us;
-  const double overhead = config_.per_op_overhead_us;
 
   const double share_sum = synthetic_share_sum();
   if (share_sum == 0) return 0.0;
@@ -280,10 +272,10 @@ double Cluster::derived_request_rate() const {
       const workload::OpMix& mix = tenant.mix;
       // Reads, writes and the catalogue all draw from one distribution.
       const double value_mean = tenant.value_size->mean();
-      const double read_work = tenant.generator->mean_fanout() *
-                               (overhead + value_mean / rate);
-      const double update_work = replicas * (overhead + value_mean / rate);
-      const double rmw_work = replicas * (2.0 * overhead + 2.0 * value_mean / rate);
+      const double read_work =
+          tenant.generator->mean_fanout() * cost_.op_us(value_mean);
+      const double update_work = replicas * cost_.op_us(value_mean);
+      const double rmw_work = replicas * cost_.rmw_us(2.0 * value_mean);
       work_per_request += weight * (mix.read * read_work +
                                     mix.update * update_work +
                                     mix.rmw * rmw_work);
@@ -339,7 +331,7 @@ double Cluster::derived_request_rate() const {
       const double pmf = gen.rank_pmf(rank);
       const double key_bytes = static_cast<double>(key_sizes_[key]);
       if (read_scale > 0) {
-        const double read_slice = read_scale * pmf * (overhead + key_bytes / rate);
+        const double read_slice = read_scale * pmf * cost_.op_us(key_bytes);
         if (!spread) {
           share[partitioner_->server_for(key)] += read_slice;
         } else {
@@ -350,12 +342,10 @@ double Cluster::derived_request_rate() const {
       }
       if (write_frac > 0) {
         const double new_bytes = tenant.own_value_size ? write_mean : key_bytes;
-        const double update_demand = overhead + new_bytes / rate;
-        const double rmw_demand =
-            2.0 * overhead + (key_bytes + new_bytes) / rate;
         const double write_slice =
             write_scale * pmf *
-            (mix.update * update_demand + mix.rmw * rmw_demand);
+            (mix.update * cost_.op_us(new_bytes) +
+             mix.rmw * cost_.rmw_us(key_bytes + new_bytes));
         for (const ServerId s : partitioner_->replicas_for(key, replication)) {
           share[s] += write_slice;
         }
@@ -583,8 +573,8 @@ ExperimentResult Cluster::run() {
     result.ops_resumed += counters.ops_resumed;
     result.ops_aged += counters.ops_aged;
     result.reranks_applied += counters.reranks_applied;
-    if (const store::ServiceTimeProvider* model = server->service_model()) {
-      const store::StoreModelStats st = model->stats();
+    if (const store::LsmModel* lsm = server->lsm()) {
+      const store::StoreModelStats& st = lsm->stats();
       result.store_flushes += st.flushes;
       result.store_compactions += st.compactions;
       result.store_write_stalls += st.write_stalls;
@@ -595,7 +585,7 @@ ExperimentResult Cluster::run() {
       result.store_write_stall_us += st.write_stall_us;
     }
   }
-  result.breakdown = breakdown_.summary();
+  result.breakdown = metrics_.breakdown().summary();
   if (config_.msg_loss_probability == 0 && config_.retry_timeout_us == 0 &&
       config_.hedge_delay_us == 0 && !config_.fault_plan.loses_work() &&
       !config_.overload.enabled()) {

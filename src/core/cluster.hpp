@@ -17,6 +17,7 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
+#include "store/service_cost.hpp"
 #include "workload/multiget.hpp"
 #include "workload/replay.hpp"
 
@@ -78,7 +79,7 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   void set_workload_recorder(workload::ReplayTrace* sink);
   /// Per-request RCT decomposition (aggregate always; rows when
   /// config.breakdown_retain_requests > 0).
-  const trace::BreakdownCollector& breakdown() const { return breakdown_; }
+  const trace::BreakdownCollector& breakdown() const { return metrics_.breakdown(); }
 
   /// Messages delivered so far, per kind. Every other dispatched event is a
   /// timer (arrival, service completion, retry, hedge, deadline, fault).
@@ -191,6 +192,9 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   }
 
   ClusterConfig config_;
+  /// The op-cost model every demand tag, LSM price and load calibration
+  /// uses, built from config_'s two anchors.
+  store::ServiceCost cost_;
   RunWindow window_;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
@@ -206,7 +210,6 @@ class Cluster : public Auditable, private Transport, private sim::MessageSink {
   std::vector<Tenant> tenants_;
   Metrics metrics_;
   trace::Tracer* tracer_ = nullptr;
-  trace::BreakdownCollector breakdown_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
   Pool<OpMessage> op_pool_;

@@ -24,9 +24,9 @@ namespace das::core {
 
 /// What prices an operation's service time on each server.
 enum class StoreModel {
-  /// Client-tagged demand (overhead + bytes/rate) at full capacity. The
+  /// Client-tagged demand (store::ServiceCost) at full capacity. The
   /// historical model; bit-identical to builds that predate src/store's
-  /// service-time providers.
+  /// LSM model.
   kSynthetic,
   /// Per-server LSM engine: memtable-hit vs level-walk reads, flush-driven
   /// compaction windows denting capacity, write stalls under compaction
@@ -109,9 +109,8 @@ struct ClusterConfig {
   /// Service-time pricing: synthetic demand tags (default) or the per-server
   /// LSM model. Schedulers never see the store — only mu_hat/backlog.
   StoreModel store_model = StoreModel::kSynthetic;
-  /// LSM knobs (used only when store_model == kLsm). The service-model
-  /// anchors (per_op_overhead_us, service_bytes_per_us) are mirrored from
-  /// this config by the Cluster, so leave those two at their defaults here.
+  /// LSM knobs (used only when store_model == kLsm). The model prices ops
+  /// in the two anchors above, like the clients' demand tags.
   store::LsmOptions lsm;
 
   // --- scheduling ---------------------------------------------------------

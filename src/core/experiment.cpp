@@ -1,7 +1,5 @@
 #include "core/experiment.hpp"
 
-#include "common/check.hpp"
-
 namespace das::core {
 
 ExperimentResult run_experiment(const ClusterConfig& config, const RunWindow& window,
@@ -20,12 +18,6 @@ std::vector<PolicyRun> compare_policies(ClusterConfig base,
     runs.emplace_back(policy, run_experiment(base, window));
   }
   return runs;
-}
-
-double rct_improvement(const ExperimentResult& baseline,
-                       const ExperimentResult& candidate) {
-  DAS_CHECK(baseline.rct.mean > 0);
-  return 1.0 - candidate.rct.mean / baseline.rct.mean;
 }
 
 }  // namespace das::core

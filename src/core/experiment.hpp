@@ -32,9 +32,4 @@ std::vector<PolicyRun> compare_policies(ClusterConfig base,
                                         const std::vector<sched::Policy>& policies,
                                         const RunWindow& window = {});
 
-/// Mean-RCT improvement of `candidate` over `baseline` as a fraction
-/// (0.25 = 25% lower mean RCT).
-double rct_improvement(const ExperimentResult& baseline,
-                       const ExperimentResult& candidate);
-
 }  // namespace das::core

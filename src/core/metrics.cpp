@@ -1,5 +1,8 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace das::core {
@@ -28,6 +31,18 @@ RequestCounts& RequestCounts::operator+=(const RequestCounts& other) {
   shed += other.shed;
   expired += other.expired;
   return *this;
+}
+
+void Metrics::set_window(SimTime begin, SimTime end) {
+  DAS_CHECK(begin <= end);
+  window_begin_ = begin;
+  window_end_ = end;
+}
+
+Duration Metrics::time_in_window(SimTime begin, SimTime end) const {
+  const SimTime clip_begin = std::max(begin, window_begin_);
+  const SimTime clip_end = std::min(end, window_end_);
+  return clip_end > clip_begin ? clip_end - clip_begin : 0.0;
 }
 
 void Metrics::enable_tenants(std::size_t count) {
@@ -198,6 +213,13 @@ constexpr TenantField kTenantFields[] = {
 };
 
 }  // namespace
+
+double gain_over_fcfs(double fcfs, double candidate, Better better) {
+  if (better == Better::kNone || !(fcfs > 0))
+    return std::numeric_limits<double>::quiet_NaN();
+  const double ratio = candidate / fcfs;
+  return better == Better::kLower ? 1.0 - ratio : ratio - 1.0;
+}
 
 const char* json_object(Block block) {
   switch (block) {

@@ -34,20 +34,20 @@ struct RequestCounts {
   RequestCounts& operator+=(const RequestCounts& other);
 };
 
-/// The run's request ledger, shared by every client: per tenant, the outcome
-/// counts of the whole run and of the measurement window (requests that
-/// ARRIVE inside it; warmup and cooldown arrivals are excluded but still
-/// simulated), plus the latency recorders of the window. Cluster totals are
-/// sums over tenants.
+/// The run's request ledger, shared by every client and server, and the one
+/// holder of the measurement window: per tenant, the outcome counts of the
+/// whole run and of the window (requests that ARRIVE inside it; warmup and
+/// cooldown arrivals are excluded but still simulated), plus the window's
+/// latency recorders and RCT breakdown. Cluster totals are sums over tenants.
 class Metrics {
  public:
-  void set_window(SimTime begin, SimTime end) {
-    window_begin_ = begin;
-    window_end_ = end;
-  }
+  /// The measurement window [begin, end); [0, ∞) until set.
+  void set_window(SimTime begin, SimTime end);
   bool in_window(SimTime arrival) const {
     return arrival >= window_begin_ && arrival < window_end_;
   }
+  /// How much of [begin, end) lies inside the window (server busy time).
+  Duration time_in_window(SimTime begin, SimTime end) const;
 
   /// Keeps a ledger and an RCT recorder for `count` tenants; record calls
   /// attribute to their tenant index. Every owner that records requests calls
@@ -65,10 +65,20 @@ class Metrics {
   void record_unserved(Settled how, SimTime arrival, SimTime at,
                        std::uint32_t tenant = 0);
   void record_operation(SimTime server_arrival, SimTime completion, Duration wait);
+  /// A completed request's RCT attribution; kept when it arrived in the
+  /// window.
+  void record_breakdown(const trace::RequestBreakdown& row) {
+    if (in_window(row.arrival)) breakdown_.record(row);
+  }
+  /// Retains per-request breakdown rows (BreakdownCollector::set_retain_cap).
+  void retain_breakdown_rows(std::size_t cap, double expected_rows) {
+    breakdown_.set_retain_cap(cap, expected_rows);
+  }
 
   const LatencyRecorder& rct() const { return rct_; }
   const LatencyRecorder& op_latency() const { return op_latency_; }
   const LatencyRecorder& op_wait() const { return op_wait_; }
+  const trace::BreakdownCollector& breakdown() const { return breakdown_; }
 
   std::size_t tenant_count() const { return tenant_rct_.size(); }
   const LatencyRecorder& tenant_rct(std::size_t t) const {
@@ -91,6 +101,7 @@ class Metrics {
   LatencyRecorder rct_{1e9};
   LatencyRecorder op_latency_{1e9};
   LatencyRecorder op_wait_{1e9};
+  trace::BreakdownCollector breakdown_;
   std::vector<LatencyRecorder> tenant_rct_;
   std::vector<RequestCounts> tenant_counts_;
   std::vector<RequestCounts> tenant_measured_;
@@ -229,6 +240,12 @@ const char* json_object(Block block);
 
 /// Which way a field improves; kNone (counters, utilisation) has no gain.
 enum class Better : std::uint8_t { kNone, kLower, kHigher };
+
+/// The gain of `candidate` over the FCFS baseline `fcfs` on a metric that
+/// improves in direction `better`, as a fraction that is positive when the
+/// candidate is better: 1 − candidate/fcfs, or candidate/fcfs − 1 for a
+/// higher-is-better metric. NaN without a direction or an FCFS value > 0.
+double gain_over_fcfs(double fcfs, double candidate, Better better = Better::kLower);
 
 template <class Record>
 struct Field {

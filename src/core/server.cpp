@@ -36,7 +36,7 @@ Server::Server(sim::Simulator& sim, Params params, sched::SchedulerPtr scheduler
       scheduler_(std::move(scheduler)),
       metrics_(metrics),
       guard_(params_.overload) {
-  service_model_ = std::move(params_.service_model);
+  lsm_ = std::move(params_.lsm);
   DAS_CHECK(scheduler_ != nullptr);
   DAS_CHECK(params_.speed_factor > 0);
   // Start the speed estimate at the static factor: a server knows its own
@@ -50,18 +50,11 @@ std::optional<Bytes> Server::written_size(KeyId key) const {
   return std::nullopt;
 }
 
-void Server::set_utilization_window(SimTime begin, SimTime end) {
-  DAS_CHECK(begin <= end);
-  window_begin_ = begin;
-  window_end_ = end;
-}
-
 double Server::effective_speed(SimTime now) {
   const double profile =
       params_.speed_profile ? params_.speed_profile->value_at(now) : 1.0;
   DAS_CHECK_MSG(profile > 0, "speed profile must stay positive");
-  storage_factor_ =
-      service_model_ != nullptr ? service_model_->capacity_factor(now) : 1.0;
+  storage_factor_ = lsm_ != nullptr ? lsm_->capacity_factor(now) : 1.0;
   DAS_CHECK_MSG(storage_factor_ > 0 && storage_factor_ <= 1.0,
                 "storage capacity factor outside (0, 1]");
   // The single composition path for every capacity modifier: static factor ×
@@ -79,7 +72,7 @@ double Server::remaining_demand(double remaining_base_us) const {
   // and demand coincide and the unserved base IS the remaining demand (the
   // exact legacy arithmetic). Under a store model the scheduler still thinks
   // in demand currency: scale the tag by the unserved base-cost fraction.
-  if (service_model_ == nullptr) return remaining_base_us;
+  if (lsm_ == nullptr) return remaining_base_us;
   return current_op_.demand_us * (remaining_base_us / current_base_cost_us_);
 }
 
@@ -87,7 +80,6 @@ store::OpCostQuery Server::cost_query(const sched::OpContext& op) const {
   store::OpCostQuery q;
   q.key = op.key;
   q.is_write = op.is_write;
-  q.nominal_demand_us = op.demand_us;
   q.size_bytes =
       op.is_write ? op.write_size : written_size(op.key).value_or(op.catalogue_bytes);
   return q;
@@ -96,7 +88,7 @@ store::OpCostQuery Server::cost_query(const sched::OpContext& op) const {
 void Server::emit_store_transitions() {
   if (tracer_ == nullptr) return;
   store_transitions_.clear();
-  service_model_->drain_transitions(store_transitions_);
+  lsm_->drain_transitions(store_transitions_);
   for (const store::StoreTransition& tr : store_transitions_) {
     tracer_->store_transition(tr.at, to_trace(tr.kind), params_.id,
                               tr.debt_bytes);
@@ -104,8 +96,8 @@ void Server::emit_store_transitions() {
 }
 
 void Server::finalize_store() {
-  if (service_model_ == nullptr) return;
-  service_model_->finalize(sim_.now());
+  if (lsm_ == nullptr) return;
+  lsm_->finalize(sim_.now());
   emit_store_transitions();
 }
 
@@ -128,7 +120,7 @@ void Server::check_invariants() const {
             "storage capacity factor outside (0, 1]");
   DAS_AUDIT(params_.speed_factor * fault_slowdown_ * storage_factor_ > 0,
             "effective-speed factor product must stay positive");
-  if (service_model_ != nullptr) service_model_->check_invariants();
+  if (lsm_ != nullptr) lsm_->check_invariants();
   if (state_ == State::kCrashed) {
     DAS_AUDIT(!busy_, "crashed server still in service");
     DAS_AUDIT(scheduler_->empty(), "crashed server with queued work");
@@ -166,8 +158,8 @@ void Server::receive_op(const sched::OpContext& op) {
                               mu_hat_,
                               scheduler_->size() - scheduler_->deferred_size(),
                               scheduler_->deferred_size());
-      if (service_model_ != nullptr) {
-        const store::StoreGauges g = service_model_->gauges();
+      if (lsm_ != nullptr) {
+        const store::StoreGauges g = lsm_->gauges();
         tracer_->store_counter_sample(now, params_.id, g.memtable_fill_bytes,
                                       g.compaction_debt_bytes, g.l0_runs);
       }
@@ -242,9 +234,7 @@ void Server::preempt_current() {
 }
 
 void Server::note_busy_interval(SimTime begin, SimTime end) {
-  const SimTime clip_begin = std::max(begin, window_begin_);
-  const SimTime clip_end = std::min(end, window_end_);
-  if (clip_end > clip_begin) busy_in_window_ += clip_end - clip_begin;
+  busy_in_window_ += metrics_.time_in_window(begin, end);
 }
 
 void Server::receive_progress(RequestId request,
@@ -270,9 +260,9 @@ void Server::crash() {
   }
   ops_dropped_ += scheduler_->drain(now).size();
   DAS_CHECK_MSG(scheduler_->empty(), "crash left the scheduler non-empty");
-  if (service_model_ != nullptr) {
+  if (lsm_ != nullptr) {
     // The memtable dies with the process; background compaction is cut off.
-    service_model_->on_crash(now);
+    lsm_->on_crash(now);
     emit_store_transitions();
   }
   state_ = State::kCrashed;
@@ -338,10 +328,9 @@ void Server::maybe_start() {
   // read path, write-stall amplification), the client-tagged demand
   // otherwise. Priced once at dispatch.
   current_base_cost_us_ =
-      service_model_ != nullptr
-          ? service_model_->base_cost_us(cost_query(current_op_), now)
-          : current_op_.demand_us;
-  if (service_model_ != nullptr) emit_store_transitions();
+      lsm_ != nullptr ? lsm_->base_cost_us(cost_query(current_op_), now)
+                      : current_op_.demand_us;
+  if (lsm_ != nullptr) emit_store_transitions();
   // The speed is sampled at dispatch; dwell times of the fluctuation
   // processes are orders of magnitude longer than one service, so freezing
   // the rate for the op's duration is a faithful approximation.
@@ -369,10 +358,10 @@ void Server::complete_current() {
 
   if (current_op_.is_write) written_[current_op_.key] = current_op_.write_size;
   const auto size = written_size(current_op_.key).value_or(current_op_.catalogue_bytes);
-  if (service_model_ != nullptr) {
+  if (lsm_ != nullptr) {
     // A completed write lands in the model's memtable and may trigger a
     // flush / compaction / stall transition.
-    service_model_->on_op_complete(cost_query(current_op_), now);
+    lsm_->on_op_complete(cost_query(current_op_), now);
     emit_store_transitions();
   }
   ++ops_completed_;

@@ -40,8 +40,8 @@ class Server : public Auditable {
     bool preemptive = false;
     /// Storage-aware service-time model. nullptr = synthetic mode: every op
     /// costs its client-tagged demand and storage never dents capacity.
-    /// Owning a provider makes Params move-only.
-    store::ServiceTimeProviderPtr service_model;
+    /// Owning a model makes Params move-only.
+    std::unique_ptr<store::LsmModel> lsm;
     /// Overload protection (bounded queue / deadline drops). All defaults
     /// off: the guard never fires and the server is bit-identical to
     /// pre-layer builds.
@@ -94,9 +94,7 @@ class Server : public Auditable {
   /// is served at the size it carries (catalogue_bytes, 0 = a miss).
   std::optional<Bytes> written_size(KeyId key) const;
   /// The storage service-time model, or nullptr in synthetic mode.
-  const store::ServiceTimeProvider* service_model() const {
-    return service_model_.get();
-  }
+  const store::LsmModel* lsm() const { return lsm_.get(); }
   /// Closes the model's open compaction/stall windows in its stats at end of
   /// run (no-op in synthetic mode). Idempotent.
   void finalize_store();
@@ -107,13 +105,10 @@ class Server : public Auditable {
     tracer_ = tracer;
     scheduler_->set_tracer(tracer, params_.id);
     // Transition recording costs nothing when no tracer is attached.
-    if (service_model_ != nullptr) {
-      service_model_->set_record_transitions(tracer != nullptr);
-    }
+    if (lsm_ != nullptr) lsm_->set_record_transitions(tracer != nullptr);
   }
 
-  /// Busy-time accounting clipped to [begin, end) for utilisation metrics.
-  void set_utilization_window(SimTime begin, SimTime end);
+  /// Busy time inside the Metrics measurement window (utilisation).
   double busy_time_in_window() const { return busy_in_window_; }
 
   std::uint64_t ops_completed() const { return ops_completed_; }
@@ -176,7 +171,7 @@ class Server : public Auditable {
   /// serving the old size. Survives crash(), like a durable store.
   FlatMap<KeyId, Bytes> written_;
   /// Moved out of Params at construction; nullptr in synthetic mode.
-  store::ServiceTimeProviderPtr service_model_;
+  std::unique_ptr<store::LsmModel> lsm_;
   Transport* transport_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   /// Scratch buffer for draining store-model transitions while traced.
@@ -208,9 +203,6 @@ class Server : public Auditable {
   std::uint64_t recoveries_ = 0;
   /// Service time spent on ops that completed past their expiry.
   Duration wasted_service_us_ = 0;
-
-  SimTime window_begin_ = 0;
-  SimTime window_end_ = kTimeInfinity;
   double busy_in_window_ = 0;
 };
 

@@ -8,13 +8,12 @@
 
 namespace das::store {
 
-void ServiceTimeProvider::drain_transitions(std::vector<StoreTransition>& out) {
+void LsmModel::drain_transitions(std::vector<StoreTransition>& out) {
   out.insert(out.end(), transitions_.begin(), transitions_.end());
   transitions_.clear();
 }
 
-void ServiceTimeProvider::record(StoreTransitionKind kind, SimTime at,
-                                 double debt_bytes) {
+void LsmModel::record(StoreTransitionKind kind, SimTime at, double debt_bytes) {
   if (!record_transitions_) return;
   transitions_.push_back(StoreTransition{kind, at, debt_bytes});
 }
@@ -23,8 +22,6 @@ void LsmOptions::validate() const {
   const auto reject = [](const std::string& what) {
     throw std::invalid_argument("LsmOptions: " + what);
   };
-  if (per_op_overhead_us < 0) reject("per_op_overhead_us must be >= 0");
-  if (service_bytes_per_us <= 0) reject("service_bytes_per_us must be > 0");
   if (memtable_bytes <= 0) reject("memtable_bytes must be > 0");
   if (entry_overhead_bytes < 0) reject("entry_overhead_bytes must be >= 0");
   if (l0_compaction_trigger == 0) reject("l0_compaction_trigger must be >= 1");
@@ -39,8 +36,8 @@ void LsmOptions::validate() const {
   if (stall_write_multiplier < 1.0) reject("stall_write_multiplier must be >= 1");
 }
 
-LsmModel::LsmModel(LsmOptions options, std::uint64_t seed)
-    : options_(options), rng_(seed) {
+LsmModel::LsmModel(LsmOptions options, ServiceCost cost, std::uint64_t seed)
+    : options_(options), cost_(cost), rng_(seed) {
   options_.validate();
 }
 
@@ -59,12 +56,11 @@ std::size_t LsmModel::read_levels() const {
 
 double LsmModel::base_cost_us(const OpCostQuery& q, SimTime now) {
   advance_to(now);
-  const double byte_cost =
-      static_cast<double>(q.size_bytes) / options_.service_bytes_per_us;
+  const auto bytes = static_cast<double>(q.size_bytes);
   if (q.is_write) {
-    // Appends are sequential: the base write is the nominal byte cost; the
+    // Appends are sequential: the base write is the nominal op cost; the
     // write controller amplifies it while compaction debt is stalling.
-    double cost = options_.per_op_overhead_us + byte_cost;
+    double cost = cost_.op_us(bytes);
     if (stalled_) {
       cost *= options_.stall_write_multiplier;
       ++stats_.stalled_write_ops;
@@ -73,13 +69,11 @@ double LsmModel::base_cost_us(const OpCostQuery& q, SimTime now) {
   }
   if (memtable_keys_.contains(q.key)) {
     ++stats_.memtable_hits;
-    return options_.per_op_overhead_us +
-           byte_cost * kMemtableReadFactor;
+    return cost_.op_us(bytes, kMemtableReadFactor);
   }
   ++stats_.level_reads;
-  const double walk =
-      1.0 + kLevelReadStep * static_cast<double>(read_levels());
-  return options_.per_op_overhead_us + byte_cost * walk;
+  return cost_.op_us(bytes,
+                     1.0 + kLevelReadStep * static_cast<double>(read_levels()));
 }
 
 double LsmModel::capacity_factor(SimTime now) {
@@ -206,8 +200,6 @@ StoreGauges LsmModel::gauges() const {
   g.memtable_fill_bytes = memtable_fill_;
   g.compaction_debt_bytes = debt_bytes_;
   g.l0_runs = l0_runs_;
-  g.compacting = compacting_;
-  g.stalled = stalled_;
   return g;
 }
 

@@ -1,10 +1,10 @@
 // Storage-aware service-time model: an LSM write/read cost engine.
 //
-// The simulator's synthetic mode charges every operation the client-computed
-// nominal demand (overhead + bytes/rate). This subsystem grounds service
-// time in storage behaviour instead: a per-server `LsmModel` tracks memtable
-// fill, flush triggers, leveled compaction debt and background compaction
-// windows, and prices each operation from that state —
+// The simulator's synthetic mode charges every operation its client-tagged
+// demand (store::ServiceCost). This subsystem grounds service time in storage
+// behaviour instead: a per-server `LsmModel` tracks memtable fill, flush
+// triggers, leveled compaction debt and background compaction windows, and
+// prices each operation from that state, in the same currency —
 //
 //   * size-dependent reads: a memtable hit pays a fraction of the byte cost,
 //     a level walk pays a surcharge per run/level searched;
@@ -27,13 +27,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/invariant.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "store/service_cost.hpp"
 
 namespace das::store {
 
@@ -45,9 +45,6 @@ struct OpCostQuery {
   bool is_write = false;
   /// Value bytes read or written (0 for a miss).
   Bytes size_bytes = 0;
-  /// The client-side demand model's estimate (overhead + bytes/rate), kept
-  /// for providers that want to price relative to the synthetic baseline.
-  double nominal_demand_us = 0;
 };
 
 /// Store-model state transitions surfaced for tracing (compaction/stall
@@ -89,62 +86,9 @@ struct StoreGauges {
   double memtable_fill_bytes = 0;
   double compaction_debt_bytes = 0;
   std::size_t l0_runs = 0;
-  bool compacting = false;
-  bool stalled = false;
 };
-
-/// What the Server consults for each operation's base cost and for the
-/// storage component of its effective speed. Implementations advance their
-/// state lazily from the timestamps they are handed; they own no simulator
-/// events and draw randomness only from their own seeded stream.
-class ServiceTimeProvider : public Auditable {
- public:
-  ~ServiceTimeProvider() override = default;
-
-  /// Base cost of `q` at nominal server speed (µs), sampled at dispatch.
-  virtual double base_cost_us(const OpCostQuery& q, SimTime now) = 0;
-
-  /// Multiplicative capacity factor in (0, 1] at `now`; composed into
-  /// Server::effective_speed() alongside the fault-plan slowdown.
-  virtual double capacity_factor(SimTime now) = 0;
-
-  /// An operation finished service; writes advance the memtable/flush state.
-  virtual void on_op_complete(const OpCostQuery& q, SimTime now) = 0;
-
-  /// Fail-stop crash: volatile state (memtable) is lost, background work is
-  /// interrupted.
-  virtual void on_crash(SimTime now) = 0;
-
-  /// Run teardown: close open windows in the stats so busy-time accounting
-  /// covers the whole run. Idempotent.
-  virtual void finalize(SimTime now) = 0;
-
-  virtual StoreModelStats stats() const = 0;
-  virtual StoreGauges gauges() const = 0;
-
-  /// Transition recording is off by default (zero overhead untraced); the
-  /// server enables it when a tracer attaches.
-  void set_record_transitions(bool on) { record_transitions_ = on; }
-  /// Moves the recorded transitions into `out` (appended) and clears the
-  /// internal buffer.
-  void drain_transitions(std::vector<StoreTransition>& out);
-
- protected:
-  void record(StoreTransitionKind kind, SimTime at, double debt_bytes);
-
- private:
-  bool record_transitions_ = false;
-  std::vector<StoreTransition> transitions_;
-};
-
-using ServiceTimeProviderPtr = std::unique_ptr<ServiceTimeProvider>;
 
 struct LsmOptions {
-  /// Service-model anchors, mirrored from the cluster config so LSM costs
-  /// are expressed in the same currency as the synthetic demand model.
-  double per_op_overhead_us = 20.0;
-  double service_bytes_per_us = 50.0;
-
   /// Memtable flushes when fill (value bytes + per-entry overhead) reaches
   /// this. Sized for simulation-scale traffic, not production heaps.
   double memtable_bytes = 64.0 * 1024.0;
@@ -173,7 +117,11 @@ struct LsmOptions {
   void validate() const;
 };
 
-class LsmModel final : public ServiceTimeProvider {
+/// The per-server storage model the Server consults for each operation's
+/// base cost and for the storage component of its effective speed. It
+/// advances its state lazily from the timestamps it is handed, owns no
+/// simulator events and draws randomness only from its own seeded stream.
+class LsmModel final : public Auditable {
  public:
   /// Read pricing: a memtable hit pays this fraction of the byte cost; a
   /// level walk pays (1 + kLevelReadStep × runs/levels searched), capped at
@@ -182,17 +130,32 @@ class LsmModel final : public ServiceTimeProvider {
   static constexpr double kLevelReadStep = 0.3;
   static constexpr std::size_t kMaxReadLevels = 8;
 
-  /// `seed` feeds the jitter stream; two models with the same options, seed
-  /// and op sequence produce bit-identical costs and windows.
-  LsmModel(LsmOptions options, std::uint64_t seed);
+  /// Ops are priced in `cost`, the currency of the clients' demand tags.
+  /// `seed` feeds the jitter stream; two models with the same options, cost,
+  /// seed and op sequence produce bit-identical costs and windows.
+  LsmModel(LsmOptions options, ServiceCost cost, std::uint64_t seed);
 
-  double base_cost_us(const OpCostQuery& q, SimTime now) override;
-  double capacity_factor(SimTime now) override;
-  void on_op_complete(const OpCostQuery& q, SimTime now) override;
-  void on_crash(SimTime now) override;
-  void finalize(SimTime now) override;
-  StoreModelStats stats() const override { return stats_; }
-  StoreGauges gauges() const override;
+  /// Base cost of `q` at nominal server speed (µs), sampled at dispatch.
+  double base_cost_us(const OpCostQuery& q, SimTime now);
+  /// Multiplicative capacity factor in (0, 1] at `now`; composed into
+  /// Server::effective_speed() alongside the fault-plan slowdown.
+  double capacity_factor(SimTime now);
+  /// An operation finished service; writes advance the memtable/flush state.
+  void on_op_complete(const OpCostQuery& q, SimTime now);
+  /// Fail-stop crash: the memtable is lost, background work is interrupted.
+  void on_crash(SimTime now);
+  /// Run teardown: close open windows in the stats so busy-time accounting
+  /// covers the whole run. Idempotent.
+  void finalize(SimTime now);
+  const StoreModelStats& stats() const { return stats_; }
+  StoreGauges gauges() const;
+
+  /// Transition recording is off by default (zero overhead untraced); the
+  /// server enables it when a tracer attaches.
+  void set_record_transitions(bool on) { record_transitions_ = on; }
+  /// Moves the recorded transitions into `out` (appended) and clears the
+  /// internal buffer.
+  void drain_transitions(std::vector<StoreTransition>& out);
 
   /// Memtable fill below capacity, nonnegative debt, well-ordered compaction
   /// window, stall only with interference enabled, stats coherence.
@@ -215,9 +178,13 @@ class LsmModel final : public ServiceTimeProvider {
   void flush_memtable(SimTime now);
   void maybe_start_compaction(SimTime at);
   void update_stall(SimTime at);
+  void record(StoreTransitionKind kind, SimTime at, double debt_bytes);
 
   LsmOptions options_;
+  ServiceCost cost_;
   Rng rng_;
+  bool record_transitions_ = false;
+  std::vector<StoreTransition> transitions_;
 
   double memtable_fill_ = 0;
   /// Keys resident in the memtable (written since the last flush): these

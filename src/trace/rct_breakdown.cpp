@@ -87,8 +87,6 @@ void BreakdownCollector::set_retain_cap(std::size_t cap, double expected_rows) {
 }
 
 void BreakdownCollector::record(const RequestBreakdown& breakdown) {
-  if (breakdown.arrival < window_begin_ || breakdown.arrival >= window_end_)
-    return;
   rct_.add(breakdown.rct_us);
   network_.add(breakdown.network_us);
   runnable_.add(breakdown.runnable_wait_us);

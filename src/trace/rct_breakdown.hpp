@@ -88,15 +88,12 @@ struct BreakdownSummary {
   double mean_straggler_slack_us = 0;
 };
 
-/// Accumulates per-request breakdowns (window-filtered, like Metrics) into
-/// component means; optionally retains the raw rows up to a cap for tests,
-/// exact RCT quantiles and offline analysis.
+/// Accumulates per-request breakdowns into component means; optionally
+/// retains the raw rows up to a cap for tests, exact RCT quantiles and
+/// offline analysis. core::Metrics owns the run's collector and hands it the
+/// rows of the measurement window.
 class BreakdownCollector {
  public:
-  void set_window(SimTime begin, SimTime end) {
-    window_begin_ = begin;
-    window_end_ = end;
-  }
   /// Retain up to `cap` per-request rows (0 = aggregate only, the default).
   /// The rows are reserved once, for min(cap, 1.05 x `expected_rows` + 1024)
   /// rows; past that they grow by doubling, so an estimate that falls short
@@ -111,8 +108,6 @@ class BreakdownCollector {
   std::uint64_t rows_dropped() const { return rows_dropped_; }
 
  private:
-  SimTime window_begin_ = 0;
-  SimTime window_end_ = kTimeInfinity;
   std::size_t retain_cap_ = 0;
   std::vector<RequestBreakdown> rows_;
   std::uint64_t rows_dropped_ = 0;

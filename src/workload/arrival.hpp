@@ -18,8 +18,6 @@ class ArrivalProcess {
   virtual ~ArrivalProcess() = default;
   /// Time of the next arrival strictly after `now`. Monotone in `now`.
   virtual SimTime next_arrival_after(SimTime now, Rng& rng) const = 0;
-  /// Long-run average rate (arrivals per microsecond), for calibration.
-  virtual double mean_rate() const = 0;
 };
 
 using ArrivalPtr = std::shared_ptr<const ArrivalProcess>;
@@ -27,14 +25,8 @@ using ArrivalPtr = std::shared_ptr<const ArrivalProcess>;
 /// Homogeneous Poisson process with `rate` arrivals per microsecond.
 ArrivalPtr make_poisson_arrivals(double rate);
 
-/// Evenly spaced arrivals (1/rate apart); a zero-variance control.
-ArrivalPtr make_deterministic_arrivals(double rate);
-
 /// Non-homogeneous Poisson process whose instantaneous rate is
 /// `base_rate * modulation(t)`; sampled exactly by Lewis-Shedler thinning.
-/// `mean_rate()` reports base_rate times the modulation's value averaged over
-/// `averaging_horizon` (numerical average, step 1ms).
-ArrivalPtr make_modulated_poisson(double base_rate, RatePtr modulation,
-                                  SimTime averaging_horizon);
+ArrivalPtr make_modulated_poisson(double base_rate, RatePtr modulation);
 
 }  // namespace das::workload

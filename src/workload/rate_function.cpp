@@ -16,6 +16,7 @@ class ConstantRate final : public RateFunction {
   explicit ConstantRate(double v) : v_(v) { DAS_CHECK(v >= 0); }
   double value_at(SimTime) const override { return v_; }
   double max_value() const override { return v_; }
+  double mean_over(SimTime) const override { return v_; }
 
  private:
   double v_;
@@ -34,6 +35,11 @@ class SinusoidalRate final : public RateFunction {
     return base_ + amp_ * std::sin(2.0 * std::numbers::pi * t / period_);
   }
   double max_value() const override { return base_ + amp_; }
+  double mean_over(SimTime horizon) const override {
+    // The sine's integral over [0, h) is P/(2π) · (1 − cos(2πh/P)).
+    const double turns = 2.0 * std::numbers::pi * horizon / period_;
+    return base_ + amp_ * (1.0 - std::cos(turns)) / turns;
+  }
 
  private:
   double base_, amp_;
@@ -55,6 +61,20 @@ class StepRate final : public RateFunction {
   }
   double max_value() const override {
     return *std::max_element(levels_.begin(), levels_.end());
+  }
+  double mean_over(SimTime horizon) const override {
+    // Level i holds on [boundaries[i-1], boundaries[i]): sum each segment's
+    // level × its overlap with [0, horizon).
+    double area = 0;
+    SimTime from = 0;
+    for (std::size_t i = 0; i < boundaries_.size() && from < horizon; ++i) {
+      const SimTime to = std::min(boundaries_[i], horizon);
+      if (to <= from) continue;
+      area += levels_[i] * (to - from);
+      from = to;
+    }
+    if (from < horizon) area += levels_.back() * (horizon - from);
+    return area / horizon;
   }
 
  private:
@@ -99,10 +119,7 @@ RatePtr make_markov_two_state(double high, double low, Duration mean_dwell_high,
 }
 
 double time_average(const RateFunction& rate, SimTime horizon) {
-  double acc = 0;
-  std::size_t n = 0;
-  for (SimTime t = 0; t < horizon; t += kMillisecond, ++n) acc += rate.value_at(t);
-  return n ? acc / static_cast<double>(n) : rate.value_at(0);
+  return horizon > 0 ? rate.mean_over(horizon) : rate.value_at(0);
 }
 
 }  // namespace das::workload

@@ -23,6 +23,8 @@ class RateFunction {
   virtual double value_at(SimTime t) const = 0;
   /// Upper bound over all t; thinning samplers need it.
   virtual double max_value() const = 0;
+  /// Exact mean of value_at over [0, horizon), horizon > 0.
+  virtual double mean_over(SimTime horizon) const = 0;
 };
 
 using RatePtr = std::shared_ptr<const RateFunction>;
@@ -45,9 +47,9 @@ RatePtr make_markov_two_state(double high, double low, Duration mean_dwell_high,
                               Duration mean_dwell_low, SimTime horizon,
                               std::uint64_t seed);
 
-/// Mean of `rate` over [0, horizon), sampled every millisecond (the value at
-/// 0 for an empty horizon). Load calibration averages both the arrival-rate
-/// profile and the server-speed profiles through it.
+/// Exact mean of `rate` over [0, horizon) (the value at 0 for an empty
+/// horizon). Load calibration averages both the arrival-rate profile and the
+/// server-speed profiles through it.
 double time_average(const RateFunction& rate, SimTime horizon);
 
 }  // namespace das::workload

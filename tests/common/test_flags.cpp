@@ -33,6 +33,18 @@ TEST(Flags, EqualsFormParses) {
   EXPECT_TRUE(flags.set_on_command_line("load"));
 }
 
+TEST(Flags, ListsTheFlagsSetOnTheCommandLine) {
+  Flags flags;
+  flags.define("servers", "32", "");
+  flags.define("load", "0.7", "");
+  flags.define("jobs", "1", "");
+  std::string error;
+  ASSERT_TRUE(parse(flags, {"--servers=4", "--jobs", "1"}, &error));
+  // Sorted by name; a flag set to its default still counts as set.
+  EXPECT_EQ(flags.set_on_command_line(),
+            (std::vector<std::string>{"jobs", "servers"}));
+}
+
 TEST(Flags, SpaceFormParses) {
   Flags flags;
   flags.define("servers", "32", "");

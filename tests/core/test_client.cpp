@@ -6,17 +6,11 @@
 #include <map>
 #include <vector>
 
+#include "client_streams.hpp"
+#include "store/lsm_model.hpp"
+
 namespace das::core {
 namespace {
-
-/// A single synthetic tenant: `generator` paced by `arrivals`.
-std::vector<Client::TenantStream> one_stream(
-    const workload::MultigetGenerator& generator, workload::ArrivalPtr arrivals) {
-  std::vector<Client::TenantStream> streams(1);
-  streams[0].generator = &generator;
-  streams[0].arrivals = std::move(arrivals);
-  return streams;
-}
 
 struct SentOp {
   ServerId server;
@@ -75,13 +69,11 @@ struct ClientFixture : ::testing::Test {
     Client::Params params = overrides;
     params.id = 3;
     params.num_servers = kServers;
-    params.per_op_overhead_us = 10.0;
-    params.service_bytes_per_us = 50.0;
+    params.cost = {10.0, 50.0};
     params.est_rtt_us = 10.0;
 
     metrics.enable_tenants(1);
-    std::vector<Client::TenantStream> streams = one_stream(
-        *generator, workload::make_deterministic_arrivals(0.001));  // every 1000us
+    std::vector<Client::TenantStream> streams = one_stream(*generator);
     streams[0].mix = mix;
     streams[0].value_size = value_size;
     client = std::make_unique<Client>(sim, params, Rng{42}, std::move(streams),
@@ -239,6 +231,22 @@ TEST_F(ClientFixture, ProgressToTheLastRemainingServerHasBoundZero) {
       EXPECT_EQ(updates.begin()->first, last);
     }
   }
+}
+
+// Tags, LSM prices and the load calibration share one cost model: a read's
+// tag is what the LSM model charges an unstalled write of the same bytes.
+TEST_F(ClientFixture, ReadTagIsTheLsmPriceOfAnUnstalledWrite) {
+  build(1);
+  client->start(1500.0);
+  sim.run();
+  ASSERT_EQ(sent_ops.size(), 1u);
+  store::LsmModel lsm{store::LsmOptions{}, store::ServiceCost{10.0, 50.0}, 1};
+  store::OpCostQuery write;
+  write.key = sent_ops[0].ctx.key;
+  write.is_write = true;
+  write.size_bytes = 100;  // the key's catalogue size
+  EXPECT_EQ(sent_ops[0].ctx.demand_us, lsm.base_cost_us(write, 0.0));
+  EXPECT_EQ(sent_ops[0].ctx.demand_us, 12.0);
 }
 
 TEST_F(ClientFixture, RequestCompletesWhenAllOpsRespond) {

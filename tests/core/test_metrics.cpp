@@ -1,6 +1,7 @@
-// Metrics is the run's one request ledger: per tenant, the outcome counts of
-// the whole run and of the measurement window, with cluster totals summed
-// over tenants. The Cluster audit re-checks request conservation against it
+// Metrics is the run's one request ledger and the one holder of the
+// measurement window: per tenant, the outcome counts of the whole run and of
+// the window, with cluster totals summed over tenants; the window's RCT
+// breakdown; and the clip of server busy time to the window. The Cluster audit re-checks request conservation against it
 // (generated == settled + in flight) at the audit cadence.
 #include "core/metrics.hpp"
 
@@ -87,6 +88,40 @@ TEST(RequestLedger, CountsEverySettleKindPerTenantInAndOutOfTheWindow) {
   EXPECT_EQ(m.rct().moments().count(), m.measured().completed);
   EXPECT_EQ(m.tenant_rct(0).moments().count(), 1u);
   EXPECT_EQ(m.tenant_rct(1).moments().count(), 1u);
+}
+
+TEST(RequestLedger, RecordsTheBreakdownOfArrivalsInTheWindow) {
+  Metrics m;
+  m.set_window(100.0, 200.0);
+  const auto record_at = [&](SimTime arrival) {
+    trace::OpServiceTiming timing;
+    timing.enqueued_at = arrival + 1.0;
+    timing.service_start = arrival + 4.0;
+    timing.service_end = arrival + 9.0;
+    timing.valid = true;
+    m.record_breakdown(
+        trace::make_request_breakdown(arrival, arrival + 10.0, timing, 0.0, 1));
+  };
+  record_at(50.0);   // before the window
+  record_at(100.0);  // inclusive lower edge
+  record_at(150.0);
+  record_at(200.0);  // exclusive upper edge
+  const trace::BreakdownSummary s = m.breakdown().summary();
+  EXPECT_EQ(s.requests, 2u);
+  EXPECT_DOUBLE_EQ(s.mean_rct_us, 10.0);
+  EXPECT_DOUBLE_EQ(s.mean_service_us, 5.0);
+  EXPECT_EQ(s.mean_deferred_wait_us, 0.0);
+}
+
+TEST(RequestLedger, ClipsIntervalsToTheWindow) {
+  Metrics m;
+  EXPECT_EQ(m.time_in_window(3.0, 8.0), 5.0);  // [0, ∞) until set
+  m.set_window(50.0, 150.0);
+  EXPECT_EQ(m.time_in_window(0.0, 100.0), 50.0);
+  EXPECT_EQ(m.time_in_window(60.0, 70.0), 10.0);
+  EXPECT_EQ(m.time_in_window(140.0, 400.0), 10.0);
+  EXPECT_EQ(m.time_in_window(0.0, 50.0), 0.0);
+  EXPECT_EQ(m.time_in_window(150.0, 160.0), 0.0);
 }
 
 TEST(RequestLedger, RejectsAnUnknownTenant) {

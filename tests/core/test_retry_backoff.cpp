@@ -9,17 +9,10 @@
 #include <set>
 #include <vector>
 
+#include "client_streams.hpp"
+
 namespace das::core {
 namespace {
-
-/// A single synthetic tenant: `generator` paced by `arrivals`.
-std::vector<Client::TenantStream> one_stream(
-    const workload::MultigetGenerator& generator, workload::ArrivalPtr arrivals) {
-  std::vector<Client::TenantStream> streams(1);
-  streams[0].generator = &generator;
-  streams[0].arrivals = std::move(arrivals);
-  return streams;
-}
 
 struct TimedSend {
   SimTime at;
@@ -65,8 +58,7 @@ struct RetryFixture : ::testing::Test {
     Client::Params params = overrides;
     params.id = 3;
     params.num_servers = kServers;
-    params.per_op_overhead_us = 10.0;
-    params.service_bytes_per_us = 50.0;
+    params.cost = {10.0, 50.0};
     params.est_rtt_us = 10.0;
 
     metrics.set_window(0, kTimeInfinity);
@@ -74,7 +66,7 @@ struct RetryFixture : ::testing::Test {
     client = std::make_unique<Client>(
         sim, params, Rng{42},
         // One arrival, at 1000us.
-        one_stream(*generator, workload::make_deterministic_arrivals(0.001)),
+        one_stream(*generator),
         *partitioner, key_sizes, issued_sizes, metrics, transport);
   }
 
@@ -162,16 +154,14 @@ TEST(RetryJitter, DeterministicAcrossRuns) {
     Client::Params params;
     params.id = 3;
     params.num_servers = 4;
-    params.per_op_overhead_us = 10.0;
-    params.service_bytes_per_us = 50.0;
+    params.cost = {10.0, 50.0};
     params.retry_timeout_us = 100.0;
     std::vector<TimedSend> timed;
     TimedTransport transport{sim, timed};
     Client client{sim,
                   params,
                   Rng{42},
-                  one_stream(generator,
-                             workload::make_deterministic_arrivals(0.001)),
+                  one_stream(generator),
                   *partitioner,
                   key_sizes,
                   issued_sizes,

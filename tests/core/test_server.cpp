@@ -188,7 +188,7 @@ TEST_F(ServerFixture, ResponsePiggybacksEstimates) {
 
 TEST_F(ServerFixture, UtilizationWindowClipsBusyTime) {
   auto server = make_server({});
-  server->set_utilization_window(50.0, 150.0);
+  metrics.set_window(50.0, 150.0);
   server->receive_op(op(1, 1, 100.0));  // busy [0, 100): 50 inside window
   sim.run();
   EXPECT_DOUBLE_EQ(server->busy_time_in_window(), 50.0);

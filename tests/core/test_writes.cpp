@@ -196,7 +196,8 @@ TEST(Writes, DasStillBeatsFcfsWithWrites) {
   cfg.target_load = 0.75;
   const auto runs = compare_policies(
       cfg, {sched::Policy::kFcfs, sched::Policy::kDas}, window());
-  EXPECT_GT(rct_improvement(runs[0].result, runs[1].result), 0.05);
+  EXPECT_GT(gain_over_fcfs(runs[0].result.rct.mean, runs[1].result.rct.mean),
+            0.05);
 }
 
 TEST(Writes, DeterministicWithWrites) {

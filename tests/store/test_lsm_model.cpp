@@ -1,7 +1,7 @@
 // Unit tests for the LSM service-time model (src/store/lsm_model.*): the
 // flush/compaction/stall state machine, size-dependent read pricing, the
 // interference control arm, crash semantics, and seeded bit-reproducibility
-// — all by driving the provider interface directly, no server required.
+// — all by driving the model directly, no server required.
 #include "store/lsm_model.hpp"
 
 #include <gtest/gtest.h>
@@ -12,12 +12,13 @@
 namespace das::store {
 namespace {
 
+/// The op-cost model the tests price in: 10 us per op plus 50 B/us.
+constexpr ServiceCost kCost{10.0, 50.0};
+
 /// Small memtable and low stall threshold so a handful of writes exercises
 /// every transition; jitter off by default so window math is exact.
 LsmOptions tiny_options() {
   LsmOptions o;
-  o.per_op_overhead_us = 10.0;
-  o.service_bytes_per_us = 50.0;
   o.memtable_bytes = 1024.0;
   o.entry_overhead_bytes = 0.0;
   o.l0_compaction_trigger = 2;
@@ -66,11 +67,19 @@ TEST(LsmOptionsTest, ValidateNamesTheOffendingField) {
   o = LsmOptions{};
   o.compaction_jitter = 1.0;
   EXPECT_THROW(o.validate(), std::invalid_argument);
-  EXPECT_THROW(LsmModel(o, 1), std::invalid_argument);  // ctor validates too
+  EXPECT_THROW(LsmModel(o, kCost, 1), std::invalid_argument);  // ctor validates too
+}
+
+TEST(LsmModelTest, UnstalledWriteCostsExactlyTheOpCost) {
+  LsmModel m{tiny_options(), kCost, 1};
+  ASSERT_EQ(m.compaction_debt_bytes(), 0.0);
+  ASSERT_FALSE(m.stalled());
+  EXPECT_EQ(m.base_cost_us(write_op(1, 300), 0.0), kCost.op_us(300.0));
+  EXPECT_EQ(kCost.op_us(300.0), 16.0);
 }
 
 TEST(LsmModelTest, MemtableHitIsCheaperThanLevelWalk) {
-  LsmModel m{tiny_options(), 1};
+  LsmModel m{tiny_options(), kCost, 1};
   // Populate the memtable with key 7, then flush it out via filler writes.
   m.on_op_complete(write_op(7, 100), 0.0);
   const double hit = m.base_cost_us(read_op(7, 100), 1.0);
@@ -85,7 +94,7 @@ TEST(LsmModelTest, MemtableHitIsCheaperThanLevelWalk) {
 }
 
 TEST(LsmModelTest, ReadCostIsMonotoneInSizeAndDepth) {
-  LsmModel m{tiny_options(), 1};
+  LsmModel m{tiny_options(), kCost, 1};
   const double small = m.base_cost_us(read_op(1, 64), 0.0);
   const double large = m.base_cost_us(read_op(1, 4096), 0.0);
   EXPECT_LT(small, large);
@@ -93,7 +102,7 @@ TEST(LsmModelTest, ReadCostIsMonotoneInSizeAndDepth) {
   // more runs to search => costlier walk at the same size.
   LsmOptions deep = tiny_options();
   deep.l0_compaction_trigger = 100;  // never compacts in this test
-  LsmModel d{deep, 1};
+  LsmModel d{deep, kCost, 1};
   const double shallow = d.base_cost_us(read_op(1, 4096), 0.0);
   pump_writes(d, 8, 512, 0.0);  // 4 flushes -> 4 L0 runs
   EXPECT_EQ(d.l0_runs(), 4u);
@@ -102,7 +111,7 @@ TEST(LsmModelTest, ReadCostIsMonotoneInSizeAndDepth) {
 }
 
 TEST(LsmModelTest, FlushAccumulatesRunsAndTriggersCompaction) {
-  LsmModel m{tiny_options(), 1};
+  LsmModel m{tiny_options(), kCost, 1};
   SimTime t = pump_writes(m, 2, 512, 0.0);  // fills 1024 -> first flush
   EXPECT_EQ(m.stats().flushes, 1u);
   EXPECT_EQ(m.l0_runs(), 1u);
@@ -115,7 +124,7 @@ TEST(LsmModelTest, FlushAccumulatesRunsAndTriggersCompaction) {
 }
 
 TEST(LsmModelTest, CompactionWindowDipsCapacityThenCloses) {
-  LsmModel m{tiny_options(), 1};
+  LsmModel m{tiny_options(), kCost, 1};
   const SimTime t = pump_writes(m, 4, 512, 0.0);
   ASSERT_TRUE(m.compacting());
   EXPECT_DOUBLE_EQ(m.capacity_factor(t), 0.5);
@@ -137,7 +146,7 @@ TEST(LsmModelTest, WriteStallAmplifiesAndClearsWithHysteresis) {
   LsmOptions o = tiny_options();
   o.stall_debt_bytes = 2048.0;
   o.compaction_bytes_per_us = 1.0;  // slow drain: stall observable for long
-  LsmModel m{o, 1};
+  LsmModel m{o, kCost, 1};
   SimTime t = pump_writes(m, 4, 512, 0.0);  // 2 flushes, debt 2048 >= stall
   ASSERT_TRUE(m.stalled());
   EXPECT_EQ(m.stats().write_stalls, 1u);
@@ -157,7 +166,7 @@ TEST(LsmModelTest, WriteStallAmplifiesAndClearsWithHysteresis) {
 TEST(LsmModelTest, InterferenceOffDisablesDipsAndStallsOnly) {
   LsmOptions o = tiny_options();
   o.interference = false;
-  LsmModel m{o, 1};
+  LsmModel m{o, kCost, 1};
   const SimTime t = pump_writes(m, 4, 512, 0.0);
   // The state machine still runs (flushes, runs, debt)...
   EXPECT_EQ(m.stats().flushes, 2u);
@@ -175,7 +184,7 @@ TEST(LsmModelTest, InterferenceOffDisablesDipsAndStallsOnly) {
 }
 
 TEST(LsmModelTest, CrashLosesMemtableAndInterruptsCompaction) {
-  LsmModel m{tiny_options(), 1};
+  LsmModel m{tiny_options(), kCost, 1};
   SimTime t = pump_writes(m, 4, 512, 0.0);
   m.on_op_complete(write_op(99, 100), t);  // partial memtable
   ASSERT_TRUE(m.compacting());
@@ -199,7 +208,7 @@ TEST(LsmModelTest, CrashLosesMemtableAndInterruptsCompaction) {
 TEST(LsmModelTest, FinalizeClosesOpenWindowsIdempotently) {
   LsmOptions o = tiny_options();
   o.compaction_bytes_per_us = 1.0;
-  LsmModel m{o, 1};
+  LsmModel m{o, kCost, 1};
   const SimTime t = pump_writes(m, 4, 512, 0.0);
   ASSERT_TRUE(m.compacting());
   ASSERT_TRUE(m.stalled());
@@ -214,13 +223,13 @@ TEST(LsmModelTest, FinalizeClosesOpenWindowsIdempotently) {
 }
 
 TEST(LsmModelTest, TransitionsRecordedOnlyWhenEnabled) {
-  LsmModel quiet{tiny_options(), 1};
+  LsmModel quiet{tiny_options(), kCost, 1};
   pump_writes(quiet, 4, 512, 0.0);
   std::vector<StoreTransition> out;
   quiet.drain_transitions(out);
   EXPECT_TRUE(out.empty());  // recording off by default
 
-  LsmModel traced{tiny_options(), 1};
+  LsmModel traced{tiny_options(), kCost, 1};
   traced.set_record_transitions(true);
   pump_writes(traced, 4, 512, 0.0);
   traced.drain_transitions(out);
@@ -238,9 +247,9 @@ TEST(LsmModelTest, TransitionsRecordedOnlyWhenEnabled) {
 TEST(LsmModelTest, SameSeedSameOpsBitIdentical) {
   LsmOptions o = tiny_options();
   o.compaction_jitter = 0.25;  // exercise the only random path
-  LsmModel a{o, 42};
-  LsmModel b{o, 42};
-  LsmModel c{o, 43};
+  LsmModel a{o, kCost, 42};
+  LsmModel b{o, kCost, 42};
+  LsmModel c{o, kCost, 43};
   // 50us between writes keeps compaction windows isolated (window <= 160us,
   // flush pairs 400us apart), so jittered durations are observable rather
   // than merging into one permanently-open window.

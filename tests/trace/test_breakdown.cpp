@@ -1,5 +1,5 @@
 // RCT attribution: unit exactness of make_request_breakdown, the collector's
-// window/retention semantics, and the end-to-end invariant that every
+// retention semantics, and the end-to-end invariant that every
 // request's components sum bitwise to its RCT across an E1-style grid of
 // loads and policies.
 #include <gtest/gtest.h>
@@ -76,26 +76,6 @@ TEST(RequestBreakdown, RejectsDisorderedCutPoints) {
   OpServiceTiming invalid;
   EXPECT_THROW(make_request_breakdown(0.0, 10.0, invalid, 0.0, 1),
                std::logic_error);  // missing timing echo
-}
-
-TEST(BreakdownCollector, FiltersOnTheArrivalWindow) {
-  BreakdownCollector collector;
-  collector.set_window(100.0, 200.0);
-  auto record_at = [&](SimTime arrival) {
-    collector.record(make_request_breakdown(arrival, arrival + 10.0,
-                                            timing(arrival + 1.0, arrival + 4.0,
-                                                   arrival + 9.0),
-                                            0.0, 1));
-  };
-  record_at(50.0);    // before the window
-  record_at(100.0);   // inclusive lower edge
-  record_at(150.0);
-  record_at(200.0);   // exclusive upper edge
-  const BreakdownSummary s = collector.summary();
-  EXPECT_EQ(s.requests, 2u);
-  EXPECT_DOUBLE_EQ(s.mean_rct_us, 10.0);
-  EXPECT_DOUBLE_EQ(s.mean_service_us, 5.0);
-  EXPECT_EQ(s.mean_deferred_wait_us, 0.0);
 }
 
 TEST(BreakdownCollector, RetentionCapDropsRowsNotAggregates) {

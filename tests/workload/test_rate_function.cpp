@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 namespace das::workload {
 namespace {
@@ -50,13 +52,49 @@ TEST(StepRate, RejectsMismatchedSizes) {
   EXPECT_THROW(make_step_rate({2.0, 1.0}, {1.0, 2.0, 3.0}), std::logic_error);
 }
 
-TEST(TimeAverage, SamplesEachMillisecondOfTheHorizon) {
+TEST(TimeAverage, StepAveragesBySegmentSums) {
   // 1 over the first 10 ms, 4 after it.
   auto r = make_step_rate({10.0 * kMillisecond}, {1.0, 4.0});
   EXPECT_DOUBLE_EQ(time_average(*r, 20.0 * kMillisecond), 2.5);
   EXPECT_DOUBLE_EQ(time_average(*r, 40.0 * kMillisecond), 3.25);
+  // Inside the first segment, and with boundaries before 0.
+  EXPECT_DOUBLE_EQ(time_average(*r, 5.0 * kMillisecond), 1.0);
+  auto shifted = make_step_rate({-5.0, 100.0}, {7.0, 1.0, 3.0});
+  EXPECT_DOUBLE_EQ(time_average(*shifted, 200.0), 2.0);
   // An empty horizon reads the value at 0.
   EXPECT_DOUBLE_EQ(time_average(*r, 0), 1.0);
+}
+
+TEST(TimeAverage, SeesChangesInsideAMillisecond) {
+  // 1 over the first half of every millisecond, 19 over the second half: a
+  // sampler on whole milliseconds reads only the 1s.
+  std::vector<SimTime> boundaries;
+  std::vector<double> levels{1.0};
+  for (int half = 1; half < 200; ++half) {
+    boundaries.push_back(half * 0.5 * kMillisecond);
+    levels.push_back(half % 2 == 1 ? 19.0 : 1.0);
+  }
+  auto r = make_step_rate(std::move(boundaries), std::move(levels));
+  EXPECT_DOUBLE_EQ(time_average(*r, 100.0 * kMillisecond), 10.0);
+}
+
+TEST(TimeAverage, SinusoidMatchesItsClosedFormOverPartialPeriods) {
+  // 2.5 periods of a 1 ms sinusoid: the last half period's positive lobe
+  // lifts the mean above the base.
+  const double base = 10.0, amp = 4.0, period = 1000.0, horizon = 2500.0;
+  auto r = make_sinusoidal_rate(base, amp, period);
+  const double turns = 2.0 * std::numbers::pi * horizon / period;
+  EXPECT_NEAR(time_average(*r, horizon),
+              base + amp * (1.0 - std::cos(turns)) / turns, 1e-12);
+  // A midpoint sum of the profile agrees.
+  double acc = 0;
+  const int steps = 250000;
+  for (int i = 0; i < steps; ++i)
+    acc += r->value_at((i + 0.5) * horizon / steps);
+  EXPECT_NEAR(time_average(*r, horizon), acc / steps, 1e-6);
+  EXPECT_GT(time_average(*r, horizon), base + 0.5);
+  // Whole periods average to the base.
+  EXPECT_NEAR(time_average(*r, 3.0 * period), base, 1e-12);
 }
 
 TEST(MarkovTwoState, ValuesAreOnlyHighOrLow) {

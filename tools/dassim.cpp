@@ -19,6 +19,7 @@
 // the exact per-component RCT attribution.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -125,11 +126,12 @@ void print_policy_table(const std::vector<core::PolicyRun>& runs) {
   Table table{{"policy", "mean RCT", "p50", "p95", "p99", "p999", "vs fcfs",
                "util", "max util"}};
   for (const auto& [policy, r] : runs) {
+    const double gain = core::gain_over_fcfs(fcfs_mean, r.rct.mean);
     table.add_row(
         {sched::to_string(policy), Table::fmt(r.rct.mean, 1),
          Table::fmt(r.rct.p50, 1), Table::fmt(r.rct.p95, 1),
          Table::fmt(r.rct.p99, 1), Table::fmt(r.rct.p999, 1),
-         fcfs_mean > 0 ? Table::fmt_percent(1.0 - r.rct.mean / fcfs_mean) : "-",
+         std::isnan(gain) ? "-" : Table::fmt_percent(gain),
          Table::fmt(r.mean_server_utilization, 3),
          Table::fmt(r.max_server_utilization, 3)});
   }
@@ -303,7 +305,8 @@ int run(int argc, char** argv) {
                "--replication >= 2");
   flags.define("experiment", "",
                "run a registered experiment grid by name (E1_load_mean ... "
-               "E22_overload, see EXPERIMENTS.md) instead of a single point");
+               "E22_overload, see EXPERIMENTS.md) instead of a single point; "
+               "the grid sets every flag but --jobs, --json and --format");
   flags.define("json", "",
                "write --sweep / --experiment results as BENCH-schema JSON to "
                "this path");
@@ -314,7 +317,8 @@ int run(int argc, char** argv) {
                "maximum trace events written (overflow counted, not kept); "
                "needs --trace");
   flags.define("breakdown", "false",
-               "print the exact per-component RCT attribution per policy");
+               "print the exact per-component RCT attribution per policy "
+               "(single-point runs only)");
   flags.define("help", "false", "show this help");
 
   std::string error;
@@ -332,6 +336,19 @@ int run(int argc, char** argv) {
   if (format != "csv" && format != "table") {
     std::cerr << "unknown --format: " << format << " (table | csv)\n";
     return 2;
+  }
+  // A flag the chosen mode does not read would silently run something other
+  // than the command line says. A registered grid sets every knob itself; a
+  // sweep takes its loads from --sweep-loads and prints no breakdown.
+  const std::string experiment = flags.get_string("experiment");
+  for (const std::string& name : flags.set_on_command_line()) {
+    if (!experiment.empty() && name != "experiment" && name != "jobs" &&
+        name != "json" && name != "format")
+      throw std::invalid_argument("flag --" + name +
+                                  ": --experiment runs a registered grid and "
+                                  "reads only --jobs, --json and --format");
+    if (flags.get_bool("sweep") && (name == "load" || name == "breakdown"))
+      throw std::invalid_argument("flag --" + name + ": --sweep does not read it");
   }
 
   core::ClusterConfig cfg;
@@ -513,20 +530,10 @@ int run(int argc, char** argv) {
 
   // A grid: the ad-hoc --sweep over the cluster flags, or a registered
   // experiment whose builder sets every knob itself.
-  const std::string experiment = flags.get_string("experiment");
   if (flags.get_bool("sweep") || !experiment.empty()) {
     if (!trace_path.empty() || !record_path.empty()) {
       std::cerr << (trace_path.empty() ? "--record" : "--trace")
-                << " is incompatible with "
-                << (experiment.empty() ? "--sweep" : "--experiment") << "\n";
-      return 2;
-    }
-    if (flags.get_bool("sweep") && !experiment.empty()) {
-      std::cerr << "--experiment names a registered grid and cannot be "
-                   "combined with --sweep (registered:";
-      for (const std::string& name : experiments::experiment_names())
-        std::cerr << ' ' << name;
-      std::cerr << ")\n";
+                << " is incompatible with --sweep\n";
       return 2;
     }
     try {

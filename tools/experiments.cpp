@@ -1,6 +1,7 @@
 #include "experiments.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <span>
@@ -752,10 +753,8 @@ std::string cell(const core::Field<Record>& field, const Record& r) {
 /// DAS's gain over FCFS as a signed percentage, positive when DAS is
 /// better; "-" without a direction or an FCFS value to compare against.
 std::string gain(const core::ResultField& field, double fcfs, double das) {
-  if (field.better == core::Better::kNone || fcfs <= 0) return "-";
-  const double ratio = das / fcfs;
-  return Table::fmt_percent(field.better == core::Better::kLower ? 1.0 - ratio
-                                                                 : ratio - 1.0);
+  const double g = core::gain_over_fcfs(fcfs, das, field.better);
+  return std::isnan(g) ? "-" : Table::fmt_percent(g);
 }
 
 /// Labelled rows of one record type: the row's label cells and its record.
