@@ -1,6 +1,6 @@
 // Structured JSON results emitter.
 //
-// Every grid dassim runs (--experiment=<name> or --sweep) can persist its
+// Every grid dassim runs (registered or ad-hoc) can persist its
 // rows as BENCH_<experiment>.json so the perf trajectory is machine-readable
 // instead of living only in printed tables. Schema (schema_version 6):
 //

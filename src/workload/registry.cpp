@@ -201,22 +201,18 @@ void apply(const std::string& clause, Draft& d) {
   throw std::logic_error(message);
 }
 
-/// Decodes one tenant spec. `index` is its place in a multi-tenant spec, or
-/// npos for a lone spec; an indexed tenant without `name:` is "t<index>",
-/// and a bad distribution clause names the tenant.
+/// Decodes one tenant spec, the `index`th of its list: a tenant without
+/// `name:` is "t<index>", and a bad distribution clause names the tenant.
 TenantSpec decode(const std::string& spec, std::size_t index) {
-  if (spec.empty()) throw std::logic_error("empty workload spec");
   Draft d;
   for (const std::string& clause : parse::split(spec, '+')) apply(clause, d);
   TenantSpec& tenant = d.tenant;
-  if (index != std::string::npos && tenant.name.empty())
-    tenant.name.append("t").append(std::to_string(index));
+  if (tenant.name.empty()) tenant.name.append("t").append(std::to_string(index));
   const auto dist = [&](const char* family, const std::string& dist_spec,
                         auto parse) {
     try {
       return parse(dist_spec);
     } catch (const std::logic_error& e) {
-      if (index == std::string::npos) throw;
       throw std::logic_error("tenants[" + std::to_string(index) + "] ('" +
                              tenant.name + "') " + family + ": " + e.what());
     }
@@ -239,10 +235,6 @@ TenantSpec decode(const std::string& spec, std::size_t index) {
 }
 
 }  // namespace
-
-TenantSpec parse_tenant(const std::string& spec) {
-  return decode(spec, std::string::npos);
-}
 
 std::vector<TenantSpec> parse_tenants(const std::string& spec) {
   if (spec.empty()) throw std::logic_error("empty multi-tenant workload spec");

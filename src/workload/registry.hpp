@@ -67,12 +67,10 @@ struct TenantSpec {
   std::shared_ptr<const ReplayTrace> replay;
 };
 
-/// Parses a full '+'-joined tenant spec.
-TenantSpec parse_tenant(const std::string& spec);
-
-/// Parses a ';'-separated multi-tenant spec; fills default names ("t0",
-/// "t1", ...) for tenants that did not set one. A bad `fanout:` or `size:`
-/// distribution names its tenant: "tenants[1] ('t1') fanout: ...".
+/// Parses a ';'-separated list of '+'-joined tenant specs (one spec is a
+/// one-tenant list); fills default names ("t0", "t1", ...) for tenants that
+/// did not set one. A bad `fanout:` or `size:` distribution names its
+/// tenant: "tenants[1] ('t1') fanout: ...".
 std::vector<TenantSpec> parse_tenants(const std::string& spec);
 
 }  // namespace das::workload

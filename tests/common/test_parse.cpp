@@ -120,7 +120,7 @@ std::vector<Grammar> grammars() {
        [](const std::string& s) { parse_real_dist("uniform:" + s + ":2000"); },
        {"5", "0.25", "1e3", "-3"}},
       {"tenant clause",
-       [](const std::string& s) { (void)workload::parse_tenant("zipf:" + s); },
+       [](const std::string& s) { (void)workload::parse_tenants("zipf:" + s); },
        {"5", "0.25", "1e3"}},
       {"mix", [](const std::string& s) { workload::parse_mix("mix:" + s + ":0.75:0"); },
        {"0.25"}},

@@ -286,7 +286,7 @@ TEST(HeapCompaction, AuditedHedgedRunStaysClean) {
   EXPECT_GT(cluster.simulator().audits_run(), 0u);
 }
 
-// --- parse_load_list: the --sweep-loads grid spec -------------------------
+// --- parse_load_list: the --load grid spec --------------------------------
 
 TEST(ParseLoadList, ParsesWellFormedList) {
   EXPECT_EQ(parse_load_list("0.3,0.5,0.8"),

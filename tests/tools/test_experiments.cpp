@@ -1,7 +1,8 @@
 // The experiment registry behind `dassim --experiment`: every registered
 // grid is well formed (unique name that labels its rows, non-empty, valid
 // configurations, no duplicate rows, an FCFS baseline for the gain columns)
-// and reproducible run to run.
+// and reproducible run to run. Also the ad-hoc grid every other dassim run
+// builds, and the block tables dassim prints under any grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,9 +187,9 @@ TEST(ResultFields, EveryTableMetricIsATitledFieldOfItsOwnName) {
 
 // The header row of print_block's table for `block`, split on blanks.
 std::vector<std::string> block_headers(core::Block block,
-                                       const std::vector<core::PolicyRun>& runs) {
+                                       const std::vector<core::SweepOutcome>& rows) {
   std::ostringstream os;
-  print_block(os, "heading", runs, block);
+  print_block(os, "heading", rows, block);
   std::istringstream lines{os.str()};
   std::string line;
   std::getline(lines, line);
@@ -201,26 +202,155 @@ std::vector<std::string> block_headers(core::Block block,
 }
 
 TEST(BlockTables, PrintOneColumnPerFieldOfTheBlock) {
-  std::vector<core::PolicyRun> runs(2);
-  runs[0].policy = sched::Policy::kFcfs;
-  runs[1].policy = sched::Policy::kDas;
-  runs[1].result.ops_failed_over = 42;
-  runs[1].result.availability = 0.5;
+  // Two points of two policies: one row per (point, policy).
+  std::vector<core::SweepOutcome> rows(4);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].point = i < 2 ? "load=0.50" : "load=0.70";
+    rows[i].policy = i % 2 == 0 ? sched::Policy::kFcfs : sched::Policy::kDas;
+  }
+  rows[3].result.ops_failed_over = 42;
+  rows[3].result.availability = 0.5;
   for (const core::Block block :
        {core::Block::kMechanism, core::Block::kBreakdown, core::Block::kDegradation,
         core::Block::kOverload, core::Block::kStorage}) {
-    std::vector<std::string> want{"policy"};
+    std::vector<std::string> want{"point", "policy"};
     for (const core::ResultField& field : core::result_fields())
       if (field.block == block) want.emplace_back(field.name);
-    EXPECT_GT(want.size(), 1u);
-    EXPECT_EQ(block_headers(block, runs), want);
+    EXPECT_GT(want.size(), 2u);
+    EXPECT_EQ(block_headers(block, rows), want);
   }
   std::ostringstream os;
-  print_block(os, "degradation", runs, core::Block::kDegradation);
+  print_block(os, "degradation", rows, core::Block::kDegradation);
   const std::string out = os.str();
   EXPECT_NE(out.find("0.5000"), std::string::npos) << out;  // its precision
   EXPECT_NE(out.find(" 42 "), std::string::npos) << out;     // a count
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5) << out;
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 7) << out;
+  // The last row is the second point's DAS row, and carries its counts.
+  const std::size_t last = out.rfind('\n', out.size() - 2) + 1;
+  EXPECT_EQ(out.compare(last, 9, "load=0.70"), 0) << out;
+  EXPECT_NE(out.find("das", last), std::string::npos) << out;
+  EXPECT_NE(out.find(" 42 ", last), std::string::npos) << out;
+}
+
+TEST(BlockTables, TenantRowsCarryPointPolicyAndTenant) {
+  std::vector<core::SweepOutcome> rows(2);
+  rows[0].point = "load=0.50";
+  rows[1].point = "load=0.70";
+  rows[1].policy = sched::Policy::kDas;
+  for (core::SweepOutcome& row : rows) row.result.tenants.resize(2);
+  rows[1].result.tenants[0].name = "steady";
+  rows[1].result.tenants[1].name = "bursty";
+  std::ostringstream os;
+  print_tenant_block(os, "per-tenant RCT", rows);
+  std::istringstream lines{os.str()};
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "== per-tenant RCT ==");
+  std::getline(lines, line);
+  std::istringstream words{line};
+  std::vector<std::string> headers;
+  for (std::string word; words >> word;) headers.push_back(word);
+  ASSERT_GE(headers.size(), 3u);
+  EXPECT_EQ(std::vector<std::string>(headers.begin(), headers.begin() + 3),
+            (std::vector<std::string>{"point", "policy", "tenant"}));
+  std::vector<std::string> last_row;
+  for (std::string row; std::getline(lines, row);) {
+    std::istringstream cells{row};
+    last_row.clear();
+    for (std::string cell; cells >> cell;) last_row.push_back(cell);
+  }
+  ASSERT_GE(last_row.size(), 3u);
+  EXPECT_EQ(last_row[0], "load=0.70");
+  EXPECT_EQ(last_row[1], "das");
+  EXPECT_EQ(last_row[2], "bursty");
+}
+
+// --- the ad-hoc grid -------------------------------------------------------
+
+core::ClusterConfig replicated(std::size_t copies) {
+  core::ClusterConfig base;
+  base.replication = copies;
+  return base;
+}
+
+// The (point label, policy) of every row, in sweep_points order.
+std::vector<std::pair<std::string, sched::Policy>> rows_of(const Experiment& e) {
+  std::vector<std::pair<std::string, sched::Policy>> out;
+  for (const core::SweepPoint& p : sweep_points(e)) out.emplace_back(p.point, p.policy);
+  return out;
+}
+
+TEST(SweepGrid, LoadsOuterSelectionsInnerThenPolicies) {
+  const std::vector<sched::Policy> policies{sched::Policy::kFcfs,
+                                            sched::Policy::kDas};
+  const Experiment e = sweep_grid(replicated(2), core::RunWindow{}, policies,
+                                  "0.5,0.8", "c3,random");
+  EXPECT_EQ(e.name, "sweep");
+  using sched::Policy;
+  // Every selection given is a row: c3 and random both, not just one.
+  const std::vector<std::pair<std::string, Policy>> want{
+      {"load=0.50 sel=c3", Policy::kFcfs},     {"load=0.50 sel=c3", Policy::kDas},
+      {"load=0.50 sel=random", Policy::kFcfs}, {"load=0.50 sel=random", Policy::kDas},
+      {"load=0.80 sel=c3", Policy::kFcfs},     {"load=0.80 sel=c3", Policy::kDas},
+      {"load=0.80 sel=random", Policy::kFcfs}, {"load=0.80 sel=random", Policy::kDas}};
+  EXPECT_EQ(rows_of(e), want);
+  // Each point carries its coordinates on top of the base cluster.
+  ASSERT_EQ(e.points.size(), 4u);
+  EXPECT_DOUBLE_EQ(e.points[0].config.target_load, 0.5);
+  EXPECT_EQ(e.points[0].config.replica_selection, core::ReplicaSelection::kC3);
+  EXPECT_DOUBLE_EQ(e.points[3].config.target_load, 0.8);
+  EXPECT_EQ(e.points[3].config.replica_selection, core::ReplicaSelection::kRandom);
+  for (const GridPoint& p : e.points) EXPECT_EQ(p.config.replication, 2u);
+  ASSERT_EQ(e.tables.size(), 1u);
+  EXPECT_EQ(e.tables.front().metric, "mean_rct_us");
+}
+
+TEST(SweepGrid, OneSelectionKeepsPlainLabelsAndOnePointPrintsPerPolicy) {
+  const std::vector<sched::Policy> policies{sched::Policy::kFcfs};
+  const Experiment loads =
+      sweep_grid(replicated(1), core::RunWindow{}, policies, "0.3,0.7", "primary");
+  ASSERT_EQ(loads.points.size(), 2u);
+  EXPECT_EQ(loads.points[0].label, "load=0.30");
+  EXPECT_EQ(loads.points[1].label, "load=0.70");
+  const Experiment one =
+      sweep_grid(replicated(2), core::RunWindow{}, policies, "0.7", "c3");
+  ASSERT_EQ(one.points.size(), 1u);
+  EXPECT_EQ(one.points[0].label, "load=0.70");
+  EXPECT_EQ(one.points[0].config.replica_selection, core::ReplicaSelection::kC3);
+  ASSERT_EQ(one.tables.size(), 1u);
+  EXPECT_TRUE(one.tables.front().metric.empty());  // the per-policy table
+}
+
+// The message of the std::invalid_argument sweep_grid throws, or "".
+std::string grid_error(std::size_t copies, const std::string& loads,
+                       const std::string& selections) {
+  try {
+    (void)sweep_grid(replicated(copies), core::RunWindow{}, {sched::Policy::kDas},
+                     loads, selections);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SweepGrid, SeveralSelectionsNeedReplicas) {
+  const std::string what = grid_error(1, "0.7", "c3,random");
+  EXPECT_EQ(what.rfind("flag --selection: ", 0), 0u) << what;
+  EXPECT_NE(what.find("--replication >= 2"), std::string::npos) << what;
+  EXPECT_EQ(grid_error(2, "0.7", "c3,random"), "");
+  EXPECT_EQ(grid_error(1, "0.7", "c3"), "");  // one mode is one row
+}
+
+TEST(SweepGrid, MalformedListsNameTheirFlag) {
+  for (const std::string loads : {"", "0.5,", "x", "0.5,0.5x", "0", "12"}) {
+    const std::string what = grid_error(2, loads, "primary");
+    EXPECT_EQ(what.rfind("flag --load: ", 0), 0u) << loads << ": " << what;
+  }
+  for (const std::string selections : {"", "c3,", "bogus"}) {
+    const std::string what = grid_error(2, "0.7", selections);
+    EXPECT_EQ(what.rfind("flag --selection: ", 0), 0u)
+        << selections << ": " << what;
+  }
 }
 
 // The JSON rendering of a run with the one non-deterministic field dropped.

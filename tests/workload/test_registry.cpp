@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "workload/replay.hpp"
 
@@ -24,9 +25,16 @@ std::string write_trace(const std::string& name) {
 /// A path no test writes: a spec naming it must fail before any load.
 std::string missing_trace() { return ::testing::TempDir() + "never_written.csv"; }
 
+/// A lone spec, the one-tenant list dassim's --workload reads it as.
+TenantSpec parse_one(const std::string& spec) {
+  const std::vector<TenantSpec> tenants = parse_tenants(spec);
+  EXPECT_EQ(tenants.size(), 1u) << spec;
+  return tenants.at(0);
+}
+
 TEST(Registry, SingleTenantComposesClauses) {
   const TenantSpec t =
-      parse_tenant("ycsb-b+zipf:1.1+share:3+name:heavy+drift:5000:37");
+      parse_one("ycsb-b+zipf:1.1+share:3+name:heavy+drift:5000:37");
   EXPECT_EQ(t.name, "heavy");
   EXPECT_DOUBLE_EQ(t.share, 3.0);
   EXPECT_DOUBLE_EQ(t.zipf_theta, 1.1);
@@ -39,7 +47,7 @@ TEST(Registry, SingleTenantComposesClauses) {
 }
 
 TEST(Registry, UnsetAspectsInherit) {
-  const TenantSpec t = parse_tenant("name:x");
+  const TenantSpec t = parse_one("name:x");
   EXPECT_DOUBLE_EQ(t.share, 1.0);
   EXPECT_LT(t.zipf_theta, 0.0);  // inherit cluster theta
   EXPECT_FALSE(t.mix.has_value());
@@ -51,7 +59,7 @@ TEST(Registry, UnsetAspectsInherit) {
 
 TEST(Registry, FanoutAndSizeKeepColonsInDistSpec) {
   // The clause splitter must not eat the ':' inside the nested dist spec.
-  const TenantSpec t = parse_tenant("fanout:uniform:1:15+size:lognormal:385:1.5");
+  const TenantSpec t = parse_one("fanout:uniform:1:15+size:lognormal:385:1.5");
   ASSERT_NE(t.fanout, nullptr);
   ASSERT_NE(t.value_size, nullptr);
   EXPECT_DOUBLE_EQ(t.fanout->mean(), 8.0);
@@ -60,7 +68,7 @@ TEST(Registry, FanoutAndSizeKeepColonsInDistSpec) {
 
 TEST(Registry, StormClausesAccumulate) {
   const TenantSpec t =
-      parse_tenant("storm:1000:2000:4:0.6:7+storm:5000:9000:2:0.3:9");
+      parse_one("storm:1000:2000:4:0.6:7+storm:5000:9000:2:0.3:9");
   ASSERT_EQ(t.drift.storms.size(), 2u);
   EXPECT_DOUBLE_EQ(t.drift.storms[0].start, 1000.0);
   EXPECT_DOUBLE_EQ(t.drift.storms[0].end, 2000.0);
@@ -81,7 +89,7 @@ TEST(Registry, MultiTenantFillsDefaultNames) {
 
 TEST(Registry, ReplayTenantParses) {
   const std::string path = write_trace("registry_replay.csv");
-  const TenantSpec t = parse_tenant("replay:" + path + "+share:2+name:cam");
+  const TenantSpec t = parse_one("replay:" + path + "+share:2+name:cam");
   ASSERT_NE(t.replay, nullptr);
   EXPECT_EQ(t.replay->size(), 2u);
   EXPECT_EQ(t.replay->max_key(), 9u);
@@ -95,7 +103,7 @@ TEST(Registry, EveryBuiltinFamilyParses) {
        {"ycsb-a", "ycsb-b", "ycsb-c", "ycsb-f", "mix:0.5:0.25:0.25", "zipf:0.9",
         "fanout:fixed:4", "size:constant:64", "share:2", "name:x", "drift:5000:3",
         "storm:1000:2000:4:0.5:7", replay.c_str()}) {
-    EXPECT_NO_THROW(parse_tenant(clause)) << clause;
+    EXPECT_NO_THROW(parse_one(clause)) << clause;
   }
 }
 
@@ -103,11 +111,7 @@ TEST(Registry, EveryBuiltinFamilyParses) {
 
 void expect_message(const std::string& spec, const std::string& needle) {
   try {
-    if (spec.find(';') != std::string::npos) {
-      (void)parse_tenants(spec);
-    } else {
-      (void)parse_tenant(spec);
-    }
+    (void)parse_tenants(spec);
     ADD_FAILURE() << "accepted: '" << spec << "'";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
@@ -117,7 +121,7 @@ void expect_message(const std::string& spec, const std::string& needle) {
 
 TEST(RegistryNegative, UnknownFamilyListsKnownFamilies) {
   try {
-    (void)parse_tenant("ycsb-z");
+    (void)parse_tenants("ycsb-z");
     ADD_FAILURE() << "accepted ycsb-z";
   } catch (const std::logic_error& e) {
     const std::string msg = e.what();
@@ -131,7 +135,6 @@ TEST(RegistryNegative, UnknownFamilyListsKnownFamilies) {
 }
 
 TEST(RegistryNegative, EmptyAndMalformedSpecs) {
-  EXPECT_THROW(parse_tenant(""), std::logic_error);
   EXPECT_THROW(parse_tenants(""), std::logic_error);
   expect_message("ycsb-b+", "empty clause");
   expect_message("+ycsb-b", "empty clause");
@@ -183,7 +186,7 @@ TEST(RegistryNegative, ReplayExcludesSyntheticClauses) {
     expect_message(spec, "combines replay with synthetic clauses");
   }
   // share/name/size are still fine on a replay tenant.
-  EXPECT_NO_THROW(parse_tenant("replay:" + write_trace("registry_excludes.csv") +
+  EXPECT_NO_THROW(parse_one("replay:" + write_trace("registry_excludes.csv") +
                                "+share:2+name:cam+size:constant:64"));
 }
 
@@ -203,8 +206,10 @@ TEST(RegistryNegative, BadDistributionNamesItsTenant) {
   // The name is the tenant's own, even when `name:` follows the bad clause.
   expect_message("size:constant:-5+name:hog;ycsb-c",
                  "tenants[0] ('hog') size: out-of-range argument");
-  // A lone spec has no index to name.
-  expect_message("fanout:fixed:0", "out-of-range argument in distribution spec");
+  // A lone spec is the list's first tenant.
+  expect_message("fanout:fixed:0",
+                 "tenants[0] ('t0') fanout: out-of-range argument in "
+                 "distribution spec");
 }
 
 TEST(RegistryNegative, DuplicateTenantNames) {

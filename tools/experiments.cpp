@@ -10,6 +10,7 @@
 
 #include "common/check.hpp"
 #include "common/distributions.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "fault/fault_plan.hpp"
 #include "select/selector.hpp"
@@ -735,6 +736,46 @@ std::vector<core::SweepPoint> sweep_points(const Experiment& experiment) {
   return out;
 }
 
+Experiment sweep_grid(const core::ClusterConfig& base, const core::RunWindow& window,
+                      const std::vector<Policy>& policies, const std::string& loads,
+                      const std::string& selections) {
+  std::vector<double> load_list;
+  try {
+    load_list = core::parse_load_list(loads);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("flag --load: ") + e.what());
+  }
+  std::vector<core::ReplicaSelection> modes;
+  for (const std::string& token : parse::split(selections, ',')) {
+    core::ReplicaSelection mode = core::ReplicaSelection::kPrimary;
+    if (!select::mode_from_string(token, mode))
+      throw std::invalid_argument("flag --selection: unknown mode '" + token + "'");
+    modes.push_back(mode);
+  }
+  // With one copy per key every mode reads the primary: the rows would be
+  // identical runs under different labels.
+  if (modes.size() > 1 && base.replication < 2) {
+    throw std::invalid_argument(
+        "flag --selection: several replica-selection modes need --replication "
+        ">= 2 (got " + std::to_string(base.replication) + ")");
+  }
+  Experiment grid{"sweep", {}, policies, {}};
+  for (const double load : load_list) {
+    for (const core::ReplicaSelection mode : modes) {
+      core::ClusterConfig cfg = base;
+      cfg.target_load = load;
+      cfg.replica_selection = mode;
+      std::string label = "load=" + Table::fmt(load, 2);
+      if (modes.size() > 1) label += std::string(" sel=") + select::to_string(mode);
+      grid.points.push_back({std::move(label), std::move(cfg), window});
+    }
+  }
+  grid.tables.push_back(grid.points.size() == 1
+                            ? TableSpec{grid.points.front().label + " (RCT in us)", ""}
+                            : TableSpec{"Mean RCT", "mean_rct_us"});
+  return grid;
+}
+
 const core::ResultField* find_table_field(std::string_view metric) {
   for (const core::ResultField& field : core::result_fields())
     if (field.title != nullptr && metric == field.name) return &field;
@@ -821,20 +862,21 @@ void print_table(std::ostream& os, const Experiment& experiment,
 }
 
 void print_block(std::ostream& os, const std::string& heading,
-                 const std::vector<core::PolicyRun>& runs, core::Block block) {
+                 const std::vector<core::SweepOutcome>& outcomes, core::Block block) {
   Rows<core::ExperimentResult> rows;
-  for (const auto& [policy, r] : runs) rows.push_back({{sched::to_string(policy)}, &r});
-  print_fields(os, heading, {"policy"}, core::result_fields(), block, rows);
+  for (const core::SweepOutcome& o : outcomes)
+    rows.push_back({{o.point, sched::to_string(o.policy)}, &o.result});
+  print_fields(os, heading, {"point", "policy"}, core::result_fields(), block, rows);
 }
 
 void print_tenant_block(std::ostream& os, const std::string& heading,
-                        const std::vector<core::PolicyRun>& runs) {
+                        const std::vector<core::SweepOutcome>& outcomes) {
   Rows<core::TenantOutcome> rows;
-  for (const auto& [policy, r] : runs) {
-    for (const core::TenantOutcome& t : r.tenants)
-      rows.push_back({{sched::to_string(policy), t.name}, &t});
+  for (const core::SweepOutcome& o : outcomes) {
+    for (const core::TenantOutcome& t : o.result.tenants)
+      rows.push_back({{o.point, sched::to_string(o.policy), t.name}, &t});
   }
-  print_fields(os, heading, {"policy", "tenant"}, core::tenant_fields(),
+  print_fields(os, heading, {"point", "policy", "tenant"}, core::tenant_fields(),
                core::Block::kTop, rows);
 }
 

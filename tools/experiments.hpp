@@ -5,8 +5,9 @@
 // configuration and the run window), the policies run at every point and
 // the paper-style tables to print from the results. `dassim
 // --experiment=E5_skew --jobs=4 --json=BENCH_E5_skew.json` runs one on
-// core::SweepRunner; the ad-hoc `dassim --sweep` grid goes through the same
-// runner and the same table printer under the name "sweep".
+// core::SweepRunner; every other dassim run is the ad-hoc grid sweep_grid()
+// builds from the cluster flags, and goes through the same runner and the
+// same printers under the name "sweep".
 //
 // The catalogue lives beside dassim, not in the simulator library: nothing
 // under src/ depends on which grids exist.
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/experiment.hpp"
 #include "core/metrics.hpp"
 #include "core/sweep.hpp"
 
@@ -54,6 +54,18 @@ std::vector<std::string> experiment_names();
 /// and listing the registered names when `name` is unknown.
 Experiment build_experiment(const std::string& name);
 
+/// The ad-hoc grid "sweep": every load of `loads` × every replica-selection
+/// mode of `selections` (comma lists, as dassim's --load and --selection
+/// take them) on `base`, with `policies` run at every point. Points are
+/// load-major and labelled "load=0.50", plus " sel=c3" when several modes
+/// are given. One point prints the per-policy table, several the Mean RCT
+/// table. Throws std::invalid_argument naming --load or --selection on a
+/// malformed list, and naming --selection when several modes meet a
+/// `base` with one copy per key.
+Experiment sweep_grid(const core::ClusterConfig& base, const core::RunWindow& window,
+                      const std::vector<sched::Policy>& policies,
+                      const std::string& loads, const std::string& selections);
+
 /// The grid as sweep points: point-major, policies in list order — the row
 /// order of the tables and of the JSON.
 std::vector<core::SweepPoint> sweep_points(const Experiment& experiment);
@@ -70,14 +82,14 @@ void print_table(std::ostream& os, const Experiment& experiment,
                  const std::vector<core::SweepOutcome>& outcomes,
                  const std::string& metric);
 
-/// Prints "== heading ==" and one row per run with a column per result field
-/// of `block`, headed by the field's JSON name.
+/// Prints "== heading ==" and one row per (point, policy) outcome with a
+/// column per result field of `block`, headed by the field's JSON name.
 void print_block(std::ostream& os, const std::string& heading,
-                 const std::vector<core::PolicyRun>& runs, core::Block block);
+                 const std::vector<core::SweepOutcome>& outcomes, core::Block block);
 
-/// Prints "== heading ==" and one row per (run, tenant) with a column per
-/// tenant field, headed by the field's JSON name.
+/// Prints "== heading ==" and one row per (point, policy, tenant) with a
+/// column per tenant field, headed by the field's JSON name.
 void print_tenant_block(std::ostream& os, const std::string& heading,
-                        const std::vector<core::PolicyRun>& runs);
+                        const std::vector<core::SweepOutcome>& outcomes);
 
 }  // namespace das::experiments
